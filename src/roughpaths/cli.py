@@ -118,6 +118,30 @@ class ScenarioConfig:
             print(f"warning: {w}", file=sys.stderr)
         return scfg
 
+    def solve_inputs(self, X: rp.GeometricRoughPath, F: lip.LipFunction) -> tuple[np.ndarray, float]:
+        """Initial value and horizon of a solve, checked against the driver and field."""
+        if self.y0 is None or self.horizon is None:
+            raise ConfigError("solve needs y0 and horizon")
+        try:
+            y0 = np.asarray(self.y0, dtype=float).ravel()
+            horizon = float(self.horizon)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"y0 must be a list of numbers and horizon a number: {err}") from err
+        if not np.all(np.isfinite(y0)):
+            raise ConfigError("y0 must be finite")
+        if F.dim_in != y0.size or F.dim_out != y0.size * self.d:
+            raise ConfigError(f"y0 has dimension {y0.size}, but the field maps R^{F.dim_in} "
+                              f"into R^{F.dim_out}; it must map R^e into R^(e*d) with "
+                              f"e = {y0.size}, d = {self.d}")
+        t0, t_end = float(X.times[0]), float(X.times[-1])
+        if not (t0 < horizon <= t_end + 1e-9):
+            raise ConfigError(f"horizon {horizon} lies outside the driver grid ({t0}, {t_end}]")
+        try:
+            grid_index(X.times, horizon)
+        except ValueError as err:
+            raise ConfigError(f"horizon must be a driver grid time: {err}") from err
+        return y0, horizon
+
     def build_field(self, n_levels: int) -> lip.LipFunction:
         if not self.field_spec:
             raise ConfigError("config needs a field spec for this command")
@@ -193,11 +217,10 @@ def cmd_integrate(cfg: ScenarioConfig, out: Path) -> int:
 def cmd_solve(cfg: ScenarioConfig, out: Path) -> int:
     X = cfg.load_driver()
     scfg = cfg.solver_config()
-    if cfg.y0 is None or cfg.horizon is None:
-        raise ConfigError("solve needs y0 and horizon")
     F = cfg.build_field(cfg.N)
+    y0, horizon = cfg.solve_inputs(X, F)
     try:
-        Y, report = solve(F, X, np.asarray(cfg.y0, dtype=float), float(cfg.horizon), scfg)
+        Y, report = solve(F, X, y0, horizon, scfg)
     except SolveFailure as err:
         payload = err.report.to_json_dict() if err.report else {}
         payload["failure"] = str(err)

@@ -12,7 +12,7 @@ import io
 
 import numpy as np
 
-from .rough_path import GeometricRoughPath, increments_from
+from .rough_path import GeometricRoughPath, _scan_pairs, increments_from
 
 
 class ControlledPath:
@@ -127,22 +127,6 @@ def remainder(Y: ControlledPath, X: GeometricRoughPath, i: int, s_idx: int, t_id
     return remainder_rows(Y, X, i, s_idx)[t_idx - s_idx]
 
 
-def _scan_pairs(times: np.ndarray, rows_fn, exponents) -> list[float]:
-    """Max of l1-norm / gap**exponent over all grid pairs, one result per level.
-
-    ``rows_fn(s)`` returns per-level arrays of blocks for t in s..P-1.
-    """
-    n = times.size
-    worst = [0.0] * len(exponents)
-    for s in range(n - 1):
-        per_level = rows_fn(s)
-        gaps = times[s + 1:] - times[s]
-        for li, (arr, exp) in enumerate(zip(per_level, exponents)):
-            norms = np.abs(arr[1:]).reshape(arr.shape[0] - 1, -1).sum(axis=1)
-            worst[li] = max(worst[li], float(np.max(norms / gaps**exp)))
-    return worst
-
-
 def seminorm(Y: ControlledPath, X: GeometricRoughPath, alpha: float | None = None) -> float:
     """Sum over levels of the grid-pair maxima of |RY^i| / (t-s)^((N-i) alpha)."""
     _check_pair(Y, X)
@@ -191,14 +175,8 @@ def level_holder_norm(Y: ControlledPath, i: int, exponent: float) -> float:
     """Grid maximum of |Y^i_t - Y^i_s| / (t-s)^exponent."""
     if not (0 <= i < Y.N):
         raise ValueError(f"level {i} outside 0..{Y.N - 1}")
-    n = Y.n_points
-    worst = 0.0
-    for s in range(n - 1):
-        diffs = Y.levels[i][s + 1:] - Y.levels[i][s]
-        norms = np.abs(diffs).reshape(n - s - 1, -1).sum(axis=1)
-        gaps = (Y.times[s + 1:] - Y.times[s]) ** exponent
-        worst = max(worst, float(np.max(norms / gaps)))
-    return worst
+    lvl = Y.levels[i]
+    return _scan_pairs(Y.times, lambda s: [lvl[s:] - lvl[s]], [exponent])[0]
 
 
 def zero_remainder_path(blocks, X: GeometricRoughPath, alpha: float) -> ControlledPath:

@@ -19,7 +19,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .controlled_path import ControlledPath, remainder_rows
-from .rough_path import GeometricRoughPath, increment, increments_from
+from .rough_path import GeometricRoughPath, _scan_pairs, increment
 from .tensor_algebra import (
     TensorSeries,
     coproduct,
@@ -447,14 +447,10 @@ def remainder_regularity_probe(F: LipFunction, Y: ControlledPath, X: GeometricRo
     """
     Z = compose(F, Y, X)
     a = Y.alpha if alpha is None else alpha
-    exp = (Y.N - r) * a
-    worst_abs = 0.0
-    worst_ratio = 0.0
-    for s in range(Y.n_points - 1):
-        xr = increments_from(X, s)
-        rows = remainder_rows(Z, X, r, s, x_rows=xr)[1:]
-        norms = np.abs(rows).reshape(rows.shape[0], -1).sum(axis=1)
-        gaps = Y.times[s + 1:] - Y.times[s]
-        worst_abs = max(worst_abs, float(norms.max()))
-        worst_ratio = max(worst_ratio, float(np.max(norms / gaps**exp)))
+
+    def rows(s):
+        rz = remainder_rows(Z, X, r, s)
+        return [rz, rz]
+
+    worst_abs, worst_ratio = _scan_pairs(Y.times, rows, [0.0, (Y.N - r) * a])
     return RemainderProbe(level=r, max_remainder=worst_abs, max_ratio=worst_ratio)

@@ -1,14 +1,17 @@
 """Independent brute-force references used by the test suite.
 
-Classical RK4 integration, left-point Riemann-Stieltjes sums, and a
-recursive enumeration of ordered subset partitions.  Deliberately naive:
-these are oracles, not production paths.
+Classical RK4 integration, left-point Riemann-Stieltjes sums, a recursive
+enumeration of ordered subset partitions, and Holder grid maxima from
+signatures chained segment by segment.  Deliberately naive: these are
+oracles, not production paths.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensor_algebra import exp_segment
 
 
 @dataclass(frozen=True)
@@ -88,3 +91,39 @@ def enumerate_partitions(r: int, k: int, allow_empty: bool = True) -> list:
             continue
         out.append(blocks)
     return out
+
+
+def chained_signature(points, N: int) -> list:
+    """Signature of the polyline through ``points``, level by level.
+
+    Multiplies the segment exponentials left to right with a plain double
+    loop over levels: no group inverse and no batched product.
+    """
+    points = np.asarray(points, dtype=float)
+    d = points.shape[1]
+    sig = [np.ones(1)] + [np.zeros(d**r) for r in range(1, N + 1)]
+    for a, b in zip(points, points[1:]):
+        seg = exp_segment(b - a, N).levels
+        sig = [sum(np.multiply.outer(sig[i], seg[r - i]).ravel() for i in range(r + 1))
+               for r in range(N + 1)]
+    return sig
+
+
+def holder_maxima(path, N: int, beta: float, other=None) -> list:
+    """Per level i = 1..N, the grid maximum over s < t of
+    |X^i_{s,t} - Xother^i_{s,t}| / (t - s)^(i beta), each increment being the
+    chained signature of the sub-polyline points[s..t].  Without ``other`` the
+    second term is zero, giving the level Holder norms.
+    """
+    times = np.asarray(path.times, dtype=float)
+    worst = [0.0] * N
+    for s in range(times.size - 1):
+        for t in range(s + 1, times.size):
+            inc = chained_signature(path.points[s:t + 1], N)
+            if other is not None:
+                inc_b = chained_signature(other.points[s:t + 1], N)
+                inc = [a - b for a, b in zip(inc, inc_b)]
+            for i in range(1, N + 1):
+                ratio = float(np.abs(inc[i]).sum()) / (times[t] - times[s]) ** (i * beta)
+                worst[i - 1] = max(worst[i - 1], ratio)
+    return worst

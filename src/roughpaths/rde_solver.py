@@ -22,7 +22,7 @@ from .controlled_path import (
     zero_remainder_path,
 )
 from .lipschitz import LipFunction, compose, compose_at_point
-from .rough_integral import integral_controlled
+from .rough_integral import _operator_slot_last, integral_controlled
 from .rough_path import GeometricRoughPath, holder_distance, restrict
 
 
@@ -120,11 +120,6 @@ class SolveReport:
         }
 
 
-def _shift_block(block: np.ndarray, e: int, d: int, r: int) -> np.ndarray:
-    """Reinterpret a (e*d, d**r) map into L(V;U) as a (e, d**(r+1)) map into U."""
-    return block.reshape(e, d, d**r).transpose(0, 2, 1).reshape(e, d ** (r + 1))
-
-
 def canonical_initial_path(y0, F: LipFunction, X: GeometricRoughPath,
                            alpha: float) -> ControlledPath:
     """Zero-remainder start path: initial blocks from the field's derivative
@@ -139,7 +134,7 @@ def canonical_initial_path(y0, F: LipFunction, X: GeometricRoughPath,
     w0 = [y0[:, None]]
     for r in range(N - 1):
         z = compose_at_point(F, y0, w0, r, d)
-        w0.append(_shift_block(z, e, d, r))
+        w0.append(_operator_slot_last(z, d))
     return zero_remainder_path(w0, X, alpha)
 
 
@@ -277,11 +272,9 @@ def levels_from_field(Y: ControlledPath, F: LipFunction, X: GeometricRoughPath) 
     level-0 path through the field.
     """
     Z = compose(F, Y, X)
-    e, d = Y.dim_u, Y.d
     worst = 0.0
     for i in range(1, Y.N):
-        shifted = np.stack([_shift_block(Z.levels[i - 1][m], e, d, i - 1)
-                            for m in range(Y.n_points)])
+        shifted = _operator_slot_last(Z.levels[i - 1], Y.d)
         worst = max(worst, float(np.max(np.abs(Y.levels[i] - shifted))))
     return worst
 

@@ -15,7 +15,7 @@ from scipy.special import zeta
 
 from .controlled_path import ControlledPath, remainder
 from .rough_path import GeometricRoughPath, increment
-from .tensor_algebra import TensorSeries
+from .tensor_algebra import _truncated_product
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,23 @@ def _integrand_dims(Z: ControlledPath) -> tuple[int, int]:
     return Z.dim_u // Z.d, Z.d
 
 
+def _operator_slot_last(block: np.ndarray, d: int) -> np.ndarray:
+    """Reinterpret maps V^(x)r -> L(V;U) as maps V^(x)(r+1) -> U.
+
+    ``block`` has shape (..., e*d, d**r) with rows in (u, v) order; the
+    result has shape (..., e, d**(r+1)), the operator slot v last.
+    """
+    lead, e, m = block.shape[:-2], block.shape[-2] // d, block.shape[-1]
+    return np.swapaxes(block.reshape(lead + (e, d, m)), -1, -2).reshape(lead + (e, d * m))
+
+
 def pair_block(block: np.ndarray, x_level: np.ndarray, e: int, d: int, k: int) -> np.ndarray:
     """Apply a level-(k-1) integrand block to a level-k driver tensor.
 
     The block maps V^(x)(k-1) into L(V;U); the first k-1 slots of the driver
     tensor feed the map argument and the last slot feeds the operator.
     """
-    full = block.reshape(e, d, d ** (k - 1)).transpose(0, 2, 1).reshape(e, d**k)
-    return full @ x_level
+    return _operator_slot_last(block, d) @ x_level
 
 
 def compensated_sum(Z: ControlledPath, X: GeometricRoughPath, partition: Partition) -> np.ndarray:
@@ -90,13 +99,12 @@ def _native_cumulative(Z: ControlledPath, X: GeometricRoughPath) -> np.ndarray:
     """Running integral at every grid point via the per-step compensated sums."""
     e, d = _integrand_dims(Z)
     n = X.n_points
-    steps = X.step_increments()
+    steps = _truncated_product([lvl[:-1] for lvl in X._inverse_stack()],
+                               [lvl[1:] for lvl in X.levels])
     per_step = np.zeros((n - 1, e))
     for k in range(1, X.N + 1):
-        xk = np.stack([s.levels[k] for s in steps])
-        blocks = Z.levels[k - 1][:-1].reshape(n - 1, e, d, d ** (k - 1))
-        full = blocks.transpose(0, 1, 3, 2).reshape(n - 1, e, d**k)
-        per_step += np.einsum("mek,mk->me", full, xk)
+        full = _operator_slot_last(Z.levels[k - 1][:-1], d)
+        per_step += np.einsum("mek,mk->me", full, steps[k])
     out = np.zeros((n, e))
     np.cumsum(per_step, axis=0, out=out[1:])
     return out
@@ -126,14 +134,11 @@ def integral_controlled(Z: ControlledPath, X: GeometricRoughPath,
     """The indefinite integral as a controlled path: running level 0, and the
     integrand's levels shifted up by one with the operator slot re-absorbed."""
     e, d = _integrand_dims(Z)
-    n = X.n_points
     level0 = _native_cumulative(Z, X)
     if offset is not None:
         level0 = level0 + np.asarray(offset, dtype=float).ravel()[None, :]
     levels = [level0[:, :, None]]
-    for k in range(1, X.N):
-        blocks = Z.levels[k - 1].reshape(n, e, d, d ** (k - 1))
-        levels.append(blocks.transpose(0, 1, 3, 2).reshape(n, e, d**k))
+    levels += [_operator_slot_last(Z.levels[k - 1], d) for k in range(1, X.N)]
     return ControlledPath(X.times, X.d, X.N, e, Z.alpha, levels)
 
 

@@ -1,9 +1,11 @@
 """Geometric rough paths built from piecewise-linear drivers.
 
-A lift stores the running signatures X_{t0,ti} on the driver grid; arbitrary
-increments come from one group inverse and one product.  Holder norms and
-distances are grid maxima over all O(M^2) pairs, computed row by row so the
-pairwise increment tensors are never materialized at once.
+A lift stores the running signatures X_{t0,ti} on the driver grid and, once
+first needed, their stacked inverses X_{t0,ti}^{-1}; every increment
+X_{s,t} = X_{t0,s}^{-1} (x) X_{t0,t} is one truncated product against that
+cached stack.  Holder norms, distances and remainder bounds are grid maxima
+over all O(M^2) pairs, taken by one scan (:func:`_scan_pairs`) row by row so
+the pairwise increment tensors are never materialized at once.
 """
 from __future__ import annotations
 
@@ -12,7 +14,8 @@ import io
 
 import numpy as np
 
-from .tensor_algebra import TensorSeries, exp_segment, group_inverse, is_group_like, tensor_mul
+from .tensor_algebra import TensorSeries, exp_segment, is_group_like, tensor_mul
+from .tensor_algebra import _group_inverse_levels, _truncated_product
 
 
 class PiecewiseLinearPath:
@@ -27,6 +30,8 @@ class PiecewiseLinearPath:
             points = points[:, None]
         if times.size != points.shape[0]:
             raise ValueError("times and points disagree in length")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(points))):
+            raise ValueError("times and points must be finite")
         if times.size < 2 or np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing with at least two entries")
         times.setflags(write=False)
@@ -95,7 +100,7 @@ class GeometricRoughPath:
     the raw constructor checks shapes only.
     """
 
-    __slots__ = ("times", "d", "N", "beta", "levels", "_steps")
+    __slots__ = ("times", "d", "N", "beta", "levels", "_inverses")
 
     def __init__(self, times, d: int, N: int, beta: float, levels):
         times = np.asarray(times, dtype=float).ravel()
@@ -118,7 +123,7 @@ class GeometricRoughPath:
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "beta", float(beta))
         object.__setattr__(self, "levels", tuple(stacked))
-        object.__setattr__(self, "_steps", None)
+        object.__setattr__(self, "_inverses", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GeometricRoughPath is immutable")
@@ -136,12 +141,14 @@ class GeometricRoughPath:
         if not (0 <= idx < self.n_points):
             raise IndexError(f"grid index {idx} outside 0..{self.n_points - 1}")
 
-    def step_increments(self) -> list[TensorSeries]:
-        """Increments between consecutive grid points (cached)."""
-        if self._steps is None:
-            steps = [increment(self, m, m + 1) for m in range(self.n_points - 1)]
-            object.__setattr__(self, "_steps", tuple(steps))
-        return list(self._steps)
+    def _inverse_stack(self) -> tuple:
+        """Stacked inverses X_{t0,t_i}^{-1}, one (P, d**i) array per level (cached)."""
+        if self._inverses is None:
+            stacked = _group_inverse_levels(self.levels)
+            for arr in stacked:
+                arr.setflags(write=False)
+            object.__setattr__(self, "_inverses", tuple(stacked))
+        return self._inverses
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,7 +184,8 @@ def increment(X: GeometricRoughPath, s_idx: int, t_idx: int) -> TensorSeries:
         raise ValueError("increment requires s_idx <= t_idx")
     if s_idx == t_idx:
         return TensorSeries.unit(X.d, X.N)
-    return tensor_mul(group_inverse(X.value(s_idx)), X.value(t_idx))
+    inv = [lvl[s_idx] for lvl in X._inverse_stack()]
+    return TensorSeries._wrap(X.d, X.N, _truncated_product(inv, [lvl[t_idx] for lvl in X.levels]))
 
 
 def increments_from(X: GeometricRoughPath, s_idx: int) -> list[np.ndarray]:
@@ -187,14 +195,7 @@ def increments_from(X: GeometricRoughPath, s_idx: int) -> list[np.ndarray]:
     values that callers should ignore.
     """
     X._check_index(s_idx)
-    inv = group_inverse(X.value(s_idx))
-    out = [np.zeros((X.n_points, X.d**r)) for r in range(X.N + 1)]
-    out[0][:, 0] = 1.0
-    for r in range(1, X.N + 1):
-        acc = out[r]
-        for i in range(r + 1):
-            acc += np.einsum("a,tb->tab", inv.levels[i], X.levels[r - i]).reshape(X.n_points, -1)
-    return out
+    return _truncated_product([lvl[s_idx] for lvl in X._inverse_stack()], X.levels)
 
 
 def restrict(X: GeometricRoughPath, s_idx: int, t_idx: int) -> GeometricRoughPath:
@@ -208,30 +209,30 @@ def restrict(X: GeometricRoughPath, s_idx: int, t_idx: int) -> GeometricRoughPat
     return GeometricRoughPath(X.times[rows], X.d, X.N, X.beta, levels)
 
 
+def _scan_pairs(times: np.ndarray, rows_fn, exponents) -> list[float]:
+    """Max of l1-norm / gap**exponent over all grid pairs s < t, one result per entry.
+
+    ``rows_fn(s)`` returns a list of arrays, one per exponent, each stacking
+    blocks for t in s..P-1 along its first axis; the t = s row is skipped.
+    """
+    n = times.size
+    worst = [0.0] * len(exponents)
+    for s in range(n - 1):
+        per_level = rows_fn(s)
+        gaps = times[s + 1:] - times[s]
+        for li, (arr, exp) in enumerate(zip(per_level, exponents)):
+            norms = np.abs(arr[1:]).reshape(arr.shape[0] - 1, -1).sum(axis=1)
+            worst[li] = max(worst[li], float(np.max(norms / gaps**exp)))
+    return worst
+
+
 def holder_norm(X: GeometricRoughPath, level: int, beta: float) -> float:
     """Grid maximum of |X^level_{s,t}| / (t-s)^(level*beta) over all pairs s < t."""
     if not (1 <= level <= X.N):
         raise ValueError(f"level {level} outside 1..{X.N}")
     if not (0.0 < beta <= 1.0):
         raise ValueError("exponent must lie in (0, 1]")
-    n = X.n_points
-    worst = 0.0
-    for s in range(n - 1):
-        incs = increments_from(X, s)[level][s + 1:]
-        gaps = (X.times[s + 1:] - X.times[s]) ** (level * beta)
-        worst = max(worst, float(np.max(np.abs(incs).sum(axis=1) / gaps)))
-    return worst
-
-
-def _pairwise_level_norm(Xa: GeometricRoughPath, Xb: GeometricRoughPath, level: int, exponent: float) -> float:
-    n = Xa.n_points
-    worst = 0.0
-    for s in range(n - 1):
-        da = increments_from(Xa, s)[level][s + 1:]
-        db = increments_from(Xb, s)[level][s + 1:]
-        gaps = (Xa.times[s + 1:] - Xa.times[s]) ** exponent
-        worst = max(worst, float(np.max(np.abs(da - db).sum(axis=1) / gaps)))
-    return worst
+    return _scan_pairs(X.times, lambda s: [increments_from(X, s)[level][s:]], [level * beta])[0]
 
 
 def holder_distance(Xa: GeometricRoughPath, Xb: GeometricRoughPath, beta: float) -> float:
@@ -240,7 +241,12 @@ def holder_distance(Xa: GeometricRoughPath, Xb: GeometricRoughPath, beta: float)
         raise ValueError("rough paths are incompatible")
     if Xa.n_points != Xb.n_points or not np.array_equal(Xa.times, Xb.times):
         raise ValueError("rough paths must share the grid; resample upstream")
-    return sum(_pairwise_level_norm(Xa, Xb, i, i * beta) for i in range(1, Xa.N + 1))
+
+    def rows(s):
+        ra, rb = increments_from(Xa, s), increments_from(Xb, s)
+        return [ra[i][s:] - rb[i][s:] for i in range(1, Xa.N + 1)]
+
+    return sum(_scan_pairs(Xa.times, rows, [i * beta for i in range(1, Xa.N + 1)]))
 
 
 def path_norm(X: GeometricRoughPath, beta: float) -> float:
@@ -262,21 +268,14 @@ def chen_deviation(X: GeometricRoughPath) -> float:
     Batched per junction index u over all (s <= u, t >= u) pairs.
     """
     n = X.n_points
-    d, N = X.d, X.N
-    pair = [np.zeros((n, n, d**r)) for r in range(N + 1)]
-    for s in range(n):
-        rows = increments_from(X, s)
-        for r in range(N + 1):
-            pair[r][s] = rows[r]
+    pair = _truncated_product([lvl[:, None] for lvl in X._inverse_stack()],
+                              [lvl[None] for lvl in X.levels])
     worst = 0.0
     for u in range(n):
-        for r in range(1, N + 1):
-            prod = np.zeros((u + 1, n - u, d**r))
-            for i in range(r + 1):
-                left = pair[i][: u + 1, u]
-                right = pair[r - i][u, u:]
-                prod += np.einsum("sa,tb->stab", left, right).reshape(u + 1, n - u, -1)
-            dev = np.abs(prod - pair[r][: u + 1, u:])
+        prod = _truncated_product([lvl[: u + 1, u, None] for lvl in pair],
+                                  [lvl[None, u, u:] for lvl in pair])
+        for r in range(1, X.N + 1):
+            dev = np.abs(prod[r] - pair[r][: u + 1, u:])
             worst = max(worst, float(dev.max()))
     return worst
 

@@ -154,33 +154,49 @@ def _check_compatible(a: TensorSeries, b: TensorSeries) -> None:
         raise ValueError(f"incompatible series: (d={a.d},N={a.N}) vs (d={b.d},N={b.N})")
 
 
-def tensor_mul(a: TensorSeries, b: TensorSeries) -> TensorSeries:
-    """Truncated tensor product: level r of the result is sum_{i+j=r} a^i (x) b^j."""
-    _check_compatible(a, b)
-    d, N = a.d, a.N
-    out = [np.zeros(d**r) for r in range(N + 1)]
-    for r in range(N + 1):
-        acc = out[r]
+def _truncated_product(a, b) -> list:
+    """Truncated tensor product of level lists, broadcast over leading axes.
+
+    Level r of each operand has trailing axis d**r.  Level r of the result
+    is sum_{i+j=r} a^i (x) b^j, added up in ascending i so that batched and
+    single products agree bit for bit.
+    """
+    lead = np.broadcast_shapes(a[0].shape[:-1], b[0].shape[:-1])
+    out = []
+    for r in range(len(a)):
+        acc = np.zeros(lead + (a[r].shape[-1],))
         for i in range(r + 1):
-            acc += np.multiply.outer(a.levels[i], b.levels[r - i]).ravel()
-    return TensorSeries._wrap(d, N, out)
+            acc += (a[i][..., :, None] * b[r - i][..., None, :]).reshape(lead + (-1,))
+        out.append(acc)
+    return out
 
 
-def group_inverse(g: TensorSeries) -> TensorSeries:
-    """Inverse of a series with unit scalar part.
+def _group_inverse_levels(g) -> list:
+    """Inverse of level lists with unit scalar part, batched over leading axes.
 
     Computed from the finite Neumann series of (unit - g), which is exact in
     the truncated algebra because (unit - g) has zero scalar part and is
     therefore nilpotent.
     """
-    if abs(float(g.levels[0][0]) - 1.0) > 1e-9:
+    if np.any(np.abs(g[0] - 1.0) > 1e-9):
         raise ValueError("group_inverse requires level-0 coefficient 1")
-    unit = TensorSeries.unit(g.d, g.N)
-    u = unit - g
+    unit = [np.ones_like(g[0])] + [np.zeros_like(lvl) for lvl in g[1:]]
+    u = [a - b for a, b in zip(unit, g)]
     inv = unit
-    for _ in range(g.N):
-        inv = unit + tensor_mul(u, inv)
+    for _ in range(len(g) - 1):
+        inv = [a + b for a, b in zip(unit, _truncated_product(u, inv))]
     return inv
+
+
+def tensor_mul(a: TensorSeries, b: TensorSeries) -> TensorSeries:
+    """Truncated tensor product: level r of the result is sum_{i+j=r} a^i (x) b^j."""
+    _check_compatible(a, b)
+    return TensorSeries._wrap(a.d, a.N, _truncated_product(a.levels, b.levels))
+
+
+def group_inverse(g: TensorSeries) -> TensorSeries:
+    """Inverse of a series with unit scalar part (finite Neumann series)."""
+    return TensorSeries._wrap(g.d, g.N, _group_inverse_levels(g.levels))
 
 
 def exp_segment(v, N: int) -> TensorSeries:
@@ -323,10 +339,9 @@ def _assignment_axes(r: int, k: int):
     such an order and flattening yields the concatenated-subwords relabeling.
     """
     grouped: dict = {}
-    for assign in itertools.product(range(k), repeat=r):
-        order = tuple(p for b in range(k) for p in range(r) if assign[p] == b)
-        sizes = tuple(assign.count(b) for b in range(k))
-        grouped.setdefault(sizes, []).append(order)
+    for blocks in ordered_partitions(r, k):
+        order = tuple(p for blk in blocks for p in blk)
+        grouped.setdefault(tuple(len(blk) for blk in blocks), []).append(order)
     return grouped
 
 

@@ -200,3 +200,44 @@ def test_scenario_config_load_errors(tmp_path):
     from roughpaths.cli import ConfigError
     with pytest.raises(ConfigError):
         ScenarioConfig.load(str(bad_version))
+
+def solve_config(tmp_path, **extra):
+    opts = {"field": {"kind": "linear", "matrix": [[1.0]]}, "y0": [1.0], "horizon": 1.0}
+    opts.update(extra)
+    return base_config(tmp_path, **opts)
+
+
+def test_lift_rejects_nan_time(tmp_path, capsys):
+    (tmp_path / "path.csv").write_text("t,x1\n0.0,0.0\nnan,0.5\n1.0,1.0\n")
+    cfg = base_config(tmp_path)
+    assert main(["lift", "--config", str(cfg)]) == 1
+    assert "malformed path CSV" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "rough_path.json").exists()
+
+
+def test_solve_rejects_inf_coordinate(tmp_path, capsys):
+    (tmp_path / "path.csv").write_text("t,x1\n0.0,0.0\n0.5,inf\n1.0,1.0\n")
+    cfg = solve_config(tmp_path)
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert "malformed path CSV" in capsys.readouterr().err
+
+
+def test_solve_rejects_y0_dimension_mismatch(tmp_path, capsys):
+    write_line_csv(tmp_path / "path.csv", n=8)
+    cfg = solve_config(tmp_path, y0=[1.0, 2.0])
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert "y0 has dimension 2" in capsys.readouterr().err
+
+
+def test_solve_rejects_off_grid_horizon(tmp_path, capsys):
+    write_line_csv(tmp_path / "path.csv", n=8)
+    cfg = solve_config(tmp_path, horizon=0.33)
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert "grid time" in capsys.readouterr().err
+
+
+def test_solve_rejects_horizon_past_grid_end(tmp_path, capsys):
+    write_line_csv(tmp_path / "path.csv", n=8)
+    cfg = solve_config(tmp_path, horizon=2.0)
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert "outside the driver grid" in capsys.readouterr().err

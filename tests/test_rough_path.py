@@ -17,7 +17,8 @@ from roughpaths.rough_path import (
     restrict,
     unit_rough_path,
 )
-from roughpaths.tensor_algebra import TensorSeries, tensor_mul
+from roughpaths.oracle import holder_maxima
+from roughpaths.tensor_algebra import TensorSeries, group_inverse, tensor_mul
 
 
 def random_path(rng, d, n_segments, horizon=1.0):
@@ -35,6 +36,17 @@ def test_path_validation():
         PiecewiseLinearPath([0.0, 0.0, 1.0], np.zeros((3, 2)))
     with pytest.raises(ValueError):
         PiecewiseLinearPath([0.0, 1.0], np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("times, points", [
+    ([0.0, np.nan, 1.0], np.zeros((3, 1))),
+    ([0.0, 0.5, np.inf], np.zeros((3, 1))),
+    ([0.0, 0.5, 1.0], [[0.0], [np.inf], [1.0]]),
+    ([0.0, 0.5, 1.0], [[0.0], [-np.inf], [np.nan]]),
+])
+def test_path_rejects_non_finite(times, points):
+    with pytest.raises(ValueError, match="finite"):
+        PiecewiseLinearPath(times, points)
 
 
 def test_csv_roundtrip():
@@ -200,8 +212,39 @@ def test_step_increments_chain_to_endpoint():
     p = random_path(rng, 2, 5)
     X = lift_path(p, 2)
     acc = TensorSeries.unit(2, 2)
-    for step in X.step_increments():
-        acc = tensor_mul(acc, step)
+    for m in range(X.n_points - 1):
+        acc = tensor_mul(acc, increment(X, m, m + 1))
     end = X.value(5)
     for r in range(3):
         assert np.allclose(acc.level(r), end.level(r), atol=1e-13)
+
+
+def test_pair_scans_match_chained_oracle():
+    # Every prefix of the driver, so the maxima sit at different grid pairs.
+    rng = np.random.default_rng(9)
+    pa = random_path(rng, 2, 11)
+    pb = PiecewiseLinearPath(pa.times, rng.standard_normal(pa.points.shape))
+    N, beta = 3, 1 / 3
+    Xa, Xb = lift_path(pa, N, beta), lift_path(pb, N, beta)
+    for end in range(1, Xa.n_points):
+        sub_a, sub_b = restrict(Xa, 0, end), restrict(Xb, 0, end)
+        prefix_a, prefix_b = (PiecewiseLinearPath(p.times[:end + 1], p.points[:end + 1])
+                              for p in (pa, pb))
+        norms = holder_maxima(prefix_a, N, beta)
+        for i in range(1, N + 1):
+            assert holder_norm(sub_a, i, beta) == pytest.approx(norms[i - 1], rel=1e-12)
+        assert path_norm(sub_a, beta) == pytest.approx(sum(norms), rel=1e-12)
+        dists = holder_maxima(prefix_a, N, beta, other=prefix_b)
+        assert holder_distance(sub_a, sub_b, beta) == pytest.approx(sum(dists), rel=1e-12)
+
+
+def test_increments_from_rows_equal_pointwise_product():
+    rng = np.random.default_rng(10)
+    X = lift_path(random_path(rng, 2, 7), 3)
+    for s in range(X.n_points):
+        rows = increments_from(X, s)
+        inv = group_inverse(X.value(s))
+        for t in range(s, X.n_points):
+            expected = tensor_mul(inv, X.value(t))
+            for r in range(X.N + 1):
+                assert np.array_equal(rows[r][t], expected.level(r))
