@@ -136,11 +136,21 @@ class ScenarioConfig:
         t0, t_end = float(X.times[0]), float(X.times[-1])
         if not (t0 < horizon <= t_end + 1e-9):
             raise ConfigError(f"horizon {horizon} lies outside the driver grid ({t0}, {t_end}]")
-        try:
-            grid_index(X.times, horizon)
-        except ValueError as err:
-            raise ConfigError(f"horizon must be a driver grid time: {err}") from err
+        _grid_point(X, horizon, "horizon")
         return y0, horizon
+
+    def integrate_window(self, X: rp.GeometricRoughPath) -> tuple[int, int]:
+        """Grid indices of the integration window [s, t], checked against the driver."""
+        t0, t_end = float(X.times[0]), float(X.times[-1])
+        try:
+            s = float(self.integrate.get("s", t0))
+            t = float(self.integrate.get("t", t_end))
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"integrate.s and integrate.t must be numbers: {err}") from err
+        if not (t0 - 1e-9 <= s < t <= t_end + 1e-9):
+            raise ConfigError(f"integration window [{s}, {t}] must satisfy "
+                              f"{t0} <= s < t <= {t_end}")
+        return _grid_point(X, s, "integrate.s"), _grid_point(X, t, "integrate.t")
 
     def build_field(self, n_levels: int) -> lip.LipFunction:
         if not self.field_spec:
@@ -149,6 +159,13 @@ class ScenarioConfig:
             return lip.from_config(self.field_spec, n_levels)
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"bad field spec: {err}") from err
+
+
+def _grid_point(X: rp.GeometricRoughPath, t: float, name: str) -> int:
+    try:
+        return grid_index(X.times, t)
+    except ValueError as err:
+        raise ConfigError(f"{name} must be a driver grid time: {err}") from err
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -194,9 +211,8 @@ def _integrand(cfg: ScenarioConfig, X: rp.GeometricRoughPath) -> cp.ControlledPa
 
 def cmd_integrate(cfg: ScenarioConfig, out: Path) -> int:
     X = cfg.load_driver()
+    s_idx, t_idx = cfg.integrate_window(X)
     Z = _integrand(cfg, X)
-    s_idx = grid_index(X.times, float(cfg.integrate.get("s", X.times[0])))
-    t_idx = grid_index(X.times, float(cfg.integrate.get("t", X.times[-1])))
     depths = cfg.integrate.get("depths", [1, 2, 3, 4, 5])
     value, err = ri.rough_integral(Z, X, s_idx, t_idx)
     probe = ri.convergence_rate_probe(Z, X, s_idx, t_idx, depths)

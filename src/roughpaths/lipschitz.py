@@ -4,17 +4,22 @@ A Lipschitz function carries its value and all derivative levels as
 symmetric multilinear blocks with exact, hand-coded derivatives (constant,
 linear, polynomial, and smooth ridge combinations of sin/cos/exp).  The
 composition of such a function with a controlled path produces the
-derivative paths of the image via the coproduct expansion; the module also
-exposes the truncation-correction term and a numerical verifier for the
-symmetrized expansion identity that makes the composition work, plus probes
-for Taylor-remainder consistency and composed-remainder regularity.
+derivative paths of the image via the coproduct expansion, a Faa di Bruno
+sum over ordered partitions of the word positions.  It is evaluated grouped
+by arity j and block-size profile (l_1..l_j): one batched contraction of F^j
+against Y^{l_1}, ..., Y^{l_j} per profile, then one transpose per position
+assignment with that profile, so the numpy work per level does not grow
+with the number d**r of word columns.  The module also exposes the
+truncation-correction term and a numerical verifier for the symmetrized
+expansion identity that makes the composition work, plus probes for
+Taylor-remainder consistency and composed-remainder regularity.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -22,6 +27,7 @@ from .controlled_path import ControlledPath, remainder_rows
 from .rough_path import GeometricRoughPath, _scan_pairs, increment
 from .tensor_algebra import (
     TensorSeries,
+    _assignment_axes,
     coproduct,
     ordered_partitions,
     symmetrize,
@@ -251,44 +257,33 @@ def lip_norm_check(F: LipFunction, lo, hi, sample_count: int = 64, rng=None) -> 
     return LipReport(level_norms, ratios, F.lip_norm, violated)
 
 
-@lru_cache(maxsize=None)
-def _composition_plan(d: int, r: int, n_levels: int):
-    """Per word of length r: for each arity j, the (size, column) factor lists
-    of all ordered nonempty position partitions."""
-    plans = []
-    for word in itertools.product(range(1, d + 1), repeat=r):
-        by_j = {}
-        for j in range(1, min(r, n_levels) + 1):
-            entries = []
-            for blocks in ordered_partitions(r, j, allow_empty=False):
-                entries.append(tuple(
-                    (len(blk), word_index(tuple(word[p] for p in blk), d)) for blk in blocks))
-            by_j[j] = tuple(entries)
-        plans.append(by_j)
-    return tuple(plans)
+def _composed_level(f_blocks, y_levels, r: int) -> np.ndarray:
+    """Level r >= 1 of a composition, batched over the leading grid axis.
 
-
-def compose_at_point(F: LipFunction, y_value, y_blocks, r: int, d: int) -> np.ndarray:
-    """Level-r block of the composed path at one point, shape (dim_out, d**r).
-
-    ``y_blocks[i]`` is the (dim_in, d**i) level-i map at the point; only
-    levels 1..r are read.
+    ``f_blocks[j]`` is F^j at the grid points, shape (P, u, e**j), and
+    ``y_levels[i]`` is level i of the controlled path, shape (P, e, d**i);
+    returns (P, u, d**r).  The Faa di Bruno sum is grouped by arity j and
+    block-size profile (l_1..l_j), each l_i >= 1: F^j is contracted against
+    Y^{l_j}, ..., Y^{l_1} one factor at a time, scaled by 1/j!, and the
+    resulting cube, whose axes list the positions of block 1 then block 2
+    etc., is transposed back to word order once per position assignment
+    with that profile.
     """
-    if r == 0:
-        return F.eval_at(0, y_value)
-    plan = _composition_plan(d, r, r)
-    f_at = {j: F.eval_at(j, y_value) for j in range(1, r + 1)}
-    out = np.zeros((F.dim_out, d**r))
-    for col, by_j in enumerate(plan):
-        acc = np.zeros(F.dim_out)
-        for j, entries in by_j.items():
-            fj = f_at[j]
-            inv_jfact = 1.0 / math.factorial(j)
-            for factors in entries:
-                vec = _outer_flat([np.asarray(y_blocks[size])[:, sub] for size, sub in factors])
-                acc += inv_jfact * (fj @ vec)
-        out[:, col] = acc
-    return out
+    P, u = f_blocks[1].shape[:2]
+    e, d = y_levels[1].shape[1:]
+    cube = np.zeros((P, u) + (d,) * r)
+    for j in range(1, r + 1):
+        for sizes, orders in _assignment_axes(r, j).items():
+            if 0 in sizes:
+                continue
+            t, width = f_blocks[j], 1
+            for l in reversed(sizes):
+                t = np.swapaxes(y_levels[l], 1, 2)[:, None] @ t.reshape(P, -1, e, width)
+                width *= d**l
+            t = t.reshape(cube.shape) / math.factorial(j)
+            for order in orders:
+                cube += t.transpose((0, 1) + tuple(2 + q for q in np.argsort(order)))
+    return cube.reshape(P, u, d**r)
 
 
 def compose(F: LipFunction, Y: ControlledPath, X: GeometricRoughPath) -> ControlledPath:
@@ -296,7 +291,9 @@ def compose(F: LipFunction, Y: ControlledPath, X: GeometricRoughPath) -> Control
 
     Level 0 is the pointwise image; level r collects, over arities j and
     ordered nonempty partitions of the r word positions, the level-j blocks
-    of F applied to the box products of Y's levels, weighted by 1/j!.
+    of F applied to the box products of Y's levels, weighted by 1/j!.  The
+    partitions are summed by block-size profile (see ``_composed_level``):
+    one contraction per profile, then one transpose per position assignment.
     """
     if F.dim_in != Y.dim_u:
         raise ValueError(f"field expects W=R^{F.dim_in}, path has target R^{Y.dim_u}")
@@ -304,27 +301,11 @@ def compose(F: LipFunction, Y: ControlledPath, X: GeometricRoughPath) -> Control
         raise ValueError(f"field has levels 0..{F.n_levels}, need at least 0..{Y.N}")
     if Y.d != X.d or Y.N != X.N or not np.array_equal(Y.times, X.times):
         raise ValueError("controlled path and driver are incompatible")
-    P, d, N = Y.n_points, Y.d, Y.N
     ys = Y.path_values()
-    f_blocks = {j: F.eval(j, ys) for j in range(1, N)}
+    f_blocks = {j: F.eval(j, ys) for j in range(1, Y.N)}
     z_levels = [F.eval(0, ys)]
-    for r in range(1, N):
-        plan = _composition_plan(d, r, N - 1)
-        block = np.zeros((P, F.dim_out, d**r))
-        for col, by_j in enumerate(plan):
-            acc = np.zeros((P, F.dim_out))
-            for j, entries in by_j.items():
-                fj = f_blocks[j]
-                inv_jfact = 1.0 / math.factorial(j)
-                for factors in entries:
-                    tensor = np.ones((P, 1))
-                    for size, sub_col in factors:
-                        vec = Y.levels[size][:, :, sub_col]
-                        tensor = np.einsum("pa,pb->pab", tensor, vec).reshape(P, -1)
-                    acc += inv_jfact * np.einsum("pux,px->pu", fj, tensor)
-            block[:, :, col] = acc
-        z_levels.append(block)
-    return ControlledPath(Y.times, d, N, F.dim_out, Y.alpha, z_levels)
+    z_levels += [_composed_level(f_blocks, Y.levels, r) for r in range(1, Y.N)]
+    return ControlledPath(Y.times, Y.d, Y.N, F.dim_out, Y.alpha, z_levels)
 
 
 def _slot_profile(y_blocks, x_inc: TensorSeries, word, d: int, N: int) -> dict:

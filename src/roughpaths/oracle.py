@@ -1,17 +1,21 @@
 """Independent brute-force references used by the test suite.
 
 Classical RK4 integration, left-point Riemann-Stieltjes sums, a recursive
-enumeration of ordered subset partitions, and Holder grid maxima from
-signatures chained segment by segment.  Deliberately naive: these are
+enumeration of ordered subset partitions, Holder grid maxima from
+signatures chained segment by segment, and the Lipschitz composition summed
+column by column over ordered partitions.  Deliberately naive: these are
 oracles, not production paths.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_algebra import exp_segment
+from .controlled_path import ControlledPath
+from .tensor_algebra import exp_segment, word_index
 
 
 @dataclass(frozen=True)
@@ -127,3 +131,31 @@ def holder_maxima(path, N: int, beta: float, other=None) -> list:
                 ratio = float(np.abs(inc[i]).sum()) / (times[t] - times[s]) ** (i * beta)
                 worst[i - 1] = max(worst[i - 1], ratio)
     return worst
+
+
+def compose_reference(F, Y, X) -> ControlledPath:
+    """Composition of a Lipschitz function with a controlled path, one word
+    column at a time: level r at column w sums, over arities j and ordered
+    nonempty partitions (B_1..B_j) of the positions of w, F^j applied to
+    Y^{|B_1|}[w|B_1] (x) ... (x) Y^{|B_j|}[w|B_j], weighted by 1/j!.
+    """
+    P, d, N = Y.n_points, Y.d, Y.N
+    ys = Y.path_values()
+    f_blocks = {j: F.eval(j, ys) for j in range(1, N)}
+    z_levels = [F.eval(0, ys)]
+    for r in range(1, N):
+        block = np.zeros((P, F.dim_out, d**r))
+        for col, word in enumerate(itertools.product(range(1, d + 1), repeat=r)):
+            acc = np.zeros((P, F.dim_out))
+            for j in range(1, r + 1):
+                fj = f_blocks[j]
+                inv_jfact = 1.0 / math.factorial(j)
+                for blocks in enumerate_partitions(r, j, allow_empty=False):
+                    tensor = np.ones((P, 1))
+                    for blk in blocks:
+                        vec = Y.levels[len(blk)][:, :, word_index(tuple(word[p] for p in blk), d)]
+                        tensor = np.einsum("pa,pb->pab", tensor, vec).reshape(P, -1)
+                    acc += inv_jfact * np.einsum("pux,px->pu", fj, tensor)
+            block[:, :, col] = acc
+        z_levels.append(block)
+    return ControlledPath(Y.times, d, N, F.dim_out, Y.alpha, z_levels)

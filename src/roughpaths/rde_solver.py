@@ -21,7 +21,7 @@ from .controlled_path import (
     triple_norm,
     zero_remainder_path,
 )
-from .lipschitz import LipFunction, compose, compose_at_point
+from .lipschitz import LipFunction, _composed_level, compose
 from .rough_integral import _operator_slot_last, integral_controlled
 from .rough_path import GeometricRoughPath, holder_distance, restrict
 
@@ -131,11 +131,14 @@ def canonical_initial_path(y0, F: LipFunction, X: GeometricRoughPath,
         raise ValueError("field must map U to L(V;U) for this state dimension")
     if F.n_levels < N - 1:
         raise ValueError(f"field has levels 0..{F.n_levels}, need at least 0..{N - 1}")
-    w0 = [y0[:, None]]
+    # Level r + 1 is level r of F composed with the levels 0..r found so far,
+    # all on a one-point batch.
+    f_blocks = {j: F.eval(j, y0[None]) for j in range(N - 1)}
+    w0 = [y0[None, :, None]]
     for r in range(N - 1):
-        z = compose_at_point(F, y0, w0, r, d)
+        z = f_blocks[0] if r == 0 else _composed_level(f_blocks, w0, r)
         w0.append(_operator_slot_last(z, d))
-    return zero_remainder_path(w0, X, alpha)
+    return zero_remainder_path([w[0] for w in w0], X, alpha)
 
 
 def picard_step(Y: ControlledPath, F: LipFunction, X: GeometricRoughPath, y0) -> ControlledPath:

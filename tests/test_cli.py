@@ -241,3 +241,30 @@ def test_solve_rejects_horizon_past_grid_end(tmp_path, capsys):
     cfg = solve_config(tmp_path, horizon=2.0)
     assert main(["solve", "--config", str(cfg)]) == 1
     assert "outside the driver grid" in capsys.readouterr().err
+
+
+def integrate_window_rejected(tmp_path, capsys, window):
+    write_line_csv(tmp_path / "path.csv", n=8)
+    cfg = base_config(tmp_path, field={"kind": "linear", "matrix": [[1.0]]}, integrate=window)
+    assert main(["integrate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert not (tmp_path / "out" / "integral.json").exists()
+    return err
+
+
+def test_integrate_rejects_off_grid_start(tmp_path, capsys):
+    assert "grid time" in integrate_window_rejected(tmp_path, capsys, {"s": 0.33})
+
+
+def test_integrate_rejects_end_past_grid(tmp_path, capsys):
+    assert "integration window" in integrate_window_rejected(tmp_path, capsys, {"t": 2.0})
+
+
+def test_integrate_rejects_reversed_window(tmp_path, capsys):
+    err = integrate_window_rejected(tmp_path, capsys, {"s": 0.75, "t": 0.25})
+    assert "integration window" in err
+
+
+def test_integrate_rejects_empty_window(tmp_path, capsys):
+    err = integrate_window_rejected(tmp_path, capsys, {"s": 0.5, "t": 0.5})
+    assert "integration window" in err

@@ -28,6 +28,9 @@ from roughpaths.lipschitz import (
     taylor_remainder,
     truncation_correction,
 )
+from roughpaths.oracle import compose_reference
+from roughpaths.rde_solver import canonical_initial_path
+from roughpaths.rough_integral import _operator_slot_last
 from roughpaths.rough_path import PiecewiseLinearPath, increment, lift_path
 from roughpaths.tensor_algebra import (
     BoxTensor,
@@ -273,6 +276,51 @@ def test_compose_continuity_linear_in_epsilon():
         ratios.append(distance(Z, base, X, X, 0.3) / eps)
     assert ratios[0] == pytest.approx(ratios[1], rel=0.1)
     assert ratios[1] == pytest.approx(ratios[2], rel=0.1)
+
+
+def reference_fields(rng, e, dim_out, n_levels):
+    """A sin/cos/exp ridge field and a cubic polynomial field R^e -> R^dim_out."""
+    terms = [{"coef": rng.standard_normal(dim_out), "kind": kind,
+              "weight": 0.5 * rng.standard_normal(e), "phase": float(rng.uniform(0, 3))}
+             for kind in ("sin", "cos", "exp")]
+    coeffs = {expo: rng.standard_normal(dim_out)
+              for expo in itertools.product(range(4), repeat=e) if sum(expo) <= 3}
+    return [ridge(e, dim_out, terms, n_levels), polynomial(e, dim_out, coeffs, n_levels)]
+
+
+def assert_levels_match(got, want, rel=1e-13):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+def test_compose_matches_reference():
+    rng = np.random.default_rng(31)
+    for d in range(1, 5):
+        for N in range(1, 6):
+            X = random_driver(rng, d, N, 4)
+            for e in (1, 2):
+                Y = random_controlled(rng, X, e)
+                for F in reference_fields(rng, e, 2, N):
+                    assert_levels_match(compose(F, Y, X).levels,
+                                        compose_reference(F, Y, X).levels)
+
+
+def test_canonical_initial_blocks_match_reference():
+    # Block r + 1 of the start path is level r of F composed with blocks 0..r.
+    rng = np.random.default_rng(32)
+    for d in range(1, 5):
+        for N in range(2, 6):
+            X = random_driver(rng, d, N, 2)
+            for e in (1, 2):
+                for F in reference_fields(rng, e, e * d, N):
+                    W = canonical_initial_path(0.3 * rng.standard_normal(e), F, X, 0.3)
+                    start = ControlledPath(W.times[:1], d, N - 1, e, W.alpha,
+                                           [lvl[:1] for lvl in W.levels[:N - 1]])
+                    Z = compose_reference(F, start, X)
+                    assert_levels_match([W.levels[r + 1][0] for r in range(N - 1)],
+                                        [_operator_slot_last(Z.levels[r][0], d)
+                                         for r in range(N - 1)])
 
 
 def test_from_config_kinds():

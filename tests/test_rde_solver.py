@@ -230,6 +230,24 @@ def test_smooth_driver_convergence_order():
     assert all(2.5 < s < 3.5 for s in slopes), (errors, slopes)
 
 
+def test_solve_at_caps_matches_rk4_on_walk():
+    # d = 3, N = 5 on a Gaussian walk: the lift is the exact signature of the
+    # polyline, so the RDE solution is the ODE solution along it.
+    d, N, M = 3, 5, 32
+    times = np.linspace(0.0, 1.0, M + 1)
+    steps = 0.05 * np.random.default_rng(0).standard_normal((M, d))
+    path = PiecewiseLinearPath(times, np.vstack([np.zeros((1, d)), np.cumsum(steps, axis=0)]))
+    terms = [{"coef": [1.0 if u == a else 0.0 for u in range(d)], "kind": "sin",
+              "weight": [0.5]} for a in range(d)]
+    F = ridge(1, d, terms, n_levels=N)
+    cfg = SolverConfig(alpha=(1 / 6 + 1 / 5) / 2, beta=1 / 5, tau_init=0.25,
+                       contraction_tol=1e-10)
+    Y, report = solve(F, lift_path(path, N, 1 / 5), [0.2], 0.5, cfg)
+    assert report.success
+    oracle = ode_rk4(lambda y: F.eval_at(0, y).reshape(1, d), path, [0.2], substeps=20)
+    assert np.max(np.abs(Y.path_values() - oracle[:M // 2 + 1])) <= 1e-8
+
+
 def test_grid_index_rejects_off_grid():
     _, times = line_driver(n=16)
     with pytest.raises(ValueError):
