@@ -26,10 +26,16 @@ from .rde_solver import SolveFailure, SolverConfig, grid_index, solve
 
 SCHEMA_VERSION = 1
 ALL_SUITES = ("chen", "group_like", "coproduct", "alg_lemma", "removal", "rates")
+RATE_DEPTHS = (1, 2, 3, 4, 5, 6)
+RATE_GRID = 256
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_int_at_least(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 @dataclass
@@ -88,9 +94,25 @@ class ScenarioConfig:
         if self.alpha - lo < 1e-9 or self.beta - self.alpha < 1e-9:
             print(f"warning: alpha={self.alpha} sits at the boundary of "
                   f"({lo:.6f}, {self.beta})", file=sys.stderr)
+        if not isinstance(self.verify, dict):
+            raise ConfigError("verify must be an object")
         unknown = set(self.verify.get("suites", [])) - set(ALL_SUITES)
         if unknown:
             raise ConfigError(f"unknown verification suites: {sorted(unknown)}")
+        opts = self.verify
+        depths = opts.get("depths", RATE_DEPTHS)
+        if not (isinstance(depths, (list, tuple)) and depths
+                and all(_is_int_at_least(m, 0) for m in depths)):
+            raise ConfigError(f"verify.depths must be a non-empty list of integers >= 0, "
+                              f"got {depths!r}")
+        # The rates suite's grid must resolve its finest dyadic partition.
+        least = {"paths": 1, "segments": 1, "instances": 1, "grid": 2 ** max(depths)}
+        given = {"grid": RATE_GRID, **opts}
+        for key, low in least.items():
+            if not _is_int_at_least(given.get(key, low), low):
+                raise ConfigError(f"verify.{key} must be an integer >= {low}, got {given[key]!r}")
+        if not isinstance(opts.get("corrupt_level2", False), bool):
+            raise ConfigError("verify.corrupt_level2 must be true or false")
 
     def load_driver(self) -> rp.GeometricRoughPath:
         if not self.path_csv:
@@ -281,10 +303,8 @@ def _suite_group_like(cfg, rng, opts) -> dict:
                          N, min(cfg.beta, 1 / N))
         if corrupt:
             for s in range(0, X.n_points - 1, 2):
-                inc = rp.increment(X, s, X.n_points - 1)
-                broken = inc.with_level(2, np.zeros(cfg.d**2))
-                _, dev = ta.is_group_like(broken, 1e-10)
-                worst = max(worst, dev)
+                broken = rp.increment(X, s, X.n_points - 1).with_level(2, np.zeros(cfg.d**2))
+                worst = max(worst, ta.is_group_like(broken, 1e-10)[1])
         else:
             worst = max(worst, rp.group_like_deviation(X))
     return {"max_violation": worst, "corrupted": corrupt, "pass": bool(worst <= 1e-10)}
@@ -292,31 +312,25 @@ def _suite_group_like(cfg, rng, opts) -> dict:
 
 def _suite_coproduct(cfg, rng, opts) -> dict:
     worst = 0.0
-    d = min(cfg.d, 2)
+    d, N = min(cfg.d, 2), min(4, cfg.N)
     for k in (1, 2, 3):
-        for r in range(0, min(4, cfg.N) + 1):
+        for r in range(0, N + 1):
             for w in ta.level_words(d, r):
-                box = ta.coproduct(ta.TensorSeries.from_word(w, d, min(4, cfg.N)), k)
+                box = ta.coproduct(ta.TensorSeries.from_word(w, d, N), k)
                 expected: dict = {}
                 for blocks in enumerate_partitions(r, k):
                     key = tuple(tuple(w[p] for p in blk) for blk in blocks)
                     expected[key] = expected.get(key, 0.0) + 1.0
-                keys = box.coeffs.keys() | expected.keys()
-                worst = max(worst, max(
-                    (abs(box.coeffs.get(K, 0.0) - expected.get(K, 0.0)) for K in keys),
-                    default=0.0))
-    N = min(4, cfg.N)
+                worst = max(worst, ta.box_deviation(box, ta.BoxTensor(d, N, k, expected)))
     xi = ta.TensorSeries(d, N, [rng.standard_normal(d**i) for i in range(N + 1)])
     box2 = ta.coproduct(xi, 2)
-    dual = 0.0
     for ru in range(N + 1):
         for rw in range(N + 1 - ru):
             for u in ta.level_words(d, ru):
                 for w in ta.level_words(d, rw):
-                    sh = ta.shuffle_product(u, w, N)
-                    pairing = sum(mult * xi.coeff(word) for word, mult in sh.items())
-                    dual = max(dual, abs(box2.coeff((u, w)) - pairing))
-    worst = max(worst, dual)
+                    pairing = sum(mult * xi.coeff(word)
+                                  for word, mult in ta.shuffle_product(u, w, N).items())
+                    worst = max(worst, abs(box2.coeff((u, w)) - pairing))
     return {"max_deviation": worst, "pass": bool(worst <= 1e-12)}
 
 
@@ -373,8 +387,8 @@ def _lacunary_polyline(rng, d: int, n: int, hurst: float, amp: float,
 def _suite_rates(cfg, rng, opts) -> dict:
     # Single-instance Cauchy increments fluctuate below the error envelope;
     # fit the per-mesh envelope over a few phase realizations.
-    n = int(opts.get("grid", 256))
-    depths = opts.get("depths", [1, 2, 3, 4, 5, 6])
+    n = int(opts.get("grid", RATE_GRID))
+    depths = opts.get("depths", RATE_DEPTHS)
     terms = [{"coef": [1.0 if u == a else 0.0 for u in range(cfg.d)],
               "kind": "sin", "weight": [0.7 * (a + 1)] * cfg.d} for a in range(cfg.d)]
     F = lip.ridge(cfg.d, cfg.d, terms, cfg.N)

@@ -11,8 +11,10 @@ against Y^{l_1}, ..., Y^{l_j} per profile, then one transpose per position
 assignment with that profile, so the numpy work per level does not grow
 with the number d**r of word columns.  The module also exposes the
 truncation-correction term and a numerical verifier for the symmetrized
-expansion identity that makes the composition work, plus probes for
-Taylor-remainder consistency and composed-remainder regularity.
+expansion identity that makes the composition work; both contract the dense
+coproduct sectors of ``tensor_algebra``, one per block-size profile, with
+one slot map per block.  Probes check Taylor-remainder consistency and
+composed-remainder regularity.
 """
 from __future__ import annotations
 
@@ -28,11 +30,9 @@ from .rough_path import GeometricRoughPath, _scan_pairs, increment
 from .tensor_algebra import (
     TensorSeries,
     _assignment_axes,
-    coproduct,
-    ordered_partitions,
+    _coproduct_sectors,
     symmetrize,
     tensor_mul,
-    word_index,
 )
 
 
@@ -308,21 +308,41 @@ def compose(F: LipFunction, Y: ControlledPath, X: GeometricRoughPath) -> Control
     return ControlledPath(Y.times, Y.d, Y.N, F.dim_out, Y.alpha, z_levels)
 
 
-def _slot_profile(y_blocks, x_inc: TensorSeries, word, d: int, N: int) -> dict:
-    """For one subword, the level-indexed values Y^i(X^{i-|word|} (x) e_word)."""
-    m = len(word)
-    col = word_index(word, d)
-    out = {}
-    for i in range(max(1, m), N):
+def _slot_maps(y_blocks, x_inc: TensorSeries) -> dict:
+    """Slot maps (i, m) -> Y^i(X^{i-m} (x) .): level i of the controlled path with its
+    leading i - m slots filled by the driver increment, as (e, d**m) matrices."""
+    d, N = x_inc.d, x_inc.N
+    maps = {}
+    for i in range(1, N):
         block = np.asarray(y_blocks[i])
-        e = block.shape[0]
-        cube = block.reshape(e, d ** (i - m), d**m)
-        out[i] = cube[:, :, col] @ x_inc.levels[i - m]
-    return out
+        for m in range(i + 1):
+            cube = block.reshape(block.shape[0], d ** (i - m), d**m)
+            maps[i, m] = np.swapaxes(cube, 1, 2) @ x_inc.levels[i - m]
+    return maps
 
 
-def _outer_flat(vectors) -> np.ndarray:
-    return reduce(lambda a, b: np.multiply.outer(a, b).ravel(), vectors, np.ones(1))
+def _contract_slots(block, mats) -> np.ndarray:
+    """Apply one (e, d**m_j) matrix per slot to a flat sector block (slot 1 most
+    significant); returns the flat e**k block in the same slot order."""
+    for mat in mats:
+        block = (mat @ block.reshape(mat.shape[1], -1)).T.ravel()
+    return block
+
+
+def _word_sectors(xi, d: int, N: int, k: int) -> dict:
+    """The nonzero sectors of the arity-k coproduct of the basis word xi."""
+    sectors = _coproduct_sectors(TensorSeries.from_word(xi, d, N).levels, k)
+    return {sizes: block for sizes, block in sectors.items() if block.any()}
+
+
+def _truncation_term(maps, word_sectors, N: int, k: int) -> np.ndarray:
+    e = maps[1, 0].shape[0]
+    total = np.zeros(e**k)
+    for sizes, block in word_sectors.items():
+        for combo in itertools.product(range(1, N), repeat=k):
+            if sum(combo) >= N and all(i >= m for i, m in zip(combo, sizes)):
+                total += _contract_slots(block, [maps[i, m] for i, m in zip(combo, sizes)])
+    return total / math.factorial(k)
 
 
 def truncation_correction(y_blocks, x_inc: TensorSeries, xi, k: int) -> np.ndarray:
@@ -332,27 +352,10 @@ def truncation_correction(y_blocks, x_inc: TensorSeries, xi, k: int) -> np.ndarr
     ``y_blocks[i]`` is the (e, d**i) level-i map of the controlled path at
     the base point; returns a flat e**k block.
     """
-    xi = tuple(xi)
-    d, N = x_inc.d, x_inc.N
+    N = x_inc.N
     if not (1 <= k <= N - 1):
         raise ValueError(f"arity {k} outside 1..{N - 1}")
-    e = np.asarray(y_blocks[1]).shape[0] if N > 1 else 1
-    total = np.zeros(e**k)
-    for blocks in ordered_partitions(len(xi), k):
-        subwords = [tuple(xi[p] for p in blk) for blk in blocks]
-        profiles = [_slot_profile(y_blocks, x_inc, w, d, N) for w in subwords]
-        for combo in itertools.product(range(1, N), repeat=k):
-            if sum(combo) < N:
-                continue
-            vecs = []
-            for prof, i in zip(profiles, combo):
-                v = prof.get(i)
-                if v is None:
-                    break
-                vecs.append(v)
-            else:
-                total += _outer_flat(vecs)
-    return total / math.factorial(k)
+    return _truncation_term(_slot_maps(y_blocks, x_inc), _word_sectors(xi, x_inc.d, N, k), N, k)
 
 
 def expansion_identity_check(y_blocks, x_inc: TensorSeries, xi, k: int) -> float:
@@ -363,43 +366,33 @@ def expansion_identity_check(y_blocks, x_inc: TensorSeries, xi, k: int) -> float
     of the driver increment with the word, plus the truncation correction.
     Exact (to roundoff) whenever the driver increment is group-like.
     """
-    xi = tuple(xi)
-    d, N = x_inc.d, x_inc.N
+    xi, d, N = tuple(xi), x_inc.d, x_inc.N
     r = len(xi)
     if not (1 <= k <= N - 1) or not (1 <= r <= N - 1):
         raise ValueError("need 1 <= k, |xi| <= N-1")
-    e = np.asarray(y_blocks[1]).shape[0]
+    maps = _slot_maps(y_blocks, x_inc)
+    e = maps[1, 0].shape[0]
+    word_sectors = {j: _word_sectors(xi, d, N, j) for j in range(1, k + 1)}
 
-    yhat = np.zeros(e)
-    for m in range(1, N):
-        yhat += np.asarray(y_blocks[m]) @ x_inc.levels[m]
-
-    etas = {}
-    for j in range(1, k + 1):
-        acc = np.zeros(e**j)
-        for blocks in ordered_partitions(r, j, allow_empty=False):
-            vecs = []
-            for blk in blocks:
-                prof = _slot_profile(y_blocks, x_inc, tuple(xi[p] for p in blk), d, N)
-                vecs.append(sum(prof.values(), np.zeros(e)))
-            acc += _outer_flat(vecs)
-        etas[j] = acc
+    yhat = sum(maps[m, 0][:, 0] for m in range(1, N))
+    # A subword of length m sits in any level i >= m: sum its slot maps.
+    slot_sums = {m: sum(maps[i, m] for i in range(m, N)) for m in range(1, r + 1)}
 
     lhs = np.zeros(e**k)
     for j in range(1, k + 1):
+        eta = np.zeros(e**j)
+        for sizes, block in word_sectors[j].items():
+            if 0 not in sizes:
+                eta += _contract_slots(block, [slot_sums[m] for m in sizes])
         weight = 1.0 / (math.factorial(j) * math.factorial(k - j))
-        lhs += weight * _outer_flat([yhat] * (k - j) + [etas[j]])
+        lhs += weight * reduce(np.multiply.outer, [yhat] * (k - j) + [eta]).ravel()
 
     zeta = tensor_mul(x_inc, TensorSeries.from_word(xi, d, N))
-    box = coproduct(zeta, k)
     main = np.zeros(e**k)
-    for key, c in box.coeffs.items():
-        lengths = [len(w) for w in key]
-        if 0 in lengths or not (r <= sum(lengths) <= N - 1):
-            continue
-        vecs = [np.asarray(y_blocks[m])[:, word_index(w, d)] for m, w in zip(lengths, key)]
-        main += c * _outer_flat(vecs)
-    rhs = main / math.factorial(k) + truncation_correction(y_blocks, x_inc, xi, k)
+    for sizes, block in _coproduct_sectors(zeta.levels, k).items():
+        if 0 not in sizes and r <= sum(sizes) <= N - 1:
+            main += _contract_slots(block, [maps[m, m] for m in sizes])
+    rhs = main / math.factorial(k) + _truncation_term(maps, word_sectors[k], N, k)
 
     dev = symmetrize(lhs, e, k) - symmetrize(rhs, e, k)
     return float(np.max(np.abs(dev)))

@@ -190,7 +190,7 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
 
 def grid_index(times, t: float, tol: float = 1e-9) -> int:
     idx = int(np.argmin(np.abs(np.asarray(times) - t)))
-    if abs(times[idx] - t) > tol:
+    if not abs(times[idx] - t) <= tol:  # also rejects NaN, whose argmin is 0
         raise ValueError(f"time {t} is not grid-representable (nearest {times[idx]})")
     return idx
 

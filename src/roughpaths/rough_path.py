@@ -14,8 +14,8 @@ import io
 
 import numpy as np
 
-from .tensor_algebra import TensorSeries, exp_segment, is_group_like, tensor_mul
-from .tensor_algebra import _group_inverse_levels, _truncated_product
+from .tensor_algebra import TensorSeries, exp_segment, tensor_mul
+from .tensor_algebra import _group_inverse_levels, _group_like_deviation, _truncated_product
 
 
 class PiecewiseLinearPath:
@@ -280,11 +280,10 @@ def chen_deviation(X: GeometricRoughPath) -> float:
     return worst
 
 
-def group_like_deviation(X: GeometricRoughPath, tol: float = 1e-10) -> float:
-    """Worst group-likeness violation over all grid-pair increments."""
+def group_like_deviation(X: GeometricRoughPath) -> float:
+    """Worst group-likeness violation over all grid-pair increments, batched per start row."""
     worst = 0.0
-    for s in range(X.n_points):
-        for t in range(s, X.n_points):
-            _, dev = is_group_like(increment(X, s, t), tol)
-            worst = max(worst, dev)
+    for s in range(X.n_points - 1):
+        rows = [lvl[s + 1:] for lvl in increments_from(X, s)]
+        worst = max(worst, _group_like_deviation(rows))
     return worst

@@ -1,9 +1,12 @@
 """Truncated tensor algebra over R^d.
 
 Provides the level-graded series type, the truncated tensor product, the
-box-tensor algebra with its slotwise product, the coproduct that splits a
-word over ordered subset partitions, shuffle products, symmetrization and
-the group-likeness check used to recognize signature-type elements.
+box-tensor algebra with its slotwise product, shuffle products,
+symmetrization, and the coproduct that splits a word over ordered subset
+partitions.  The coproduct is computed in one place, as dense sectors, one
+per block-size profile (:func:`_coproduct_sectors`); the sparse
+:func:`coproduct`, the group-likeness check and the expansion identity in
+``lipschitz`` all read those sectors.
 
 Coefficient blocks are dense float64 arrays, one per level; a word
 (a_1, ..., a_r) with letters in 1..d addresses the level-r coefficient at
@@ -271,17 +274,56 @@ def box_mul(a: BoxTensor, b: BoxTensor) -> BoxTensor:
     return BoxTensor(a.d, a.N, a.k, out)
 
 
-def ordered_partitions(r: int, k: int, allow_empty: bool = True):
-    """Ordered k-tuples of disjoint position subsets covering range(r).
+def shuffle_product(u: Word, w: Word, n_max: int) -> dict:
+    """Shuffle product of two words as a word -> multiplicity map.
 
-    Enumerated by assigning each position to one of k blocks (base-k
-    counting), so blocks keep ascending position order.
+    Sums over all interleavings preserving the internal order of each word,
+    i.e. over the assignments of the positions to u and w with sizes
+    (|u|, |w|); coinciding interleavings accumulate multiplicity.
     """
+    uw = tuple(u) + tuple(w)
+    if len(uw) > n_max:
+        raise ValueError(f"combined length {len(uw)} exceeds level cap {n_max}")
+    out: dict = {}
+    for order in _assignment_axes(len(uw), 2)[len(u), len(w)]:
+        key = tuple(uw[i] for i in np.argsort(order))
+        out[key] = out.get(key, 0.0) + 1.0
+    return out
+
+
+@lru_cache(maxsize=None)
+def _assignment_axes(r: int, k: int):
+    """Assignments of r positions to k blocks (base-k counting), by block-size profile.
+
+    Returns {sizes: [axis orders]} where each axis order lists the positions
+    of block 1 ascending, then block 2, etc.  Transposing a level-r cube by
+    such an order and flattening yields the concatenated-subwords relabeling.
+    """
+    grouped: dict = {}
     for assign in itertools.product(range(k), repeat=r):
-        blocks = tuple(tuple(p for p in range(r) if assign[p] == b) for b in range(k))
-        if not allow_empty and any(len(blk) == 0 for blk in blocks):
-            continue
-        yield blocks
+        order = tuple(sorted(range(r), key=assign.__getitem__))
+        grouped.setdefault(tuple(map(assign.count, range(k))), []).append(order)
+    return grouped
+
+
+def _coproduct_sectors(levels, k: int) -> dict:
+    """Arity-k coproduct of level lists as dense sectors, batched over leading axes.
+
+    Returns {(l_1, ..., l_k): block}, one per block-size profile of total
+    r <= N.  At the flat index of the concatenated subwords (u_1, ..., u_k)
+    the block sums the level-r coefficients over the position assignments
+    splitting a word into u_1, ..., u_k: one transpose per assignment.
+    """
+    d, lead = levels[1].shape[-1], levels[0].shape[:-1]
+    sectors = {}
+    for r, level in enumerate(levels):
+        cube = level.reshape((-1,) + (d,) * r)
+        for sizes, orders in _assignment_axes(r, k).items():
+            acc = np.zeros((cube.shape[0], d**r))
+            for order in orders:
+                acc += cube.transpose((0,) + tuple(1 + p for p in order)).reshape(acc.shape)
+            sectors[sizes] = acc.reshape(lead + (d**r,))
+    return sectors
 
 
 def coproduct(xi: TensorSeries, k: int) -> BoxTensor:
@@ -291,58 +333,25 @@ def coproduct(xi: TensorSeries, k: int) -> BoxTensor:
     (w|I_1, ..., w|I_k) where (I_1, ..., I_k) runs over ordered partitions of
     the positions into k possibly-empty subsets; extended linearly over levels.
     """
-    if k < 1:
-        raise ValueError("arity must be >= 1")
     out: dict = {}
-    for r in range(xi.N + 1):
-        block = xi.levels[r]
-        nz = np.nonzero(block)[0]
-        if nz.size == 0:
-            continue
-        words = [index_word(int(i), r, xi.d) for i in nz]
-        for w, c in zip(words, block[nz]):
-            for blocks in ordered_partitions(r, k):
-                key = tuple(tuple(w[p] for p in blk) for blk in blocks)
-                out[key] = out.get(key, 0.0) + float(c)
+    for sizes, block in _coproduct_sectors(xi.levels, k).items():
+        cuts = list(itertools.accumulate(sizes, initial=0))
+        for idx in np.flatnonzero(block):
+            w = index_word(int(idx), cuts[-1], xi.d)
+            out[tuple(w[a:b] for a, b in zip(cuts, cuts[1:]))] = float(block[idx])
     return BoxTensor(xi.d, xi.N, k, out)
 
 
-def shuffle_product(u: Word, w: Word, n_max: int) -> dict:
-    """Shuffle product of two words as a word -> multiplicity map.
-
-    Sums over all interleavings preserving the internal order of each word;
-    coinciding interleavings accumulate multiplicity.
-    """
-    u, w = tuple(u), tuple(w)
-    n = len(u) + len(w)
-    if n > n_max:
-        raise ValueError(f"combined length {n} exceeds level cap {n_max}")
-    out: dict = {}
-    for slots in itertools.combinations(range(n), len(u)):
-        word = [0] * n
-        iu = iter(u)
-        iw = iter(w)
-        slot_set = set(slots)
-        for p in range(n):
-            word[p] = next(iu) if p in slot_set else next(iw)
-        key = tuple(word)
-        out[key] = out.get(key, 0.0) + 1.0
-    return out
-
-
-@lru_cache(maxsize=None)
-def _assignment_axes(r: int, k: int):
-    """Group position assignments by block-size profile.
-
-    Returns {sizes: [axis orders]} where each axis order lists the positions
-    of block 1 ascending, then block 2, etc.  Transposing a level-r cube by
-    such an order and flattening yields the concatenated-subwords relabeling.
-    """
-    grouped: dict = {}
-    for blocks in ordered_partitions(r, k):
-        order = tuple(p for blk in blocks for p in blk)
-        grouped.setdefault(tuple(len(blk) for blk in blocks), []).append(order)
-    return grouped
+def _group_like_deviation(levels) -> float:
+    """Max gap of each coproduct sector (l_1..l_k) to xi^{l_1} box ... box xi^{l_k}, batched."""
+    lead = levels[0].shape[:-1]
+    worst = 0.0
+    for k in range(2, len(levels)):
+        for sizes, block in _coproduct_sectors(levels, k).items():
+            rhs = reduce(lambda x, y: (x[..., :, None] * y[..., None, :]).reshape(lead + (-1,)),
+                         (levels[l] for l in sizes))
+            worst = max(worst, float(np.max(np.abs(block - rhs))))
+    return worst
 
 
 def is_group_like(xi: TensorSeries, tol: float) -> tuple[bool, float]:
@@ -355,24 +364,7 @@ def is_group_like(xi: TensorSeries, tol: float) -> tuple[bool, float]:
     """
     if abs(float(xi.levels[0][0]) - 1.0) > 1e-9:
         raise ValueError("is_group_like requires level-0 coefficient 1")
-    d, N = xi.d, xi.N
-    worst = 0.0
-    for k in range(2, N + 1):
-        lhs: dict = {}
-        for r in range(N + 1):
-            cube = xi.levels[r].reshape((d,) * r)
-            for sizes, orders in _assignment_axes(r, k).items():
-                acc = lhs.get(sizes)
-                if acc is None:
-                    acc = np.zeros(d**r)
-                    lhs[sizes] = acc
-                for axes in orders:
-                    acc += cube.transpose(axes).ravel()
-        for sizes, acc in lhs.items():
-            rhs = reduce(lambda x, y: np.multiply.outer(x, y).ravel(),
-                         (xi.levels[l] for l in sizes))
-            dev = float(np.max(np.abs(acc - rhs)))
-            worst = max(worst, dev)
+    worst = _group_like_deviation(xi.levels)
     return worst <= tol, worst
 
 

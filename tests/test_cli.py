@@ -178,6 +178,25 @@ def test_unknown_suite_rejected(tmp_path):
     assert main(["verify", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("options", [
+    {"paths": "abc"}, {"segments": 0}, {"depths": []}, {"depths": [-1, 2]},
+    {"paths": 0}, {"instances": -3}, {"grid": 1}, {"segments": 2.5},
+    {"paths": True}, {"depths": [2, 9]}, {"corrupt_level2": "yes"},
+])
+def test_verify_options_rejected(tmp_path, capsys, options):
+    # Each of these used to end in a traceback, check nothing and pass, or be
+    # silently truncated; all must fail validation before any suite runs.
+    cfg = base_config(tmp_path, verify={"suites": ["chen"], **options})
+    assert main(["verify", "--config", str(cfg)]) == 1
+    assert "config error: verify." in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section", [[], None, "chen"])
+def test_verify_section_must_be_object(tmp_path, section):
+    assert main(["verify", "--config", str(base_config(tmp_path, verify=section))]) == 1
+
+
 def test_seed_override_changes_stream(tmp_path):
     write_line_csv(tmp_path / "path.csv")
     cfg = base_config(tmp_path, d=2, verify={"suites": ["chen"]})

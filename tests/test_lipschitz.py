@@ -191,14 +191,17 @@ def test_truncation_correction_trivial_cases():
 
 def test_truncation_correction_matches_brute_force():
     rng = np.random.default_rng(6)
-    X = random_driver(rng, 2, 3, 5)
-    inc = increment(X, 1, 4)
-    y_blocks = [rng.standard_normal((2, 2**i)) for i in range(3)]
-    for k in (1, 2):
-        for xi in [(1,), (2,), (1, 2)]:
-            got = truncation_correction(y_blocks, inc, xi, k)
-            want = _brute_truncation(y_blocks, inc, xi, k)
-            assert np.allclose(got, want, atol=1e-12)
+    cases = [(3, [(1,), (2,), (1, 2)]),
+             (4, [w for r in (1, 2, 3) for w in level_words(2, r)])]
+    for N, words in cases:
+        X = random_driver(rng, 2, N, 5)
+        inc = increment(X, 1, 4)
+        y_blocks = [rng.standard_normal((2, 2**i)) for i in range(N)]
+        for k in (1, 2):
+            for xi in words:
+                got = truncation_correction(y_blocks, inc, xi, k)
+                want = _brute_truncation(y_blocks, inc, xi, k)
+                assert np.allclose(got, want, atol=1e-12), (N, k, xi)
 
 
 def test_truncation_correction_contributing_profiles():

@@ -254,6 +254,13 @@ def test_grid_index_rejects_off_grid():
         grid_index(times, 0.3 + 1e-4)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+def test_grid_index_rejects_non_finite(t):
+    # argmin over NaN gaps is 0 and abs(nan) > tol is False: must not map to t0.
+    with pytest.raises(ValueError, match="not grid-representable"):
+        grid_index(np.linspace(0.0, 1.0, 9), t)
+
+
 def test_continuity_probe_identical_inputs():
     X, _ = line_driver(n=64)
     probe = continuity_probe(scalar_identity_field(), X, X, [1.0], [1.0], 1.0,

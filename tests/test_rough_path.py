@@ -18,7 +18,7 @@ from roughpaths.rough_path import (
     unit_rough_path,
 )
 from roughpaths.oracle import holder_maxima
-from roughpaths.tensor_algebra import TensorSeries, group_inverse, tensor_mul
+from roughpaths.tensor_algebra import TensorSeries, group_inverse, is_group_like, tensor_mul
 
 
 def random_path(rng, d, n_segments, horizon=1.0):
@@ -135,6 +135,16 @@ def test_all_increments_group_like():
     p = random_path(rng, 2, 4)
     X = lift_path(p, 3)
     assert group_like_deviation(X) <= 1e-12 * max(1.0, X.value(4).max_abs()) ** 3
+
+
+@pytest.mark.parametrize("d, N, P", [(2, 3, 5), (3, 4, 6)])
+def test_group_like_deviation_matches_pairwise_checks(d, N, P):
+    # The row-batched scan returns exactly the worst single-increment check.
+    X = lift_path(random_path(np.random.default_rng(12), d, P - 1), N)
+    pairwise = max(is_group_like(increment(X, s, t), 1e-10)[1]
+                   for s in range(P) for t in range(s + 1, P))
+    assert group_like_deviation(X) == pairwise
+    assert pairwise > 0.0
 
 
 def test_reparametrization_invariance_of_endpoint():

@@ -182,7 +182,7 @@ def test_coproduct_single_letter():
 
 def test_coproduct_matches_partition_oracle():
     # Exact agreement with the recursive subset-partition enumeration.
-    for d, k in itertools.product((1, 2), (1, 2, 3)):
+    for d, k in itertools.product((1, 2, 3), (1, 2, 3)):
         for r in range(0, 5):
             for w in level_words(d, r):
                 xi = TensorSeries.from_word(w, d, 4)
