@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +29,8 @@ SCHEMA_VERSION = 1
 ALL_SUITES = ("chen", "group_like", "coproduct", "alg_lemma", "removal", "rates")
 RATE_DEPTHS = (1, 2, 3, 4, 5, 6)
 RATE_GRID = 256
+RATE_AMPLITUDE = 0.15
+INTEGRATE_DEPTHS = (1, 2, 3, 4, 5)
 
 
 class ConfigError(ValueError):
@@ -36,6 +39,12 @@ class ConfigError(ValueError):
 
 def _is_int_at_least(value, least: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _check_depths(depths, name: str) -> None:
+    if not (isinstance(depths, (list, tuple)) and depths
+            and all(_is_int_at_least(m, 0) for m in depths)):
+        raise ConfigError(f"{name} must be a non-empty list of integers >= 0, got {depths!r}")
 
 
 @dataclass
@@ -94,17 +103,16 @@ class ScenarioConfig:
         if self.alpha - lo < 1e-9 or self.beta - self.alpha < 1e-9:
             print(f"warning: alpha={self.alpha} sits at the boundary of "
                   f"({lo:.6f}, {self.beta})", file=sys.stderr)
-        if not isinstance(self.verify, dict):
-            raise ConfigError("verify must be an object")
+        for name in ("integrate", "verify"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be an object")
+        _check_depths(self.integrate.get("depths", INTEGRATE_DEPTHS), "integrate.depths")
         unknown = set(self.verify.get("suites", [])) - set(ALL_SUITES)
         if unknown:
             raise ConfigError(f"unknown verification suites: {sorted(unknown)}")
         opts = self.verify
         depths = opts.get("depths", RATE_DEPTHS)
-        if not (isinstance(depths, (list, tuple)) and depths
-                and all(_is_int_at_least(m, 0) for m in depths)):
-            raise ConfigError(f"verify.depths must be a non-empty list of integers >= 0, "
-                              f"got {depths!r}")
+        _check_depths(depths, "verify.depths")
         # The rates suite's grid must resolve its finest dyadic partition.
         least = {"paths": 1, "segments": 1, "instances": 1, "grid": 2 ** max(depths)}
         given = {"grid": RATE_GRID, **opts}
@@ -113,6 +121,10 @@ class ScenarioConfig:
                 raise ConfigError(f"verify.{key} must be an integer >= {low}, got {given[key]!r}")
         if not isinstance(opts.get("corrupt_level2", False), bool):
             raise ConfigError("verify.corrupt_level2 must be true or false")
+        amplitude = opts.get("amplitude", RATE_AMPLITUDE)
+        if (not isinstance(amplitude, (int, float)) or isinstance(amplitude, bool)
+                or not math.isfinite(amplitude)):
+            raise ConfigError(f"verify.amplitude must be a finite number, got {amplitude!r}")
 
     def load_driver(self) -> rp.GeometricRoughPath:
         if not self.path_csv:
@@ -235,7 +247,7 @@ def cmd_integrate(cfg: ScenarioConfig, out: Path) -> int:
     X = cfg.load_driver()
     s_idx, t_idx = cfg.integrate_window(X)
     Z = _integrand(cfg, X)
-    depths = cfg.integrate.get("depths", [1, 2, 3, 4, 5])
+    depths = cfg.integrate.get("depths", INTEGRATE_DEPTHS)
     value, err = ri.rough_integral(Z, X, s_idx, t_idx)
     probe = ri.convergence_rate_probe(Z, X, s_idx, t_idx, depths)
     payload = {
@@ -395,7 +407,7 @@ def _suite_rates(cfg, rng, opts) -> dict:
     envelope: dict = {}
     for _ in range(int(opts.get("instances", 6))):
         path = _lacunary_polyline(rng, cfg.d, n, hurst=cfg.beta,
-                                  amp=float(opts.get("amplitude", 0.15)))
+                                  amp=float(opts.get("amplitude", RATE_AMPLITUDE)))
         X = rp.lift_path(path, cfg.N, cfg.beta)
         Z = lip.compose(F, cp.canonical_lift(X, cfg.alpha), X)
         probe = ri.convergence_rate_probe(Z, X, 0, n, depths)

@@ -4,6 +4,12 @@ A controlled path stores, per level i < N, the grid-sampled linear maps from
 V^(x)i to the target space U.  Remainders subtract the local expansion
 against the driver's increments; their grid-pair Holder maxima define the
 seminorm, distance and full norm used by the solver.
+
+Every pairing of a controlled level with a driver tensor in its leading
+slots, Y^{i+j}_s(X^j_{s,t} (x) .), is one contraction, :func:`_fill_leading`,
+broadcast over leading axes: the remainders and the zero-remainder start
+path here, the slot maps of ``lipschitz`` and the compensated sums of
+``rough_integral`` all call it.
 """
 from __future__ import annotations
 
@@ -96,28 +102,39 @@ def _check_pair(Y: ControlledPath, X: GeometricRoughPath) -> None:
         raise ValueError("controlled path must share the driver grid exactly")
 
 
-def _apply_left(block: np.ndarray, xrows: np.ndarray, d: int, j: int, i: int) -> np.ndarray:
-    """Contract a (dim_u, d^(i+j)) map with stacked level-j tensors on the left slots."""
-    e = block.shape[0]
-    cube = block.reshape(e, d**j, d**i)
-    return np.einsum("ejk,tj->tek", cube, xrows)
+def _fill_leading(block: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Fill the leading slots of maps with driver tensors, broadcast over leading axes.
+
+    ``block`` has shape (..., e, d**(j+i)) and ``x`` shape (..., d**j); the
+    result, shape (..., e, d**i), is the map left on the trailing i slots.
+    """
+    m = x.shape[-1]
+    cube = block.reshape(block.shape[:-1] + (m, block.shape[-1] // m))
+    return np.einsum("...ejk,...j->...ek", cube, x)
 
 
-def remainder_rows(Y: ControlledPath, X: GeometricRoughPath, i: int, s_idx: int,
-                   x_rows=None) -> np.ndarray:
-    """RY^i_{s,t} for fixed s and every t >= s, shape (P - s, dim_u, d**i).
+def _remainders(Y: ControlledPath, rows, s: int) -> list:
+    """RY^i_{s,t} for every level i and every t >= s, one (P - s, dim_u, d**i)
+    array per level; ``rows`` are the driver increments X_{s,.} per level.
 
     The expansion subtracts Y^{i+j}_s paired with X^j_{s,t} for
     j = 1..N-1-i; the top level reduces to plain increments.
     """
+    out = []
+    for i in range(Y.N):
+        rem = Y.levels[i][s:] - Y.levels[i][s]
+        for j in range(1, Y.N - i):
+            rem = rem - _fill_leading(Y.levels[i + j][s], rows[j][s:])
+        out.append(rem)
+    return out
+
+
+def remainder_rows(Y: ControlledPath, X: GeometricRoughPath, i: int, s_idx: int) -> np.ndarray:
+    """RY^i_{s,t} for fixed s and every t >= s, shape (P - s, dim_u, d**i)."""
     _check_pair(Y, X)
     if not (0 <= i < Y.N):
         raise ValueError(f"level {i} outside 0..{Y.N - 1}")
-    rows = x_rows if x_rows is not None else increments_from(X, s_idx)
-    out = Y.levels[i][s_idx:] - Y.levels[i][s_idx]
-    for j in range(1, Y.N - i):
-        out = out - _apply_left(Y.levels[i + j][s_idx], rows[j][s_idx:], Y.d, j, i)
-    return out
+    return _remainders(Y, increments_from(X, s_idx), s_idx)[i]
 
 
 def remainder(Y: ControlledPath, X: GeometricRoughPath, i: int, s_idx: int, t_idx: int) -> np.ndarray:
@@ -135,8 +152,7 @@ def seminorm(Y: ControlledPath, X: GeometricRoughPath, alpha: float | None = Non
         raise ValueError(f"alpha {a} outside (1/{Y.N + 1}, 1]")
 
     def rows(s):
-        xr = increments_from(X, s)
-        return [remainder_rows(Y, X, i, s, x_rows=xr) for i in range(Y.N)]
+        return _remainders(Y, increments_from(X, s), s)
 
     exps = [(Y.N - i) * a for i in range(Y.N)]
     return float(sum(_scan_pairs(Y.times, rows, exps)))
@@ -155,20 +171,22 @@ def distance(Ya: ControlledPath, Yb: ControlledPath,
     a = Ya.alpha if alpha is None else alpha
 
     def rows(s):
-        xra = increments_from(Xa, s)
-        xrb = increments_from(Xb, s)
-        return [remainder_rows(Ya, Xa, i, s, x_rows=xra)
-                - remainder_rows(Yb, Xb, i, s, x_rows=xrb)
-                for i in range(Ya.N)]
+        ra = _remainders(Ya, increments_from(Xa, s), s)
+        rb = _remainders(Yb, increments_from(Xb, s), s)
+        return [a - b for a, b in zip(ra, rb)]
 
     exps = [(Ya.N - i) * a for i in range(Ya.N)]
     return float(sum(_scan_pairs(Ya.times, rows, exps)))
 
 
+def _initial_norm(Y: ControlledPath) -> float:
+    """Sum of the l1 norms of the initial blocks Y^i_{t0}."""
+    return sum(float(np.abs(Y.levels[i][0]).sum()) for i in range(Y.N))
+
+
 def triple_norm(Y: ControlledPath, X: GeometricRoughPath, alpha: float | None = None) -> float:
     """Banach norm: controlled seminorm plus l1 norms of the initial blocks."""
-    initial = sum(float(np.abs(Y.levels[i][0]).sum()) for i in range(Y.N))
-    return seminorm(Y, X, alpha) + initial
+    return seminorm(Y, X, alpha) + _initial_norm(Y)
 
 
 def level_holder_norm(Y: ControlledPath, i: int, exponent: float) -> float:
@@ -195,8 +213,7 @@ def zero_remainder_path(blocks, X: GeometricRoughPath, alpha: float) -> Controll
     for i in range(X.N):
         arr = np.zeros((n, e, d**i))
         for j in range(i, X.N):
-            cube = blocks[j].reshape(e, d ** (j - i), d**i)
-            arr += np.einsum("eab,ta->teb", cube, X.levels[j - i])
+            arr += _fill_leading(blocks[j], X.levels[j - i])
         levels.append(arr)
     return ControlledPath(X.times, d, X.N, e, alpha, levels)
 

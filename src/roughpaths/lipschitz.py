@@ -25,8 +25,8 @@ from functools import reduce
 
 import numpy as np
 
-from .controlled_path import ControlledPath, remainder_rows
-from .rough_path import GeometricRoughPath, _scan_pairs, increment
+from .controlled_path import ControlledPath, _fill_leading, _remainders
+from .rough_path import GeometricRoughPath, _scan_pairs, increment, increments_from
 from .tensor_algebra import (
     TensorSeries,
     _assignment_axes,
@@ -311,14 +311,8 @@ def compose(F: LipFunction, Y: ControlledPath, X: GeometricRoughPath) -> Control
 def _slot_maps(y_blocks, x_inc: TensorSeries) -> dict:
     """Slot maps (i, m) -> Y^i(X^{i-m} (x) .): level i of the controlled path with its
     leading i - m slots filled by the driver increment, as (e, d**m) matrices."""
-    d, N = x_inc.d, x_inc.N
-    maps = {}
-    for i in range(1, N):
-        block = np.asarray(y_blocks[i])
-        for m in range(i + 1):
-            cube = block.reshape(block.shape[0], d ** (i - m), d**m)
-            maps[i, m] = np.swapaxes(cube, 1, 2) @ x_inc.levels[i - m]
-    return maps
+    return {(i, m): _fill_leading(np.asarray(y_blocks[i]), x_inc.levels[i - m])
+            for i in range(1, x_inc.N) for m in range(i + 1)}
 
 
 def _contract_slots(block, mats) -> np.ndarray:
@@ -419,11 +413,13 @@ def remainder_regularity_probe(F: LipFunction, Y: ControlledPath, X: GeometricRo
     A finite ratio across the grid is the observable form of the stability
     of controlled paths under Lipschitz composition.
     """
+    if not (0 <= r < Y.N):
+        raise ValueError(f"level {r} outside 0..{Y.N - 1}")
     Z = compose(F, Y, X)
     a = Y.alpha if alpha is None else alpha
 
     def rows(s):
-        rz = remainder_rows(Z, X, r, s)
+        rz = _remainders(Z, increments_from(X, s), s)[r]
         return [rz, rz]
 
     worst_abs, worst_ratio = _scan_pairs(Y.times, rows, [0.0, (Y.N - r) * a])

@@ -2,8 +2,9 @@
 
 Classical RK4 integration, left-point Riemann-Stieltjes sums, a recursive
 enumeration of ordered subset partitions, Holder grid maxima from
-signatures chained segment by segment, and the Lipschitz composition summed
-column by column over ordered partitions.  Deliberately naive: these are
+signatures chained segment by segment, the Lipschitz composition summed
+column by column over ordered partitions, and the compensated sum taken
+one interval and one level at a time.  Deliberately naive: these are
 oracles, not production paths.
 """
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controlled_path import ControlledPath
+from .rough_path import increment
 from .tensor_algebra import exp_segment, word_index
 
 
@@ -159,3 +161,23 @@ def compose_reference(F, Y, X) -> ControlledPath:
             block[:, :, col] = acc
         z_levels.append(block)
     return ControlledPath(Y.times, d, N, F.dim_out, Y.alpha, z_levels)
+
+
+def compensated_sum_reference(Z, X, partition) -> np.ndarray:
+    """Sum over partition intervals [a, b] and levels k = 1..N of Z^{k-1}_a
+    paired with X^k_{a,b}, one interval and one level at a time, ascending.
+
+    Z^{k-1}_a maps V^(x)(k-1) into L(V;U), rows in (u, v) order: the term is
+    sum over v and w of Z^{k-1}_a[(u, v), w] X^k_{a,b}[w v], the word w
+    filling the map's slots and the letter v the operator's.
+    """
+    e, d = Z.dim_u // Z.d, Z.d
+    idx = partition.indices
+    total = np.zeros(e)
+    for a, b in zip(idx, idx[1:]):
+        inc = increment(X, a, b)
+        for k in range(1, X.N + 1):
+            block = Z.levels[k - 1][a].reshape(e, d, d ** (k - 1))
+            x_k = inc.levels[k].reshape(d ** (k - 1), d)
+            total = total + np.einsum("uvw,wv->u", block, x_k)
+    return total

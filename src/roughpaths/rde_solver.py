@@ -14,6 +14,7 @@ import numpy as np
 
 from .controlled_path import (
     ControlledPath,
+    _initial_norm,
     concatenate,
     distance,
     path_sub,
@@ -260,7 +261,7 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
     X_T = restrict(X, 0, idx_T) if idx_T < X.n_points - 1 else X
     report.n_patches = len(report.patches)
     report.solution_seminorm = seminorm(solution, X_T, config.alpha)
-    report.solution_norm = triple_norm(solution, X_T, config.alpha)
+    report.solution_norm = report.solution_seminorm + _initial_norm(solution)
     report.global_residual = distance(solution, picard_step(solution, F, X_T, y0),
                                       X_T, X_T, config.alpha)
     report.wall_time_s = time.perf_counter() - start

@@ -3,8 +3,11 @@
 The integrand is a controlled path whose target is the space of linear maps
 V -> U, stored flat with target dimension dim_u * d (row-major (u, v)).  The
 integral on the driver's native grid is the realized limit; dyadic
-coarsenings estimate convergence.  Summation order is fixed (ascending time,
-then level) so results are bit-stable.
+coarsenings estimate convergence.  The terms Z^{k-1}_a X^k_{a,b} of every
+interval and level come from one batched kernel, :func:`_interval_terms`:
+one truncated product of the driver's cached inverse stack with its levels,
+then one leading-slot contraction per level.  Summation order is fixed
+(ascending time, then level) so results are bit-stable.
 """
 from __future__ import annotations
 
@@ -13,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta
 
-from .controlled_path import ControlledPath, remainder
-from .rough_path import GeometricRoughPath, increment
+from .controlled_path import ControlledPath, _fill_leading, _remainders
+from .rough_path import GeometricRoughPath, increment, increments_from
 from .tensor_algebra import _truncated_product
 
 
@@ -63,13 +66,26 @@ def _operator_slot_last(block: np.ndarray, d: int) -> np.ndarray:
     return np.swapaxes(block.reshape(lead + (e, d, m)), -1, -2).reshape(lead + (e, d * m))
 
 
-def pair_block(block: np.ndarray, x_level: np.ndarray, e: int, d: int, k: int) -> np.ndarray:
-    """Apply a level-(k-1) integrand block to a level-k driver tensor.
+def _check_integrand(Z: ControlledPath, X: GeometricRoughPath) -> None:
+    if Z.d != X.d or Z.N != X.N or not np.array_equal(Z.times, X.times):
+        raise ValueError("integrand must share the driver grid")
 
-    The block maps V^(x)(k-1) into L(V;U); the first k-1 slots of the driver
-    tensor feed the map argument and the last slot feeds the operator.
+
+def _interval_terms(Z: ControlledPath, X: GeometricRoughPath, idx) -> np.ndarray:
+    """Terms Z^{k-1}_a paired with X^k_{a,b} over consecutive grid indices a < b
+    of ``idx``, shape (len(idx) - 1, N, e): interval, then level k = 1..N.
+
+    The integrand block maps V^(x)(k-1) into L(V;U); with the operator slot
+    moved last, the driver tensor fills all k of its slots.
     """
-    return _operator_slot_last(block, d) @ x_level
+    _check_integrand(Z, X)
+    _, d = _integrand_dims(Z)
+    idx = np.asarray(idx)
+    a, b = idx[:-1], idx[1:]
+    inc = _truncated_product([lvl[a] for lvl in X._inverse_stack()],
+                             [lvl[b] for lvl in X.levels])
+    return np.stack([_fill_leading(_operator_slot_last(Z.levels[k - 1][a], d), inc[k])[..., 0]
+                     for k in range(1, X.N + 1)], axis=1)
 
 
 def compensated_sum(Z: ControlledPath, X: GeometricRoughPath, partition: Partition) -> np.ndarray:
@@ -77,37 +93,11 @@ def compensated_sum(Z: ControlledPath, X: GeometricRoughPath, partition: Partiti
 
     Deterministic left-to-right reduction: ascending time, then level.
     """
-    _check_integrand(Z, X)
-    e, d = _integrand_dims(Z)
     idx = partition.indices
-    if idx[-1] >= X.n_points:
+    if idx[0] < 0 or idx[-1] >= X.n_points:
         raise ValueError("partition leaves the driver grid")
-    total = np.zeros(e)
-    for a, b in zip(idx, idx[1:]):
-        inc = increment(X, a, b)
-        for k in range(1, X.N + 1):
-            total = total + pair_block(Z.levels[k - 1][a], inc.levels[k], e, d, k)
-    return total
-
-
-def _check_integrand(Z: ControlledPath, X: GeometricRoughPath) -> None:
-    if Z.d != X.d or Z.N != X.N or not np.array_equal(Z.times, X.times):
-        raise ValueError("integrand must share the driver grid")
-
-
-def _native_cumulative(Z: ControlledPath, X: GeometricRoughPath) -> np.ndarray:
-    """Running integral at every grid point via the per-step compensated sums."""
-    e, d = _integrand_dims(Z)
-    n = X.n_points
-    steps = _truncated_product([lvl[:-1] for lvl in X._inverse_stack()],
-                               [lvl[1:] for lvl in X.levels])
-    per_step = np.zeros((n - 1, e))
-    for k in range(1, X.N + 1):
-        full = _operator_slot_last(Z.levels[k - 1][:-1], d)
-        per_step += np.einsum("mek,mk->me", full, steps[k])
-    out = np.zeros((n, e))
-    np.cumsum(per_step, axis=0, out=out[1:])
-    return out
+    terms = _interval_terms(Z, X, idx)
+    return np.cumsum(terms.reshape(-1, terms.shape[-1]), axis=0)[-1]
 
 
 def rough_integral(Z: ControlledPath, X: GeometricRoughPath,
@@ -134,7 +124,9 @@ def integral_controlled(Z: ControlledPath, X: GeometricRoughPath,
     """The indefinite integral as a controlled path: running level 0, and the
     integrand's levels shifted up by one with the operator slot re-absorbed."""
     e, d = _integrand_dims(Z)
-    level0 = _native_cumulative(Z, X)
+    level0 = np.zeros((X.n_points, e))
+    per_step = _interval_terms(Z, X, np.arange(X.n_points)).sum(axis=1)
+    np.cumsum(per_step, axis=0, out=level0[1:])
     if offset is not None:
         level0 = level0 + np.asarray(offset, dtype=float).ravel()[None, :]
     levels = [level0[:, :, None]]
@@ -153,10 +145,11 @@ def removal_identity_check(Z: ControlledPath, X: GeometricRoughPath,
     e, d = _integrand_dims(Z)
     lhs = compensated_sum(Z, X, partition) - compensated_sum(Z, X, partition.remove(j))
     inc_right = increment(X, idx[j], idx[j + 1])
+    left = _remainders(Z, increments_from(X, idx[j - 1]), idx[j - 1])
     rhs = np.zeros(e)
     for k in range(1, X.N + 1):
-        rz = remainder(Z, X, k - 1, idx[j - 1], idx[j])
-        rhs = rhs + pair_block(rz, inc_right.levels[k], e, d, k)
+        rz = _operator_slot_last(left[k - 1][idx[j] - idx[j - 1]], d)
+        rhs = rhs + _fill_leading(rz, inc_right.levels[k])[:, 0]
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -14,8 +14,8 @@ import io
 
 import numpy as np
 
-from .tensor_algebra import TensorSeries, exp_segment, tensor_mul
-from .tensor_algebra import _group_inverse_levels, _group_like_deviation, _truncated_product
+from .tensor_algebra import TensorSeries, _group_inverse_levels, _group_like_deviation
+from .tensor_algebra import _segment_levels, _truncated_product
 
 
 class PiecewiseLinearPath:
@@ -166,13 +166,13 @@ def lift_path(path: PiecewiseLinearPath, N: int, beta: float | None = None) -> G
     if beta is None:
         beta = min(0.5, 1.0 / N)
     n = path.times.size
+    steps = _segment_levels(np.diff(path.points, axis=0), N)
     levels = [np.zeros((n, d**i)) for i in range(N + 1)]
     levels[0][:, 0] = 1.0
-    g = TensorSeries.unit(d, N)
     for i in range(1, n):
-        g = tensor_mul(g, exp_segment(path.points[i] - path.points[i - 1], N))
+        g = _truncated_product([lvl[i - 1] for lvl in levels], [lvl[i - 1] for lvl in steps])
         for r in range(1, N + 1):
-            levels[r][i] = g.levels[r]
+            levels[r][i] = g[r]
     return GeometricRoughPath(path.times, d, N, beta, levels)
 
 

@@ -202,14 +202,20 @@ def group_inverse(g: TensorSeries) -> TensorSeries:
     return TensorSeries._wrap(g.d, g.N, _group_inverse_levels(g.levels))
 
 
+def _segment_levels(v, N: int) -> list:
+    """Signatures of linear segments with increments ``v`` (..., d) as level
+    lists, batched over leading axes: level k is v^(x)k / k!."""
+    lead = v.shape[:-1]
+    blocks = [np.ones(lead + (1,))]
+    for k in range(1, N + 1):
+        blocks.append((blocks[-1][..., :, None] * v[..., None, :]).reshape(lead + (-1,)) / k)
+    return blocks
+
+
 def exp_segment(v, N: int) -> TensorSeries:
     """Signature of a single linear segment with increment ``v``: level k is v^(x)k / k!."""
     v = np.asarray(v, dtype=float).ravel()
-    d = v.size
-    blocks = [np.ones(1)]
-    for k in range(1, N + 1):
-        blocks.append(np.multiply.outer(blocks[-1], v).ravel() / k)
-    return TensorSeries._wrap(d, N, blocks)
+    return TensorSeries._wrap(v.size, N, _segment_levels(v, N))
 
 
 class BoxTensor:

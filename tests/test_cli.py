@@ -182,6 +182,7 @@ def test_unknown_suite_rejected(tmp_path):
     {"paths": "abc"}, {"segments": 0}, {"depths": []}, {"depths": [-1, 2]},
     {"paths": 0}, {"instances": -3}, {"grid": 1}, {"segments": 2.5},
     {"paths": True}, {"depths": [2, 9]}, {"corrupt_level2": "yes"},
+    {"amplitude": "x"}, {"amplitude": float("nan")},
 ])
 def test_verify_options_rejected(tmp_path, capsys, options):
     # Each of these used to end in a traceback, check nothing and pass, or be
@@ -195,6 +196,11 @@ def test_verify_options_rejected(tmp_path, capsys, options):
 @pytest.mark.parametrize("section", [[], None, "chen"])
 def test_verify_section_must_be_object(tmp_path, section):
     assert main(["verify", "--config", str(base_config(tmp_path, verify=section))]) == 1
+
+
+@pytest.mark.parametrize("section", [[], None, "s"])
+def test_integrate_section_must_be_object(tmp_path, section):
+    assert main(["integrate", "--config", str(base_config(tmp_path, integrate=section))]) == 1
 
 
 def test_seed_override_changes_stream(tmp_path):
@@ -287,3 +293,10 @@ def test_integrate_rejects_reversed_window(tmp_path, capsys):
 def test_integrate_rejects_empty_window(tmp_path, capsys):
     err = integrate_window_rejected(tmp_path, capsys, {"s": 0.5, "t": 0.5})
     assert "integration window" in err
+
+
+@pytest.mark.parametrize("depths", [[], [-1], "ab"])
+def test_integrate_rejects_bad_depths(tmp_path, capsys, depths):
+    # Each used to end in a traceback from the rate probe.
+    err = integrate_window_rejected(tmp_path, capsys, {"depths": depths})
+    assert "config error: integrate.depths" in err

@@ -264,6 +264,9 @@ def test_remainder_probe_linear_on_canonical_lift():
     G = constant([1.0], 2, n_levels=3)
     for r in (1, 2):
         assert remainder_regularity_probe(G, Y, X, r).max_ratio == 0.0
+    for r in (-1, 3):
+        with pytest.raises(ValueError, match="outside"):
+            remainder_regularity_probe(G, Y, X, r)
 
 
 def test_compose_continuity_linear_in_epsilon():

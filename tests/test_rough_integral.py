@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from roughpaths.controlled_path import ControlledPath, remainder_rows, seminorm
-from roughpaths.oracle import riemann_stieltjes
+from roughpaths.controlled_path import ControlledPath, _fill_leading, remainder_rows, seminorm
+from roughpaths.oracle import compensated_sum_reference, riemann_stieltjes
 from roughpaths.rough_integral import (
     Partition,
+    _operator_slot_last,
     compensated_sum,
     convergence_rate_probe,
     dyadic_partition,
     integral_controlled,
-    pair_block,
     removal_identity_check,
     rough_integral,
     tail_constant,
@@ -151,9 +151,9 @@ def test_integral_level0_remainder_decomposition():
         ri0 = remainder_rows(I, X, 0, s)[t - s][:, 0]
         val, _ = rough_integral(Z, X, s, t)
         inc = increment(X, s, t)
-        comp = sum(pair_block(Z.levels[k - 1][s], inc.levels[k], 1, X.d, k)
-                   for k in range(1, X.N + 1))
-        top = pair_block(Z.levels[X.N - 1][s], inc.levels[X.N], 1, X.d, X.N)
+        comp = compensated_sum(Z, X, Partition((s, t)))
+        top = _fill_leading(_operator_slot_last(Z.levels[X.N - 1][s], X.d),
+                            inc.levels[X.N])[:, 0]
         assert np.allclose(ri0, (val - comp) + top, atol=1e-11)
 
 
@@ -231,7 +231,8 @@ def test_tail_constant_closed_form_and_divergence():
 
 
 def test_pair_block_identity_pairing():
-    # Level-1 identity block recovers the driver tensor itself.
+    # Level-1 identity block, paired with a level-2 driver tensor in all its
+    # slots (operator slot last), recovers the driver tensor itself.
     d = 2
     e = d * d
     block = np.zeros((e * d, d))
@@ -239,4 +240,23 @@ def test_pair_block_identity_pairing():
         for b in range(d):
             block[(a * d + b) * d + b, a] = 1.0
     x2 = np.arange(4.0)
-    assert np.allclose(pair_block(block, x2, e, d, 2), x2)
+    assert np.allclose(_fill_leading(_operator_slot_last(block, d), x2)[:, 0], x2)
+
+
+def test_compensated_sum_matches_reference():
+    # The batched interval terms against the per-interval, per-level loop.
+    rng = np.random.default_rng(41)
+    for d in range(1, 5):
+        for N in range(1, 6):
+            X = rough_driver(rng, d=d, N=N, n=8)
+            n = X.n_points
+            for e in (1, 2):
+                levels = [rng.standard_normal((n, e * d, d**i)) for i in range(N)]
+                Z = ControlledPath(X.times, d, N, e * d, 0.3, levels)
+                for part in (Partition(tuple(range(n))), Partition((0, 3, 4, n - 1)),
+                             Partition((2, 6))):
+                    want = compensated_sum_reference(Z, X, part)
+                    got = compensated_sum(Z, X, part)
+                    assert got.shape == want.shape == (e,)
+                    scale = np.maximum(1.0, np.abs(want))
+                    assert np.all(np.abs(got - want) <= 1e-13 * scale), (d, N, e, part)

@@ -18,7 +18,13 @@ from roughpaths.rough_path import (
     unit_rough_path,
 )
 from roughpaths.oracle import holder_maxima
-from roughpaths.tensor_algebra import TensorSeries, group_inverse, is_group_like, tensor_mul
+from roughpaths.tensor_algebra import (
+    TensorSeries,
+    exp_segment,
+    group_inverse,
+    is_group_like,
+    tensor_mul,
+)
 
 
 def random_path(rng, d, n_segments, horizon=1.0):
@@ -89,6 +95,20 @@ def test_lift_two_segment_level_two():
     lvl2 = X.value(2).level(2).reshape(2, 2)
     expected = np.array([[0.5, 1.0], [0.0, 0.5]])
     assert np.allclose(lvl2, expected, atol=1e-15)
+
+
+def test_lift_equals_running_segment_products():
+    # The batched step exponentials reproduce the running product of
+    # one-segment signatures bit for bit.
+    rng = np.random.default_rng(9)
+    for d, N in [(1, 3), (2, 4), (3, 5), (4, 2)]:
+        p = random_path(rng, d, 6)
+        X = lift_path(p, N)
+        g = TensorSeries.unit(d, N)
+        for i in range(1, p.times.size):
+            g = tensor_mul(g, exp_segment(p.points[i] - p.points[i - 1], N))
+            for r in range(N + 1):
+                assert np.array_equal(X.levels[r][i], g.levels[r])
 
 
 def test_increment_identity_and_endpoint():
