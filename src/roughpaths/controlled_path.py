@@ -5,9 +5,19 @@ V^(x)i to the target space U.  Remainders subtract the local expansion
 against the driver's increments; their grid-pair Holder maxima define the
 seminorm, distance and full norm used by the solver.
 
+Remainders come from one kernel, :func:`_remainder_blocks`, one level at a time.
+By Chen's relation X_{s,t} = X_{0,s}^{-1} (x) X_{0,t}, the remainder
+RY^i_{s,t} = Y^i_t - sum_j Y^{i+j}_s(X^j_{s,t} (x) .) regroups as
+Y^i_t - sum_b C^{i,b}_s(X^b_{0,t} (x) .), where C^{i,b}_s pairs the levels at
+s with the cached inverse X_{0,s}^{-1}.  The maps C^{i,b} are built once per
+call for every start row, after which the remainders of any block of
+(s, t) pairs are products of those maps with the running signature, with no
+per-row increment.  The grid-pair scans of ``rough_path`` take them in
+tiles of bounded size.
+
 Every pairing of a controlled level with a driver tensor in its leading
 slots, Y^{i+j}_s(X^j_{s,t} (x) .), is one contraction, :func:`_fill_leading`,
-broadcast over leading axes: the remainders and the zero-remainder start
+broadcast over leading axes: the expansion maps and the zero-remainder start
 path here, the slot maps of ``lipschitz`` and the compensated sums of
 ``rough_integral`` all call it.
 """
@@ -18,7 +28,11 @@ import io
 
 import numpy as np
 
-from .rough_path import GeometricRoughPath, _scan_pairs, increments_from
+from .rough_path import GeometricRoughPath, _scan_pairs
+
+
+class NonFiniteLevelError(ValueError):
+    """A controlled path was given a level with NaN or inf entries."""
 
 
 class ControlledPath:
@@ -40,6 +54,8 @@ class ControlledPath:
             if arr.shape != (times.size, dim_u, d**i):
                 raise ValueError(
                     f"level {i} block has shape {arr.shape}, expected {(times.size, dim_u, d**i)}")
+            if not np.all(np.isfinite(arr)):
+                raise NonFiniteLevelError(f"level {i} block has non-finite entries")
             arr.setflags(write=False)
             stacked.append(arr)
         times.setflags(write=False)
@@ -113,20 +129,38 @@ def _fill_leading(block: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("...ejk,...j->...ek", cube, x)
 
 
-def _remainders(Y: ControlledPath, rows, s: int) -> list:
-    """RY^i_{s,t} for every level i and every t >= s, one (P - s, dim_u, d**i)
-    array per level; ``rows`` are the driver increments X_{s,.} per level.
+def _remainder_blocks(Y: ControlledPath, X: GeometricRoughPath, i: int):
+    """RY^i by Chen's relation, as a pair-block function for ``_scan_pairs``.
 
-    The expansion subtracts Y^{i+j}_s paired with X^j_{s,t} for
-    j = 1..N-1-i; the top level reduces to plain increments.
+    Builds C^{i,b}_s = sum_c Y^{i+b+c}_s((X_{0,s}^{-1})^c (x) .) for every start
+    row s and b = 0..N-1-i, from the cached inverse stack.  The returned
+    ``block(rows, cols)`` gives RY^i_{s,t} = Y^i_t - sum_b C^{i,b}_s(X^b_{0,t} (x) .)
+    for s in ``rows`` and t in ``cols`` as an (R, T, e * d**i) array.  Each
+    pair's sum runs over the words of X^b_{0,t} in one fixed order of
+    elementwise operations, never a BLAS product, whose rounding follows the
+    matrix shape: a pair's value does not depend on the block it is in.
     """
-    out = []
-    for i in range(Y.N):
-        rem = Y.levels[i][s:] - Y.levels[i][s]
-        for j in range(1, Y.N - i):
-            rem = rem - _fill_leading(Y.levels[i + j][s], rows[j][s:])
-        out.append(rem)
-    return out
+    P, e, d = Y.n_points, Y.dim_u, Y.d
+    inv = X._inverse_stack()
+    maps, x_rows = [], []
+    for b in range(Y.N - i):
+        acc = Y.levels[i + b]
+        for c in range(1, Y.N - i - b):
+            acc = acc + _fill_leading(Y.levels[i + b + c], inv[c])
+        maps.append(np.ascontiguousarray(
+            acc.reshape(P, e, d**b, d**i).swapaxes(1, 2)).reshape(P, d**b, e * d**i))
+        x_rows.append(np.ascontiguousarray(X.levels[b].T))
+    level = Y.levels[i].reshape(P, e * d**i)
+
+    def block(rows, cols):
+        out = level[None, cols] - maps[0][rows, 0, None]
+        for b in range(1, len(maps)):
+            m, x = maps[b][rows], x_rows[b][:, cols, None]
+            for k in range(d**b):
+                out -= x[k] * m[:, None, k]
+        return out
+
+    return block
 
 
 def remainder_rows(Y: ControlledPath, X: GeometricRoughPath, i: int, s_idx: int) -> np.ndarray:
@@ -134,7 +168,9 @@ def remainder_rows(Y: ControlledPath, X: GeometricRoughPath, i: int, s_idx: int)
     _check_pair(Y, X)
     if not (0 <= i < Y.N):
         raise ValueError(f"level {i} outside 0..{Y.N - 1}")
-    return _remainders(Y, increments_from(X, s_idx), s_idx)[i]
+    X._check_index(s_idx)
+    rows = _remainder_blocks(Y, X, i)(slice(s_idx, s_idx + 1), slice(s_idx, Y.n_points))
+    return rows.reshape(Y.n_points - s_idx, Y.dim_u, Y.d**i)
 
 
 def remainder(Y: ControlledPath, X: GeometricRoughPath, i: int, s_idx: int, t_idx: int) -> np.ndarray:
@@ -150,12 +186,8 @@ def seminorm(Y: ControlledPath, X: GeometricRoughPath, alpha: float | None = Non
     a = Y.alpha if alpha is None else alpha
     if not (1.0 / (Y.N + 1) < a <= 1.0):
         raise ValueError(f"alpha {a} outside (1/{Y.N + 1}, 1]")
-
-    def rows(s):
-        return _remainders(Y, increments_from(X, s), s)
-
-    exps = [(Y.N - i) * a for i in range(Y.N)]
-    return float(sum(_scan_pairs(Y.times, rows, exps)))
+    return float(sum(_scan_pairs(Y.times, _remainder_blocks(Y, X, i), Y.dim_u * Y.d**i,
+                                 [(Y.N - i) * a])[0] for i in range(Y.N)))
 
 
 def distance(Ya: ControlledPath, Yb: ControlledPath,
@@ -170,13 +202,17 @@ def distance(Ya: ControlledPath, Yb: ControlledPath,
         raise ValueError("controlled paths must share the target dimension")
     a = Ya.alpha if alpha is None else alpha
 
-    def rows(s):
-        ra = _remainders(Ya, increments_from(Xa, s), s)
-        rb = _remainders(Yb, increments_from(Xb, s), s)
-        return [a - b for a, b in zip(ra, rb)]
+    def level(i):
+        rem_a, rem_b = _remainder_blocks(Ya, Xa, i), _remainder_blocks(Yb, Xb, i)
 
-    exps = [(Ya.N - i) * a for i in range(Ya.N)]
-    return float(sum(_scan_pairs(Ya.times, rows, exps)))
+        def block(rows, cols):
+            out = rem_a(rows, cols)
+            out -= rem_b(rows, cols)
+            return out
+
+        return _scan_pairs(Ya.times, block, Ya.dim_u * Ya.d**i, [(Ya.N - i) * a])[0]
+
+    return float(sum(level(i) for i in range(Ya.N)))
 
 
 def _initial_norm(Y: ControlledPath) -> float:
@@ -193,8 +229,9 @@ def level_holder_norm(Y: ControlledPath, i: int, exponent: float) -> float:
     """Grid maximum of |Y^i_t - Y^i_s| / (t-s)^exponent."""
     if not (0 <= i < Y.N):
         raise ValueError(f"level {i} outside 0..{Y.N - 1}")
-    lvl = Y.levels[i]
-    return _scan_pairs(Y.times, lambda s: [lvl[s:] - lvl[s]], [exponent])[0]
+    lvl = Y.levels[i].reshape(Y.n_points, -1)
+    return _scan_pairs(Y.times, lambda rows, cols: lvl[None, cols] - lvl[rows, None],
+                       lvl.shape[1], [exponent])[0]
 
 
 def zero_remainder_path(blocks, X: GeometricRoughPath, alpha: float) -> ControlledPath:

@@ -25,8 +25,8 @@ from functools import reduce
 
 import numpy as np
 
-from .controlled_path import ControlledPath, _fill_leading, _remainders
-from .rough_path import GeometricRoughPath, _scan_pairs, increment, increments_from
+from .controlled_path import ControlledPath, _fill_leading, _remainder_blocks
+from .rough_path import GeometricRoughPath, _scan_pairs, increment
 from .tensor_algebra import (
     TensorSeries,
     _assignment_axes,
@@ -417,10 +417,6 @@ def remainder_regularity_probe(F: LipFunction, Y: ControlledPath, X: GeometricRo
         raise ValueError(f"level {r} outside 0..{Y.N - 1}")
     Z = compose(F, Y, X)
     a = Y.alpha if alpha is None else alpha
-
-    def rows(s):
-        rz = _remainders(Z, increments_from(X, s), s)[r]
-        return [rz, rz]
-
-    worst_abs, worst_ratio = _scan_pairs(Y.times, rows, [0.0, (Y.N - r) * a])
+    worst_abs, worst_ratio = _scan_pairs(Y.times, _remainder_blocks(Z, X, r), Z.dim_u * Z.d**r,
+                                         [0.0, (Y.N - r) * a])
     return RemainderProbe(level=r, max_remainder=worst_abs, max_ratio=worst_ratio)

@@ -3,9 +3,10 @@
 Classical RK4 integration, left-point Riemann-Stieltjes sums, a recursive
 enumeration of ordered subset partitions, Holder grid maxima from
 signatures chained segment by segment, the Lipschitz composition summed
-column by column over ordered partitions, and the compensated sum taken
-one interval and one level at a time.  Deliberately naive: these are
-oracles, not production paths.
+column by column over ordered partitions, the compensated sum taken
+one interval and one level at a time, and the controlled seminorm and
+distance scanned pair by pair from each pair's own increment.  Deliberately
+naive: these are oracles, not production paths.
 """
 from __future__ import annotations
 
@@ -181,3 +182,44 @@ def compensated_sum_reference(Z, X, partition) -> np.ndarray:
             x_k = inc.levels[k].reshape(d ** (k - 1), d)
             total = total + np.einsum("uvw,wv->u", block, x_k)
     return total
+
+
+def _remainder_reference(Y, inc, i: int, s: int, t: int) -> np.ndarray:
+    """RY^i_{s,t} = Y^i_t - Y^i_s - sum_j Y^{i+j}_s paired with X^j_{s,t} in its
+    leading j slots, one einsum over the (e, d**j, d**i) cube per j."""
+    e, d = Y.dim_u, Y.d
+    rem = Y.levels[i][t] - Y.levels[i][s]
+    for j in range(1, Y.N - i):
+        cube = Y.levels[i + j][s].reshape(e, d**j, d**i)
+        rem = rem - np.einsum("ujk,j->uk", cube, inc.levels[j])
+    return rem
+
+
+def _remainder_maxima(Ya, Xa, Yb, Xb, alpha) -> float:
+    """Sum over levels i of the grid maximum over s < t of
+    |RYa^i_{s,t} - RYb^i_{s,t}| / (t - s)^((N - i) alpha), the second term
+    dropped when ``Yb`` is None; one increment(X, s, t) per pair and driver."""
+    a = Ya.alpha if alpha is None else alpha
+    times, N = Ya.times, Ya.N
+    worst = [0.0] * N
+    for s in range(times.size - 1):
+        for t in range(s + 1, times.size):
+            inc_a = increment(Xa, s, t)
+            inc_b = None if Yb is None else increment(Xb, s, t)
+            for i in range(N):
+                rem = _remainder_reference(Ya, inc_a, i, s, t)
+                if Yb is not None:
+                    rem = rem - _remainder_reference(Yb, inc_b, i, s, t)
+                ratio = float(np.abs(rem).sum()) / (times[t] - times[s]) ** ((N - i) * a)
+                worst[i] = max(worst[i], ratio)
+    return sum(worst)
+
+
+def seminorm_reference(Y, X, alpha: float | None = None) -> float:
+    """The controlled seminorm, scanned pair by pair (see ``_remainder_maxima``)."""
+    return _remainder_maxima(Y, X, None, None, alpha)
+
+
+def distance_reference(Ya, Yb, Xa, Xb, alpha: float | None = None) -> float:
+    """The controlled distance, scanned pair by pair (see ``_remainder_maxima``)."""
+    return _remainder_maxima(Ya, Xa, Yb, Xb, alpha)

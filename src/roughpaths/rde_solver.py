@@ -14,6 +14,7 @@ import numpy as np
 
 from .controlled_path import (
     ControlledPath,
+    NonFiniteLevelError,
     _initial_norm,
     concatenate,
     distance,
@@ -170,7 +171,10 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
     Y = W if initial_guess is None else initial_guess
     residuals: list = []
     for it in range(config.max_picard_iters):
-        Y_new = picard_step(Y, F, X_local, y0)
+        try:
+            Y_new = picard_step(Y, F, X_local, y0)
+        except NonFiniteLevelError as err:
+            raise SolveFailure(f"Picard iterate overflowed: {err}") from err
         peak = float(np.max(np.abs(Y_new.path_values())))
         if not np.isfinite(peak) or peak > config.explosion_bound:
             raise SolveFailure(f"state norm {peak:.3e} breached the explosion guard "

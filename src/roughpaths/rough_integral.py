@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta
 
-from .controlled_path import ControlledPath, _fill_leading, _remainders
-from .rough_path import GeometricRoughPath, increment, increments_from
+from .controlled_path import ControlledPath, _fill_leading, _remainder_blocks
+from .rough_path import GeometricRoughPath, increment
 from .tensor_algebra import _truncated_product
 
 
@@ -145,10 +145,11 @@ def removal_identity_check(Z: ControlledPath, X: GeometricRoughPath,
     e, d = _integrand_dims(Z)
     lhs = compensated_sum(Z, X, partition) - compensated_sum(Z, X, partition.remove(j))
     inc_right = increment(X, idx[j], idx[j + 1])
-    left = _remainders(Z, increments_from(X, idx[j - 1]), idx[j - 1])
+    gap = (slice(idx[j - 1], idx[j - 1] + 1), slice(idx[j], idx[j] + 1))
     rhs = np.zeros(e)
     for k in range(1, X.N + 1):
-        rz = _operator_slot_last(left[k - 1][idx[j] - idx[j - 1]], d)
+        left = _remainder_blocks(Z, X, k - 1)(*gap).reshape(Z.dim_u, d ** (k - 1))
+        rz = _operator_slot_last(left, d)
         rhs = rhs + _fill_leading(rz, inc_right.levels[k])[:, 0]
     return float(np.max(np.abs(lhs - rhs)))
 

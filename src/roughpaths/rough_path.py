@@ -4,8 +4,10 @@ A lift stores the running signatures X_{t0,ti} on the driver grid and, once
 first needed, their stacked inverses X_{t0,ti}^{-1}; every increment
 X_{s,t} = X_{t0,s}^{-1} (x) X_{t0,t} is one truncated product against that
 cached stack.  Holder norms, distances and remainder bounds are grid maxima
-over all O(M^2) pairs, taken by one scan (:func:`_scan_pairs`) row by row so
-the pairwise increment tensors are never materialized at once.
+over all O(M^2) pairs, taken by one scan (:func:`_scan_pairs`) over tiles of
+start rows and end points: each tile's pair block holds at most a fixed
+number of doubles (``_PAIR_BLOCK``), so the pairwise tensors are never
+materialized at once, and a pair's value does not depend on its tile.
 """
 from __future__ import annotations
 
@@ -16,6 +18,12 @@ import numpy as np
 
 from .tensor_algebra import TensorSeries, _group_inverse_levels, _group_like_deviation
 from .tensor_algebra import _segment_levels, _truncated_product
+
+# Doubles in one pair block (start rows x end points x entries per pair) of
+# a grid-pair scan.  On the README line solve (P=513, 2-core VM) 8192 kept
+# the peak memory within 0.6 MB of 2048 and ran as fast as 32768 within
+# run-to-run noise; the whole grid in one block added 6 MB.
+_PAIR_BLOCK = 8192
 
 
 class PiecewiseLinearPath:
@@ -104,8 +112,8 @@ class GeometricRoughPath:
 
     def __init__(self, times, d: int, N: int, beta: float, levels):
         times = np.asarray(times, dtype=float).ravel()
-        if times.size < 1 or (times.size > 1 and np.any(np.diff(times) <= 0)):
-            raise ValueError("grid times must be strictly increasing")
+        if times.size < 1 or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
+            raise ValueError("grid times must be finite and strictly increasing")
         if len(levels) != N + 1:
             raise ValueError(f"expected {N + 1} stacked level blocks")
         if not (0.0 < beta <= 1.0):
@@ -115,6 +123,8 @@ class GeometricRoughPath:
             arr = np.ascontiguousarray(arr, dtype=float)
             if arr.shape != (times.size, d**i):
                 raise ValueError(f"level {i} block has shape {arr.shape}, expected {(times.size, d**i)}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"level {i} block has non-finite entries")
             arr.setflags(write=False)
             stacked.append(arr)
         times.setflags(write=False)
@@ -209,21 +219,51 @@ def restrict(X: GeometricRoughPath, s_idx: int, t_idx: int) -> GeometricRoughPat
     return GeometricRoughPath(X.times[rows], X.d, X.N, X.beta, levels)
 
 
-def _scan_pairs(times: np.ndarray, rows_fn, exponents) -> list[float]:
-    """Max of l1-norm / gap**exponent over all grid pairs s < t, one result per entry.
+def _pair_tiles(n: int, width: int):
+    """Tiles (rows, cols) of start rows s and end points t covering every pair
+    s < t of an n-point grid exactly once, start rows taken in chunks.
 
-    ``rows_fn(s)`` returns a list of arrays, one per exponent, each stacking
-    blocks for t in s..P-1 along its first axis; the t = s row is skipped.
+    A tile holds at most ``_PAIR_BLOCK // width`` pairs, at least one, so its
+    (rows, cols, width) block stays within ``_PAIR_BLOCK`` doubles whenever a
+    single pair does.  The columns of a chunk start at t = s0 + 1; the pairs
+    t <= s they include for later rows of the chunk are masked by the scan.
     """
-    n = times.size
+    pairs = max(1, _PAIR_BLOCK // width)
+    s0 = 0
+    while s0 < n - 1:
+        s1 = s0 + max(1, min(n - 1 - s0, pairs // (n - 1 - s0)))
+        step = max(1, pairs // (s1 - s0))
+        for t0 in range(s0 + 1, n, step):
+            yield slice(s0, s1), slice(t0, min(n, t0 + step))
+        s0 = s1
+
+
+def _scan_pairs(times: np.ndarray, block_fn, width: int, exponents) -> list[float]:
+    """Max of l1-norm / gap**exponent over all grid pairs s < t, one result per exponent.
+
+    ``block_fn(rows, cols)`` returns the (R, T, width) block of pair entries
+    for the start rows and end points of one tile of :func:`_pair_tiles`; its
+    pairs with t <= s are masked out.
+    """
     worst = [0.0] * len(exponents)
-    for s in range(n - 1):
-        per_level = rows_fn(s)
-        gaps = times[s + 1:] - times[s]
-        for li, (arr, exp) in enumerate(zip(per_level, exponents)):
-            norms = np.abs(arr[1:]).reshape(arr.shape[0] - 1, -1).sum(axis=1)
-            worst[li] = max(worst[li], float(np.max(norms / gaps**exp)))
+    for rows, cols in _pair_tiles(times.size, width):
+        norms = np.abs(block_fn(rows, cols)).sum(axis=-1)
+        gaps = times[cols] - times[rows, None]
+        if cols.start < rows.stop:
+            keep = np.arange(cols.start, cols.stop) > np.arange(rows.start, rows.stop)[:, None]
+            norms, gaps = norms[keep], gaps[keep]
+        for k, exp in enumerate(exponents):
+            worst[k] = max(worst[k], float(np.max(norms / gaps**exp)))
     return worst
+
+
+def _increment_pairs(X: GeometricRoughPath, level: int):
+    """Pair-block function of ``_scan_pairs``: X^level_{s,t} as (R, T, d**level),
+    batched from the cached inverse stack like :func:`increments_from`."""
+    inv = X._inverse_stack()[:level + 1]
+    lvls = X.levels[:level + 1]
+    return lambda rows, cols: _truncated_product([a[rows, None] for a in inv],
+                                                 [b[None, cols] for b in lvls])[level]
 
 
 def holder_norm(X: GeometricRoughPath, level: int, beta: float) -> float:
@@ -232,7 +272,7 @@ def holder_norm(X: GeometricRoughPath, level: int, beta: float) -> float:
         raise ValueError(f"level {level} outside 1..{X.N}")
     if not (0.0 < beta <= 1.0):
         raise ValueError("exponent must lie in (0, 1]")
-    return _scan_pairs(X.times, lambda s: [increments_from(X, s)[level][s:]], [level * beta])[0]
+    return _scan_pairs(X.times, _increment_pairs(X, level), X.d**level, [level * beta])[0]
 
 
 def holder_distance(Xa: GeometricRoughPath, Xb: GeometricRoughPath, beta: float) -> float:
@@ -242,11 +282,12 @@ def holder_distance(Xa: GeometricRoughPath, Xb: GeometricRoughPath, beta: float)
     if Xa.n_points != Xb.n_points or not np.array_equal(Xa.times, Xb.times):
         raise ValueError("rough paths must share the grid; resample upstream")
 
-    def rows(s):
-        ra, rb = increments_from(Xa, s), increments_from(Xb, s)
-        return [ra[i][s:] - rb[i][s:] for i in range(1, Xa.N + 1)]
+    def level(i):
+        inc_a, inc_b = _increment_pairs(Xa, i), _increment_pairs(Xb, i)
+        return _scan_pairs(Xa.times, lambda rows, cols: inc_a(rows, cols) - inc_b(rows, cols),
+                           Xa.d**i, [i * beta])[0]
 
-    return sum(_scan_pairs(Xa.times, rows, [i * beta for i in range(1, Xa.N + 1)]))
+    return sum(level(i) for i in range(1, Xa.N + 1))
 
 
 def path_norm(X: GeometricRoughPath, beta: float) -> float:

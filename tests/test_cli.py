@@ -118,6 +118,20 @@ def test_solve_failure_exit_code(tmp_path):
     assert "failure" in report
 
 
+def test_solve_overflow_exit_code(tmp_path):
+    times = np.linspace(0.0, 1.0, 9)
+    (tmp_path / "path.csv").write_text(PiecewiseLinearPath(times, 1000.0 * times[:, None]).to_csv())
+    cfg = base_config(
+        tmp_path,
+        field={"kind": "builtin", "dim_in": 1, "dim_out": 1,
+               "terms": [{"coef": [1.0], "kind": "exp", "weight": [1.0]}]},
+        y0=[0.0], horizon=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["solve", "--config", str(cfg)]) == 2
+    report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert "overflowed" in report["failure"]
+
+
 def test_integrate_signature_scenario(tmp_path):
     times = np.linspace(0.0, 1.0, 33)
     rng = np.random.default_rng(0)

@@ -18,7 +18,16 @@ from roughpaths.controlled_path import (
     triple_norm,
     zero_remainder_path,
 )
-from roughpaths.rough_path import GeometricRoughPath, PiecewiseLinearPath, increments_from, lift_path
+from roughpaths import rough_path
+from roughpaths.controlled_path import NonFiniteLevelError, _remainder_blocks
+from roughpaths.oracle import distance_reference, seminorm_reference
+from roughpaths.rough_path import (
+    GeometricRoughPath,
+    PiecewiseLinearPath,
+    holder_norm,
+    increments_from,
+    lift_path,
+)
 
 
 def random_driver(rng, d, N, n_segments, horizon=1.0):
@@ -37,6 +46,109 @@ def test_constructor_validates_shapes():
     X = random_driver(np.random.default_rng(0), 2, 3, 4)
     with pytest.raises(ValueError):
         ControlledPath(X.times, 2, 3, 1, 0.3, [np.zeros((5, 1, 1)), np.zeros((5, 1, 2)), np.zeros((5, 1, 3))])
+
+
+def test_constructor_rejects_non_finite_levels():
+    X = random_driver(np.random.default_rng(0), 2, 3, 4)
+    for bad in (np.nan, np.inf, -np.inf):
+        levels = [np.zeros((5, 1, 2**i)) for i in range(3)]
+        levels[1][2, 0, 1] = bad
+        with pytest.raises(NonFiniteLevelError, match="level 1"):
+            ControlledPath(X.times, 2, 3, 1, 0.3, levels)
+
+
+def walk_driver(rng, d, N, P, step=0.3):
+    times = np.linspace(0.0, 1.0, P)
+    points = np.cumsum(step * rng.standard_normal((P, d)), axis=0)
+    return lift_path(PiecewiseLinearPath(times, points), N)
+
+
+def test_seminorm_matches_reference():
+    # The block scan by Chen's relation against the pair-by-pair row scan
+    # with its own increment and einsum pairing, over every d <= 4, N <= 5.
+    rng = np.random.default_rng(40)
+    for d in range(1, 5):
+        for N in range(1, 6):
+            alpha = (1.0 / (N + 1) + 0.6) / 2
+            for P in (5, 17):
+                X = walk_driver(rng, d, N, P)
+                for e in (1, 2):
+                    Y = random_controlled(rng, X, e, alpha)
+                    ref = seminorm_reference(Y, X)
+                    assert abs(seminorm(Y, X) - ref) <= 1e-13 * ref, (d, N, P, e)
+
+
+def test_distance_matches_reference():
+    rng = np.random.default_rng(41)
+    for d in range(1, 5):
+        for N in range(1, 6):
+            alpha = (1.0 / (N + 1) + 0.6) / 2
+            for P in (5, 17):
+                Xa, Xb = walk_driver(rng, d, N, P), walk_driver(rng, d, N, P)
+                for e in (1, 2):
+                    Ya = random_controlled(rng, Xa, e, alpha)
+                    Yb = random_controlled(rng, Xb, e, alpha)
+                    ref = distance_reference(Ya, Yb, Xa, Xb)
+                    assert abs(distance(Ya, Yb, Xa, Xb) - ref) <= 1e-13 * ref, (d, N, P, e)
+
+
+def test_zero_remainder_roundoff_floor():
+    # Every remainder of a zero-remainder path vanishes, so both scans read
+    # their own roundoff: the block scan pairs levels with the running
+    # signature X_{0,t} and its inverse, the reference with X_{s,t} directly.
+    # Measured on this path: 7.1e-14 (block scan) and 5.3e-14 (reference).
+    rng = np.random.default_rng(42)
+    X = walk_driver(rng, 2, 4, 33)
+    blocks = [rng.standard_normal((2, 2**i)) for i in range(4)]
+    Y = zero_remainder_path(blocks, X, 0.24)
+    assert seminorm(Y, X) < 5e-13
+    assert seminorm_reference(Y, X) < 5e-13
+
+
+def test_scans_do_not_depend_on_tiling(monkeypatch):
+    # One pair per tile (so one start row per block), then the whole grid in
+    # one tile: every pair is summed in the same order, so the maxima agree
+    # bit for bit with the default budget.
+    rng = np.random.default_rng(43)
+    cases = []
+    for d, N, e in ((1, 3, 1), (2, 4, 2), (3, 5, 1), (4, 3, 2)):
+        X, Xb = walk_driver(rng, d, N, 19), walk_driver(rng, d, N, 19)
+        cases.append((X, Xb, random_controlled(rng, X, e, 0.3), random_controlled(rng, Xb, e, 0.3)))
+
+    def scans():
+        return [(seminorm(Ya, Xa), distance(Ya, Yb, Xa, Xb), distance(Ya, Ya, Xa, Xa),
+                 [holder_norm(Xa, level, 0.3) for level in range(1, Xa.N + 1)])
+                for Xa, Xb, Ya, Yb in cases]
+
+    default = scans()
+    for budget in (1, 10**9):
+        monkeypatch.setattr(rough_path, "_PAIR_BLOCK", budget)
+        assert scans() == default
+    # The maxima hide last-bit changes away from the maximizing pair, so
+    # compare every pair's remainder too: one start row against the grid.
+    for Xa, _, Ya, _ in cases:
+        P = Xa.n_points
+        for i in range(Ya.N):
+            block = _remainder_blocks(Ya, Xa, i)
+            whole = block(slice(0, P - 1), slice(1, P))
+            for s in range(P - 1):
+                assert np.array_equal(block(slice(s, s + 1), slice(s + 1, P))[0], whole[s, s:])
+                assert np.array_equal(block(slice(s, s + 1), slice(P - 1, P))[0, 0], whole[s, -1])
+
+
+def test_pair_tiles_stay_within_budget():
+    # Pure arithmetic on the tile plan at the caps corner d=4, N=5, e=4,
+    # P=65: every remainder and increment width, no block allocated.
+    P, d, N, e = 65, 4, 5, 4
+    widths = [e * d**i for i in range(N)] + [d**level for level in range(1, N + 1)]
+    everything = {(s, t) for s in range(P) for t in range(s + 1, P)}
+    for width in widths:
+        seen = []
+        for rows, cols in rough_path._pair_tiles(P, width):
+            assert (rows.stop - rows.start) * (cols.stop - cols.start) * width <= rough_path._PAIR_BLOCK
+            seen += [(s, t) for s in range(rows.start, rows.stop)
+                     for t in range(cols.start, cols.stop) if t > s]
+        assert len(seen) == len(everything) and set(seen) == everything
 
 
 def test_canonical_lift_remainders_vanish():

@@ -269,6 +269,25 @@ def test_remainder_probe_linear_on_canonical_lift():
             remainder_regularity_probe(G, Y, X, r)
 
 
+def test_remainder_probe_values_on_ridge_walk():
+    # P=129, d=2, N=4: the per-level block scan keeps the values the
+    # all-level row scan gave (pinned here), to 1e-13 relative.
+    rng = np.random.default_rng(3)
+    times = np.linspace(0.0, 1.0, 129)
+    X = lift_path(PiecewiseLinearPath(times, 0.3 * np.cumsum(rng.standard_normal((129, 2)), axis=0) / 11),
+                  4, 0.25)
+    Y = canonical_lift(X, alpha=0.24)
+    F = ridge(2, 3, [{"coef": [1.0, 0.0, 0.5], "kind": "sin", "weight": [1.0, -0.5]},
+                     {"coef": [0.0, 1.0, -0.3], "kind": "cos", "weight": [0.7, 1.0]}], n_levels=4)
+    pinned = {1: (0.047683842822049426, 0.09302817700772104),
+              2: (0.48219303617239495, 0.7492725909283283),
+              3: (3.265357587027502, 4.021179479983098)}
+    for r, (max_remainder, max_ratio) in pinned.items():
+        probe = remainder_regularity_probe(F, Y, X, r)
+        assert probe.max_remainder == pytest.approx(max_remainder, rel=1e-13, abs=0)
+        assert probe.max_ratio == pytest.approx(max_ratio, rel=1e-13, abs=0)
+
+
 def test_compose_continuity_linear_in_epsilon():
     rng = np.random.default_rng(12)
     X = random_driver(rng, 2, 3, 6)

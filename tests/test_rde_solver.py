@@ -205,6 +205,27 @@ def test_explosion_guard_trips():
         solve(F, X, [2.0], 1.0, cfg)
 
 
+def test_overflowing_iterate_is_a_solve_failure():
+    # exp of the start path's values along a steep driver overflows in the
+    # first compose; the iterate's non-finite levels end the solve as a
+    # numerical failure, not as bad input.
+    times = np.linspace(0.0, 1.0, 9)
+    X = lift_path(PiecewiseLinearPath(times, 1000.0 * times[:, None]), 3, beta=1 / 3)
+    F = ridge(1, 1, [{"coef": [1.0], "kind": "exp", "weight": [1.0]}], n_levels=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolveFailure, match="overflowed"):
+            solve(F, X, [0.0], 1.0, default_config())
+
+
+def test_readme_line_solve_counts():
+    # The README scenario: dY = Y dX along x_t = t on 513 points.
+    X, _ = line_driver(n=512)
+    Y, report = solve(scalar_identity_field(), X, [1.0], 1.0, default_config())
+    assert report.n_patches == 5
+    assert [p.iterations for p in report.patches] == [10, 10, 10, 8, 8]
+    assert np.max(np.abs(Y.path_values()[:, 0] - np.exp(X.times))) < 1e-8
+
+
 def test_non_contraction_shrinks_tau():
     # A tight iteration budget makes the full-horizon attempt fail, forcing
     # the adaptive interval length below its initial value.

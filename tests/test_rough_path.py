@@ -55,6 +55,17 @@ def test_path_rejects_non_finite(times, points):
         PiecewiseLinearPath(times, points)
 
 
+def test_lift_constructor_rejects_non_finite():
+    X = lift_path(PiecewiseLinearPath([0.0, 0.5, 1.0], [[0.0], [1.0], [0.5]]), 2)
+    for bad in (np.nan, np.inf):
+        levels = [lvl.copy() for lvl in X.levels]
+        levels[2][1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            GeometricRoughPath(X.times, 1, 2, 0.4, levels)
+    with pytest.raises(ValueError, match="finite"):
+        GeometricRoughPath([0.0, np.nan, 1.0], 1, 2, 0.4, X.levels)
+
+
 def test_csv_roundtrip():
     p = PiecewiseLinearPath([0.0, 0.5, 1.0], [[0.0, 1.0], [2.0, -1.0], [3.0, 0.25]])
     q = PiecewiseLinearPath.from_csv(io.StringIO(p.to_csv()))
