@@ -140,7 +140,7 @@ class ScenarioConfig:
             raise ConfigError(f"malformed path CSV: {err}") from err
         if path.d != self.d:
             raise ConfigError(f"path CSV has d={path.d}, config says {self.d}")
-        return rp.lift_path(path, self.N, self.beta)
+        return _lift(path, self.N, self.beta, f"path CSV {csv_path}")
 
     def solver_config(self) -> SolverConfig:
         try:
@@ -193,6 +193,14 @@ class ScenarioConfig:
             return lip.from_config(self.field_spec, n_levels)
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"bad field spec: {err}") from err
+
+
+def _lift(path: rp.PiecewiseLinearPath, N: int, beta: float, source: str) -> rp.GeometricRoughPath:
+    """Signature lift of input data; a lift that overflows is bad input."""
+    try:
+        return rp.lift_path(path, N, beta)
+    except ValueError as err:
+        raise ConfigError(f"{source} cannot be lifted to level {N}: {err}") from err
 
 
 def _grid_point(X: rp.GeometricRoughPath, t: float, name: str) -> int:
@@ -408,7 +416,7 @@ def _suite_rates(cfg, rng, opts) -> dict:
     for _ in range(int(opts.get("instances", 6))):
         path = _lacunary_polyline(rng, cfg.d, n, hurst=cfg.beta,
                                   amp=float(opts.get("amplitude", RATE_AMPLITUDE)))
-        X = rp.lift_path(path, cfg.N, cfg.beta)
+        X = _lift(path, cfg.N, cfg.beta, "verify.amplitude")
         Z = lip.compose(F, cp.canonical_lift(X, cfg.alpha), X)
         probe = ri.convergence_rate_probe(Z, X, 0, n, depths)
         for mesh, inc in zip(probe.meshes, probe.increments):

@@ -164,10 +164,14 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
     Raises :class:`ContractionFailure` when iterates diverge or stall past
     the iteration budget, and :class:`BallExit` (carrying the converged
     result) when the final iterate leaves the unit ball around the start
-    path while ``enforce_ball`` is set.
+    path while ``enforce_ball`` is set, and :class:`SolveFailure` when the
+    start path or an iterate overflows or breaches the explosion guard.
     """
     y0 = np.asarray(y0, dtype=float).ravel()
-    W = canonical_initial_path(y0, F, X_local, config.alpha)
+    try:
+        W = canonical_initial_path(y0, F, X_local, config.alpha)
+    except NonFiniteLevelError as err:
+        raise SolveFailure(f"start path overflowed: {err}") from err
     Y = W if initial_guess is None else initial_guess
     residuals: list = []
     for it in range(config.max_picard_iters):
@@ -266,8 +270,12 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
     report.n_patches = len(report.patches)
     report.solution_seminorm = seminorm(solution, X_T, config.alpha)
     report.solution_norm = report.solution_seminorm + _initial_norm(solution)
-    report.global_residual = distance(solution, picard_step(solution, F, X_T, y0),
-                                      X_T, X_T, config.alpha)
+    try:
+        image = picard_step(solution, F, X_T, y0)
+    except NonFiniteLevelError as err:
+        raise SolveFailure(f"Picard image of the solution overflowed: {err}",
+                           partial=solution, report=report) from err
+    report.global_residual = distance(solution, image, X_T, X_T, config.alpha)
     report.wall_time_s = time.perf_counter() - start
     report.success = True
     return solution, report

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta
 
-from .controlled_path import ControlledPath, _fill_leading, _remainder_blocks
+from .controlled_path import ControlledPath, _fill_leading, remainder
 from .rough_path import GeometricRoughPath, increment
 from .tensor_algebra import _truncated_product
 
@@ -145,11 +145,9 @@ def removal_identity_check(Z: ControlledPath, X: GeometricRoughPath,
     e, d = _integrand_dims(Z)
     lhs = compensated_sum(Z, X, partition) - compensated_sum(Z, X, partition.remove(j))
     inc_right = increment(X, idx[j], idx[j + 1])
-    gap = (slice(idx[j - 1], idx[j - 1] + 1), slice(idx[j], idx[j] + 1))
     rhs = np.zeros(e)
     for k in range(1, X.N + 1):
-        left = _remainder_blocks(Z, X, k - 1)(*gap).reshape(Z.dim_u, d ** (k - 1))
-        rz = _operator_slot_last(left, d)
+        rz = _operator_slot_last(remainder(Z, X, k - 1, idx[j - 1], idx[j]), d)
         rhs = rhs + _fill_leading(rz, inc_right.levels[k])[:, 0]
     return float(np.max(np.abs(lhs - rhs)))
 

@@ -132,6 +132,36 @@ def test_solve_overflow_exit_code(tmp_path):
     assert "overflowed" in report["failure"]
 
 
+def test_solve_overflowing_start_path_exit_code(tmp_path):
+    # exp(1000) overflows already in the start path's blocks at y0.
+    write_line_csv(tmp_path / "path.csv", n=8)
+    cfg = base_config(
+        tmp_path,
+        field={"kind": "builtin", "dim_in": 1, "dim_out": 1,
+               "terms": [{"coef": [1.0], "kind": "exp", "weight": [1.0]}]},
+        y0=[1000.0], horizon=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["solve", "--config", str(cfg)]) == 2
+    report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert "start path overflowed" in report["failure"]
+
+
+def test_driver_whose_lift_overflows_is_a_config_error(tmp_path, capsys):
+    times = np.linspace(0.0, 1.0, 5)
+    (tmp_path / "path.csv").write_text(PiecewiseLinearPath(times, 1e200 * times[:, None]).to_csv())
+    cfg = base_config(tmp_path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["lift", "--config", str(cfg)]) == 1
+    assert "cannot be lifted" in capsys.readouterr().err
+
+
+def test_verify_amplitude_whose_lift_overflows_is_a_config_error(tmp_path, capsys):
+    cfg = base_config(tmp_path, d=2, verify={"suites": ["rates"], "amplitude": 1e200})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["verify", "--config", str(cfg)]) == 1
+    assert "verify.amplitude cannot be lifted" in capsys.readouterr().err
+
+
 def test_integrate_signature_scenario(tmp_path):
     times = np.linspace(0.0, 1.0, 33)
     rng = np.random.default_rng(0)

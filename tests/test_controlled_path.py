@@ -105,6 +105,27 @@ def test_zero_remainder_roundoff_floor():
     assert seminorm_reference(Y, X) < 5e-13
 
 
+def test_large_amplitude_walk_matches_reference():
+    # Steps of size 3 make the running signature X_{0,t} reach about 7e5, so
+    # the block scan cancels terms far larger than the increments X_{s,t}
+    # the reference pairs with.  The kernel still agrees with the reference,
+    # and its zero-remainder floor stays within a small factor of the
+    # reference's: 1.3e-9 against 5.2e-10 here, at most 2.8x seen over
+    # d 1..3, N 3..5, P 65/129 and steps 0.3..10.  Both floors grow with the
+    # size of the levels, about 1.3e4 on this path.
+    rng = np.random.default_rng(44)
+    Xa, Xb = walk_driver(rng, 2, 4, 65, step=3.0), walk_driver(rng, 2, 4, 65, step=3.0)
+    Ya, Yb = random_controlled(rng, Xa, 2, 0.24), random_controlled(rng, Xb, 2, 0.24)
+    ref = seminorm_reference(Ya, Xa)
+    assert abs(seminorm(Ya, Xa) - ref) <= 1e-13 * ref
+    ref = distance_reference(Ya, Yb, Xa, Xb)
+    assert abs(distance(Ya, Yb, Xa, Xb) - ref) <= 1e-13 * ref
+    Z = zero_remainder_path([rng.standard_normal((2, 2**i)) for i in range(4)], Xa, 0.24)
+    floor = seminorm_reference(Z, Xa)
+    assert 0.0 < floor < 1e-8
+    assert seminorm(Z, Xa) <= 4.0 * floor
+
+
 def test_scans_do_not_depend_on_tiling(monkeypatch):
     # One pair per tile (so one start row per block), then the whole grid in
     # one tile: every pair is summed in the same order, so the maxima agree
@@ -134,6 +155,9 @@ def test_scans_do_not_depend_on_tiling(monkeypatch):
             for s in range(P - 1):
                 assert np.array_equal(block(slice(s, s + 1), slice(s + 1, P))[0], whole[s, s:])
                 assert np.array_equal(block(slice(s, s + 1), slice(P - 1, P))[0, 0], whole[s, -1])
+                # remainder_rows builds the maps for its start row only.
+                own = remainder_rows(Ya, Xa, i, s)[1:].reshape(P - 1 - s, -1)
+                assert np.array_equal(own, whole[s, s:])
 
 
 def test_pair_tiles_stay_within_budget():
