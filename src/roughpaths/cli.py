@@ -23,7 +23,7 @@ from . import rough_integral as ri
 from . import rough_path as rp
 from . import tensor_algebra as ta
 from .oracle import enumerate_partitions
-from .rde_solver import SolveFailure, SolverConfig, grid_index, solve
+from .rde_solver import SolveFailure, SolverConfig, _is_int_at_least, grid_index, solve
 
 SCHEMA_VERSION = 1
 ALL_SUITES = ("chen", "group_like", "coproduct", "alg_lemma", "removal", "rates")
@@ -35,10 +35,6 @@ INTEGRATE_DEPTHS = (1, 2, 3, 4, 5)
 
 class ConfigError(ValueError):
     pass
-
-
-def _is_int_at_least(value, least: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _check_depths(depths, name: str) -> None:
@@ -73,11 +69,14 @@ class ScenarioConfig:
             raise ConfigError(f"cannot read config {path}: {err}") from err
         if raw.get("schema_version") != SCHEMA_VERSION:
             raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
+        for key, least in (("d", 1), ("N", 1), ("seed", 0)):
+            if not _is_int_at_least(raw.get(key, least), least):
+                raise ConfigError(f"{key} must be an integer >= {least}, got {raw[key]!r}")
         try:
             cfg = cls(
-                d=int(raw["d"]), N=int(raw["N"]),
+                d=raw["d"], N=raw["N"],
                 alpha=float(raw["alpha"]), beta=float(raw["beta"]),
-                seed=int(raw.get("seed", 0)),
+                seed=raw.get("seed", 0),
                 path_csv=raw.get("path_csv"),
                 field_spec=raw.get("field"),
                 y0=raw.get("y0"),

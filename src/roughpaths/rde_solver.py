@@ -7,8 +7,9 @@ length extends local solutions to the full horizon.
 """
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,6 +55,10 @@ class SolveFailure(RuntimeError):
         self.report = report
 
 
+def _is_int_at_least(value, least: int) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     alpha: float
@@ -72,12 +77,15 @@ class SolverConfig:
             raise ValueError(
                 f"exponents must satisfy 1/{N + 1} < alpha < beta <= 1/{N}, "
                 f"got alpha={self.alpha}, beta={self.beta}")
-        if min(self.max_picard_iters, self.max_patches) < 1:
-            raise ValueError("iteration and patch budgets must be positive")
-        if min(self.contraction_tol, self.tau_init, self.tau_shrink, self.explosion_bound) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.tau_shrink >= 1.0:
+        if not all(_is_int_at_least(v, 1) for v in (self.max_picard_iters, self.max_patches)):
+            raise ValueError("iteration and patch budgets must be integers >= 1")
+        # A NaN or infinite tau never shrinks to one grid step: the patch loop would not end.
+        if not (0 < self.contraction_tol < math.inf and 0 < self.tau_init < math.inf):
+            raise ValueError("contraction_tol and tau_init must be finite and positive")
+        if not 0 < self.tau_shrink < 1:
             raise ValueError("tau_shrink must lie in (0, 1)")
+        if not self.explosion_bound > 0:
+            raise ValueError("explosion_bound must be positive")
         warnings = []
         # The interval for alpha is open at both ends; beta = 1/N is allowed.
         if self.alpha - lo < 1e-9 or self.beta - self.alpha < 1e-9:
@@ -109,17 +117,7 @@ class SolveReport:
     success: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "patches": [vars(p) for p in self.patches],
-            "n_patches": self.n_patches,
-            "solution_seminorm": self.solution_seminorm,
-            "solution_norm": self.solution_norm,
-            "global_residual": self.global_residual,
-            "junction_mismatch": self.junction_mismatch,
-            "ball_exits": self.ball_exits,
-            "wall_time_s": self.wall_time_s,
-            "success": self.success,
-        }
+        return asdict(self)
 
 
 def canonical_initial_path(y0, F: LipFunction, X: GeometricRoughPath,
@@ -134,18 +132,22 @@ def canonical_initial_path(y0, F: LipFunction, X: GeometricRoughPath,
     if F.n_levels < N - 1:
         raise ValueError(f"field has levels 0..{F.n_levels}, need at least 0..{N - 1}")
     # Level r + 1 is level r of F composed with the levels 0..r found so far,
-    # all on a one-point batch.
-    f_blocks = {j: F.eval(j, y0[None]) for j in range(N - 1)}
-    w0 = [y0[None, :, None]]
-    for r in range(N - 1):
-        z = f_blocks[0] if r == 0 else _composed_level(f_blocks, w0, r)
-        w0.append(_operator_slot_last(z, d))
-    return zero_remainder_path([w[0] for w in w0], X, alpha)
+    # all on a one-point batch.  Overflow is caught by the controlled path's
+    # finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_blocks = {j: F.eval(j, y0[None]) for j in range(N - 1)}
+        w0 = [y0[None, :, None]]
+        for r in range(N - 1):
+            z = f_blocks[0] if r == 0 else _composed_level(f_blocks, w0, r)
+            w0.append(_operator_slot_last(z, d))
+        return zero_remainder_path([w[0] for w in w0], X, alpha)
 
 
 def picard_step(Y: ControlledPath, F: LipFunction, X: GeometricRoughPath, y0) -> ControlledPath:
     """One application of the solution map: integrate the composed field."""
-    return integral_controlled(compose(F, Y, X), X, offset=np.asarray(y0, dtype=float))
+    # Overflow is caught by the controlled paths' finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return integral_controlled(compose(F, Y, X), X, offset=np.asarray(y0, dtype=float))
 
 
 @dataclass
@@ -202,6 +204,11 @@ def grid_index(times, t: float, tol: float = 1e-9) -> int:
     if not abs(times[idx] - t) <= tol:  # also rejects NaN, whose argmin is 0
         raise ValueError(f"time {t} is not grid-representable (nearest {times[idx]})")
     return idx
+
+
+def _up_to(X: GeometricRoughPath, idx_T: int) -> GeometricRoughPath:
+    """The driver on grid indices 0..idx_T; X itself when that is its whole grid."""
+    return restrict(X, 0, idx_T) if idx_T < X.n_points - 1 else X
 
 
 def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
@@ -266,7 +273,7 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
         y_current = solution.path_values()[-1]
         idx0 = idx1
 
-    X_T = restrict(X, 0, idx_T) if idx_T < X.n_points - 1 else X
+    X_T = _up_to(X, idx_T)
     report.n_patches = len(report.patches)
     report.solution_seminorm = seminorm(solution, X_T, config.alpha)
     report.solution_norm = report.solution_seminorm + _initial_norm(solution)
@@ -308,8 +315,7 @@ def continuity_probe(F: LipFunction, Xa: GeometricRoughPath, Xb: GeometricRoughP
     Ya, _ = solve(F, Xa, y0a, horizon, config)
     Yb, _ = solve(F, Xb, y0b, horizon, config)
     idx_T = grid_index(Xa.times, horizon)
-    Xa_T = restrict(Xa, 0, idx_T) if idx_T < Xa.n_points - 1 else Xa
-    Xb_T = restrict(Xb, 0, idx_T) if idx_T < Xb.n_points - 1 else Xb
+    Xa_T, Xb_T = _up_to(Xa, idx_T), _up_to(Xb, idx_T)
     d_out = distance(Ya, Yb, Xa_T, Xb_T, config.alpha)
     d_in = holder_distance(Xa_T, Xb_T, config.beta) + float(
         np.abs(np.asarray(y0a, dtype=float) - np.asarray(y0b, dtype=float)).sum())

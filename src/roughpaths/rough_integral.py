@@ -5,8 +5,8 @@ V -> U, stored flat with target dimension dim_u * d (row-major (u, v)).  The
 integral on the driver's native grid is the realized limit; dyadic
 coarsenings estimate convergence.  The terms Z^{k-1}_a X^k_{a,b} of every
 interval and level come from one batched kernel, :func:`_interval_terms`:
-one truncated product of the driver's cached inverse stack with its levels,
-then one leading-slot contraction per level.  Summation order is fixed
+the increments of every interval from ``rough_path._increments``, then one
+leading-slot contraction per level.  Summation order is fixed
 (ascending time, then level) so results are bit-stable.
 """
 from __future__ import annotations
@@ -17,8 +17,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .controlled_path import ControlledPath, _fill_leading, remainder
-from .rough_path import GeometricRoughPath, increment
-from .tensor_algebra import _truncated_product
+from .rough_path import GeometricRoughPath, _increments, increment
 
 
 @dataclass(frozen=True)
@@ -81,9 +80,8 @@ def _interval_terms(Z: ControlledPath, X: GeometricRoughPath, idx) -> np.ndarray
     _check_integrand(Z, X)
     _, d = _integrand_dims(Z)
     idx = np.asarray(idx)
-    a, b = idx[:-1], idx[1:]
-    inc = _truncated_product([lvl[a] for lvl in X._inverse_stack()],
-                             [lvl[b] for lvl in X.levels])
+    a = idx[:-1]
+    inc = _increments(X, a, idx[1:], X.N)
     return np.stack([_fill_leading(_operator_slot_last(Z.levels[k - 1][a], d), inc[k])[..., 0]
                      for k in range(1, X.N + 1)], axis=1)
 

@@ -1,12 +1,13 @@
 """Geometric rough paths built from piecewise-linear drivers.
 
-A lift stores the running signatures X_{t0,ti} on the driver grid and, once
-first needed, their stacked inverses X_{t0,ti}^{-1}; every increment
-X_{s,t} = X_{t0,s}^{-1} (x) X_{t0,t} is one truncated product against that
-cached stack.  Holder norms, distances and remainder bounds are grid maxima
-over all O(M^2) pairs, taken by one scan (:func:`_scan_pairs`) over tiles of
-start rows and end points: each tile's pair block holds at most a fixed
-number of doubles (``_PAIR_BLOCK``), so the pairwise tensors are never
+A lift stores the running signatures X_{t0,ti} on the driver grid, built
+level by level, and, once first needed, their stacked inverses
+X_{t0,ti}^{-1}; every increment X_{s,t} = X_{t0,s}^{-1} (x) X_{t0,t} is one
+truncated product against that cached stack, batched along the grid axis
+(:func:`_increments`).  Holder norms, distances and remainder bounds are grid
+maxima over all O(M^2) pairs, taken by one scan (:func:`_scan_pairs`) over
+tiles of start rows and end points: each tile's pair block holds at most a
+fixed number of doubles (``_PAIR_BLOCK``), so the pairwise tensors are never
 materialized at once, and a pair's value does not depend on its tile.
 """
 from __future__ import annotations
@@ -17,7 +18,7 @@ import io
 import numpy as np
 
 from .tensor_algebra import TensorSeries, _group_inverse_levels, _group_like_deviation
-from .tensor_algebra import _segment_levels, _truncated_product
+from .tensor_algebra import _product_level, _segment_levels, _truncated_product
 
 # Doubles in one pair block (start rows x end points x entries per pair) of
 # a grid-pair scan.  On the README line solve (P=513, 2-core VM) 8192 kept
@@ -176,13 +177,17 @@ def lift_path(path: PiecewiseLinearPath, N: int, beta: float | None = None) -> G
     if beta is None:
         beta = min(0.5, 1.0 / N)
     n = path.times.size
-    steps = _segment_levels(np.diff(path.points, axis=0), N)
-    levels = [np.zeros((n, d**i)) for i in range(N + 1)]
-    levels[0][:, 0] = 1.0
-    for i in range(1, n):
-        g = _truncated_product([lvl[i - 1] for lvl in levels], [lvl[i - 1] for lvl in steps])
+    # A lift that overflows is rejected by the constructor's finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = _segment_levels(np.diff(path.points, axis=0), N)
+        levels = [np.ones((n, 1))]
+        # Level r of X_{t0,t_{i-1}} (x) S_i is T^r_i + X^r_{t0,t_{i-1}}, T^r_i pairing the
+        # lower levels with the step S_i: the product adds the X^r (x) 1 term last, so
+        # one batched T^r and one running sum per level match it bit for bit.
         for r in range(1, N + 1):
-            levels[r][i] = g[r]
+            terms = np.zeros((n, d**r))
+            terms[1:] = _product_level([lvl[:-1] for lvl in levels], steps, r)
+            levels.append(np.cumsum(terms, axis=0))
     return GeometricRoughPath(path.times, d, N, beta, levels)
 
 
@@ -194,18 +199,18 @@ def increment(X: GeometricRoughPath, s_idx: int, t_idx: int) -> TensorSeries:
         raise ValueError("increment requires s_idx <= t_idx")
     if s_idx == t_idx:
         return TensorSeries.unit(X.d, X.N)
-    inv = [lvl[s_idx] for lvl in X._inverse_stack()]
-    return TensorSeries._wrap(X.d, X.N, _truncated_product(inv, [lvl[t_idx] for lvl in X.levels]))
+    return TensorSeries._wrap(X.d, X.N, _increments(X, s_idx, t_idx, X.N))
 
 
-def increments_from(X: GeometricRoughPath, s_idx: int) -> list[np.ndarray]:
-    """Stacked increments X_{s,t} for every grid point t, one array per level.
+def _increments(X: GeometricRoughPath, s, t, top: int) -> list:
+    """Levels 0..top of X_{s,t} = X_{t0,s}^{-1} (x) X_{t0,t}, batched along the grid axis.
 
-    Level r output has shape (M+1, d**r); rows with t < s hold group-algebra
-    values that callers should ignore.
+    Grid indices ``s`` and ``t`` (ints, slices, index arrays, tuples with
+    ``None`` axes) broadcast against each other; level r has trailing axis
+    d**r.  Pairs with t < s hold group-algebra values that callers ignore.
     """
-    X._check_index(s_idx)
-    return _truncated_product([lvl[s_idx] for lvl in X._inverse_stack()], X.levels)
+    return _truncated_product([lvl[s] for lvl in X._inverse_stack()[:top + 1]],
+                              [lvl[t] for lvl in X.levels[:top + 1]])
 
 
 def restrict(X: GeometricRoughPath, s_idx: int, t_idx: int) -> GeometricRoughPath:
@@ -215,18 +220,18 @@ def restrict(X: GeometricRoughPath, s_idx: int, t_idx: int) -> GeometricRoughPat
     if s_idx >= t_idx:
         raise ValueError("restrict requires s_idx < t_idx")
     rows = slice(s_idx, t_idx + 1)
-    levels = [arr[rows] for arr in increments_from(X, s_idx)]
-    return GeometricRoughPath(X.times[rows], X.d, X.N, X.beta, levels)
+    return GeometricRoughPath(X.times[rows], X.d, X.N, X.beta, _increments(X, s_idx, rows, X.N))
 
 
 def _pair_tiles(n: int, width: int):
-    """Tiles (rows, cols) of start rows s and end points t covering every pair
-    s < t of an n-point grid exactly once, start rows taken in chunks.
+    """Tiles (rows, cols, keep) of start rows s and end points t covering every
+    pair s < t of an n-point grid exactly once, start rows taken in chunks.
 
     A tile holds at most ``_PAIR_BLOCK // width`` pairs, at least one, so its
     (rows, cols, width) block stays within ``_PAIR_BLOCK`` doubles whenever a
-    single pair does.  The columns of a chunk start at t = s0 + 1; the pairs
-    t <= s they include for later rows of the chunk are masked by the scan.
+    single pair does.  The columns of a chunk start at t = s0 + 1; ``keep``
+    indexes the pairs t > s of the tile's (R, T) block: a boolean mask, or
+    ``...`` when every end point lies past the tile's start rows.
     """
     pairs = max(1, _PAIR_BLOCK // width)
     s0 = 0
@@ -234,7 +239,9 @@ def _pair_tiles(n: int, width: int):
         s1 = s0 + max(1, min(n - 1 - s0, pairs // (n - 1 - s0)))
         step = max(1, pairs // (s1 - s0))
         for t0 in range(s0 + 1, n, step):
-            yield slice(s0, s1), slice(t0, min(n, t0 + step))
+            t1 = min(n, t0 + step)
+            keep = np.arange(t0, t1) > np.arange(s0, s1)[:, None] if t0 < s1 else ...
+            yield slice(s0, s1), slice(t0, t1), keep
         s0 = s1
 
 
@@ -246,24 +253,12 @@ def _scan_pairs(times: np.ndarray, block_fn, width: int, exponents) -> list[floa
     pairs with t <= s are masked out.
     """
     worst = [0.0] * len(exponents)
-    for rows, cols in _pair_tiles(times.size, width):
-        norms = np.abs(block_fn(rows, cols)).sum(axis=-1)
-        gaps = times[cols] - times[rows, None]
-        if cols.start < rows.stop:
-            keep = np.arange(cols.start, cols.stop) > np.arange(rows.start, rows.stop)[:, None]
-            norms, gaps = norms[keep], gaps[keep]
+    for rows, cols, keep in _pair_tiles(times.size, width):
+        norms = np.abs(block_fn(rows, cols)).sum(axis=-1)[keep]
+        gaps = (times[cols] - times[rows, None])[keep]
         for k, exp in enumerate(exponents):
             worst[k] = max(worst[k], float(np.max(norms / gaps**exp)))
     return worst
-
-
-def _increment_pairs(X: GeometricRoughPath, level: int):
-    """Pair-block function of ``_scan_pairs``: X^level_{s,t} as (R, T, d**level),
-    batched from the cached inverse stack like :func:`increments_from`."""
-    inv = X._inverse_stack()[:level + 1]
-    lvls = X.levels[:level + 1]
-    return lambda rows, cols: _truncated_product([a[rows, None] for a in inv],
-                                                 [b[None, cols] for b in lvls])[level]
 
 
 def holder_norm(X: GeometricRoughPath, level: int, beta: float) -> float:
@@ -272,7 +267,9 @@ def holder_norm(X: GeometricRoughPath, level: int, beta: float) -> float:
         raise ValueError(f"level {level} outside 1..{X.N}")
     if not (0.0 < beta <= 1.0):
         raise ValueError("exponent must lie in (0, 1]")
-    return _scan_pairs(X.times, _increment_pairs(X, level), X.d**level, [level * beta])[0]
+
+    return _scan_pairs(X.times, lambda s, t: _increments(X, (s, None), (None, t), level)[level],
+                       X.d**level, [level * beta])[0]
 
 
 def holder_distance(Xa: GeometricRoughPath, Xb: GeometricRoughPath, beta: float) -> float:
@@ -282,12 +279,11 @@ def holder_distance(Xa: GeometricRoughPath, Xb: GeometricRoughPath, beta: float)
     if Xa.n_points != Xb.n_points or not np.array_equal(Xa.times, Xb.times):
         raise ValueError("rough paths must share the grid; resample upstream")
 
-    def level(i):
-        inc_a, inc_b = _increment_pairs(Xa, i), _increment_pairs(Xb, i)
-        return _scan_pairs(Xa.times, lambda rows, cols: inc_a(rows, cols) - inc_b(rows, cols),
-                           Xa.d**i, [i * beta])[0]
+    def block(i):
+        return lambda s, t: (_increments(Xa, (s, None), (None, t), i)[i]
+                             - _increments(Xb, (s, None), (None, t), i)[i])
 
-    return sum(level(i) for i in range(1, Xa.N + 1))
+    return sum(_scan_pairs(Xa.times, block(i), Xa.d**i, [i * beta])[0] for i in range(1, Xa.N + 1))
 
 
 def path_norm(X: GeometricRoughPath, beta: float) -> float:
@@ -309,8 +305,7 @@ def chen_deviation(X: GeometricRoughPath) -> float:
     Batched per junction index u over all (s <= u, t >= u) pairs.
     """
     n = X.n_points
-    pair = _truncated_product([lvl[:, None] for lvl in X._inverse_stack()],
-                              [lvl[None] for lvl in X.levels])
+    pair = _increments(X, (slice(None), None), None, X.N)
     worst = 0.0
     for u in range(n):
         prod = _truncated_product([lvl[: u + 1, u, None] for lvl in pair],
@@ -322,9 +317,9 @@ def chen_deviation(X: GeometricRoughPath) -> float:
 
 
 def group_like_deviation(X: GeometricRoughPath) -> float:
-    """Worst group-likeness violation over all grid-pair increments, batched per start row."""
+    """Worst group-likeness violation over all grid-pair increments, batched per pair tile."""
     worst = 0.0
-    for s in range(X.n_points - 1):
-        rows = [lvl[s + 1:] for lvl in increments_from(X, s)]
-        worst = max(worst, _group_like_deviation(rows))
+    for rows, cols, keep in _pair_tiles(X.n_points, sum(X.d**r for r in range(X.N + 1))):
+        worst = max(worst, _group_like_deviation(
+            [lvl[keep] for lvl in _increments(X, (rows, None), (None, cols), X.N)]))
     return worst

@@ -157,21 +157,21 @@ def _check_compatible(a: TensorSeries, b: TensorSeries) -> None:
         raise ValueError(f"incompatible series: (d={a.d},N={a.N}) vs (d={b.d},N={b.N})")
 
 
-def _truncated_product(a, b) -> list:
-    """Truncated tensor product of level lists, broadcast over leading axes.
-
-    Level r of each operand has trailing axis d**r.  Level r of the result
-    is sum_{i+j=r} a^i (x) b^j, added up in ascending i so that batched and
-    single products agree bit for bit.
+def _product_level(a, b, r: int) -> np.ndarray:
+    """Level r of the product of level lists, broadcast over leading axes: the sum of
+    a^i (x) b^(r-i) over the levels i <= r that ``a`` holds, each with trailing axis
+    d**i, added up in ascending i so that batched and single products agree bit for bit.
     """
     lead = np.broadcast_shapes(a[0].shape[:-1], b[0].shape[:-1])
-    out = []
-    for r in range(len(a)):
-        acc = np.zeros(lead + (a[r].shape[-1],))
-        for i in range(r + 1):
-            acc += (a[i][..., :, None] * b[r - i][..., None, :]).reshape(lead + (-1,))
-        out.append(acc)
-    return out
+    acc = np.zeros(lead + (b[r].shape[-1],))
+    for i in range(min(r + 1, len(a))):
+        acc += (a[i][..., :, None] * b[r - i][..., None, :]).reshape(lead + (-1,))
+    return acc
+
+
+def _truncated_product(a, b) -> list:
+    """Truncated tensor product of level lists: level r is sum_{i+j=r} a^i (x) b^j."""
+    return [_product_level(a, b, r) for r in range(len(a))]
 
 
 def _group_inverse_levels(g) -> list:

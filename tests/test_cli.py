@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -118,16 +119,19 @@ def test_solve_failure_exit_code(tmp_path):
     assert "failure" in report
 
 
-def test_solve_overflow_exit_code(tmp_path):
-    times = np.linspace(0.0, 1.0, 9)
-    (tmp_path / "path.csv").write_text(PiecewiseLinearPath(times, 1000.0 * times[:, None]).to_csv())
-    cfg = base_config(
+def exp_field_config(tmp_path, y0):
+    return base_config(
         tmp_path,
         field={"kind": "builtin", "dim_in": 1, "dim_out": 1,
                "terms": [{"coef": [1.0], "kind": "exp", "weight": [1.0]}]},
-        y0=[0.0], horizon=1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["solve", "--config", str(cfg)]) == 2
+        y0=[y0], horizon=1.0)
+
+
+def test_solve_overflow_exit_code(tmp_path):
+    times = np.linspace(0.0, 1.0, 9)
+    (tmp_path / "path.csv").write_text(PiecewiseLinearPath(times, 1000.0 * times[:, None]).to_csv())
+    cfg = exp_field_config(tmp_path, 0.0)
+    assert main(["solve", "--config", str(cfg)]) == 2
     report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
     assert "overflowed" in report["failure"]
 
@@ -135,13 +139,8 @@ def test_solve_overflow_exit_code(tmp_path):
 def test_solve_overflowing_start_path_exit_code(tmp_path):
     # exp(1000) overflows already in the start path's blocks at y0.
     write_line_csv(tmp_path / "path.csv", n=8)
-    cfg = base_config(
-        tmp_path,
-        field={"kind": "builtin", "dim_in": 1, "dim_out": 1,
-               "terms": [{"coef": [1.0], "kind": "exp", "weight": [1.0]}]},
-        y0=[1000.0], horizon=1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["solve", "--config", str(cfg)]) == 2
+    cfg = exp_field_config(tmp_path, 1000.0)
+    assert main(["solve", "--config", str(cfg)]) == 2
     report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
     assert "start path overflowed" in report["failure"]
 
@@ -150,15 +149,30 @@ def test_driver_whose_lift_overflows_is_a_config_error(tmp_path, capsys):
     times = np.linspace(0.0, 1.0, 5)
     (tmp_path / "path.csv").write_text(PiecewiseLinearPath(times, 1e200 * times[:, None]).to_csv())
     cfg = base_config(tmp_path)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["lift", "--config", str(cfg)]) == 1
+    assert main(["lift", "--config", str(cfg)]) == 1
     assert "cannot be lifted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["iterate", "start_path", "lift"])
+def test_overflow_routes_raise_no_numpy_warning(tmp_path, capsys, route):
+    # Each route once printed numpy's raw overflow RuntimeWarning before the
+    # CLI's own message; every warning is an error here.
+    times = np.linspace(0.0, 1.0, 9)
+    scale = {"iterate": 1000.0, "start_path": 1.0, "lift": 1e200}[route]
+    (tmp_path / "path.csv").write_text(PiecewiseLinearPath(times, scale * times[:, None]).to_csv())
+    cfg = exp_field_config(tmp_path, 1000.0 if route == "start_path" else 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == (1 if route == "lift" else 2)
+    assert "Warning" not in err
+    assert ("cannot be lifted" if route == "lift" else "overflowed") in err
 
 
 def test_verify_amplitude_whose_lift_overflows_is_a_config_error(tmp_path, capsys):
     cfg = base_config(tmp_path, d=2, verify={"suites": ["rates"], "amplitude": 1e200})
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["verify", "--config", str(cfg)]) == 1
+    assert main(["verify", "--config", str(cfg)]) == 1
     assert "verify.amplitude cannot be lifted" in capsys.readouterr().err
 
 
@@ -257,6 +271,36 @@ def test_seed_override_changes_stream(tmp_path):
     rep_a = json.loads((out_a / "verify_report.json").read_text())
     rep_b = json.loads((out_b / "verify_report.json").read_text())
     assert rep_a["seed"] != rep_b["seed"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("d", 1.7), ("d", True), ("d", "3"), ("d", 2.0),
+    ("N", 1.7), ("N", True), ("N", "3"), ("N", 2.0),
+    ("seed", 1.7), ("seed", True), ("seed", "3"), ("seed", -1),
+])
+def test_config_integers_not_truncated(tmp_path, capsys, key, value):
+    # int() used to turn 1.7 and true into 1 and "3" into 3.
+    write_line_csv(tmp_path / "path.csv", n=32)
+    cfg = solve_config(tmp_path, **{key: value})
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert f"config error: {key} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("solver", [
+    {"tau_init": float("nan")}, {"tau_init": float("inf")}, {"tau_shrink": float("nan")},
+    {"contraction_tol": float("inf")}, {"explosion_bound": float("nan")},
+    {"max_picard_iters": 2.5}, {"max_picard_iters": True}, {"max_patches": 2.5},
+    {"max_patches": True},
+])
+def test_solve_rejects_bad_solver_settings(tmp_path, capsys, solver):
+    # NaN or infinite tau settings used to make the patch loop retry forever;
+    # a fractional budget ended in a traceback and true ran one iteration.
+    write_line_csv(tmp_path / "path.csv", n=32)
+    cfg = solve_config(tmp_path, solver=solver)
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert "config error: bad solver settings" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "solution.csv").exists()
 
 
 def test_scenario_config_load_errors(tmp_path):

@@ -24,8 +24,9 @@ from roughpaths.oracle import distance_reference, seminorm_reference
 from roughpaths.rough_path import (
     GeometricRoughPath,
     PiecewiseLinearPath,
+    _increments,
+    group_like_deviation,
     holder_norm,
-    increments_from,
     lift_path,
 )
 
@@ -138,7 +139,8 @@ def test_scans_do_not_depend_on_tiling(monkeypatch):
 
     def scans():
         return [(seminorm(Ya, Xa), distance(Ya, Yb, Xa, Xb), distance(Ya, Ya, Xa, Xa),
-                 [holder_norm(Xa, level, 0.3) for level in range(1, Xa.N + 1)])
+                 [holder_norm(Xa, level, 0.3) for level in range(1, Xa.N + 1)],
+                 group_like_deviation(Xa))
                 for Xa, Xb, Ya, Yb in cases]
 
     default = scans()
@@ -168,8 +170,10 @@ def test_pair_tiles_stay_within_budget():
     everything = {(s, t) for s in range(P) for t in range(s + 1, P)}
     for width in widths:
         seen = []
-        for rows, cols in rough_path._pair_tiles(P, width):
+        for rows, cols, keep in rough_path._pair_tiles(P, width):
             assert (rows.stop - rows.start) * (cols.stop - cols.start) * width <= rough_path._PAIR_BLOCK
+            later = np.arange(cols.start, cols.stop) > np.arange(rows.start, rows.stop)[:, None]
+            assert later[keep].all() and later[keep].size == later.sum()
             seen += [(s, t) for s in range(rows.start, rows.stop)
                      for t in range(cols.start, cols.stop) if t > s]
         assert len(seen) == len(everything) and set(seen) == everything
@@ -275,7 +279,7 @@ def test_cross_interval_remainder_identity():
     Y = random_controlled(rng, X, 2)
     scale = max(np.max(np.abs(l)) for l in Y.levels)
     for s, u, t in [(0, 3, 7), (1, 4, 6), (2, 5, 8)]:
-        xrows = increments_from(X, u)
+        xrows = _increments(X, u, slice(None), X.N)
         for k in range(Y.N):
             lhs = remainder(Y, X, k, s, t)
             rhs = remainder(Y, X, k, u, t)

@@ -50,6 +50,16 @@ def test_config_validation():
     assert warnings
     # beta = 1/N is the closed end of the window: no warning.
     assert SolverConfig(alpha=0.29, beta=1 / 3).validate(3) == []
+    # A NaN or infinite tau never shrinks to one grid step, so the patch loop
+    # would retry forever; fractional or boolean budgets are not counts.
+    for bad in ({"tau_init": np.nan}, {"tau_init": np.inf}, {"tau_shrink": np.nan},
+                {"contraction_tol": np.nan}, {"contraction_tol": np.inf},
+                {"explosion_bound": np.nan}, {"max_picard_iters": 2.5},
+                {"max_picard_iters": True}, {"max_patches": 0}, {"max_patches": 3.0}):
+        with pytest.raises(ValueError):
+            SolverConfig(alpha=0.29, beta=1 / 3, **bad).validate(3)
+    assert SolverConfig(alpha=0.29, beta=1 / 3, explosion_bound=np.inf,
+                        max_patches=np.int64(8)).validate(3) == []
 
 
 def test_canonical_initial_path_zero_field():
@@ -212,9 +222,8 @@ def test_overflowing_iterate_is_a_solve_failure():
     times = np.linspace(0.0, 1.0, 9)
     X = lift_path(PiecewiseLinearPath(times, 1000.0 * times[:, None]), 3, beta=1 / 3)
     F = ridge(1, 1, [{"coef": [1.0], "kind": "exp", "weight": [1.0]}], n_levels=3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SolveFailure, match="overflowed"):
-            solve(F, X, [0.0], 1.0, default_config())
+    with pytest.raises(SolveFailure, match="overflowed"):
+        solve(F, X, [0.0], 1.0, default_config())
 
 
 def test_readme_line_solve_counts():

@@ -6,12 +6,12 @@ import pytest
 from roughpaths.rough_path import (
     GeometricRoughPath,
     PiecewiseLinearPath,
+    _increments,
     chen_deviation,
     group_like_deviation,
     holder_distance,
     holder_norm,
     increment,
-    increments_from,
     lift_path,
     path_norm,
     restrict,
@@ -109,11 +109,11 @@ def test_lift_two_segment_level_two():
 
 
 def test_lift_equals_running_segment_products():
-    # The batched step exponentials reproduce the running product of
-    # one-segment signatures bit for bit.
+    # The level-by-level lift reproduces the running product of one-segment
+    # signatures bit for bit, on short and long grids.
     rng = np.random.default_rng(9)
-    for d, N in [(1, 3), (2, 4), (3, 5), (4, 2)]:
-        p = random_path(rng, d, 6)
+    for d, N, segments in [(1, 3, 6), (2, 4, 6), (3, 5, 6), (4, 2, 6), (2, 4, 128), (4, 5, 128)]:
+        p = random_path(rng, d, segments)
         X = lift_path(p, N)
         g = TensorSeries.unit(d, N)
         for i in range(1, p.times.size):
@@ -150,11 +150,11 @@ def test_chen_on_random_paths():
         assert chen_deviation(X) <= 1e-12 * max(1.0, X.value(X.n_points - 1).max_abs())
 
 
-def test_increments_from_matches_pointwise():
+def test_increments_row_matches_pointwise():
     rng = np.random.default_rng(2)
     p = random_path(rng, 2, 6)
     X = lift_path(p, 3)
-    rows = increments_from(X, 2)
+    rows = _increments(X, 2, slice(None), X.N)
     for t in range(2, 7):
         inc = increment(X, 2, t)
         for r in range(4):
@@ -279,13 +279,33 @@ def test_pair_scans_match_chained_oracle():
         assert holder_distance(sub_a, sub_b, beta) == pytest.approx(sum(dists), rel=1e-12)
 
 
-def test_increments_from_rows_equal_pointwise_product():
+def test_increments_rows_equal_pointwise_product():
     rng = np.random.default_rng(10)
     X = lift_path(random_path(rng, 2, 7), 3)
     for s in range(X.n_points):
-        rows = increments_from(X, s)
+        rows = _increments(X, s, slice(None), X.N)
         inv = group_inverse(X.value(s))
         for t in range(s, X.n_points):
             expected = tensor_mul(inv, X.value(t))
             for r in range(X.N + 1):
                 assert np.array_equal(rows[r][t], expected.level(r))
+
+
+def test_increment_batches_equal_pointwise_increment():
+    # Index-array chains and (rows, None) x (None, cols) tiles give each
+    # pair's increment bit for bit as the single increment does.
+    X = lift_path(random_path(np.random.default_rng(11), 3, 9), 4)
+    s, t = np.array([0, 2, 3, 7, 0]), np.array([1, 5, 9, 8, 9])
+    chain = _increments(X, s, t, X.N)
+    top = 2
+    tile = _increments(X, (slice(1, 5), None), (None, slice(2, 10)), top)
+    assert len(tile) == top + 1 and tile[top].shape == (4, 8, 9)
+    for k in range(s.size):
+        expected = increment(X, int(s[k]), int(t[k])).levels
+        for r in range(X.N + 1):
+            assert np.array_equal(chain[r][k], expected[r])
+    for a in range(1, 5):
+        for b in range(a + 1, 10):
+            expected = increment(X, a, b).levels
+            for r in range(top + 1):
+                assert np.array_equal(tile[r][a - 1, b - 2], expected[r])
