@@ -23,7 +23,8 @@ from . import rough_integral as ri
 from . import rough_path as rp
 from . import tensor_algebra as ta
 from .oracle import enumerate_partitions
-from .rde_solver import SolveFailure, SolverConfig, _is_int_at_least, grid_index, solve
+from .rde_solver import (SolveFailure, SolverConfig, _is_int_at_least, check_exponents,
+                         grid_index, solve)
 
 SCHEMA_VERSION = 1
 ALL_SUITES = ("chen", "group_like", "coproduct", "alg_lemma", "removal", "rates")
@@ -35,6 +36,11 @@ INTEGRATE_DEPTHS = (1, 2, 3, 4, 5)
 
 class ConfigError(ValueError):
     pass
+
+
+def _check_int(name: str, value, least: int) -> None:
+    if not _is_int_at_least(value, least):
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_depths(depths, name: str) -> None:
@@ -67,11 +73,12 @@ class ScenarioConfig:
             raw = json.loads(cfg_path.read_text())
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read config {path}: {err}") from err
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
         if raw.get("schema_version") != SCHEMA_VERSION:
             raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
         for key, least in (("d", 1), ("N", 1), ("seed", 0)):
-            if not _is_int_at_least(raw.get(key, least), least):
-                raise ConfigError(f"{key} must be an integer >= {least}, got {raw[key]!r}")
+            _check_int(key, raw.get(key, least), least)
         try:
             cfg = cls(
                 d=raw["d"], N=raw["N"],
@@ -95,18 +102,22 @@ class ScenarioConfig:
     def validate(self) -> None:
         if not (1 <= self.d <= ta.MAX_DIM) or not (1 <= self.N <= ta.MAX_LEVEL):
             raise ConfigError(f"d must lie in 1..{ta.MAX_DIM} and N in 1..{ta.MAX_LEVEL}")
-        lo, hi = 1.0 / (self.N + 1), 1.0 / self.N
-        if not (lo < self.alpha < self.beta <= hi):
-            raise ConfigError(
-                f"exponents must satisfy 1/{self.N + 1} < alpha < beta <= 1/{self.N}")
-        if self.alpha - lo < 1e-9 or self.beta - self.alpha < 1e-9:
-            print(f"warning: alpha={self.alpha} sits at the boundary of "
-                  f"({lo:.6f}, {self.beta})", file=sys.stderr)
+        try:
+            warnings = check_exponents(self.N, self.alpha, self.beta)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+        for w in warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         for name in ("integrate", "verify"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be an object")
         _check_depths(self.integrate.get("depths", INTEGRATE_DEPTHS), "integrate.depths")
-        unknown = set(self.verify.get("suites", [])) - set(ALL_SUITES)
+        suites = self.verify.get("suites", [])
+        if not (isinstance(suites, (list, tuple)) and all(isinstance(s, str) for s in suites)):
+            raise ConfigError(f"verify.suites must be a list of suite names, got {suites!r}")
+        unknown = set(suites) - set(ALL_SUITES)
         if unknown:
             raise ConfigError(f"unknown verification suites: {sorted(unknown)}")
         opts = self.verify
@@ -116,8 +127,7 @@ class ScenarioConfig:
         least = {"paths": 1, "segments": 1, "instances": 1, "grid": 2 ** max(depths)}
         given = {"grid": RATE_GRID, **opts}
         for key, low in least.items():
-            if not _is_int_at_least(given.get(key, low), low):
-                raise ConfigError(f"verify.{key} must be an integer >= {low}, got {given[key]!r}")
+            _check_int(f"verify.{key}", given.get(key, low), low)
         if not isinstance(opts.get("corrupt_level2", False), bool):
             raise ConfigError("verify.corrupt_level2 must be true or false")
         amplitude = opts.get("amplitude", RATE_AMPLITUDE)
@@ -144,11 +154,9 @@ class ScenarioConfig:
     def solver_config(self) -> SolverConfig:
         try:
             scfg = SolverConfig(alpha=self.alpha, beta=self.beta, **self.solver)
-            warnings = scfg.validate(self.N)
+            scfg.validate(self.N)  # the exponent warning is printed once, by validate()
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad solver settings: {err}") from err
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
         return scfg
 
     def solve_inputs(self, X: rp.GeometricRoughPath, F: lip.LipFunction) -> tuple[np.ndarray, float]:
@@ -467,6 +475,7 @@ def main(argv=None) -> int:
     try:
         cfg = ScenarioConfig.load(args.config)
         if args.seed is not None:
+            _check_int("seed", args.seed, 0)
             cfg.seed = args.seed
         out = Path(args.out) if args.out else Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -47,16 +47,26 @@ class BallExit(ContractionFailure):
 
 
 class SolveFailure(RuntimeError):
-    """Global solve failed; carries the partial solution and report."""
+    """Solve failed; :func:`solve` attaches the partial solution and report."""
 
-    def __init__(self, message, partial=None, report=None):
-        super().__init__(message)
-        self.partial = partial
-        self.report = report
+    partial: ControlledPath | None = None
+    report: SolveReport | None = None
 
 
 def _is_int_at_least(value, least: int) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
+def check_exponents(N: int, alpha: float, beta: float) -> list:
+    """Enforce 1/(N+1) < alpha < beta <= 1/N; warn when alpha is within 1e-9 of an open end."""
+    lo = 1.0 / (N + 1)
+    if not (lo < alpha < beta <= 1.0 / N):
+        raise ValueError(f"exponents must satisfy 1/{N + 1} < alpha < beta <= 1/{N}, "
+                         f"got alpha={alpha}, beta={beta}")
+    if alpha - lo < 1e-9 or beta - alpha < 1e-9:
+        return [f"alpha={alpha} sits at the edge of the open interval "
+                f"({lo:.6f}, beta={beta}); estimates degrade near the boundary"]
+    return []
 
 
 @dataclass(frozen=True)
@@ -71,12 +81,8 @@ class SolverConfig:
     explosion_bound: float = 1e8
 
     def validate(self, N: int) -> list:
-        """Enforce the strict exponent window; returns warnings for near-boundary values."""
-        lo, hi = 1.0 / (N + 1), 1.0 / N
-        if not (lo < self.alpha < self.beta <= hi):
-            raise ValueError(
-                f"exponents must satisfy 1/{N + 1} < alpha < beta <= 1/{N}, "
-                f"got alpha={self.alpha}, beta={self.beta}")
+        """Enforce the exponent window and the budgets; returns the window's warnings."""
+        warnings = check_exponents(N, self.alpha, self.beta)
         if not all(_is_int_at_least(v, 1) for v in (self.max_picard_iters, self.max_patches)):
             raise ValueError("iteration and patch budgets must be integers >= 1")
         # A NaN or infinite tau never shrinks to one grid step: the patch loop would not end.
@@ -86,11 +92,6 @@ class SolverConfig:
             raise ValueError("tau_shrink must lie in (0, 1)")
         if not self.explosion_bound > 0:
             raise ValueError("explosion_bound must be positive")
-        warnings = []
-        # The interval for alpha is open at both ends; beta = 1/N is allowed.
-        if self.alpha - lo < 1e-9 or self.beta - self.alpha < 1e-9:
-            warnings.append(f"alpha={self.alpha} sits at the edge of the open interval "
-                            f"({lo:.6f}, beta={self.beta}); estimates degrade near the boundary")
         return warnings
 
 
@@ -232,56 +233,60 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
     idx0 = 0
     solution: ControlledPath | None = None
     enforce_ball = True
-    while idx0 < idx_T:
-        if len(report.patches) >= config.max_patches:
-            raise SolveFailure("patch budget exhausted", partial=solution, report=report)
-        idx1 = min(idx_T, int(np.searchsorted(X.times, X.times[idx0] + tau + 1e-12, side="right")) - 1)
-        idx1 = max(idx1, idx0 + 1)
-        X_loc = restrict(X, idx0, idx1)
-        try:
-            local = solve_local(F, X_loc, y_current, config, enforce_ball=enforce_ball)
-        except BallExit as err:
-            if idx1 > idx0 + 1:
+    try:
+        while idx0 < idx_T:
+            if len(report.patches) >= config.max_patches:
+                raise SolveFailure("patch budget exhausted")
+            idx1 = min(idx_T, int(np.searchsorted(X.times, X.times[idx0] + tau + 1e-12,
+                                                  side="right")) - 1)
+            idx1 = max(idx1, idx0 + 1)
+            X_loc = restrict(X, idx0, idx1)
+            try:
+                local = solve_local(F, X_loc, y_current, config, enforce_ball=enforce_ball)
+            except BallExit:
+                if idx1 > idx0 + 1:
+                    tau *= config.tau_shrink
+                    continue
+                # Converged residuals but the ball is unattainable even on one
+                # grid step: fall back to residual-only mode and restart at the
+                # configured interval length; the exits are reported.
+                report.ball_exits += 1
+                enforce_ball = False
+                tau = config.tau_init
+                continue
+            except ContractionFailure as err:
+                if idx1 == idx0 + 1:
+                    raise SolveFailure(f"non-contraction at minimum interval: {err}") from err
                 tau *= config.tau_shrink
                 continue
-            # Converged residuals but the ball is unattainable even on one
-            # grid step: fall back to residual-only mode and restart at the
-            # configured interval length; the exits are reported.
-            report.ball_exits += 1
-            enforce_ball = False
-            tau = config.tau_init
-            continue
-        except ContractionFailure as err:
-            if idx1 == idx0 + 1:
-                raise SolveFailure(f"non-contraction at minimum interval: {err}",
-                                   partial=solution, report=report) from err
-            tau *= config.tau_shrink
-            continue
-        report.patches.append(PatchReport(
-            t_start=float(X.times[idx0]), t_end=float(X.times[idx1]),
-            tau=float(X.times[idx1] - X.times[idx0]),
-            iterations=local.iterations,
-            final_residual=local.residuals[-1],
-            residuals=list(local.residuals)))
-        if solution is None:
-            solution = local.path
-        else:
-            mismatch = max(float(np.max(np.abs(solution.levels[i][-1] - local.path.levels[i][0])))
-                           for i in range(solution.N))
-            report.junction_mismatch = max(report.junction_mismatch, mismatch)
-            solution = concatenate(solution, local.path, X, tol=junction_tol)
-        y_current = solution.path_values()[-1]
-        idx0 = idx1
+            report.patches.append(PatchReport(
+                t_start=float(X.times[idx0]), t_end=float(X.times[idx1]),
+                tau=float(X.times[idx1] - X.times[idx0]),
+                iterations=local.iterations,
+                final_residual=local.residuals[-1],
+                residuals=list(local.residuals)))
+            report.n_patches = len(report.patches)
+            if solution is None:
+                solution = local.path
+            else:
+                mismatch = max(float(np.max(np.abs(solution.levels[i][-1]
+                                                   - local.path.levels[i][0])))
+                               for i in range(solution.N))
+                report.junction_mismatch = max(report.junction_mismatch, mismatch)
+                solution = concatenate(solution, local.path, X, tol=junction_tol)
+            y_current = solution.path_values()[-1]
+            idx0 = idx1
 
-    X_T = _up_to(X, idx_T)
-    report.n_patches = len(report.patches)
-    report.solution_seminorm = seminorm(solution, X_T, config.alpha)
-    report.solution_norm = report.solution_seminorm + _initial_norm(solution)
-    try:
-        image = picard_step(solution, F, X_T, y0)
-    except NonFiniteLevelError as err:
-        raise SolveFailure(f"Picard image of the solution overflowed: {err}",
-                           partial=solution, report=report) from err
+        X_T = _up_to(X, idx_T)
+        report.solution_seminorm = seminorm(solution, X_T, config.alpha)
+        report.solution_norm = report.solution_seminorm + _initial_norm(solution)
+        try:
+            image = picard_step(solution, F, X_T, y0)
+        except NonFiniteLevelError as err:
+            raise SolveFailure(f"Picard image of the solution overflowed: {err}") from err
+    except SolveFailure as err:
+        err.partial, err.report = solution, report
+        raise
     report.global_residual = distance(solution, image, X_T, X_T, config.alpha)
     report.wall_time_s = time.perf_counter() - start
     report.success = True

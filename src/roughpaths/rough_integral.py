@@ -11,10 +11,10 @@ leading-slot contraction per level.  Summation order is fixed
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 from .controlled_path import ControlledPath, _fill_leading, remainder
 from .rough_path import GeometricRoughPath, _increments, increment
@@ -192,14 +192,37 @@ def convergence_rate_probe(Z: ControlledPath, X: GeometricRoughPath,
     return RateProbe(depths, meshes, values, increments, slope)
 
 
+# Direct terms of zeta(p, 2) end below the cutoff; B_2, ..., B_16 correct the tail.
+_ZETA_CUTOFF = 12
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+
+
+def _hurwitz_zeta2(p: float) -> float:
+    """The Hurwitz zeta value zeta(p, 2) = sum_{m>=2} m^-p for p > 1.
+
+    The tail from n = _ZETA_CUTOFF is n^(1-p)/(p-1) + n^-p/2 plus the
+    corrections B_2k/(2k)! p(p+1)...(p+2k-2) n^(-p-2k+1); its first term
+    carries the pole at p = 1 exactly.
+    """
+    n = float(_ZETA_CUTOFF)
+    terms = [m**-p for m in range(2, _ZETA_CUTOFF)]
+    terms += [n ** (1.0 - p) / (p - 1.0), n**-p / 2.0]
+    rising, power = p, n ** (-p - 1.0)
+    for k, b in enumerate(_BERNOULLI, start=1):
+        terms.append(b / math.factorial(2 * k) * rising * power)
+        rising *= (p + 2 * k - 1) * (p + 2 * k)
+        power /= n * n
+    return math.fsum(terms)
+
+
 def tail_constant(N: int, alpha: float) -> float:
     """The diagnostic series sum_{n>=3} (2/(n-1))^((N+1) alpha).
 
-    Evaluated through the Hurwitz zeta function; direct summation cannot
-    reach the needed accuracy for exponents close to 1.  Diverges unless
-    (N+1) alpha > 1.
+    Equal to 2^p zeta(p, 2) with p = (N+1) alpha, evaluated by
+    :func:`_hurwitz_zeta2`; direct summation cannot reach the needed accuracy
+    for exponents close to 1.  Diverges unless (N+1) alpha > 1.
     """
     p = (N + 1) * alpha
     if p <= 1.0:
         raise ValueError(f"(N+1)*alpha = {p} must exceed 1 for the tail to converge")
-    return float(2.0**p * zeta(p, 2))
+    return float(2.0**p * _hurwitz_zeta2(p))

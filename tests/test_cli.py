@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roughpaths
 from roughpaths.cli import ScenarioConfig, main
 from roughpaths.rough_path import PiecewiseLinearPath
 
@@ -117,6 +122,11 @@ def test_solve_failure_exit_code(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 2
     report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
     assert "failure" in report
+    # The guard trips inside a local solve after earlier patches were
+    # accepted: their solution and report are kept.
+    assert report["partial"] is True
+    assert report["n_patches"] == len(report["patches"]) >= 1
+    assert (tmp_path / "out" / "solution_partial.csv").exists()
 
 
 def exp_field_config(tmp_path, y0):
@@ -241,6 +251,7 @@ def test_unknown_suite_rejected(tmp_path):
     {"paths": 0}, {"instances": -3}, {"grid": 1}, {"segments": 2.5},
     {"paths": True}, {"depths": [2, 9]}, {"corrupt_level2": "yes"},
     {"amplitude": "x"}, {"amplitude": float("nan")},
+    {"suites": 5}, {"suites": [[1]]}, {"suites": "chen"},
 ])
 def test_verify_options_rejected(tmp_path, capsys, options):
     # Each of these used to end in a traceback, check nothing and pass, or be
@@ -271,6 +282,55 @@ def test_seed_override_changes_stream(tmp_path):
     rep_a = json.loads((out_a / "verify_report.json").read_text())
     rep_b = json.loads((out_b / "verify_report.json").read_text())
     assert rep_a["seed"] != rep_b["seed"]
+
+
+def test_seed_override_rejects_negative(tmp_path, capsys):
+    # The override once skipped the config's own check and reached numpy.
+    write_line_csv(tmp_path / "path.csv")
+    cfg = base_config(tmp_path, d=2, verify={"suites": ["chen"]})
+    assert main(["verify", "--config", str(cfg), "--seed", "-1"]) == 1
+    assert "config error: seed must be an integer >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "5", "null", '"config"'])
+def test_config_must_be_an_object(tmp_path, capsys, text):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main(["lift", "--config", str(cfg)]) == 1
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output_dir", [5, None, ["out"]])
+def test_output_dir_must_be_a_string(tmp_path, capsys, output_dir):
+    write_line_csv(tmp_path / "path.csv")
+    cfg = base_config(tmp_path, output_dir=output_dir)
+    assert main(["lift", "--config", str(cfg)]) == 1
+    assert "config error: output_dir must be a string" in capsys.readouterr().err
+
+
+def test_exponent_edge_warns_once(tmp_path, capsys):
+    # The config and the solver settings both checked the exponent window,
+    # so one near-edge alpha printed two warnings.
+    write_line_csv(tmp_path / "path.csv", n=32)
+    cfg = solve_config(tmp_path, alpha=0.25 + 5e-10)
+    main(["solve", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert sum(line.startswith("warning:") for line in err.splitlines()) == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; scipy.special once pulled in
+    # numpy.f2py and numpy.testing on every start.
+    code = ("import sys, roughpaths.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m.startswith(('numpy.f2py', 'numpy.testing'))])")
+    src = str(Path(roughpaths.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("key, value", [

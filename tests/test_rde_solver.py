@@ -211,8 +211,11 @@ def test_explosion_guard_trips():
     X, _ = line_driver(n=64)
     F = polynomial(1, 1, {(2,): [1.0]}, n_levels=3)  # dY = Y^2 dX blows up at t = 0.5
     cfg = default_config(explosion_bound=50.0, max_patches=512)
-    with pytest.raises(SolveFailure):
+    with pytest.raises(SolveFailure) as info:
         solve(F, X, [2.0], 1.0, cfg)
+    # The guard trips inside a local solve; the patches before it are kept.
+    assert info.value.partial is not None and info.value.report is not None
+    assert info.value.report.n_patches == len(info.value.report.patches) >= 1
 
 
 def test_overflowing_iterate_is_a_solve_failure():

@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from roughpaths.controlled_path import ControlledPath, _fill_leading, remainder_
 from roughpaths.oracle import compensated_sum_reference, riemann_stieltjes
 from roughpaths.rough_integral import (
     Partition,
+    _hurwitz_zeta2,
     _operator_slot_last,
     compensated_sum,
     convergence_rate_probe,
@@ -228,6 +231,39 @@ def test_tail_constant_closed_form_and_divergence():
     assert tail_constant(3, 0.5) == pytest.approx(4 * (np.pi**2 / 6 - 1), rel=1e-12)
     with pytest.raises(ValueError):
         tail_constant(3, 0.25)
+
+
+# pi to 50 digits: the closed forms lose digits to the "- 1" in double precision.
+PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+@pytest.mark.parametrize("p, denominator", [(2, 6), (4, 90), (6, 945)])
+def test_hurwitz_zeta_closed_forms(p, denominator):
+    exact = float(PI**p / denominator - 1)
+    assert _hurwitz_zeta2(float(p)) == pytest.approx(exact, rel=1e-15)
+
+
+@pytest.mark.parametrize("h", [1e-2, 1e-3, 1e-4])
+def test_hurwitz_zeta_pole(h):
+    # zeta(p, 2) = 1/(p-1) + (gamma - 1) + O(p - 1) near the pole.
+    p = 1.0 + h
+    h = p - 1.0  # the exact gap of the rounded p
+    gamma = 0.5772156649015329
+    assert abs(_hurwitz_zeta2(p) - 1.0 / h - (gamma - 1.0)) <= 0.1 * h
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_tail_constant_matches_scipy(N):
+    special = pytest.importorskip("scipy.special")
+    top = (N + 1) / N
+    ps = np.concatenate([1.0 + np.logspace(-9, np.log10(top - 1.0), 200),
+                         np.linspace(1.0 + 1e-9, top, 200)])
+    for p in ps:
+        alpha = p / (N + 1)
+        q = (N + 1) * alpha
+        if q <= 1.0:
+            continue
+        assert tail_constant(N, alpha) == pytest.approx(2.0**q * special.zeta(q, 2), rel=2e-15)
 
 
 def test_pair_block_identity_pairing():
