@@ -12,8 +12,9 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -22,49 +23,170 @@ from . import lipschitz as lip
 from . import rough_integral as ri
 from . import rough_path as rp
 from . import tensor_algebra as ta
+from .controlled_path import NonFiniteLevelError
 from .oracle import enumerate_partitions
 from .rde_solver import (SolveFailure, SolverConfig, _is_int_at_least, check_exponents,
                          grid_index, solve)
 
 SCHEMA_VERSION = 1
 ALL_SUITES = ("chen", "group_like", "coproduct", "alg_lemma", "removal", "rates")
-RATE_DEPTHS = (1, 2, 3, 4, 5, 6)
-RATE_GRID = 256
-RATE_AMPLITUDE = 0.15
-INTEGRATE_DEPTHS = (1, 2, 3, 4, 5)
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _check_int(name: str, value, least: int) -> None:
-    if not _is_int_at_least(value, least):
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+REQUIRED = object()  # the default of a key the config must give
+UNSET = object()     # the default of a key left absent: its reader supplies one
 
 
-def _check_depths(depths, name: str) -> None:
-    if not (isinstance(depths, (list, tuple)) and depths
-            and all(_is_int_at_least(m, 0) for m in depths)):
-        raise ConfigError(f"{name} must be a non-empty list of integers >= 0, got {depths!r}")
+@dataclass(frozen=True)
+class Key:
+    """One config key: ``text`` says what a valid value is, ``test`` checks it.
+    ``rows`` is the table of an object value, ``item`` the key of each item of
+    a list value; ``kinds`` names the field kinds that read a field-spec key."""
+    text: str
+    test: Callable[[object], bool]
+    default: object = None
+    rows: dict | None = None
+    item: Key | None = None
+    kinds: tuple = ()
+
+
+def _integer(lo: int, hi: float = math.inf, **kw) -> Key:
+    return Key(f"an integer in {lo}..{hi}" if hi < math.inf else f"an integer >= {lo}",
+               lambda v: _is_int_at_least(v, lo) and v <= hi, **kw)
+
+
+def _number(**kw) -> Key:
+    # JSON has no other numbers; the comparison is exact for integers beyond the float range.
+    return Key("a finite number", lambda v: type(v) in (int, float)
+               and abs(v) <= sys.float_info.max, **kw)
+
+
+def _string(**kw) -> Key:
+    return Key("a string", lambda v: isinstance(v, str), **kw)
+
+
+def _object(**kw) -> Key:
+    return Key("an object", lambda v: isinstance(v, dict), **kw)
+
+
+def _one_of(*names: str, **kw) -> Key:
+    return Key(f"one of {', '.join(names)}", lambda v: v in names, **kw)
+
+
+def _list_of(item: Key, empty_ok: bool = False, **kw) -> Key:
+    return Key(f"a {'' if empty_ok else 'non-empty '}list, each item {item.text}",
+               lambda v: isinstance(v, list) and (empty_ok or len(v) > 0)
+               and all(map(item.test, v)), item=item, **kw)
+
+
+_TERM_ROWS = {
+    "coef": _list_of(_number(), default=REQUIRED),
+    "kind": _one_of(*lip.RIDGE_KINDS, default=REQUIRED),
+    "weight": _list_of(_number(), default=REQUIRED),
+    "phase": _number(default=0.0),
+}
+# The field spec; the field constructors check its dimensions against each other.
+_FIELD_ROWS = {
+    "kind": _one_of("constant", "linear", "polynomial", "builtin", default=REQUIRED),
+    "gamma": _number(),     # None: the field's n_levels + 1
+    "lip_norm": _number(),  # None: no declared bound
+    "dim_in": _integer(1, default=REQUIRED, kinds=("constant", "polynomial", "builtin")),
+    "dim_out": _integer(1, default=REQUIRED, kinds=("polynomial", "builtin")),
+    "value": _list_of(_number(), default=REQUIRED, kinds=("constant",)),
+    "matrix": _list_of(_list_of(_number()), default=REQUIRED, kinds=("linear",)),
+    "offset": _list_of(_number(), kinds=("linear",)),
+    "coeffs": _list_of(_object(rows={"exponents": _list_of(_integer(0), default=REQUIRED),
+                                     "value": _list_of(_number(), default=REQUIRED)}),
+                       default=REQUIRED, kinds=("polynomial",)),
+    "terms": _list_of(_object(rows=_TERM_ROWS), default=REQUIRED, kinds=("builtin",)),
+}
+_INTEGRATE_ROWS = {
+    "s": _number(default=UNSET),  # the driver's first grid time
+    "t": _number(default=UNSET),  # the driver's last grid time
+    "integrand": _one_of("field_on_canonical_lift", "signature_level2",
+                         default="field_on_canonical_lift"),
+    "depths": _list_of(_integer(0), default=(1, 2, 3, 4, 5)),
+}
+_VERIFY_ROWS = {
+    "suites": _list_of(_one_of(*ALL_SUITES), empty_ok=True, default=ALL_SUITES),
+    "paths": _integer(1, default=UNSET),  # each suite has its own default size
+    "segments": _integer(1, default=UNSET),
+    "instances": _integer(1, default=UNSET),
+    "depths": _list_of(_integer(0), default=(1, 2, 3, 4, 5, 6)),
+    "grid": _integer(1, default=256),
+    "amplitude": _number(default=0.15),
+    "corrupt_level2": Key("true or false", lambda v: isinstance(v, bool), default=False),
+}
+# Every config key with its check and default, and the tables of its sub-keys.
+CONFIG = {
+    "schema_version": Key(str(SCHEMA_VERSION), lambda v: type(v) is int and v == SCHEMA_VERSION,
+                          default=REQUIRED),
+    "d": _integer(1, ta.MAX_DIM, default=REQUIRED),
+    "N": _integer(1, ta.MAX_LEVEL, default=REQUIRED),
+    "alpha": _number(default=REQUIRED),
+    "beta": _number(default=REQUIRED),
+    "seed": _integer(0, default=0),
+    "path_csv": _string(),
+    "field": _object(rows=_FIELD_ROWS),
+    "y0": _list_of(_number()),
+    "horizon": _number(),
+    "solver": _object(default={}),  # SolverConfig.validate checks its keys
+    "integrate": _object(rows=_INTEGRATE_ROWS, default={}),
+    "verify": _object(rows=_VERIFY_ROWS, default={}),
+    "output_dir": _string(default="out"),
+}
+
+
+def _checked(where: str, key: Key, value):
+    if not key.test(value):
+        raise ConfigError(f"{where} must be {key.text}, got {value!r}")
+    return value
+
+
+def _walk(rows: dict, raw: dict, prefix: str = "") -> dict:
+    """Check a JSON object against a table: the checked values with the defaults
+    filled in; keys the table does not name are dropped."""
+    out = {}
+    for name, key in rows.items():
+        where = prefix + name
+        if key.kinds and raw["kind"] not in key.kinds:
+            continue
+        if name in raw:
+            out[name] = _checked(where, key, raw[name])
+        elif key.default is REQUIRED:
+            raise ConfigError(f"{where} is missing; it must be {key.text}")
+        elif key.default is not UNSET:
+            out[name] = key.default
+        if key.rows is not None and out[name] is not None:
+            out[name] = _walk(key.rows, out[name], where + ".")
+        if key.item is not None and key.item.rows is not None:
+            out[name] = [_walk(key.item.rows, v, f"{where}[{i}].")
+                         for i, v in enumerate(out[name])]
+    return out
 
 
 @dataclass
 class ScenarioConfig:
+    """A config checked against ``CONFIG``, defaults filled in: one attribute
+    per top-level key, with ``field`` held as ``field_spec``."""
+    schema_version: int
     d: int
     N: int
     alpha: float
     beta: float
-    seed: int = 0
-    path_csv: str | None = None
-    field_spec: dict | None = None
-    y0: list | None = None
-    horizon: float | None = None
-    solver: dict = field(default_factory=dict)
-    integrate: dict = field(default_factory=dict)
-    verify: dict = field(default_factory=dict)
-    output_dir: str = "out"
-    base_dir: Path = field(default_factory=Path)
+    seed: int
+    path_csv: str | None
+    field_spec: dict | None
+    y0: list | None
+    horizon: float | None
+    solver: dict
+    integrate: dict
+    verify: dict
+    output_dir: str
+    base_dir: Path
 
     @classmethod
     def load(cls, path: str) -> "ScenarioConfig":
@@ -75,65 +197,22 @@ class ScenarioConfig:
             raise ConfigError(f"cannot read config {path}: {err}") from err
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
-        if raw.get("schema_version") != SCHEMA_VERSION:
-            raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
-        for key, least in (("d", 1), ("N", 1), ("seed", 0)):
-            _check_int(key, raw.get(key, least), least)
+        values = _walk(CONFIG, raw)
+        cfg = cls(field_spec=values.pop("field"), base_dir=cfg_path.parent, **values)
+        # The checks that read more than one key; the driver dimensions wait for the driver.
         try:
-            cfg = cls(
-                d=raw["d"], N=raw["N"],
-                alpha=float(raw["alpha"]), beta=float(raw["beta"]),
-                seed=raw.get("seed", 0),
-                path_csv=raw.get("path_csv"),
-                field_spec=raw.get("field"),
-                y0=raw.get("y0"),
-                horizon=raw.get("horizon"),
-                solver=raw.get("solver", {}),
-                integrate=raw.get("integrate", {}),
-                verify=raw.get("verify", {}),
-                output_dir=raw.get("output_dir", "out"),
-                base_dir=cfg_path.parent,
-            )
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"malformed config: {err}") from err
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        if not (1 <= self.d <= ta.MAX_DIM) or not (1 <= self.N <= ta.MAX_LEVEL):
-            raise ConfigError(f"d must lie in 1..{ta.MAX_DIM} and N in 1..{ta.MAX_LEVEL}")
-        try:
-            warnings = check_exponents(self.N, self.alpha, self.beta)
+            warnings = check_exponents(cfg.N, cfg.alpha, cfg.beta)
         except ValueError as err:
             raise ConfigError(str(err)) from err
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
-        if not isinstance(self.output_dir, str):
-            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
-        for name in ("integrate", "verify"):
-            if not isinstance(getattr(self, name), dict):
-                raise ConfigError(f"{name} must be an object")
-        _check_depths(self.integrate.get("depths", INTEGRATE_DEPTHS), "integrate.depths")
-        suites = self.verify.get("suites", [])
-        if not (isinstance(suites, (list, tuple)) and all(isinstance(s, str) for s in suites)):
-            raise ConfigError(f"verify.suites must be a list of suite names, got {suites!r}")
-        unknown = set(suites) - set(ALL_SUITES)
-        if unknown:
-            raise ConfigError(f"unknown verification suites: {sorted(unknown)}")
-        opts = self.verify
-        depths = opts.get("depths", RATE_DEPTHS)
-        _check_depths(depths, "verify.depths")
-        # The rates suite's grid must resolve its finest dyadic partition.
-        least = {"paths": 1, "segments": 1, "instances": 1, "grid": 2 ** max(depths)}
-        given = {"grid": RATE_GRID, **opts}
-        for key, low in least.items():
-            _check_int(f"verify.{key}", given.get(key, low), low)
-        if not isinstance(opts.get("corrupt_level2", False), bool):
-            raise ConfigError("verify.corrupt_level2 must be true or false")
-        amplitude = opts.get("amplitude", RATE_AMPLITUDE)
-        if (not isinstance(amplitude, (int, float)) or isinstance(amplitude, bool)
-                or not math.isfinite(amplitude)):
-            raise ConfigError(f"verify.amplitude must be a finite number, got {amplitude!r}")
+        # The rates suite's grid must resolve its finest dyadic partition:
+        # grid >= 2**max(depths), without forming 2**max(depths).
+        grid, depth = cfg.verify["grid"], max(cfg.verify["depths"])
+        if depth >= grid.bit_length():
+            raise ConfigError(f"verify.grid must be an integer >= 2**max(verify.depths) "
+                              f"= 2**{depth}, got {grid}")
+        return cfg
 
     def load_driver(self) -> rp.GeometricRoughPath:
         if not self.path_csv:
@@ -154,7 +233,7 @@ class ScenarioConfig:
     def solver_config(self) -> SolverConfig:
         try:
             scfg = SolverConfig(alpha=self.alpha, beta=self.beta, **self.solver)
-            scfg.validate(self.N)  # the exponent warning is printed once, by validate()
+            scfg.validate(self.N)  # the exponent warning is printed once, by load()
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad solver settings: {err}") from err
         return scfg
@@ -163,17 +242,12 @@ class ScenarioConfig:
         """Initial value and horizon of a solve, checked against the driver and field."""
         if self.y0 is None or self.horizon is None:
             raise ConfigError("solve needs y0 and horizon")
-        try:
-            y0 = np.asarray(self.y0, dtype=float).ravel()
-            horizon = float(self.horizon)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"y0 must be a list of numbers and horizon a number: {err}") from err
-        if not np.all(np.isfinite(y0)):
-            raise ConfigError("y0 must be finite")
+        y0 = np.asarray(self.y0, dtype=float)
         if F.dim_in != y0.size or F.dim_out != y0.size * self.d:
             raise ConfigError(f"y0 has dimension {y0.size}, but the field maps R^{F.dim_in} "
                               f"into R^{F.dim_out}; it must map R^e into R^(e*d) with "
                               f"e = {y0.size}, d = {self.d}")
+        horizon = float(self.horizon)
         t0, t_end = float(X.times[0]), float(X.times[-1])
         if not (t0 < horizon <= t_end + 1e-9):
             raise ConfigError(f"horizon {horizon} lies outside the driver grid ({t0}, {t_end}]")
@@ -183,22 +257,18 @@ class ScenarioConfig:
     def integrate_window(self, X: rp.GeometricRoughPath) -> tuple[int, int]:
         """Grid indices of the integration window [s, t], checked against the driver."""
         t0, t_end = float(X.times[0]), float(X.times[-1])
-        try:
-            s = float(self.integrate.get("s", t0))
-            t = float(self.integrate.get("t", t_end))
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"integrate.s and integrate.t must be numbers: {err}") from err
+        s, t = self.integrate.get("s", t0), self.integrate.get("t", t_end)
         if not (t0 - 1e-9 <= s < t <= t_end + 1e-9):
             raise ConfigError(f"integration window [{s}, {t}] must satisfy "
                               f"{t0} <= s < t <= {t_end}")
         return _grid_point(X, s, "integrate.s"), _grid_point(X, t, "integrate.t")
 
     def build_field(self, n_levels: int) -> lip.LipFunction:
-        if not self.field_spec:
+        if self.field_spec is None:
             raise ConfigError("config needs a field spec for this command")
         try:
             return lip.from_config(self.field_spec, n_levels)
-        except (KeyError, TypeError, ValueError) as err:
+        except ValueError as err:
             raise ConfigError(f"bad field spec: {err}") from err
 
 
@@ -238,33 +308,38 @@ def cmd_lift(cfg: ScenarioConfig, out: Path) -> int:
 
 
 def _integrand(cfg: ScenarioConfig, X: rp.GeometricRoughPath) -> cp.ControlledPath:
-    kind = cfg.integrate.get("integrand", "field_on_canonical_lift")
-    if kind == "field_on_canonical_lift":
+    if cfg.integrate["integrand"] == "field_on_canonical_lift":
         F = cfg.build_field(cfg.N)
         if F.dim_in != cfg.d or F.dim_out % cfg.d != 0:
             raise ConfigError("integrand field must map R^d into L(V;U)")
         return lip.compose(F, cp.canonical_lift(X, cfg.alpha), X)
-    if kind == "signature_level2":
-        d, n = X.d, X.n_points
-        e = d * d
-        z0 = np.zeros((n, e * d, 1))
-        z1 = np.zeros((n, e * d, d))
-        for a in range(d):
-            for b in range(d):
-                z0[:, (a * d + b) * d + b, 0] = X.levels[1][:, a]
-                z1[:, (a * d + b) * d + b, a] = 1.0
-        levels = [z0, z1] + [np.zeros((n, e * d, d**i)) for i in range(2, X.N)]
-        return cp.ControlledPath(X.times, d, X.N, e * d, cfg.alpha, levels)
-    raise ConfigError(f"unknown integrand kind {kind!r}")
+    d, n = X.d, X.n_points
+    e = d * d
+    z0 = np.zeros((n, e * d, 1))
+    z1 = np.zeros((n, e * d, d))
+    for a in range(d):
+        for b in range(d):
+            z0[:, (a * d + b) * d + b, 0] = X.levels[1][:, a]
+            z1[:, (a * d + b) * d + b, a] = 1.0
+    levels = [z0, z1] + [np.zeros((n, e * d, d**i)) for i in range(2, X.N)]
+    return cp.ControlledPath(X.times, d, X.N, e * d, cfg.alpha, levels)
 
 
 def cmd_integrate(cfg: ScenarioConfig, out: Path) -> int:
+    if cfg.N < 2:
+        raise ConfigError("integrate needs N >= 2: an integrand carries a level-1 derivative")
     X = cfg.load_driver()
     s_idx, t_idx = cfg.integrate_window(X)
-    Z = _integrand(cfg, X)
-    depths = cfg.integrate.get("depths", INTEGRATE_DEPTHS)
-    value, err = ri.rough_integral(Z, X, s_idx, t_idx)
-    probe = ri.convergence_rate_probe(Z, X, s_idx, t_idx, depths)
+    # Overflow is caught by the integrand's finiteness check and by the one of the sums.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            Z = _integrand(cfg, X)
+        except NonFiniteLevelError as err:
+            raise SolveFailure(f"the integrand overflowed: {err}") from err
+        value, err = ri.rough_integral(Z, X, s_idx, t_idx)
+        probe = ri.convergence_rate_probe(Z, X, s_idx, t_idx, cfg.integrate["depths"])
+    if not all(np.isfinite(v).all() for v in (value, err, *probe.values, *probe.increments)):
+        raise SolveFailure("the compensated sums overflowed")
     payload = {
         "value": value.tolist(),
         "cauchy_estimate": err,
@@ -313,8 +388,8 @@ def _random_polyline(rng, d: int, segments: int) -> rp.PiecewiseLinearPath:
 
 def _suite_chen(cfg, rng, opts) -> dict:
     worst = 0.0
-    for _ in range(int(opts.get("paths", 5))):
-        X = rp.lift_path(_random_polyline(rng, cfg.d, int(opts.get("segments", 8))),
+    for _ in range(opts.get("paths", 5)):
+        X = rp.lift_path(_random_polyline(rng, cfg.d, opts.get("segments", 8)),
                          cfg.N, cfg.beta)
         scale = max(1.0, X.value(X.n_points - 1).max_abs())
         worst = max(worst, rp.chen_deviation(X) / scale)
@@ -322,11 +397,11 @@ def _suite_chen(cfg, rng, opts) -> dict:
 
 
 def _suite_group_like(cfg, rng, opts) -> dict:
-    corrupt = bool(opts.get("corrupt_level2", False))
+    corrupt = opts["corrupt_level2"]
     N = max(2, cfg.N)
     worst = 0.0
-    for _ in range(int(opts.get("paths", 3))):
-        X = rp.lift_path(_random_polyline(rng, cfg.d, int(opts.get("segments", 6))),
+    for _ in range(opts.get("paths", 3)):
+        X = rp.lift_path(_random_polyline(rng, cfg.d, opts.get("segments", 6)),
                          N, min(cfg.beta, 1 / N))
         if corrupt:
             for s in range(0, X.n_points - 1, 2):
@@ -362,11 +437,11 @@ def _suite_coproduct(cfg, rng, opts) -> dict:
 
 
 def _suite_alg_lemma(cfg, rng, opts) -> dict:
-    corrupt = bool(opts.get("corrupt_level2", False))
+    corrupt = opts["corrupt_level2"]
     N = max(3, cfg.N)
     d = min(cfg.d, 2)
     worst = 0.0
-    for _ in range(int(opts.get("paths", 4))):
+    for _ in range(opts.get("paths", 4)):
         X = rp.lift_path(_random_polyline(rng, d, 4), N, min(cfg.beta, 1 / N))
         inc = rp.increment(X, 0, X.n_points - 1)
         if corrupt:
@@ -382,7 +457,7 @@ def _suite_alg_lemma(cfg, rng, opts) -> dict:
 
 def _suite_removal(cfg, rng, opts) -> dict:
     worst = 0.0
-    for _ in range(int(opts.get("instances", 20))):
+    for _ in range(opts.get("instances", 20)):
         X = rp.lift_path(_random_polyline(rng, cfg.d, 16), cfg.N, cfg.beta)
         e = int(rng.integers(1, 3))
         levels = [rng.standard_normal((X.n_points, e * cfg.d, cfg.d**i))
@@ -414,15 +489,17 @@ def _lacunary_polyline(rng, d: int, n: int, hurst: float, amp: float,
 def _suite_rates(cfg, rng, opts) -> dict:
     # Single-instance Cauchy increments fluctuate below the error envelope;
     # fit the per-mesh envelope over a few phase realizations.
-    n = int(opts.get("grid", RATE_GRID))
-    depths = opts.get("depths", RATE_DEPTHS)
+    n, depths = opts["grid"], opts["depths"]
     terms = [{"coef": [1.0 if u == a else 0.0 for u in range(cfg.d)],
               "kind": "sin", "weight": [0.7 * (a + 1)] * cfg.d} for a in range(cfg.d)]
     F = lip.ridge(cfg.d, cfg.d, terms, cfg.N)
     envelope: dict = {}
-    for _ in range(int(opts.get("instances", 6))):
-        path = _lacunary_polyline(rng, cfg.d, n, hurst=cfg.beta,
-                                  amp=float(opts.get("amplitude", RATE_AMPLITUDE)))
+    for _ in range(opts.get("instances", 6)):
+        try:
+            with np.errstate(over="ignore"):  # the path rejects points that overflowed
+                path = _lacunary_polyline(rng, cfg.d, n, hurst=cfg.beta, amp=opts["amplitude"])
+        except ValueError as err:
+            raise ConfigError(f"verify.amplitude gives no finite driver: {err}") from err
         X = _lift(path, cfg.N, cfg.beta, "verify.amplitude")
         Z = lip.compose(F, cp.canonical_lift(X, cfg.alpha), X)
         probe = ri.convergence_rate_probe(Z, X, 0, n, depths)
@@ -447,9 +524,8 @@ _SUITES = {
 
 
 def cmd_verify(cfg: ScenarioConfig, out: Path) -> int:
-    suites = cfg.verify.get("suites", list(ALL_SUITES))
     report = {"schema_version": SCHEMA_VERSION, "seed": cfg.seed, "suites": {}}
-    for name in suites:
+    for name in cfg.verify["suites"]:
         # Seed stream independent of suite selection order, stable across runs.
         rng = np.random.default_rng([cfg.seed, ALL_SUITES.index(name)])
         report["suites"][name] = _SUITES[name](cfg, rng, cfg.verify)
@@ -475,8 +551,7 @@ def main(argv=None) -> int:
     try:
         cfg = ScenarioConfig.load(args.config)
         if args.seed is not None:
-            _check_int("seed", args.seed, 0)
-            cfg.seed = args.seed
+            cfg.seed = _checked("seed", CONFIG["seed"], args.seed)
         out = Path(args.out) if args.out else Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         handler = {"lift": cmd_lift, "integrate": cmd_integrate,

@@ -92,6 +92,8 @@ def linear(matrix, offset=None, n_levels: int = 1, **kw) -> LipFunction:
     A = np.atleast_2d(np.asarray(matrix, dtype=float))
     dim_out, dim_in = A.shape
     b = np.zeros(dim_out) if offset is None else np.asarray(offset, dtype=float).ravel()
+    if b.size != dim_out:
+        raise ValueError(f"offset has {b.size} entries, the matrix {dim_out} rows")
 
     def ev(j, ys):
         p = ys.shape[0]
@@ -143,7 +145,7 @@ def polynomial(dim_in: int, dim_out: int, coeffs: dict, n_levels: int, **kw) -> 
     return LipFunction(dim_in, dim_out, n_levels, ev, label="polynomial", **kw)
 
 
-_RIDGE_KINDS = ("sin", "cos", "exp")
+RIDGE_KINDS = ("sin", "cos", "exp")
 
 
 def ridge(dim_in: int, dim_out: int, terms, n_levels: int, **kw) -> LipFunction:
@@ -158,7 +160,7 @@ def ridge(dim_in: int, dim_out: int, terms, n_levels: int, **kw) -> LipFunction:
         weight = np.asarray(term["weight"], dtype=float).ravel()
         kind = term["kind"]
         phase = float(term.get("phase", 0.0))
-        if kind not in _RIDGE_KINDS:
+        if kind not in RIDGE_KINDS:
             raise ValueError(f"unknown ridge kind {kind!r}")
         if coef.size != dim_out or weight.size != dim_in:
             raise ValueError("ridge term dimensions do not match")
@@ -183,22 +185,17 @@ def ridge(dim_in: int, dim_out: int, terms, n_levels: int, **kw) -> LipFunction:
 
 
 def from_config(spec: dict, n_levels: int) -> LipFunction:
-    """Build a field from its config description (see the CLI schema)."""
-    kind = spec.get("kind")
-    kw = {}
-    if "gamma" in spec:
-        kw["gamma"] = spec["gamma"]
-    if "lip_norm" in spec:
-        kw["lip_norm"] = spec["lip_norm"]
+    """Build a field from a field spec the CLI's config table has checked."""
+    kind, kw = spec["kind"], {"gamma": spec.get("gamma"), "lip_norm": spec.get("lip_norm")}
     if kind == "constant":
-        return constant(spec["value"], int(spec["dim_in"]), n_levels, **kw)
+        return constant(spec["value"], spec["dim_in"], n_levels, **kw)
     if kind == "linear":
         return linear(spec["matrix"], spec.get("offset"), n_levels, **kw)
     if kind == "polynomial":
         coeffs = {tuple(entry["exponents"]): entry["value"] for entry in spec["coeffs"]}
-        return polynomial(int(spec["dim_in"]), int(spec["dim_out"]), coeffs, n_levels, **kw)
+        return polynomial(spec["dim_in"], spec["dim_out"], coeffs, n_levels, **kw)
     if kind == "builtin":
-        return ridge(int(spec["dim_in"]), int(spec["dim_out"]), spec["terms"], n_levels, **kw)
+        return ridge(spec["dim_in"], spec["dim_out"], spec["terms"], n_levels, **kw)
     raise ValueError(f"unknown field kind {kind!r}")
 
 

@@ -44,6 +44,9 @@ class Partition:
 
 def dyadic_partition(s_idx: int, t_idx: int, depth: int) -> Partition:
     """2**depth intervals with indices snapped to the grid (duplicates merged)."""
+    # Once 2**depth >= t_idx - s_idx every grid index is hit: skip forming 2**depth points.
+    if depth >= int(t_idx - s_idx - 1).bit_length():
+        return Partition(tuple(range(s_idx, t_idx + 1)))
     pieces = 2**depth
     raw = s_idx + np.round(np.arange(pieces + 1) * (t_idx - s_idx) / pieces).astype(int)
     return Partition(tuple(np.unique(raw)))
@@ -159,10 +162,11 @@ class RateProbe:
     exponent: float | None
 
     def rows(self) -> list:
-        """CSV rows: depth, mesh, value_norm, cauchy_increment."""
+        """CSV rows: depth, mesh, value_norm, cauchy_increment (empty at the
+        finest depth, which has no successor)."""
         out = []
         for i, (dep, mesh, val) in enumerate(zip(self.depths, self.meshes, self.values)):
-            inc = self.increments[i] if i < len(self.increments) else float("nan")
+            inc = self.increments[i] if i < len(self.increments) else ""
             out.append((dep, mesh, float(np.abs(val).sum()), inc))
         return out
 

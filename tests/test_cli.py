@@ -2,14 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import roughpaths
-from roughpaths.cli import ScenarioConfig, main
+from roughpaths.cli import CONFIG, ConfigError, ScenarioConfig, main
 from roughpaths.rough_path import PiecewiseLinearPath
 
 
@@ -184,6 +187,14 @@ def test_verify_amplitude_whose_lift_overflows_is_a_config_error(tmp_path, capsy
     cfg = base_config(tmp_path, d=2, verify={"suites": ["rates"], "amplitude": 1e200})
     assert main(["verify", "--config", str(cfg)]) == 1
     assert "verify.amplitude cannot be lifted" in capsys.readouterr().err
+
+
+def test_verify_amplitude_whose_driver_overflows_is_a_config_error(tmp_path, capsys):
+    # The octaves of an amplitude of 1e308 overflow before the lift: once a
+    # numpy RuntimeWarning and a traceback.
+    cfg = base_config(tmp_path, d=2, verify={"suites": ["rates"], "amplitude": 1e308})
+    assert main(["verify", "--config", str(cfg)]) == 1
+    assert "verify.amplitude gives no finite driver" in capsys.readouterr().err
 
 
 def test_integrate_signature_scenario(tmp_path):
@@ -365,14 +376,14 @@ def test_solve_rejects_bad_solver_settings(tmp_path, capsys, solver):
 
 def test_scenario_config_load_errors(tmp_path):
     missing = tmp_path / "nope.json"
-    with pytest.raises(Exception):
+    with pytest.raises(ConfigError):
         ScenarioConfig.load(str(missing))
     bad_version = tmp_path / "bad.json"
     bad_version.write_text(json.dumps({"schema_version": 99, "d": 1, "N": 2,
                                        "alpha": 0.4, "beta": 0.5}))
-    from roughpaths.cli import ConfigError
     with pytest.raises(ConfigError):
         ScenarioConfig.load(str(bad_version))
+
 
 def solve_config(tmp_path, **extra):
     opts = {"field": {"kind": "linear", "matrix": [[1.0]]}, "y0": [1.0], "horizon": 1.0}
@@ -448,3 +459,202 @@ def test_integrate_rejects_bad_depths(tmp_path, capsys, depths):
     # Each used to end in a traceback from the rate probe.
     err = integrate_window_rejected(tmp_path, capsys, {"depths": depths})
     assert "config error: integrate.depths" in err
+
+
+@pytest.mark.parametrize("where, slope, field", [
+    ("the integrand", 1.0, {"kind": "builtin", "dim_in": 1, "dim_out": 1,
+                            "terms": [{"coef": [1.0], "kind": "exp", "weight": [800.0]}]}),
+    ("the compensated sums", 10.0, {"kind": "constant", "value": [1e308], "dim_in": 1}),
+])
+def test_integrate_overflow_exit_code(tmp_path, capsys, where, slope, field):
+    # exp(800 y) overflows in the composed integrand, and 1e308 times a driver
+    # increment of 10 in the sums: once a traceback or an Infinity in
+    # integral.json, after numpy's RuntimeWarnings.
+    times = np.linspace(0.0, 1.0, 9)
+    (tmp_path / "path.csv").write_text(PiecewiseLinearPath(times, slope * times[:, None]).to_csv())
+    cfg = base_config(tmp_path, field=field)
+    assert main(["integrate", "--config", str(cfg)]) == 2
+    assert f"numerical failure: {where} overflowed" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "integral.json").exists()
+
+
+@pytest.mark.parametrize("integrand", ["field_on_canonical_lift", "signature_level2"])
+def test_integrate_needs_level_two(tmp_path, capsys, integrand):
+    # At N = 1 the integrand has no derivative level: once a ValueError traceback.
+    write_line_csv(tmp_path / "path.csv", n=8)
+    cfg = base_config(tmp_path, N=1, alpha=0.6, beta=1.0,
+                      field={"kind": "linear", "matrix": [[1.0]]},
+                      integrate={"integrand": integrand})
+    assert main(["integrate", "--config", str(cfg)]) == 1
+    assert "config error: integrate needs N >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "integral.json").exists()
+
+
+def test_integrate_deep_rate_probe(tmp_path):
+    # 2**30 dyadic pieces once allocated 8 GiB; past the grid they are the grid.
+    write_line_csv(tmp_path / "path.csv", n=8)
+    cfg = base_config(tmp_path, field={"kind": "linear", "matrix": [[1.0]]},
+                      integrate={"depths": [2, 3, 30]})
+    assert main(["integrate", "--config", str(cfg)]) == 0
+    rows = (tmp_path / "out" / "rate_table.csv").read_text().splitlines()
+    assert rows[-2].split(",")[1] == rows[-1].split(",")[1] == "0.125"
+    # The finest depth has no successor: its Cauchy increment is an empty cell.
+    assert rows[-1].endswith(",")
+
+
+FIELDS = {
+    "constant": {"kind": "constant", "value": [0.5], "dim_in": 1},
+    "linear": {"kind": "linear", "matrix": [[1.0]], "offset": [0.0]},
+    "polynomial": {"kind": "polynomial", "dim_in": 1, "dim_out": 1,
+                   "coeffs": [{"exponents": [1], "value": [1.0]}]},
+    "builtin": {"kind": "builtin", "dim_in": 1, "dim_out": 1,
+                "terms": [{"coef": [1.0], "kind": "sin", "weight": [1.0], "phase": 0.0}]},
+}
+
+
+def scenario(kind):
+    """A config every command accepts, with a field of the given kind."""
+    return {
+        "schema_version": 1, "seed": 0, "d": 1, "N": 3, "alpha": 0.29, "beta": 1 / 3,
+        "path_csv": "path.csv", "field": json.loads(json.dumps(FIELDS[kind])),
+        "y0": [1.0], "horizon": 1.0,
+        "solver": {"tau_init": 0.25, "contraction_tol": 1e-11},
+        "integrate": {"s": 0.0, "t": 1.0, "integrand": "field_on_canonical_lift",
+                      "depths": [1, 2, 3]},
+        "verify": {"suites": ["chen", "group_like", "coproduct", "alg_lemma", "removal",
+                              "rates"],
+                   "paths": 1, "segments": 2, "instances": 1, "depths": [1, 2, 3],
+                   "grid": 8, "amplitude": 0.15, "corrupt_level2": False},
+        "output_dir": "out",
+    }
+
+
+NAN, INF = float("nan"), float("inf")
+READ_BY = {"path_csv": ("lift", "integrate", "solve"), "field": ("integrate", "solve"),
+           "alpha": ("lift", "integrate", "solve", "verify"), "horizon": ("solve",),
+           "y0": ("solve",), "integrate": ("integrate",)}
+BAD_VALUES = [  # field kind, key path, value: each once a traceback or a silent coercion
+    ("linear", ("path_csv",), 5), ("linear", ("path_csv",), ["a"]),
+    ("linear", ("field",), "linear"), ("linear", ("field",), [1]),
+    ("linear", ("field", "matrix"), [[NAN]]), ("constant", ("field", "value"), [NAN]),
+    ("builtin", ("field", "terms", 0, "coef"), [NAN]),
+    ("builtin", ("field", "terms", 0, "phase"), NAN),
+    ("builtin", ("field", "terms", 0, "weight"), [INF]),
+    ("constant", ("field", "dim_in"), 1.5), ("constant", ("field", "dim_in"), "1"),
+    ("constant", ("field", "dim_in"), True),
+    ("polynomial", ("field", "coeffs", 0, "exponents"), [1.7]),
+    ("linear", ("field", "matrix"), "1"), ("linear", ("field", "gamma"), NAN),
+    ("linear", ("alpha",), "0.29"), ("linear", ("horizon",), "1"),
+    ("linear", ("horizon",), True), ("linear", ("y0",), ["1.0"]),
+    ("linear", ("y0",), [True]), ("linear", ("integrate", "s"), "0"),
+]
+
+
+def set_at(cfg, path, value):
+    for key in path[:-1]:
+        cfg = cfg[key]
+    cfg[path[-1]] = value
+
+
+@pytest.mark.parametrize("command, kind, path, value", [
+    pytest.param(command, kind, path, value,
+                 id=f"{command}-{kind}-{'.'.join(map(str, path))}={value!r}")
+    for kind, path, value in BAD_VALUES for command in READ_BY[path[0]]])
+def test_config_values_rejected(tmp_path, capsys, command, kind, path, value):
+    write_line_csv(tmp_path / "path.csv", n=16)
+    cfg = scenario(kind)
+    cfg["output_dir"] = str(tmp_path / "out")
+    set_at(cfg, path, value)
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert main([command, "--config", str(tmp_path / "config.json")]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+def test_scenario_runs_every_command(tmp_path, kind):
+    # The fuzz test below starts from these scenarios: each must pass the
+    # config table and run every command.
+    write_line_csv(tmp_path / "path.csv", n=32)
+    (tmp_path / "config.json").write_text(json.dumps(scenario(kind)))
+    for command in ("lift", "integrate", "solve", "verify"):
+        out = tmp_path / command
+        assert main([command, "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+
+
+def config_keys(rows=CONFIG, prefix=""):
+    """The dotted name of every key in a config table; ``[]`` marks the objects of a list."""
+    for name, key in rows.items():
+        yield prefix + name
+        if key.rows is not None:
+            yield from config_keys(key.rows, f"{prefix}{name}.")
+        if key.item is not None and key.item.rows is not None:
+            yield from config_keys(key.item.rows, f"{prefix}{name}[].")
+
+
+def test_readme_lists_every_config_key():
+    # The README's key table and the config table name the same keys.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("<!-- config keys -->")[1]
+    listed = {line.split("`")[1] for line in section.splitlines() if line.startswith("| `")}
+    assert listed == set(config_keys())
+
+
+DROP = object()
+FUZZ_VALUES = [DROP, "x", True, None, {}, 3, 0.5, NAN, INF, -INF, 1e308, -1, -2.5, [], [[1]]]
+
+
+def key_paths(node, prefix=()):
+    """Every key path into a JSON value: object keys and list positions."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    cfg = scenario(draw(st.sampled_from(sorted(FIELDS))))
+    path = draw(st.sampled_from(list(key_paths(cfg))))
+    value = draw(st.sampled_from(FUZZ_VALUES))
+    if value is DROP:
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+    else:
+        set_at(cfg, path, value)
+    return cfg
+
+
+def assert_finite_artifacts(out):
+    for path in out.iterdir():
+        text = path.read_text()
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=lambda c: pytest.fail(f"{path.name} holds {c}"))
+            continue
+        for cell in text.replace("\n", ",").split(","):
+            try:
+                number = float(cell)
+            except ValueError:
+                continue
+            assert np.isfinite(number), f"{path.name} holds {cell}"
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=mutated_scenarios())
+def test_config_boundary_fuzz(cfg):
+    # One dropped key or one bad value anywhere in a working scenario: every
+    # command ends in exit 0, 1 or 2, with no exception and no NaN or inf written.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_line_csv(tmp / "path.csv", n=32)
+        (tmp / "config.json").write_text(json.dumps(cfg))
+        for command in ("lift", "integrate", "solve", "verify"):
+            out = tmp / command
+            code = main([command, "--config", str(tmp / "config.json"), "--out", str(out)])
+            assert code in (0, 1, 2)
+            if out.exists():
+                assert_finite_artifacts(out)

@@ -296,3 +296,19 @@ def test_compensated_sum_matches_reference():
                     assert got.shape == want.shape == (e,)
                     scale = np.maximum(1.0, np.abs(want))
                     assert np.all(np.abs(got - want) <= 1e-13 * scale), (d, N, e, part)
+
+
+def _dyadic_by_formula(s_idx, t_idx, depth):
+    pieces = 2**depth
+    raw = s_idx + np.round(np.arange(pieces + 1) * (t_idx - s_idx) / pieces).astype(int)
+    return tuple(int(i) for i in np.unique(raw))
+
+
+@pytest.mark.parametrize("s_idx, t_idx", [(0, 1), (0, 8), (3, 11), (5, 100), (0, 1000)])
+def test_dyadic_partition_full_range_shortcut(s_idx, t_idx):
+    # Depths at which 2**depth reaches the window length take every grid
+    # index without forming 2**depth points; depth 30 once allocated 8 GiB.
+    for depth in range(13):
+        assert dyadic_partition(s_idx, t_idx, depth).indices == \
+            _dyadic_by_formula(s_idx, t_idx, depth)
+    assert dyadic_partition(s_idx, t_idx, 40).indices == tuple(range(s_idx, t_idx + 1))
