@@ -9,12 +9,12 @@ sum over ordered partitions of the word positions.  It is evaluated grouped
 by arity j and block-size profile (l_1..l_j): one batched contraction of F^j
 against Y^{l_1}, ..., Y^{l_j} per profile, then one transpose per position
 assignment with that profile, so the numpy work per level does not grow
-with the number d**r of word columns.  The module also exposes the
-truncation-correction term and a numerical verifier for the symmetrized
-expansion identity that makes the composition work; both contract the dense
-coproduct sectors of ``tensor_algebra``, one per block-size profile, with
-one slot map per block.  Probes check Taylor-remainder consistency and
-composed-remainder regularity.
+with the number d**r of word columns.  The module also exposes a numerical
+verifier for the symmetrized expansion identity that makes the composition
+work, one check per word length r: the d**r basis words of that level enter
+as one batch, and both sides contract the dense coproduct sectors of
+``tensor_algebra``, one per block-size profile, with one slot map per block.
+Probes check Taylor-remainder consistency and composed-remainder regularity.
 """
 from __future__ import annotations
 
@@ -26,13 +26,13 @@ from functools import reduce
 import numpy as np
 
 from .controlled_path import ControlledPath, _fill_leading, _remainder_blocks
-from .rough_path import GeometricRoughPath, _scan_pairs, increment
+from .rough_path import GeometricRoughPath, _scan_pairs
 from .tensor_algebra import (
     TensorSeries,
     _assignment_axes,
     _coproduct_sectors,
+    _truncated_product,
     symmetrize,
-    tensor_mul,
 )
 
 
@@ -110,16 +110,18 @@ def identity(dim: int, n_levels: int = 1, **kw) -> LipFunction:
     return linear(np.eye(dim), n_levels=n_levels, **kw)
 
 
-def polynomial(dim_in: int, dim_out: int, coeffs: dict, n_levels: int, **kw) -> LipFunction:
+def polynomial(dim_in: int, dim_out: int, coeffs: dict | list, n_levels: int, **kw) -> LipFunction:
     """Multivariate polynomial with exact derivative levels.
 
-    ``coeffs`` maps exponent tuples (length dim_in) to output vectors.
+    ``coeffs`` maps exponent tuples (length dim_in, non-negative whole
+    numbers) to output vectors, as a dict or as a list of pairs; the field is
+    the sum of the listed monomials, so a repeated exponent tuple adds up.
     """
     monos = []
-    for expo, vec in coeffs.items():
-        expo = tuple(int(m) for m in expo)
-        if len(expo) != dim_in or any(m < 0 for m in expo):
+    for expo, vec in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
+        if len(expo) != dim_in or any(m < 0 or not float(m).is_integer() for m in expo):
             raise ValueError(f"bad exponent tuple {expo!r}")
+        expo = tuple(int(m) for m in expo)
         vec = np.asarray(vec, dtype=float).ravel()
         if vec.size != dim_out:
             raise ValueError("monomial value has wrong output dimension")
@@ -192,7 +194,7 @@ def from_config(spec: dict, n_levels: int) -> LipFunction:
     if kind == "linear":
         return linear(spec["matrix"], spec.get("offset"), n_levels, **kw)
     if kind == "polynomial":
-        coeffs = {tuple(entry["exponents"]): entry["value"] for entry in spec["coeffs"]}
+        coeffs = [(entry["exponents"], entry["value"]) for entry in spec["coeffs"]]
         return polynomial(spec["dim_in"], spec["dim_out"], coeffs, n_levels, **kw)
     if kind == "builtin":
         return ridge(spec["dim_in"], spec["dim_out"], spec["terms"], n_levels, **kw)
@@ -313,87 +315,79 @@ def _slot_maps(y_blocks, x_inc: TensorSeries) -> dict:
 
 
 def _contract_slots(block, mats) -> np.ndarray:
-    """Apply one (e, d**m_j) matrix per slot to a flat sector block (slot 1 most
-    significant); returns the flat e**k block in the same slot order."""
+    """Apply one (e, d**m_j) matrix per slot to flat sector blocks (slot 1 most
+    significant), batched over the leading word axis; returns the (words, e**k)
+    blocks in the same slot order."""
+    words = len(block)
     for mat in mats:
-        block = (mat @ block.reshape(mat.shape[1], -1)).T.ravel()
+        block = np.swapaxes(mat @ block.reshape(words, mat.shape[1], -1), 1, 2)
+        block = block.reshape(words, -1)
     return block
 
 
-def _word_sectors(xi, d: int, N: int, k: int) -> dict:
-    """The nonzero sectors of the arity-k coproduct of the basis word xi."""
-    sectors = _coproduct_sectors(TensorSeries.from_word(xi, d, N).levels, k)
-    return {sizes: block for sizes, block in sectors.items() if block.any()}
+def _truncation_term(maps, sectors, N: int, k: int) -> np.ndarray:
+    """Correction compensating that the driver's coproduct splits only up to
+    the truncation level: the level-profile sum restricted to total >= N.
 
-
-def _truncation_term(maps, word_sectors, N: int, k: int) -> np.ndarray:
+    ``sectors`` are the nonzero arity-k coproduct sectors of a batch of basis
+    words, each with the word axis leading; returns one flat e**k row per word.
+    """
     e = maps[1, 0].shape[0]
-    total = np.zeros(e**k)
-    for sizes, block in word_sectors.items():
+    total = np.zeros((len(next(iter(sectors.values()))), e**k))
+    for sizes, block in sectors.items():
         for combo in itertools.product(range(1, N), repeat=k):
             if sum(combo) >= N and all(i >= m for i, m in zip(combo, sizes)):
                 total += _contract_slots(block, [maps[i, m] for i, m in zip(combo, sizes)])
     return total / math.factorial(k)
 
 
-def truncation_correction(y_blocks, x_inc: TensorSeries, xi, k: int) -> np.ndarray:
-    """Correction compensating that the driver's coproduct splits only up to
-    the truncation level: the level-profile sum restricted to total >= N.
-
-    ``y_blocks[i]`` is the (e, d**i) level-i map of the controlled path at
-    the base point; returns a flat e**k block.
-    """
-    N = x_inc.N
-    if not (1 <= k <= N - 1):
-        raise ValueError(f"arity {k} outside 1..{N - 1}")
-    return _truncation_term(_slot_maps(y_blocks, x_inc), _word_sectors(xi, x_inc.d, N, k), N, k)
-
-
-def expansion_identity_check(y_blocks, x_inc: TensorSeries, xi, k: int) -> float:
-    """Max symmetrized deviation between the two expansions of a composed level.
+def expansion_identity_check(y_blocks, x_inc: TensorSeries, r: int, k: int) -> float:
+    """Max symmetrized deviation between the two expansions of a composed level,
+    over all d**r basis words of length r at once.
 
     The left side assembles approximate increments and slot values from the
     base-point data; the right side pushes the coproduct through the product
-    of the driver increment with the word, plus the truncation correction.
-    Exact (to roundoff) whenever the driver increment is group-like.
+    of the driver increment with the word, plus the truncation term.
+    Both sides are linear in the word, so the words of level r enter as one
+    batch: the identity block of that level, word axis leading.  The
+    deviation is divided by max(1, largest |entry| of the two symmetrized
+    sides), so it is relative once the terms outgrow 1.  Exact (to roundoff)
+    whenever the driver increment is group-like.
     """
-    xi, d, N = tuple(xi), x_inc.d, x_inc.N
-    r = len(xi)
+    d, N = x_inc.d, x_inc.N
     if not (1 <= k <= N - 1) or not (1 <= r <= N - 1):
-        raise ValueError("need 1 <= k, |xi| <= N-1")
+        raise ValueError("need 1 <= k, r <= N-1")
     maps = _slot_maps(y_blocks, x_inc)
     e = maps[1, 0].shape[0]
-    word_sectors = {j: _word_sectors(xi, d, N, j) for j in range(1, k + 1)}
+    words = [np.zeros((d**r, d**i)) for i in range(N + 1)]
+    words[r] = np.eye(d**r)
+    # A basis word of length r has nonzero sectors exactly at the profiles of total r.
+    sectors = {j: {sizes: block for sizes, block in _coproduct_sectors(words[:r + 1], j).items()
+                   if sum(sizes) == r} for j in range(1, k + 1)}
 
     yhat = sum(maps[m, 0][:, 0] for m in range(1, N))
     # A subword of length m sits in any level i >= m: sum its slot maps.
     slot_sums = {m: sum(maps[i, m] for i in range(m, N)) for m in range(1, r + 1)}
 
-    lhs = np.zeros(e**k)
+    lhs = np.zeros((d**r, e**k))
     for j in range(1, k + 1):
-        eta = np.zeros(e**j)
-        for sizes, block in word_sectors[j].items():
+        eta = np.zeros((d**r, e**j))
+        for sizes, block in sectors[j].items():
             if 0 not in sizes:
                 eta += _contract_slots(block, [slot_sums[m] for m in sizes])
+        yhat_power = reduce(np.multiply.outer, [yhat] * (k - j), np.ones(1)).ravel()
         weight = 1.0 / (math.factorial(j) * math.factorial(k - j))
-        lhs += weight * reduce(np.multiply.outer, [yhat] * (k - j) + [eta]).ravel()
+        lhs += weight * (yhat_power[:, None] * eta[:, None, :]).reshape(lhs.shape)
 
-    zeta = tensor_mul(x_inc, TensorSeries.from_word(xi, d, N))
-    main = np.zeros(e**k)
-    for sizes, block in _coproduct_sectors(zeta.levels, k).items():
+    main = np.zeros((d**r, e**k))
+    for sizes, block in _coproduct_sectors(_truncated_product(x_inc.levels, words), k).items():
         if 0 not in sizes and r <= sum(sizes) <= N - 1:
             main += _contract_slots(block, [maps[m, m] for m in sizes])
-    rhs = main / math.factorial(k) + _truncation_term(maps, word_sectors[k], N, k)
+    rhs = main / math.factorial(k) + _truncation_term(maps, sectors[k], N, k)
 
-    dev = symmetrize(lhs, e, k) - symmetrize(rhs, e, k)
-    return float(np.max(np.abs(dev)))
-
-
-def expansion_identity_check_path(Y: ControlledPath, X: GeometricRoughPath,
-                                  s_idx: int, t_idx: int, k: int, xi) -> float:
-    """Path-level wrapper: pulls base-point blocks and the driver increment."""
-    blocks = [Y.levels[i][s_idx] for i in range(Y.N)]
-    return expansion_identity_check(blocks, increment(X, s_idx, t_idx), xi, k)
+    lhs, rhs = symmetrize(lhs, e, k), symmetrize(rhs, e, k)
+    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+    return float(np.max(np.abs(lhs - rhs))) / scale
 
 
 @dataclass(frozen=True)

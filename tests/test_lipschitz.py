@@ -16,8 +16,9 @@ from roughpaths.lipschitz import (
     LipFunction,
     compose,
     constant,
+    _slot_maps,
+    _truncation_term,
     expansion_identity_check,
-    expansion_identity_check_path,
     from_config,
     identity,
     linear,
@@ -26,7 +27,6 @@ from roughpaths.lipschitz import (
     remainder_regularity_probe,
     ridge,
     taylor_remainder,
-    truncation_correction,
 )
 from roughpaths.oracle import compose_reference
 from roughpaths.rde_solver import canonical_initial_path
@@ -35,6 +35,7 @@ from roughpaths.rough_path import PiecewiseLinearPath, increment, lift_path
 from roughpaths.tensor_algebra import (
     BoxTensor,
     TensorSeries,
+    _coproduct_sectors,
     box_mul,
     coproduct,
     level_words,
@@ -178,30 +179,40 @@ def _brute_truncation(y_blocks, x_inc, xi, k):
     return total / math.factorial(k)
 
 
+def truncation_rows(y_blocks, x_inc, r, k):
+    """The truncation term for every basis word of length r, one row per word."""
+    d = x_inc.d
+    words = [np.zeros((d**r, d**i)) for i in range(r)] + [np.eye(d**r)]
+    sectors = {sizes: block for sizes, block in _coproduct_sectors(words, k).items()
+               if sum(sizes) == r}
+    return _truncation_term(_slot_maps(y_blocks, x_inc), sectors, x_inc.N, k)
+
+
 def test_truncation_correction_trivial_cases():
     rng = np.random.default_rng(5)
     X = random_driver(rng, 2, 3, 4)
     inc = increment(X, 0, 4)
     y_blocks = [rng.standard_normal((2, 2**i)) for i in range(3)]
     # Arity 1: the index range {i >= N, i <= N-1} is empty.
-    assert np.max(np.abs(truncation_correction(y_blocks, inc, (1,), 1))) == 0.0
+    assert np.max(np.abs(truncation_rows(y_blocks, inc, 1, 1))) == 0.0
     zeros = [np.zeros((2, 2**i)) for i in range(3)]
-    assert np.max(np.abs(truncation_correction(zeros, inc, (1,), 2))) == 0.0
+    assert np.max(np.abs(truncation_rows(zeros, inc, 1, 2))) == 0.0
 
 
 def test_truncation_correction_matches_brute_force():
+    # Row w of the batched term is the correction for the basis word w.
     rng = np.random.default_rng(6)
-    cases = [(3, [(1,), (2,), (1, 2)]),
-             (4, [w for r in (1, 2, 3) for w in level_words(2, r)])]
-    for N, words in cases:
+    for N in (3, 4):
         X = random_driver(rng, 2, N, 5)
         inc = increment(X, 1, 4)
         y_blocks = [rng.standard_normal((2, 2**i)) for i in range(N)]
         for k in (1, 2):
-            for xi in words:
-                got = truncation_correction(y_blocks, inc, xi, k)
-                want = _brute_truncation(y_blocks, inc, xi, k)
-                assert np.allclose(got, want, atol=1e-12), (N, k, xi)
+            for r in range(1, N):
+                rows = truncation_rows(y_blocks, inc, r, k)
+                assert rows.shape == (2**r, 2**k)
+                for idx, xi in enumerate(level_words(2, r)):
+                    want = _brute_truncation(y_blocks, inc, xi, k)
+                    assert np.allclose(rows[idx], want, atol=1e-12), (N, k, xi)
 
 
 def test_truncation_correction_contributing_profiles():
@@ -210,20 +221,20 @@ def test_truncation_correction_contributing_profiles():
     X = random_driver(rng, 2, 3, 4)
     inc = increment(X, 0, 3)
     y_blocks = [rng.standard_normal((2, 2**i)) for i in range(3)]
-    full = truncation_correction(y_blocks, inc, (1,), 2)
+    full = truncation_rows(y_blocks, inc, 1, 2)
     # Knock out level 2 of Y: only the (1, 2)-type profiles vanish with it.
     y_no2 = [y_blocks[0], y_blocks[1], np.zeros_like(y_blocks[2])]
-    assert np.max(np.abs(truncation_correction(y_no2, inc, (1,), 2))) == 0.0
-    assert np.max(np.abs(full)) > 0.0
+    assert np.max(np.abs(truncation_rows(y_no2, inc, 1, 2))) == 0.0
+    assert np.max(np.abs(full[0])) > 0.0 and np.max(np.abs(full[1])) > 0.0
 
 
 def test_expansion_identity_arity_one():
     rng = np.random.default_rng(8)
     X = random_driver(rng, 2, 3, 6)
     Y = random_controlled(rng, X, 2)
-    for xi in [(1,), (2,), (2, 1)]:
-        dev = expansion_identity_check_path(Y, X, 1, 5, 1, xi)
-        assert dev < 1e-12
+    y_blocks = [Y.levels[i][1] for i in range(Y.N)]
+    for r in (1, 2):
+        assert expansion_identity_check(y_blocks, increment(X, 1, 5), r, 1) < 1e-12
 
 
 def test_expansion_identity_all_arities_genuine_lift():
@@ -231,11 +242,20 @@ def test_expansion_identity_all_arities_genuine_lift():
     for N in (3, 4):
         X = random_driver(rng, 2, N, 4)
         Y = random_controlled(rng, X, 2)
+        y_blocks = [Y.levels[i][0] for i in range(N)]
         for k in range(1, N):
             for r in range(1, N):
-                for xi in level_words(2, r):
-                    dev = expansion_identity_check_path(Y, X, 0, 4, k, xi)
-                    assert dev < 1e-10, (N, k, xi, dev)
+                dev = expansion_identity_check(y_blocks, increment(X, 0, 4), r, k)
+                assert dev < 1e-10, (N, k, r, dev)
+
+
+def test_expansion_identity_rejects_out_of_range_levels():
+    rng = np.random.default_rng(12)
+    X = random_driver(rng, 2, 3, 4)
+    y_blocks = [rng.standard_normal((2, 2**i)) for i in range(3)]
+    for r, k in [(0, 1), (3, 1), (1, 0), (1, 3)]:
+        with pytest.raises(ValueError):
+            expansion_identity_check(y_blocks, increment(X, 0, 4), r, k)
 
 
 def test_expansion_identity_needs_group_like_driver():
@@ -246,10 +266,7 @@ def test_expansion_identity_needs_group_like_driver():
     y_blocks = [rng.standard_normal((2, 2**i)) for i in range(4)]
     inc = increment(X, 0, 4)
     broken = inc.with_level(2, np.zeros(4))
-    worst = 0.0
-    for k in (1, 2, 3):
-        for xi in [(1,), (2,)]:
-            worst = max(worst, expansion_identity_check(y_blocks, broken, xi, k))
+    worst = max(expansion_identity_check(y_blocks, broken, 1, k) for k in (1, 2, 3))
     assert worst > 1e-3
 
 
@@ -363,3 +380,19 @@ def test_from_config_kinds():
     assert cst.eval_at(1, [0.0]).shape == (1, 1)
     with pytest.raises(ValueError):
         from_config({"kind": "mystery"}, 2)
+
+
+def test_from_config_sums_repeated_exponents():
+    poly = from_config({"kind": "polynomial", "dim_in": 1, "dim_out": 1,
+                        "coeffs": [{"exponents": [1], "value": [1.0]},
+                                   {"exponents": [1], "value": [2.0]}]}, 2)
+    assert poly.eval_at(0, [1.0])[0, 0] == 3.0
+    assert poly.eval_at(1, [1.0])[0, 0] == 3.0
+
+
+def test_polynomial_rejects_fractional_exponents():
+    with pytest.raises(ValueError):
+        polynomial(1, 1, {(1.7,): [1.0]}, n_levels=2)
+    square = polynomial(1, 1, {(2.0,): [1.0]}, n_levels=2)
+    assert square.eval_at(0, [3.0])[0, 0] == 9.0
+    assert square.eval_at(1, [3.0])[0, 0] == 6.0
