@@ -7,13 +7,15 @@ composition of such a function with a controlled path produces the
 derivative paths of the image via the coproduct expansion, a Faa di Bruno
 sum over ordered partitions of the word positions.  It is evaluated grouped
 by arity j and block-size profile (l_1..l_j): one batched contraction of F^j
-against Y^{l_1}, ..., Y^{l_j} per profile, then one transpose per position
-assignment with that profile, so the numpy work per level does not grow
-with the number d**r of word columns.  The module also exposes a numerical
-verifier for the symmetrized expansion identity that makes the composition
-work, one check per word length r: the d**r basis words of that level enter
-as one batch, and both sides contract the dense coproduct sectors of
-``tensor_algebra``, one per block-size profile, with one slot map per block.
+against Y^{l_1}, ..., Y^{l_j} per profile, then one tiled gather that sums
+the position assignments with that profile through the cached table of
+``tensor_algebra``, so the count of numpy calls per level grows neither with
+the d**r word columns nor with the assignments.  The module also exposes a
+numerical verifier for the symmetrized expansion identity that makes the
+composition work, one check per word length r: the d**r basis words of that
+level enter as one batch, and both sides contract the dense coproduct
+sectors of ``tensor_algebra``, one per block-size profile, with one slot map
+per block; the sectors of the basis words themselves are cached per level.
 Probes check Taylor-remainder consistency and composed-remainder regularity.
 """
 from __future__ import annotations
@@ -29,7 +31,9 @@ from .controlled_path import ControlledPath, _fill_leading, _remainder_blocks
 from .rough_path import GeometricRoughPath, _scan_pairs
 from .tensor_algebra import (
     TensorSeries,
-    _assignment_axes,
+    _add_assignments,
+    _assignment_gathers,
+    _basis_sectors,
     _coproduct_sectors,
     _truncated_product,
     symmetrize,
@@ -174,13 +178,17 @@ def ridge(dim_in: int, dim_out: int, terms, n_levels: int, **kw) -> LipFunction:
         shift = j * np.pi / 2.0
         return np.sin(x + shift) if kind == "sin" else np.cos(x + shift)
 
+    # coef (x) weight^(x)j per term and level, built once.
+    outers = [[np.multiply.outer(coef, reduce(lambda a, b: np.multiply.outer(a, b).ravel(),
+                                              [weight] * j, np.ones(1)))
+               for coef, _, weight, _ in parsed] for j in range(n_levels + 1)]
+
     def ev(j, ys):
         p = ys.shape[0]
         out = np.zeros((p, dim_out, dim_in**j))
-        for coef, kind, weight, phase in parsed:
-            wj = reduce(lambda a, b: np.multiply.outer(a, b).ravel(), [weight] * j, np.ones(1))
+        for (_, kind, weight, phase), outer in zip(parsed, outers[j]):
             vals = g_deriv(kind, j, ys @ weight + phase)
-            out += vals[:, None, None] * np.multiply.outer(coef, wj)[None]
+            out += vals[:, None, None] * outer[None]
         return out
 
     return LipFunction(dim_in, dim_out, n_levels, ev, label="ridge", **kw)
@@ -263,26 +271,27 @@ def _composed_level(f_blocks, y_levels, r: int) -> np.ndarray:
     ``y_levels[i]`` is level i of the controlled path, shape (P, e, d**i);
     returns (P, u, d**r).  The Faa di Bruno sum is grouped by arity j and
     block-size profile (l_1..l_j), each l_i >= 1: F^j is contracted against
-    Y^{l_j}, ..., Y^{l_1} one factor at a time, scaled by 1/j!, and the
-    resulting cube, whose axes list the positions of block 1 then block 2
-    etc., is transposed back to word order once per position assignment
-    with that profile.
+    Y^{l_j}, ..., Y^{l_1} one factor at a time and scaled by 1/j!.  The
+    result lists the positions of block 1, then block 2, etc.; one tiled
+    gather through the cached table of inverse permutations moves it back to
+    word order for every position assignment with that profile and adds the
+    assignments in turn, word axis leading, bit for bit as one transpose per
+    assignment would.
     """
     P, u = f_blocks[1].shape[:2]
     e, d = y_levels[1].shape[1:]
-    cube = np.zeros((P, u) + (d,) * r)
+    acc = np.zeros((d**r, P * u))
     for j in range(1, r + 1):
-        for sizes, orders in _assignment_axes(r, j).items():
+        for sizes, idx in _assignment_gathers(r, j, d, True).items():
             if 0 in sizes:
                 continue
             t, width = f_blocks[j], 1
             for l in reversed(sizes):
                 t = np.swapaxes(y_levels[l], 1, 2)[:, None] @ t.reshape(P, -1, e, width)
                 width *= d**l
-            t = t.reshape(cube.shape) / math.factorial(j)
-            for order in orders:
-                cube += t.transpose((0, 1) + tuple(2 + q for q in np.argsort(order)))
-    return cube.reshape(P, u, d**r)
+            t = np.divide(t.reshape(P * u, d**r).T, math.factorial(j), order="C")
+            _add_assignments(acc, t, idx)
+    return np.ascontiguousarray(acc.T).reshape(P, u, d**r)
 
 
 def compose(F: LipFunction, Y: ControlledPath, X: GeometricRoughPath) -> ControlledPath:
@@ -292,7 +301,8 @@ def compose(F: LipFunction, Y: ControlledPath, X: GeometricRoughPath) -> Control
     ordered nonempty partitions of the r word positions, the level-j blocks
     of F applied to the box products of Y's levels, weighted by 1/j!.  The
     partitions are summed by block-size profile (see ``_composed_level``):
-    one contraction per profile, then one transpose per position assignment.
+    one contraction per profile, then one tiled gather over its position
+    assignments.
     """
     if F.dim_in != Y.dim_u:
         raise ValueError(f"field expects W=R^{F.dim_in}, path has target R^{Y.dim_u}")
@@ -361,9 +371,7 @@ def expansion_identity_check(y_blocks, x_inc: TensorSeries, r: int, k: int) -> f
     e = maps[1, 0].shape[0]
     words = [np.zeros((d**r, d**i)) for i in range(N + 1)]
     words[r] = np.eye(d**r)
-    # A basis word of length r has nonzero sectors exactly at the profiles of total r.
-    sectors = {j: {sizes: block for sizes, block in _coproduct_sectors(words[:r + 1], j).items()
-                   if sum(sizes) == r} for j in range(1, k + 1)}
+    sectors = {j: _basis_sectors(d, r, j) for j in range(1, k + 1)}
 
     yhat = sum(maps[m, 0][:, 0] for m in range(1, N))
     # A subword of length m sits in any level i >= m: sum its slot maps.

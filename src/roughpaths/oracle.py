@@ -1,9 +1,10 @@
 """Independent brute-force references used by the test suite.
 
 Classical RK4 integration, left-point Riemann-Stieltjes sums, a recursive
-enumeration of ordered subset partitions, Holder grid maxima from
-signatures chained segment by segment, the Lipschitz composition summed
-column by column over ordered partitions, the compensated sum taken
+enumeration of ordered subset partitions, the coproduct sectors and the
+composed levels summed one transpose per position assignment, Holder grid
+maxima from signatures chained segment by segment, the Lipschitz
+composition summed column by column over ordered partitions, the compensated sum taken
 one interval and one level at a time, and the controlled seminorm and
 distance scanned pair by pair from each pair's own increment.  Deliberately
 naive: these are oracles, not production paths.
@@ -18,7 +19,7 @@ import numpy as np
 
 from .controlled_path import ControlledPath
 from .rough_path import increment
-from .tensor_algebra import exp_segment, word_index
+from .tensor_algebra import _assignment_axes, exp_segment, word_index
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,24 @@ def enumerate_partitions(r: int, k: int, allow_empty: bool = True) -> list:
     return out
 
 
+def coproduct_sectors_reference(levels, k: int) -> dict:
+    """Arity-k coproduct sectors of level lists, batched over leading axes, as
+    {sizes: block}: per block-size profile, the level-r cube transposed by each
+    position assignment's axis order and flattened, added into a zero block one
+    assignment at a time, in assignment order.
+    """
+    d, lead = levels[1].shape[-1], levels[0].shape[:-1]
+    sectors = {}
+    for r, level in enumerate(levels):
+        cube = level.reshape((-1,) + (d,) * r)
+        for sizes, orders in _assignment_axes(r, k).items():
+            acc = np.zeros((cube.shape[0], d**r))
+            for order in orders:
+                acc += cube.transpose((0,) + tuple(1 + p for p in order)).reshape(acc.shape)
+            sectors[sizes] = acc.reshape(lead + (d**r,))
+    return sectors
+
+
 def chained_signature(points, N: int) -> list:
     """Signature of the polyline through ``points``, level by level.
 
@@ -162,6 +181,31 @@ def compose_reference(F, Y, X) -> ControlledPath:
             block[:, :, col] = acc
         z_levels.append(block)
     return ControlledPath(Y.times, d, N, F.dim_out, Y.alpha, z_levels)
+
+
+def composed_level_reference(f_blocks, y_levels, r: int) -> np.ndarray:
+    """Level r >= 1 of a composition on the arguments of
+    ``lipschitz._composed_level``: per arity j and block-size profile with no
+    empty block, F^j contracted against the profile's levels of Y and scaled
+    by 1/j!, then transposed back to word order by the inverse of each
+    position assignment's axis order and added into a zero cube one
+    assignment at a time, in assignment order.
+    """
+    P, u = f_blocks[1].shape[:2]
+    e, d = y_levels[1].shape[1:]
+    cube = np.zeros((P, u) + (d,) * r)
+    for j in range(1, r + 1):
+        for sizes, orders in _assignment_axes(r, j).items():
+            if 0 in sizes:
+                continue
+            t, width = f_blocks[j], 1
+            for l in reversed(sizes):
+                t = np.swapaxes(y_levels[l], 1, 2)[:, None] @ t.reshape(P, -1, e, width)
+                width *= d**l
+            t = t.reshape(cube.shape) / math.factorial(j)
+            for order in orders:
+                cube += t.transpose((0, 1) + tuple(2 + q for q in np.argsort(order)))
+    return cube.reshape(P, u, d**r)
 
 
 def compensated_sum_reference(Z, X, partition) -> np.ndarray:

@@ -6,7 +6,11 @@ symmetrization, and the coproduct that splits a word over ordered subset
 partitions.  The coproduct is computed in one place, as dense sectors, one
 per block-size profile (:func:`_coproduct_sectors`); the sparse
 :func:`coproduct`, the group-likeness check and the expansion identity in
-``lipschitz`` all read those sectors.
+``lipschitz`` all read those sectors.  Every sum over the assignments of
+word positions to blocks reads one cached table of gather indices per
+(r, k, d) (:func:`_assignment_gathers`): the coproduct sectors, the
+shuffle product and the composition in ``lipschitz``, whose sums run in
+tiles of bounded size (:func:`_add_assignments`).
 
 Coefficient blocks are dense float64 arrays, one per level; a word
 (a_1, ..., a_r) with letters in 1..d addresses the level-r coefficient at
@@ -17,12 +21,15 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache, reduce
+from types import MappingProxyType
 
 import numpy as np
 
 # Construction caps: d**N * k-tuple combinatorics stays at desk scale.
 MAX_DIM = 4
 MAX_LEVEL = 5
+# Largest gather buffer of a position-assignment sum, in doubles.
+_GATHER_BLOCK = 2**14
 
 #: A basis word: tuple of letters in 1..d.  Empty tuple is the unit word.
 Word = tuple
@@ -285,14 +292,20 @@ def shuffle_product(u: Word, w: Word, n_max: int) -> dict:
 
     Sums over all interleavings preserving the internal order of each word,
     i.e. over the assignments of the positions to u and w with sizes
-    (|u|, |w|); coinciding interleavings accumulate multiplicity.
+    (|u|, |w|); coinciding interleavings accumulate multiplicity.  Letters
+    lie in 1..MAX_DIM; the interleavings are read off the gather table of
+    the alphabet 1..max letter, in assignment order.
     """
     uw = tuple(u) + tuple(w)
     if len(uw) > n_max:
         raise ValueError(f"combined length {len(uw)} exceeds level cap {n_max}")
+    _check_word(uw, MAX_DIM, n_max)
+    d = max(uw, default=1)
+    # Row a gathers the transpose by assignment a's axis order; the
+    # interleaving is the inverse transpose, which moves flat index s to idx[a, s].
     out: dict = {}
-    for order in _assignment_axes(len(uw), 2)[len(u), len(w)]:
-        key = tuple(uw[i] for i in np.argsort(order))
+    for idx in _assignment_gathers(len(uw), 2, d)[len(u), len(w)][:, word_index(uw, d)]:
+        key = index_word(int(idx), len(uw), d)
         out[key] = out.get(key, 0.0) + 1.0
     return out
 
@@ -312,24 +325,96 @@ def _assignment_axes(r: int, k: int):
     return grouped
 
 
+@lru_cache(maxsize=None)
+def _assignment_gathers(r: int, k: int, d: int, inverse: bool = False) -> MappingProxyType:
+    """The position assignments of :func:`_assignment_axes` as gather indices.
+
+    Returns {sizes: idx}, ``idx`` a read-only (assignments, d**r) integer
+    array whose row a maps each flat index c of a level-r block to the flat
+    index that the transpose by assignment a's axis order reads there: the
+    transposed block flattened is ``flat[idx[a]]``.  With ``inverse`` the
+    rows are the inverse permutations, the transposes by the inverse orders.
+    """
+    base = np.arange(d**r).reshape((d,) * r)
+    table = {}
+    for sizes, orders in _assignment_axes(r, k).items():
+        idx = np.array([base.transpose(np.argsort(order) if inverse else order).ravel()
+                        for order in orders]).reshape(len(orders), d**r)
+        idx.setflags(write=False)
+        table[sizes] = idx
+    return MappingProxyType(table)
+
+
+def _add_assignments(acc, src, idx) -> None:
+    """Add the gathered rows ``src[idx[a]]`` to ``acc``, a = 0, 1, ... in turn.
+
+    Word axis leading: ``acc`` is (words, batch) and ``src`` a C-contiguous
+    (words, batch) block, so one gathered word is one contiguous run of the
+    batch.  Every entry is acc + src[idx[0]] + src[idx[1]] + ..., added in
+    that order, so the sum equals one transpose per assignment bit for bit.
+    Each tile gathers into one buffer of at most ``_GATHER_BLOCK`` doubles
+    (or of one word of one batch column, when that is larger), the tile of
+    ``acc`` first, and sums it along its leading axis.
+    """
+    n, (words, batch) = len(idx) + 1, acc.shape
+    # The batch is split only when one word of it overflows a tile; each part
+    # is then copied out of src, words * width doubles.
+    width = max(1, batch if n * batch <= _GATHER_BLOCK else _GATHER_BLOCK // max(n, words))
+    cols = max(1, _GATHER_BLOCK // (n * width))
+    for b in range(0, batch, width):
+        part = src if width >= batch else np.ascontiguousarray(src[:, b:b + width])
+        for c in range(0, words, cols):
+            out = acc[c:c + cols, b:b + width]
+            buf = np.empty((n,) + out.shape)
+            buf[0] = out
+            # Indices are in range; "clip" spares the buffered copy "raise" makes.
+            np.take(part, idx[:, c:c + cols], axis=0, out=buf[1:], mode="clip")
+            if out.size > 1:
+                np.add.reduce(buf, axis=0, out=out)
+            else:  # numpy sums a lone run pairwise, not in order
+                out[...] = np.add.accumulate(buf, axis=0)[-1]
+
+
 def _coproduct_sectors(levels, k: int) -> dict:
     """Arity-k coproduct of level lists as dense sectors, batched over leading axes.
 
     Returns {(l_1, ..., l_k): block}, one per block-size profile of total
     r <= N.  At the flat index of the concatenated subwords (u_1, ..., u_k)
     the block sums the level-r coefficients over the position assignments
-    splitting a word into u_1, ..., u_k: one transpose per assignment.
+    splitting a word into u_1, ..., u_k, in assignment order: one gather
+    through the cached table of :func:`_assignment_gathers` per profile.
     """
     d, lead = levels[1].shape[-1], levels[0].shape[:-1]
     sectors = {}
     for r, level in enumerate(levels):
-        cube = level.reshape((-1,) + (d,) * r)
-        for sizes, orders in _assignment_axes(r, k).items():
-            acc = np.zeros((cube.shape[0], d**r))
-            for order in orders:
-                acc += cube.transpose((0,) + tuple(1 + p for p in order)).reshape(acc.shape)
-            sectors[sizes] = acc.reshape(lead + (d**r,))
+        src = np.ascontiguousarray(level.reshape(-1, d**r).T)
+        for sizes, idx in _assignment_gathers(r, k, d).items():
+            acc = np.zeros(src.shape)
+            _add_assignments(acc, src, idx)
+            sectors[sizes] = np.ascontiguousarray(acc.T).reshape(lead + (d**r,))
     return sectors
+
+
+@lru_cache(maxsize=None)
+def _basis_sectors(d: int, r: int, k: int) -> MappingProxyType:
+    """Arity-k coproduct sectors of the d**r basis words of level r, word axis
+    leading, read-only and cached per (d, r, k).
+
+    A basis word of length r has nonzero sectors exactly at the profiles of
+    total r, so these are the level-r profiles of the table; block (w, c)
+    counts the assignments whose gather reads word w at index c, which is
+    what :func:`_coproduct_sectors` of the identity batch sums to.  The
+    caps bound the cache: at d = 4, r = 4 the blocks of arities 1..4 hold
+    29 MB.
+    """
+    sectors = {}
+    for sizes, idx in _assignment_gathers(r, k, d).items():
+        cols = np.broadcast_to(np.arange(d**r), idx.shape)
+        block = np.bincount((idx * d**r + cols).ravel(), minlength=d**(2 * r))
+        block = block.reshape(d**r, d**r).astype(float)
+        block.setflags(write=False)
+        sectors[sizes] = block
+    return MappingProxyType(sectors)
 
 
 def coproduct(xi: TensorSeries, k: int) -> BoxTensor:

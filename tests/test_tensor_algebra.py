@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughpaths import oracle
+from roughpaths import oracle, tensor_algebra
 from roughpaths.tensor_algebra import (
+    MAX_DIM,
     BoxTensor,
     TensorSeries,
+    _basis_sectors,
+    _coproduct_sectors,
     admissible_norm,
     box_deviation,
     box_mul,
@@ -194,6 +197,58 @@ def test_coproduct_matches_partition_oracle():
                 assert box.coeffs == expected
 
 
+def wide_levels(rng, d, N, lead):
+    """Level lists over 16 decades with signed zeros mixed in, so that any
+    change in the order of a sum shows in the last bits."""
+    levels = []
+    for i in range(N + 1):
+        block = rng.standard_normal(lead + (d**i,)) * 10.0 ** rng.integers(-8, 8, lead + (d**i,))
+        levels.append(np.where(rng.random(block.shape) < 0.1, -0.0, block))
+    return levels
+
+
+def same_sectors(a, b):
+    return list(a) == list(b) and all(
+        a[s].shape == b[s].shape and a[s].tobytes() == b[s].tobytes() for s in a)
+
+
+@pytest.mark.parametrize("d, N", [(1, 5), (2, 5), (3, 5), (4, 4), (4, 5)])
+def test_coproduct_sectors_match_transpose_reference(d, N):
+    # Bit for bit, signed zeros included: every assignment is added in the
+    # order of one transpose per assignment, at every arity, for a single
+    # series and for batches of one and of several rows.
+    rng = np.random.default_rng(40 + d)
+    leads = [(), (1,), (3,)] if (d, N) == (4, 5) else [(), (1,), (5,), (2, 3)]
+    for lead in leads:
+        levels = wide_levels(rng, d, N, lead)
+        for k in range(1, N + 2):
+            assert same_sectors(_coproduct_sectors(levels, k),
+                                oracle.coproduct_sectors_reference(levels, k)), (lead, k)
+
+
+@pytest.mark.parametrize("block", [1, 7, 60])
+def test_coproduct_sectors_do_not_depend_on_gather_tiles(monkeypatch, block):
+    # Tiny budgets split both the words and the batch, down to one-entry tiles.
+    monkeypatch.setattr(tensor_algebra, "_GATHER_BLOCK", block)
+    rng = np.random.default_rng(50)
+    cases = [(1, 5, ()), (1, 4, (9,)), (2, 4, ()), (2, 4, (7,)), (2, 3, (0,)), (3, 3, (2, 2))]
+    for d, N, lead in cases:
+        levels = wide_levels(rng, d, N, lead)
+        for k in range(1, N + 1):
+            assert same_sectors(_coproduct_sectors(levels, k),
+                                oracle.coproduct_sectors_reference(levels, k)), (d, lead, k)
+
+
+def test_basis_sectors_are_the_identity_batch_sectors():
+    for d, r, k in [(1, 3, 2), (2, 3, 3), (3, 2, 2), (2, 4, 4), (4, 2, 3)]:
+        words = [np.zeros((d**r, d**i)) for i in range(r)] + [np.eye(d**r)]
+        full = {s: b for s, b in _coproduct_sectors(words, k).items() if sum(s) == r}
+        cached = _basis_sectors(d, r, k)
+        assert same_sectors(cached, full)
+        assert _basis_sectors(d, r, k) is cached
+        assert all(not b.flags.writeable for b in cached.values())
+
+
 def test_box_mul_unit_and_slotwise():
     unit_key = ((), ())
     one = BoxTensor(2, 2, 2, {unit_key: 1.0})
@@ -225,6 +280,25 @@ def test_shuffle_examples():
     assert shuffle_product((1,), (1,), 4) == {(1, 1): 2.0}
     with pytest.raises(ValueError):
         shuffle_product((1, 1, 1), (1, 1), 4)
+    for bad in [((MAX_DIM + 1,), (1,)), ((0,), (1,))]:
+        with pytest.raises(ValueError):
+            shuffle_product(*bad, 4)
+
+
+def test_shuffle_matches_interleaving_oracle():
+    # Every split of the positions into |u| and |w| places one interleaving.
+    pairs = [((1, 2), (2,)), ((3, 1), (1, 3)), ((1,), (2, 2, 4)), ((2, 1, 2), (1, 1)), ((), ())]
+    for u, w in pairs:
+        r = len(u) + len(w)
+        expected: dict = {}
+        for first, second in oracle.enumerate_partitions(r, 2):
+            if len(first) != len(u):
+                continue
+            key = [0] * r
+            for p, a in zip(first + second, u + w):
+                key[p] = a
+            expected[tuple(key)] = expected.get(tuple(key), 0.0) + 1.0
+        assert shuffle_product(u, w, 5) == expected
 
 
 def test_shuffle_coproduct_duality():
