@@ -438,8 +438,7 @@ def _suite_coproduct(cfg, rng, opts) -> dict:
 
 def _suite_alg_lemma(cfg, rng, opts) -> dict:
     corrupt = opts["corrupt_level2"]
-    N = max(3, cfg.N)
-    d = min(cfg.d, 2)
+    N, d = max(3, cfg.N), cfg.d
     worst = 0.0
     for _ in range(opts.get("paths", 4)):
         X = rp.lift_path(_random_polyline(rng, d, 4), N, min(cfg.beta, 1 / N))

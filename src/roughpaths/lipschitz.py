@@ -13,9 +13,11 @@ the position assignments with that profile through the cached table of
 the d**r word columns nor with the assignments.  The module also exposes a
 numerical verifier for the symmetrized expansion identity that makes the
 composition work, one check per word length r: the d**r basis words of that
-level enter as one batch, and both sides contract the dense coproduct
-sectors of ``tensor_algebra``, one per block-size profile, with one slot map
-per block; the sectors of the basis words themselves are cached per level.
+level enter as one batch.  One slot-by-slot pass over the cached coproduct
+sectors of the basis words, with partial sums keyed by level total, gives
+both the left side and the truncation term; the independent main term
+contracts the dense coproduct sectors of the driver increment times the
+word, one slot map per block.
 Probes check Taylor-remainder consistency and composed-remainder regularity.
 """
 from __future__ import annotations
@@ -335,63 +337,64 @@ def _contract_slots(block, mats) -> np.ndarray:
     return block
 
 
-def _truncation_term(maps, sectors, N: int, k: int) -> np.ndarray:
-    """Correction compensating that the driver's coproduct splits only up to
-    the truncation level: the level-profile sum restricted to total >= N.
+def _level_total_sums(maps, sectors, N: int) -> dict:
+    """The slot-map expansion of arity-k sectors of a batch of basis words
+    (word axis leading, empty blocks included), split by level total.
 
-    ``sectors`` are the nonzero arity-k coproduct sectors of a batch of basis
-    words, each with the word axis leading; returns one flat e**k row per word.
+    Contracts one slot at a time: a slot of size m takes every map (i, m),
+    max(m, 1) <= i <= N-1, and partial sums are keyed by min(running level
+    total, N).  Returns {total: (words, e**k) rows}; the entry at N is the
+    part that the driver's truncated coproduct cannot split.
     """
-    e = maps[1, 0].shape[0]
-    total = np.zeros((len(next(iter(sectors.values()))), e**k))
+    sums: dict = {}
     for sizes, block in sectors.items():
-        for combo in itertools.product(range(1, N), repeat=k):
-            if sum(combo) >= N and all(i >= m for i, m in zip(combo, sizes)):
-                total += _contract_slots(block, [maps[i, m] for i, m in zip(combo, sizes)])
-    return total / math.factorial(k)
+        partial = {0: block}
+        for m in sizes:
+            nxt: dict = {}
+            for total, t in partial.items():
+                for i in range(max(m, 1), N):
+                    key = min(total + i, N)
+                    nxt[key] = nxt.get(key, 0) + _contract_slots(t, [maps[i, m]])
+            partial = nxt
+        for total, t in partial.items():
+            sums[total] = sums.get(total, 0) + t
+    return sums
 
 
 def expansion_identity_check(y_blocks, x_inc: TensorSeries, r: int, k: int) -> float:
     """Max symmetrized deviation between the two expansions of a composed level,
     over all d**r basis words of length r at once.
 
-    The left side assembles approximate increments and slot values from the
-    base-point data; the right side pushes the coproduct through the product
-    of the driver increment with the word, plus the truncation term.
-    Both sides are linear in the word, so the words of level r enter as one
-    batch: the identity block of that level, word axis leading.  The
-    deviation is divided by max(1, largest |entry| of the two symmetrized
-    sides), so it is relative once the terms outgrow 1.  Exact (to roundoff)
-    whenever the driver increment is group-like.
+    ``y_blocks`` are levels 0..N-1 of the controlled path at the base point,
+    (e, d**i) blocks.  One slot-by-slot pass (``_level_total_sums``) gives the
+    left side, the sum of all its entries, and the truncation term, its entry
+    at N; the right side adds that term to the coproduct pushed through the
+    product of the driver increment with the word.  Both sides are linear in
+    the word, so the words of level r enter as one batch: the identity block
+    of that level, word axis leading.  The deviation is divided by max(1,
+    largest |entry| of the two symmetrized sides), so it is relative once the
+    terms outgrow 1.  Exact (to roundoff) whenever the driver increment is
+    group-like.
     """
     d, N = x_inc.d, x_inc.N
     if not (1 <= k <= N - 1) or not (1 <= r <= N - 1):
         raise ValueError("need 1 <= k, r <= N-1")
+    y_blocks = [np.asarray(b, dtype=float) for b in y_blocks]
+    e = y_blocks[0].shape[0] if y_blocks and y_blocks[0].ndim == 2 else 0
+    if e < 1 or len(y_blocks) != N or any(b.shape != (e, d**i) for i, b in enumerate(y_blocks)):
+        raise ValueError(f"y_blocks must be N = {N} blocks of shapes (e, d**i), i < N, "
+                         f"d = {d}; got {[b.shape for b in y_blocks]}")
     maps = _slot_maps(y_blocks, x_inc)
-    e = maps[1, 0].shape[0]
-    words = [np.zeros((d**r, d**i)) for i in range(N + 1)]
+    sums = _level_total_sums(maps, _basis_sectors(d, r, k), N)
+    lhs = sum(sums.values()) / math.factorial(k)
+
+    words = [np.zeros((d**r, d**i)) for i in range(N)]
     words[r] = np.eye(d**r)
-    sectors = {j: _basis_sectors(d, r, j) for j in range(1, k + 1)}
-
-    yhat = sum(maps[m, 0][:, 0] for m in range(1, N))
-    # A subword of length m sits in any level i >= m: sum its slot maps.
-    slot_sums = {m: sum(maps[i, m] for i in range(m, N)) for m in range(1, r + 1)}
-
-    lhs = np.zeros((d**r, e**k))
-    for j in range(1, k + 1):
-        eta = np.zeros((d**r, e**j))
-        for sizes, block in sectors[j].items():
-            if 0 not in sizes:
-                eta += _contract_slots(block, [slot_sums[m] for m in sizes])
-        yhat_power = reduce(np.multiply.outer, [yhat] * (k - j), np.ones(1)).ravel()
-        weight = 1.0 / (math.factorial(j) * math.factorial(k - j))
-        lhs += weight * (yhat_power[:, None] * eta[:, None, :]).reshape(lhs.shape)
-
     main = np.zeros((d**r, e**k))
-    for sizes, block in _coproduct_sectors(_truncated_product(x_inc.levels, words), k).items():
-        if 0 not in sizes and r <= sum(sizes) <= N - 1:
+    for sizes, block in _coproduct_sectors(_truncated_product(x_inc.levels[:N], words), k).items():
+        if 0 not in sizes and r <= sum(sizes):
             main += _contract_slots(block, [maps[m, m] for m in sizes])
-    rhs = main / math.factorial(k) + _truncation_term(maps, sectors[k], N, k)
+    rhs = (main + sums.get(N, 0.0)) / math.factorial(k)
 
     lhs, rhs = symmetrize(lhs, e, k), symmetrize(rhs, e, k)
     scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))

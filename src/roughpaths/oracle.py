@@ -167,12 +167,13 @@ def compose_reference(F, Y, X) -> ControlledPath:
     z_levels = [F.eval(0, ys)]
     for r in range(1, N):
         block = np.zeros((P, F.dim_out, d**r))
+        partitions = {j: enumerate_partitions(r, j, allow_empty=False) for j in range(1, r + 1)}
         for col, word in enumerate(itertools.product(range(1, d + 1), repeat=r)):
             acc = np.zeros((P, F.dim_out))
             for j in range(1, r + 1):
                 fj = f_blocks[j]
                 inv_jfact = 1.0 / math.factorial(j)
-                for blocks in enumerate_partitions(r, j, allow_empty=False):
+                for blocks in partitions[j]:
                     tensor = np.ones((P, 1))
                     for blk in blocks:
                         vec = Y.levels[len(blk)][:, :, word_index(tuple(word[p] for p in blk), d)]

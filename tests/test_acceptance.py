@@ -128,21 +128,23 @@ def test_c03_coproduct_correctness():
 def test_c04_expansion_identity():
     start = time.perf_counter()
     rng = np.random.default_rng(104)
-    d = 2
     worst = 0.0
-    for N in [3, 4] * 10 + [5, 5]:
+    for d, N in [(2, N) for N in [3, 4] * 10 + [5, 5]] + [(3, 4), (4, 4), (3, 5)]:
         X = rp.lift_path(random_walk_path(rng, d, 4, step=0.3), N)
         inc = rp.increment(X, 0, 4)
         y_blocks = [rng.standard_normal((2, d**i)) for i in range(N)]
         for k in range(1, N):
             for r in range(1, N):
                 worst = max(worst, lip.expansion_identity_check(y_blocks, inc, r, k))
-    # Necessity of the geometric hypothesis: zero the level-2 block at N=4.
-    X = rp.lift_path(random_walk_path(rng, d, 4, step=0.5), 4)
-    broken = rp.increment(X, 0, 4).with_level(2, np.zeros(4))
-    y_blocks = [rng.standard_normal((2, d**i)) for i in range(4)]
-    broken_dev = max(lip.expansion_identity_check(y_blocks, broken, r, k)
-                     for k in (1, 2, 3) for r in (1, 2, 3))
+    # Necessity of the geometric hypothesis: zero the level-2 block at N=4,
+    # once per alphabet; every alphabet must show the failure.
+    broken_dev = np.inf
+    for d in (2, 3):
+        X = rp.lift_path(random_walk_path(rng, d, 4, step=0.5), 4)
+        broken = rp.increment(X, 0, 4).with_level(2, np.zeros(d**2))
+        y_blocks = [rng.standard_normal((2, d**i)) for i in range(4)]
+        broken_dev = min(broken_dev, max(lip.expansion_identity_check(y_blocks, broken, r, k)
+                                         for k in (1, 2, 3) for r in (1, 2, 3)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and broken_dev > 1e-3 and elapsed < 60.0
     _report("C4 expansion identity", ok,

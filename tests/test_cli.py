@@ -226,6 +226,25 @@ def test_verify_default_suites_pass(tmp_path):
         assert all(suite["pass"] for suite in report["suites"].values()), extra
 
 
+def test_verify_alg_lemma_checks_config_alphabet(tmp_path, monkeypatch):
+    # The suite draws its drivers at the config's d, letters 3 included.
+    seen = []
+    check = roughpaths.lipschitz.expansion_identity_check
+
+    def recording_check(y_blocks, x_inc, r, k):
+        seen.append(x_inc.d)
+        return check(y_blocks, x_inc, r, k)
+
+    monkeypatch.setattr(roughpaths.lipschitz, "expansion_identity_check", recording_check)
+    write_line_csv(tmp_path / "path.csv", d=3)
+    cfg = base_config(tmp_path, d=3, N=4, alpha=0.24, beta=0.25,
+                      verify={"suites": ["alg_lemma"], "paths": 1})
+    assert main(["verify", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    assert report["suites"]["alg_lemma"]["pass"]
+    assert len(seen) == 9 and set(seen) == {3}
+
+
 def test_verify_corrupt_mode_fails_group_like(tmp_path):
     write_line_csv(tmp_path / "path.csv")
     cfg = base_config(tmp_path, d=2,

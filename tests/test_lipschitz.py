@@ -19,8 +19,8 @@ from roughpaths.lipschitz import (
     LipFunction,
     compose,
     constant,
+    _level_total_sums,
     _slot_maps,
-    _truncation_term,
     expansion_identity_check,
     from_config,
     identity,
@@ -39,7 +39,7 @@ from roughpaths.rough_path import PiecewiseLinearPath, increment, lift_path
 from roughpaths.tensor_algebra import (
     BoxTensor,
     TensorSeries,
-    _coproduct_sectors,
+    _basis_sectors,
     box_mul,
     coproduct,
     level_words,
@@ -234,10 +234,13 @@ def test_compose_requires_enough_levels():
         compose(identity(1, n_levels=2), Y, X)
 
 
-def _brute_truncation(y_blocks, x_inc, xi, k):
+def _brute_truncation(y_blocks, x_inc, xi, k, lo=None, hi=math.inf):
     # Independent route: materialize the box power of the increment, multiply
-    # by the coproduct of the word, and apply the level maps directly.
+    # by the coproduct of the word, and apply the level maps directly.  Only
+    # keys whose level total lies in [lo, hi] count; the default window,
+    # totals >= N, is the truncation term.
     d, N = x_inc.d, x_inc.N
+    lo = N if lo is None else lo
     e = y_blocks[1].shape[0]
     words = [w for r in range(N + 1) for w in level_words(d, r)]
     slot = {w: x_inc.coeff(w) for w in words}
@@ -247,7 +250,7 @@ def _brute_truncation(y_blocks, x_inc, xi, k):
     total = np.zeros(e**k)
     for key, c in prod.coeffs.items():
         lengths = [len(w) for w in key]
-        if any(l < 1 or l > N - 1 for l in lengths) or sum(lengths) < N:
+        if any(l < 1 or l > N - 1 for l in lengths) or not lo <= sum(lengths) <= hi:
             continue
         vec = np.ones(1)
         for m, w in zip(lengths, key):
@@ -256,13 +259,17 @@ def _brute_truncation(y_blocks, x_inc, xi, k):
     return total / math.factorial(k)
 
 
+def level_rows(y_blocks, x_inc, r, k):
+    """The expansion pass for every basis word of length r, by level total,
+    one row per word and divided by k!."""
+    sums = _level_total_sums(_slot_maps(y_blocks, x_inc), _basis_sectors(x_inc.d, r, k), x_inc.N)
+    return {total: rows / math.factorial(k) for total, rows in sums.items()}
+
+
 def truncation_rows(y_blocks, x_inc, r, k):
-    """The truncation term for every basis word of length r, one row per word."""
-    d = x_inc.d
-    words = [np.zeros((d**r, d**i)) for i in range(r)] + [np.eye(d**r)]
-    sectors = {sizes: block for sizes, block in _coproduct_sectors(words, k).items()
-               if sum(sizes) == r}
-    return _truncation_term(_slot_maps(y_blocks, x_inc), sectors, x_inc.N, k)
+    """The truncation term for every basis word of length r: the pass's entry at N."""
+    e = y_blocks[1].shape[0]
+    return level_rows(y_blocks, x_inc, r, k).get(x_inc.N, np.zeros((x_inc.d**r, e**k)))
 
 
 def test_truncation_correction_trivial_cases():
@@ -287,9 +294,15 @@ def test_truncation_correction_matches_brute_force():
             for r in range(1, N):
                 rows = truncation_rows(y_blocks, inc, r, k)
                 assert rows.shape == (2**r, 2**k)
+                sums = level_rows(y_blocks, inc, r, k)
                 for idx, xi in enumerate(level_words(2, r)):
                     want = _brute_truncation(y_blocks, inc, xi, k)
                     assert np.allclose(rows[idx], want, atol=1e-12), (N, k, xi)
+                    # The entries below N, which make up the rest of the left side.
+                    for total in range(1, N):
+                        got = sums[total][idx] if total in sums else 0.0
+                        want = _brute_truncation(y_blocks, inc, xi, k, total, total)
+                        assert np.allclose(got, want, atol=1e-12), (N, k, xi, total)
 
 
 def test_truncation_correction_contributing_profiles():
@@ -333,6 +346,17 @@ def test_expansion_identity_rejects_out_of_range_levels():
     for r, k in [(0, 1), (3, 1), (1, 0), (1, 3)]:
         with pytest.raises(ValueError):
             expansion_identity_check(y_blocks, increment(X, 0, 4), r, k)
+
+
+def test_expansion_identity_rejects_malformed_y_blocks():
+    rng = np.random.default_rng(13)
+    inc = increment(random_driver(rng, 2, 3, 4), 0, 4)
+    too_few = [rng.standard_normal((2, 2**i)) for i in range(2)]
+    wrong_d = [rng.standard_normal((2, 3**i)) for i in range(3)]
+    mixed_e = [rng.standard_normal((2 + (i == 2), 2**i)) for i in range(3)]
+    for y_blocks in (too_few, wrong_d, mixed_e):
+        with pytest.raises(ValueError, match="y_blocks must be N = 3 blocks"):
+            expansion_identity_check(y_blocks, inc, 1, 2)
 
 
 def test_expansion_identity_needs_group_like_driver():
