@@ -266,18 +266,15 @@ def zero_remainder_path(blocks, X: GeometricRoughPath, alpha: float) -> Controll
 
 
 def canonical_lift(X: GeometricRoughPath, alpha: float | None = None) -> ControlledPath:
-    """The driver's own level-1 path controlled by itself: identity derivative,
-    zero higher levels, identically vanishing remainders."""
+    """The driver's own level-1 path controlled by itself: the zero-remainder
+    path with start blocks (0, identity, 0, ...)."""
     if X.N < 2:
         raise ValueError("canonical lift needs N >= 2")
     if alpha is None:
         alpha = default_alpha(X.N, X.beta)
-    n, d = X.n_points, X.d
-    levels = [X.levels[1][:, :, None]]
-    levels.append(np.broadcast_to(np.eye(d), (n, d, d)).copy())
-    for i in range(2, X.N):
-        levels.append(np.zeros((n, d, d**i)))
-    return ControlledPath(X.times, d, X.N, d, alpha, levels)
+    d = X.d
+    blocks = [np.zeros((d, 1)), np.eye(d)] + [np.zeros((d, d**i)) for i in range(2, X.N)]
+    return zero_remainder_path(blocks, X, alpha)
 
 
 def path_add(Ya: ControlledPath, Yb: ControlledPath) -> ControlledPath:

@@ -198,16 +198,16 @@ def ridge(dim_in: int, dim_out: int, terms, n_levels: int, **kw) -> LipFunction:
 
 def from_config(spec: dict, n_levels: int) -> LipFunction:
     """Build a field from a field spec the CLI's config table has checked."""
-    kind, kw = spec["kind"], {"gamma": spec.get("gamma"), "lip_norm": spec.get("lip_norm")}
+    kind = spec["kind"]
     if kind == "constant":
-        return constant(spec["value"], spec["dim_in"], n_levels, **kw)
+        return constant(spec["value"], spec["dim_in"], n_levels)
     if kind == "linear":
-        return linear(spec["matrix"], spec.get("offset"), n_levels, **kw)
+        return linear(spec["matrix"], spec.get("offset"), n_levels)
     if kind == "polynomial":
         coeffs = [(entry["exponents"], entry["value"]) for entry in spec["coeffs"]]
-        return polynomial(spec["dim_in"], spec["dim_out"], coeffs, n_levels, **kw)
+        return polynomial(spec["dim_in"], spec["dim_out"], coeffs, n_levels)
     if kind == "builtin":
-        return ridge(spec["dim_in"], spec["dim_out"], spec["terms"], n_levels, **kw)
+        return ridge(spec["dim_in"], spec["dim_out"], spec["terms"], n_levels)
     raise ValueError(f"unknown field kind {kind!r}")
 
 
@@ -343,7 +343,8 @@ def _level_total_sums(maps, sectors, N: int) -> dict:
 
     Contracts one slot at a time: a slot of size m takes every map (i, m),
     max(m, 1) <= i <= N-1, and partial sums are keyed by min(running level
-    total, N).  Returns {total: (words, e**k) rows}; the entry at N is the
+    total, N); the maps that take a partial sum to N are added up first and
+    contracted once.  Returns {total: (words, e**k) rows}; the entry at N is the
     part that the driver's truncated coproduct cannot split.
     """
     sums: dict = {}
@@ -352,9 +353,12 @@ def _level_total_sums(maps, sectors, N: int) -> dict:
         for m in sizes:
             nxt: dict = {}
             for total, t in partial.items():
-                for i in range(max(m, 1), N):
-                    key = min(total + i, N)
-                    nxt[key] = nxt.get(key, 0) + _contract_slots(t, [maps[i, m]])
+                top = max(m, 1, N - total)  # the maps from here on reach N
+                for i in range(max(m, 1), top):
+                    nxt[total + i] = nxt.get(total + i, 0) + _contract_slots(t, [maps[i, m]])
+                if top < N:
+                    reach = sum(maps[i, m] for i in range(top, N))
+                    nxt[N] = nxt.get(N, 0) + _contract_slots(t, [reach])
             partial = nxt
         for total, t in partial.items():
             sums[total] = sums.get(total, 0) + t

@@ -291,14 +291,6 @@ def path_norm(X: GeometricRoughPath, beta: float) -> float:
     return sum(holder_norm(X, i, beta) for i in range(1, X.N + 1))
 
 
-def unit_rough_path(X: GeometricRoughPath) -> GeometricRoughPath:
-    """Constant unit path on the same grid (the zero point of the Holder distance)."""
-    n = X.n_points
-    levels = [np.zeros((n, X.d**i)) for i in range(X.N + 1)]
-    levels[0][:, 0] = 1.0
-    return GeometricRoughPath(X.times, X.d, X.N, X.beta, levels)
-
-
 def chen_deviation(X: GeometricRoughPath) -> float:
     """Max coefficient deviation of X_{s,u} (x) X_{u,t} from X_{s,t} over grid triples.
 

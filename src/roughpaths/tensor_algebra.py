@@ -400,20 +400,17 @@ def _basis_sectors(d: int, r: int, k: int) -> MappingProxyType:
     """Arity-k coproduct sectors of the d**r basis words of level r, word axis
     leading, read-only and cached per (d, r, k).
 
-    A basis word of length r has nonzero sectors exactly at the profiles of
-    total r, so these are the level-r profiles of the table; block (w, c)
-    counts the assignments whose gather reads word w at index c, which is
-    what :func:`_coproduct_sectors` of the identity batch sums to.  The
-    caps bound the cache: at d = 4, r = 4 the blocks of arities 1..4 hold
-    29 MB.
+    These are the sectors of :func:`_coproduct_sectors` of the level-r
+    identity batch at the profiles of total r, the only ones at which a basis
+    word of length r is nonzero.  The caps bound the cache: at d = 4, r = 4
+    the blocks of arities 1..4 hold 29 MB.
     """
+    batch = [np.zeros((d**r, d**i)) for i in range(r)] + [np.eye(d**r)]
     sectors = {}
-    for sizes, idx in _assignment_gathers(r, k, d).items():
-        cols = np.broadcast_to(np.arange(d**r), idx.shape)
-        block = np.bincount((idx * d**r + cols).ravel(), minlength=d**(2 * r))
-        block = block.reshape(d**r, d**r).astype(float)
-        block.setflags(write=False)
-        sectors[sizes] = block
+    for sizes, block in _coproduct_sectors(batch, k).items():
+        if sum(sizes) == r:
+            block.setflags(write=False)
+            sectors[sizes] = block
     return MappingProxyType(sectors)
 
 

@@ -132,6 +132,20 @@ def test_solve_failure_exit_code(tmp_path):
     assert (tmp_path / "out" / "solution_partial.csv").exists()
 
 
+def test_solve_patch_budget_exit_code(tmp_path):
+    # One patch of length tau_init = 0.25 cannot reach the horizon 1.0.
+    write_line_csv(tmp_path / "path.csv", n=32)
+    cfg = base_config(tmp_path, field={"kind": "linear", "matrix": [[1.0]]}, y0=[1.0],
+                      horizon=1.0, solver={"tau_init": 0.25, "max_patches": 1})
+    assert main(["solve", "--config", str(cfg)]) == 2
+    report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert report["failure"] == "patch budget exhausted"
+    assert report["partial"] is True and report["n_patches"] == 1
+    rows = (tmp_path / "out" / "solution_partial.csv").read_text().splitlines()
+    assert float(rows[-1].split(",")[0]) == 0.25
+    assert not (tmp_path / "out" / "solution.csv").exists()
+
+
 def exp_field_config(tmp_path, y0):
     return base_config(
         tmp_path,
@@ -254,6 +268,20 @@ def test_verify_corrupt_mode_fails_group_like(tmp_path):
     suite = report["suites"]["group_like"]
     assert suite["corrupted"] and not suite["pass"]
     assert suite["max_violation"] >= 0.5
+
+
+def test_verify_alg_lemma_detects_corruption_at_n3(tmp_path):
+    # The README config's N = 3: the suite runs at N = 4, where level 2 of
+    # the increment enters the identity, so the corrupted arm fails.
+    write_line_csv(tmp_path / "path.csv")
+    for corrupt in (False, True):
+        cfg = base_config(tmp_path, verify={"suites": ["alg_lemma"], "corrupt_level2": corrupt})
+        assert main(["verify", "--config", str(cfg)]) == 0
+        suite = json.loads((tmp_path / "out" / "verify_report.json").read_text())["suites"]
+        assert suite["alg_lemma"]["corrupted"] is corrupt
+        assert suite["alg_lemma"]["pass"] is not corrupt
+        if corrupt:
+            assert suite["alg_lemma"]["max_deviation"] >= 0.5
 
 
 def test_verify_empty_suites(tmp_path):
@@ -416,6 +444,28 @@ def solve_config(tmp_path, **extra):
     return base_config(tmp_path, **opts)
 
 
+@pytest.mark.parametrize("command, drop, extra, message", [
+    ("lift", ["path_csv"], {}, "config needs path_csv for this command"),
+    ("lift", [], {"path_csv": "missing.csv"}, "missing.csv does not exist"),
+    ("lift", [], {"d": 2}, "path CSV has d=1, config says 2"),
+    ("solve", ["y0"], {}, "solve needs y0 and horizon"),
+    ("solve", ["field"], {}, "config needs a field spec for this command"),
+    ("integrate", [], {"field": {"kind": "linear", "matrix": [[1.0, 2.0]]}},
+     "integrand field must map R^d into L(V;U)"),
+])
+def test_command_inputs_rejected(tmp_path, capsys, command, drop, extra, message):
+    # Inputs a command needs, or whose dimensions disagree, fail at the boundary.
+    write_line_csv(tmp_path / "path.csv", n=8)
+    cfg = json.loads(solve_config(tmp_path, **extra).read_text())
+    for key in drop:
+        del cfg[key]
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert main([command, "--config", str(tmp_path / "config.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_lift_rejects_nan_time(tmp_path, capsys):
     (tmp_path / "path.csv").write_text("t,x1\n0.0,0.0\nnan,0.5\n1.0,1.0\n")
     cfg = base_config(tmp_path)
@@ -568,7 +618,7 @@ BAD_VALUES = [  # field kind, key path, value: each once a traceback or a silent
     ("constant", ("field", "dim_in"), 1.5), ("constant", ("field", "dim_in"), "1"),
     ("constant", ("field", "dim_in"), True),
     ("polynomial", ("field", "coeffs", 0, "exponents"), [1.7]),
-    ("linear", ("field", "matrix"), "1"), ("linear", ("field", "gamma"), NAN),
+    ("linear", ("field", "matrix"), "1"), ("linear", ("field", "offset"), [NAN]),
     ("linear", ("alpha",), "0.29"), ("linear", ("horizon",), "1"),
     ("linear", ("horizon",), True), ("linear", ("y0",), ["1.0"]),
     ("linear", ("y0",), [True]), ("linear", ("integrate", "s"), "0"),

@@ -229,6 +229,31 @@ def test_overflowing_iterate_is_a_solve_failure():
         solve(F, X, [0.0], 1.0, default_config())
 
 
+def test_patch_budget_exhausted_keeps_the_accepted_patch():
+    X, _ = line_driver(n=32)
+    with pytest.raises(SolveFailure, match="patch budget exhausted") as info:
+        solve(scalar_identity_field(), X, [1.0], 1.0, default_config(max_patches=1))
+    assert info.value.partial is not None
+    assert info.value.report.n_patches == 1
+    assert info.value.partial.times[-1] == 0.25
+
+
+def test_non_contraction_at_one_grid_step_is_a_solve_failure():
+    # One Picard step never reaches the tolerance: tau shrinks to a single
+    # grid step, which then fails too, before any patch is accepted.
+    X, _ = line_driver(n=16)
+    with pytest.raises(SolveFailure, match="non-contraction at minimum interval") as info:
+        solve(scalar_identity_field(), X, [1.0], 1.0, default_config(max_picard_iters=1))
+    assert info.value.partial is None
+    assert info.value.report.n_patches == 0
+
+
+def test_horizon_at_grid_start_rejected():
+    X, _ = line_driver(n=16)
+    with pytest.raises(ValueError, match="horizon must exceed the grid start"):
+        solve(scalar_identity_field(), X, [1.0], 0.0, default_config())
+
+
 def test_readme_line_solve_counts():
     # The README scenario: dY = Y dX along x_t = t on 513 points.
     X, _ = line_driver(n=512)

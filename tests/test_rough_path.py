@@ -15,7 +15,6 @@ from roughpaths.rough_path import (
     lift_path,
     path_norm,
     restrict,
-    unit_rough_path,
 )
 from roughpaths.oracle import holder_maxima
 from roughpaths.tensor_algebra import (
@@ -227,7 +226,8 @@ def test_holder_distance_properties():
     assert holder_distance(Xa, Xa, 1 / 3) == 0.0
     assert holder_distance(Xa, Xb, 1 / 3) == pytest.approx(holder_distance(Xb, Xa, 1 / 3))
     # Distance to the unit path recovers the path norm.
-    assert holder_distance(Xa, unit_rough_path(Xa), 1 / 3) == pytest.approx(path_norm(Xa, 1 / 3))
+    unit = lift_path(PiecewiseLinearPath(times, np.zeros((7, 2))), Xa.N, Xa.beta)
+    assert holder_distance(Xa, unit, 1 / 3) == pytest.approx(path_norm(Xa, 1 / 3))
     pc = PiecewiseLinearPath(np.linspace(0, 1, 5), rng.standard_normal((5, 2)))
     with pytest.raises(ValueError):
         holder_distance(Xa, lift_path(pc, 3), 1 / 3)

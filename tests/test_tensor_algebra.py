@@ -240,11 +240,19 @@ def test_coproduct_sectors_do_not_depend_on_gather_tiles(monkeypatch, block):
 
 
 def test_basis_sectors_are_the_identity_batch_sectors():
+    # Block (w, c) of a profile counts the ordered partitions of w's positions
+    # with those block sizes whose concatenated subwords sit at flat index c,
+    # as the oracle's subset-choice enumeration lists them.
     for d, r, k in [(1, 3, 2), (2, 3, 3), (3, 2, 2), (2, 4, 4), (4, 2, 3)]:
-        words = [np.zeros((d**r, d**i)) for i in range(r)] + [np.eye(d**r)]
-        full = {s: b for s, b in _coproduct_sectors(words, k).items() if sum(s) == r}
+        counts: dict = {}
+        for w in level_words(d, r):
+            for blocks in oracle.enumerate_partitions(r, k):
+                sub = tuple(w[p] for blk in blocks for p in blk)
+                block = counts.setdefault(tuple(map(len, blocks)), np.zeros((d**r, d**r)))
+                block[word_index(w, d), word_index(sub, d)] += 1.0
         cached = _basis_sectors(d, r, k)
-        assert same_sectors(cached, full)
+        assert cached.keys() == counts.keys()
+        assert all(cached[s].tobytes() == counts[s].tobytes() for s in counts)
         assert _basis_sectors(d, r, k) is cached
         assert all(not b.flags.writeable for b in cached.values())
 
