@@ -28,7 +28,6 @@ from .rough_path import (
     lift_path,
 )
 from .tensor_algebra import (
-    BoxTensor,
     TensorSeries,
     coproduct,
     exp_segment,
@@ -42,9 +41,9 @@ from .tensor_algebra import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxTensor", "ControlledPath", "GeometricRoughPath", "LipFunction",
-    "Partition", "PiecewiseLinearPath", "SolveReport", "SolverConfig",
-    "TensorSeries", "canonical_lift", "compensated_sum", "compose",
+    "ControlledPath", "GeometricRoughPath", "LipFunction", "Partition",
+    "PiecewiseLinearPath", "SolveReport", "SolverConfig", "TensorSeries",
+    "canonical_lift", "compensated_sum", "compose",
     "concatenate", "continuity_probe", "coproduct", "distance",
     "exp_segment", "expansion_identity_check", "group_inverse",
     "holder_distance", "holder_norm", "increment", "integral_controlled",

@@ -24,7 +24,7 @@ from . import rough_integral as ri
 from . import rough_path as rp
 from . import tensor_algebra as ta
 from .controlled_path import NonFiniteLevelError
-from .oracle import enumerate_partitions
+from .oracle import partition_counts
 from .rde_solver import (SolveFailure, SolverConfig, _is_int_at_least, check_exponents,
                          grid_index, solve)
 
@@ -411,22 +411,22 @@ def _suite_coproduct(cfg, rng, opts) -> dict:
     d, N = min(cfg.d, 2), min(4, cfg.N)
     for k in (1, 2, 3):
         for r in range(0, N + 1):
-            for w in ta.level_words(d, r):
-                box = ta.coproduct(ta.TensorSeries.from_word(w, d, N), k)
-                expected: dict = {}
-                for blocks in enumerate_partitions(r, k):
-                    key = tuple(tuple(w[p] for p in blk) for blk in blocks)
-                    expected[key] = expected.get(key, 0.0) + 1.0
-                worst = max(worst, ta.box_deviation(box, ta.BoxTensor(d, N, k, expected)))
+            # Every basis word of level r at once; a sector of another total
+            # must be zero.
+            batch = [np.eye(d**r) if i == r else np.zeros((d**r, d**i)) for i in range(N + 1)]
+            counts = partition_counts(d, r, k)
+            for sizes, block in ta._coproduct_sectors(batch, k).items():
+                worst = max(worst, float(np.max(np.abs(block - counts.get(sizes, 0.0)))))
     xi = ta.TensorSeries(d, N, [rng.standard_normal(d**i) for i in range(N + 1)])
-    box2 = ta.coproduct(xi, 2)
+    sectors = ta.coproduct(xi, 2)
     for ru in range(N + 1):
         for rw in range(N + 1 - ru):
             for u in ta.level_words(d, ru):
                 for w in ta.level_words(d, rw):
                     pairing = sum(mult * xi.coeff(word)
                                   for word, mult in ta.shuffle_product(u, w, N).items())
-                    worst = max(worst, abs(box2.coeff((u, w)) - pairing))
+                    coeff = sectors[ru, rw][ta.word_index(u + w, d)]
+                    worst = max(worst, abs(float(coeff) - pairing))
     return {"max_deviation": worst, "pass": bool(worst <= 1e-12)}
 
 

@@ -1,13 +1,14 @@
 """Independent brute-force references used by the test suite.
 
 Classical RK4 integration, left-point Riemann-Stieltjes sums, a recursive
-enumeration of ordered subset partitions, the coproduct sectors and the
-composed levels summed one transpose per position assignment, Holder grid
-maxima from signatures chained segment by segment, the Lipschitz
-composition summed column by column over ordered partitions, the compensated sum taken
-one interval and one level at a time, and the controlled seminorm and
-distance scanned pair by pair from each pair's own increment.  Deliberately
-naive: these are oracles, not production paths.
+enumeration of ordered subset partitions with the coproduct counts of basis
+words read off it, the slotwise product of coproduct sectors, the coproduct
+sectors and the composed levels summed one transpose per position
+assignment, Holder grid maxima from signatures chained segment by segment,
+the Lipschitz composition summed column by column over ordered partitions,
+the compensated sum taken one interval and one level at a time, and the
+controlled seminorm and distance scanned pair by pair from each pair's own
+increment.  Deliberately naive: these are oracles, not production paths.
 """
 from __future__ import annotations
 
@@ -98,6 +99,46 @@ def enumerate_partitions(r: int, k: int, allow_empty: bool = True) -> list:
         if not allow_empty and any(len(b) == 0 for b in blocks):
             continue
         out.append(blocks)
+    return out
+
+
+def partition_counts(d: int, r: int, k: int) -> dict:
+    """Arity-k coproduct of the d**r basis words of level r, counted from the
+    subset-choice enumeration: {sizes: counts}, ``counts`` a (d**r, d**r)
+    array whose entry (w, c) counts the ordered partitions of the positions of
+    w with those block sizes whose concatenated subwords sit at flat index c.
+    """
+    counts: dict = {}
+    for blocks in enumerate_partitions(r, k):
+        sizes = tuple(map(len, blocks))
+        if sizes not in counts:
+            counts[sizes] = np.zeros((d**r, d**r))
+        for w in itertools.product(range(1, d + 1), repeat=r):
+            sub = tuple(w[p] for blk in blocks for p in blk)
+            counts[sizes][word_index(w, d), word_index(sub, d)] += 1.0
+    return counts
+
+
+def slotwise_product(a: dict, b: dict, d: int, N: int) -> dict:
+    """Slotwise concatenation product of arity-k dense sectors {sizes: block},
+    laid out as ``tensor_algebra.coproduct`` returns them: (u_1, ..., u_k) of
+    ``a`` times (v_1, ..., v_k) of ``b`` adds to (u_1 v_1, ..., u_k v_k), and
+    products with a slot longer than N are dropped.  One outer product per
+    pair of sectors, its axes transposed into slot order.
+    """
+    out: dict = {}
+    for sa, xa in a.items():
+        for sb, xb in b.items():
+            sizes = tuple(p + q for p, q in zip(sa, sb))
+            if max(sizes, default=0) > N:
+                continue
+            # Axes of a's slots come first, then b's; take them slot by slot.
+            ca = list(itertools.accumulate(sa, initial=0))
+            cb = list(itertools.accumulate(sb, initial=ca[-1]))
+            order = [ax for j in range(len(sizes))
+                     for ax in (*range(ca[j], ca[j + 1]), *range(cb[j], cb[j + 1]))]
+            cube = np.multiply.outer(xa, xb).reshape((d,) * sum(sizes))
+            out[sizes] = out.get(sizes, 0.0) + cube.transpose(order).ravel()
     return out
 
 

@@ -1,12 +1,11 @@
 """Truncated tensor algebra over R^d.
 
-Provides the level-graded series type, the truncated tensor product, the
-box-tensor algebra with its slotwise product, shuffle products,
-symmetrization, and the coproduct that splits a word over ordered subset
-partitions.  The coproduct is computed in one place, as dense sectors, one
-per block-size profile (:func:`_coproduct_sectors`); the sparse
-:func:`coproduct`, the group-likeness check and the expansion identity in
-``lipschitz`` all read those sectors.  Every sum over the assignments of
+Provides the level-graded series type, the truncated tensor product, shuffle
+products, symmetrization, and the coproduct that splits a word over ordered
+subset partitions.  The coproduct is computed in one place, as dense sectors,
+one per block-size profile (:func:`_coproduct_sectors`); :func:`coproduct`
+returns them read-only, and the group-likeness check and the expansion
+identity in ``lipschitz`` read them too.  Every sum over the assignments of
 word positions to blocks reads one cached table of gather indices per
 (r, k, d) (:func:`_assignment_gathers`): the coproduct sectors, the
 shuffle product and the composition in ``lipschitz``, whose sums run in
@@ -128,6 +127,8 @@ class TensorSeries:
 
     def with_level(self, i: int, block) -> "TensorSeries":
         """Copy of the series with level ``i`` replaced (diagnostics only)."""
+        if not 0 <= i <= self.N:
+            raise ValueError(f"level {i} outside 0..{self.N}")
         arr = np.array(block, dtype=float).ravel()
         if arr.size != self.d**i:
             raise ValueError("replacement block has wrong size")
@@ -223,68 +224,6 @@ def exp_segment(v, N: int) -> TensorSeries:
     """Signature of a single linear segment with increment ``v``: level k is v^(x)k / k!."""
     v = np.asarray(v, dtype=float).ravel()
     return TensorSeries._wrap(v.size, N, _segment_levels(v, N))
-
-
-class BoxTensor:
-    """Sparse element of the arity-k box algebra over the truncated tensor algebra.
-
-    Coefficients are keyed by k-tuples of words; each slot word has length
-    at most N.  Used for coproduct images and slotwise products.
-    """
-
-    __slots__ = ("d", "N", "k", "coeffs")
-
-    def __init__(self, d: int, N: int, k: int, coeffs: dict | None = None):
-        if k < 1:
-            raise ValueError("arity must be >= 1")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "k", k)
-        clean: dict = {}
-        for key, c in (coeffs or {}).items():
-            if len(key) != k:
-                raise ValueError(f"key arity {len(key)} != {k}")
-            for w in key:
-                _check_word(w, d, N)
-            if c != 0.0:
-                clean[key] = clean.get(key, 0.0) + float(c)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BoxTensor is immutable")
-
-    def coeff(self, key) -> float:
-        return float(self.coeffs.get(tuple(key), 0.0))
-
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def __repr__(self) -> str:
-        return f"BoxTensor(d={self.d}, N={self.N}, k={self.k}, nnz={len(self.coeffs)})"
-
-
-def box_deviation(a: BoxTensor, b: BoxTensor) -> float:
-    """Max absolute coefficient difference between two box tensors."""
-    if (a.d, a.N, a.k) != (b.d, b.N, b.k):
-        raise ValueError("box tensors are incompatible")
-    dev = 0.0
-    for key in a.coeffs.keys() | b.coeffs.keys():
-        dev = max(dev, abs(a.coeffs.get(key, 0.0) - b.coeffs.get(key, 0.0)))
-    return dev
-
-
-def box_mul(a: BoxTensor, b: BoxTensor) -> BoxTensor:
-    """Slotwise concatenation product; slots that overflow level N are dropped."""
-    if (a.d, a.N, a.k) != (b.d, b.N, b.k):
-        raise ValueError("box tensors are incompatible")
-    out: dict = {}
-    for ka, ca in a.coeffs.items():
-        for kb, cb in b.coeffs.items():
-            key = tuple(wa + wb for wa, wb in zip(ka, kb))
-            if any(len(w) > a.N for w in key):
-                continue
-            out[key] = out.get(key, 0.0) + ca * cb
-    return BoxTensor(a.d, a.N, a.k, out)
 
 
 def shuffle_product(u: Word, w: Word, n_max: int) -> dict:
@@ -414,20 +353,22 @@ def _basis_sectors(d: int, r: int, k: int) -> MappingProxyType:
     return MappingProxyType(sectors)
 
 
-def coproduct(xi: TensorSeries, k: int) -> BoxTensor:
+def coproduct(xi: TensorSeries, k: int) -> MappingProxyType:
     """Arity-k coproduct: splits each word over all ordered subset partitions.
 
-    A word w of length r contributes its coefficient to every key
+    A word w of length r contributes its coefficient to every k-tuple
     (w|I_1, ..., w|I_k) where (I_1, ..., I_k) runs over ordered partitions of
     the positions into k possibly-empty subsets; extended linearly over levels.
+    Returns the read-only sectors of :func:`_coproduct_sectors`,
+    {(l_1, ..., l_k): block}, the tuple (u_1, ..., u_k) of sector
+    (|u_1|, ..., |u_k|) at the flat index of the concatenation u_1 ... u_k.
     """
-    out: dict = {}
-    for sizes, block in _coproduct_sectors(xi.levels, k).items():
-        cuts = list(itertools.accumulate(sizes, initial=0))
-        for idx in np.flatnonzero(block):
-            w = index_word(int(idx), cuts[-1], xi.d)
-            out[tuple(w[a:b] for a, b in zip(cuts, cuts[1:]))] = float(block[idx])
-    return BoxTensor(xi.d, xi.N, k, out)
+    if k < 1:
+        raise ValueError("arity must be >= 1")
+    sectors = _coproduct_sectors(xi.levels, k)
+    for block in sectors.values():
+        block.setflags(write=False)
+    return MappingProxyType(sectors)
 
 
 def _group_like_deviation(levels) -> float:

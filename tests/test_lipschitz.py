@@ -31,21 +31,19 @@ from roughpaths.lipschitz import (
     ridge,
     taylor_remainder,
 )
-from roughpaths.oracle import compose_reference, composed_level_reference
+from roughpaths.oracle import compose_reference, composed_level_reference, slotwise_product
 from roughpaths.rde_solver import canonical_initial_path
 from roughpaths.rough_integral import _operator_slot_last
 from roughpaths import tensor_algebra
 from roughpaths.rough_path import PiecewiseLinearPath, increment, lift_path
 from roughpaths.tensor_algebra import (
-    BoxTensor,
     TensorSeries,
     _basis_sectors,
-    box_mul,
     coproduct,
     level_words,
     symmetrize,
-    word_index,
 )
+from test_acceptance import weierstrass_path
 
 
 def line_driver(N=3, n=8, d=1):
@@ -242,20 +240,20 @@ def _brute_truncation(y_blocks, x_inc, xi, k, lo=None, hi=math.inf):
     d, N = x_inc.d, x_inc.N
     lo = N if lo is None else lo
     e = y_blocks[1].shape[0]
-    words = [w for r in range(N + 1) for w in level_words(d, r)]
-    slot = {w: x_inc.coeff(w) for w in words}
-    xbox = BoxTensor(d, N, k, {key: np.prod([slot[w] for w in key])
-                               for key in itertools.product(words, repeat=k)})
-    prod = box_mul(xbox, coproduct(TensorSeries.from_word(xi, d, N), k))
+    xbox = {sizes: reduce(np.multiply.outer, [x_inc.level(l) for l in sizes]).ravel()
+            for sizes in itertools.product(range(N + 1), repeat=k)}
+    prod = slotwise_product(xbox, coproduct(TensorSeries.from_word(xi, d, N), k), d, N)
     total = np.zeros(e**k)
-    for key, c in prod.coeffs.items():
-        lengths = [len(w) for w in key]
-        if any(l < 1 or l > N - 1 for l in lengths) or not lo <= sum(lengths) <= hi:
+    for sizes, block in prod.items():
+        if any(l < 1 or l > N - 1 for l in sizes) or not lo <= sum(sizes) <= hi:
             continue
-        vec = np.ones(1)
-        for m, w in zip(lengths, key):
-            vec = np.multiply.outer(vec, y_blocks[m][:, word_index(w, d)]).ravel()
-        total += c * vec
+        # One coefficient per tuple of slot words, at its slot-wise flat indices.
+        for key in np.ndindex(*(d**l for l in sizes)):
+            c = block.reshape([d**l for l in sizes])[key]
+            vec = np.ones(1)
+            for m, w in zip(sizes, key):
+                vec = np.multiply.outer(vec, y_blocks[m][:, w]).ravel()
+            total += c * vec
     return total / math.factorial(k)
 
 
@@ -406,17 +404,27 @@ def test_remainder_probe_values_on_ridge_walk():
         assert probe.max_ratio == pytest.approx(max_ratio, rel=1e-13, abs=0)
 
 
-def test_compose_continuity_linear_in_epsilon():
+@pytest.mark.parametrize("driver, N, alpha, beta", [
+    ("walk", 3, 0.3, None),
+    # A rough driver in the regime beta <= 1/3, at every level count it needs.
+    ("weierstrass", 3, 0.28, 0.32),
+    ("weierstrass", 4, 0.22, 0.24),
+    ("weierstrass", 5, 0.18, 0.195),
+], ids=["walk-N3", "weierstrass-N3", "weierstrass-N4", "weierstrass-N5"])
+def test_compose_continuity_linear_in_epsilon(driver, N, alpha, beta):
     rng = np.random.default_rng(12)
-    X = random_driver(rng, 2, 3, 6)
-    Y = canonical_lift(X, alpha=0.3)
+    if driver == "walk":
+        X = random_driver(rng, 2, N, 6)
+    else:
+        X = lift_path(weierstrass_path(n=96, octaves=6, amp=0.2, seed=7), N, beta)
+    Y = canonical_lift(X, alpha=alpha)
     bump = random_controlled(rng, X, 2)
-    F = ridge(2, 1, [{"coef": [1.0], "kind": "sin", "weight": [0.9, -0.4]}], n_levels=3)
+    F = ridge(2, 1, [{"coef": [1.0], "kind": "sin", "weight": [0.9, -0.4]}], n_levels=N)
     base = compose(F, Y, X)
     ratios = []
     for eps in (1e-3, 5e-4, 2.5e-4):
         Z = compose(F, path_add(Y, path_scale(bump, eps)), X)
-        ratios.append(distance(Z, base, X, X, 0.3) / eps)
+        ratios.append(distance(Z, base, X, X, alpha) / eps)
     assert ratios[0] == pytest.approx(ratios[1], rel=0.1)
     assert ratios[1] == pytest.approx(ratios[2], rel=0.1)
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from roughpaths.oracle import enumerate_partitions, ode_rk4, riemann_stieltjes
+from roughpaths.oracle import enumerate_partitions, ode_rk4, riemann_stieltjes, slotwise_product
 from roughpaths.rough_path import PiecewiseLinearPath
+from roughpaths.tensor_algebra import word_index
 
 
 def test_rk4_zero_field_constant():
@@ -61,3 +62,22 @@ def test_enumerate_partitions_matches_powers():
     for r in range(5):
         for k in (1, 2, 3):
             assert len(enumerate_partitions(r, k)) == k**r
+
+
+def test_slotwise_product_unit_and_slotwise():
+    def term(sizes, word, c=1.0):
+        block = np.zeros(2 ** len(word))
+        block[word_index(word, 2)] = c
+        return {sizes: block}
+
+    def product(a, b):
+        return {s: x.tolist() for s, x in slotwise_product(a, b, 2, 2).items()}
+
+    ab = term((1, 2), (1, 2, 1), 2.5)
+    assert product(term((0, 0), ()), ab) == {(1, 2): ab[1, 2].tolist()}
+    assert product(term((1, 0), (1,)), term((0, 1), (2,))) == {(1, 1): [0.0, 1.0, 0.0, 0.0]}
+    # Slot by slot: (u_1 v_1, u_2 v_2), not the concatenation u_1 u_2 v_1 v_2.
+    got = product(term((1, 1), (1, 2)), term((1, 1), (2, 1)))
+    assert got == {(2, 2): term((2, 2), (1, 2, 2, 1))[2, 2].tolist()}
+    # A slot longer than N is dropped.
+    assert product(term((2, 0), (1, 1)), term((1, 0), (2,))) == {}

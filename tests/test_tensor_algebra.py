@@ -1,20 +1,19 @@
 import itertools
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import roughpaths
 from roughpaths import oracle, tensor_algebra
 from roughpaths.tensor_algebra import (
     MAX_DIM,
-    BoxTensor,
     TensorSeries,
     _basis_sectors,
     _coproduct_sectors,
     admissible_norm,
-    box_deviation,
-    box_mul,
     coproduct,
     exp_segment,
     group_inverse,
@@ -58,6 +57,18 @@ def test_series_immutable():
         a.level(1)[0] = 3.0
     with pytest.raises(AttributeError):
         a.d = 3
+
+
+@pytest.mark.parametrize("d, N, i, block", [(1, 1, -1, [9.0]), (2, 2, 3, np.zeros(8))],
+                         ids=["below-0", "above-N"])
+def test_with_level_rejects_level_outside_series(d, N, i, block):
+    with pytest.raises(ValueError, match=f"level {i} outside 0..{N}"):
+        TensorSeries.unit(d, N).with_level(i, block)
+
+
+def test_public_names_resolve():
+    assert all(hasattr(roughpaths, name) for name in roughpaths.__all__)
+    assert "BoxTensor" not in roughpaths.__all__
 
 
 def test_tensor_mul_basis_example():
@@ -155,46 +166,73 @@ def test_exp_segment_collinear_chen():
         assert np.allclose(two.level(i), direct.level(i), atol=1e-15)
 
 
+def nonzero_terms(sectors, d):
+    """The nonzero coefficients of dense coproduct sectors, keyed by the tuple
+    of slot words that each flat index splits into."""
+    terms = {}
+    for sizes, block in sectors.items():
+        cuts = list(itertools.accumulate(sizes, initial=0))
+        for idx in np.flatnonzero(block):
+            w = index_word(int(idx), cuts[-1], d)
+            terms[tuple(w[a:b] for a, b in zip(cuts, cuts[1:]))] = float(block[idx])
+    return terms
+
+
 def test_coproduct_two_letter_word():
     # delta_2(v1 (x) v2) = v1v2 [] 1 + 1 [] v1v2 + v1 [] v2 + v2 [] v1.
     xi = TensorSeries.from_word((1, 2), 2, 2)
-    box = coproduct(xi, 2)
     expected = {
         ((1, 2), ()): 1.0,
         ((), (1, 2)): 1.0,
         ((1,), (2,)): 1.0,
         ((2,), (1,)): 1.0,
     }
-    assert box.coeffs == expected
+    assert nonzero_terms(coproduct(xi, 2), 2) == expected
 
 
 def test_coproduct_arity_one_is_identity_embedding():
     rng = np.random.default_rng(2)
     xi = random_series(rng, 2, 3)
-    box = coproduct(xi, 1)
+    sectors = coproduct(xi, 1)
+    assert list(sectors) == [(r,) for r in range(4)]
     for r in range(4):
-        for w in level_words(2, r):
-            assert box.coeff((w,)) == pytest.approx(xi.coeff(w))
+        assert sectors[r,].tobytes() == xi.level(r).tobytes()
 
 
 def test_coproduct_single_letter():
     xi = TensorSeries.from_word((1,), 2, 2)
-    box = coproduct(xi, 2)
-    assert box.coeffs == {((1,), ()): 1.0, ((), (1,)): 1.0}
+    assert nonzero_terms(coproduct(xi, 2), 2) == {((1,), ()): 1.0, ((), (1,)): 1.0}
 
 
 def test_coproduct_matches_partition_oracle():
-    # Exact agreement with the recursive subset-partition enumeration.
+    # Exact agreement with the recursive subset-partition enumeration; a
+    # sector of another total than the word's length is zero.
     for d, k in itertools.product((1, 2, 3), (1, 2, 3)):
         for r in range(0, 5):
+            counts = oracle.partition_counts(d, r, k)
             for w in level_words(d, r):
-                xi = TensorSeries.from_word(w, d, 4)
-                box = coproduct(xi, k)
-                expected: dict = {}
-                for blocks in oracle.enumerate_partitions(r, k):
-                    key = tuple(tuple(w[p] for p in blk) for blk in blocks)
-                    expected[key] = expected.get(key, 0.0) + 1.0
-                assert box.coeffs == expected
+                sectors = coproduct(TensorSeries.from_word(w, d, 4), k)
+                for sizes, block in sectors.items():
+                    want = counts[sizes][word_index(w, d)] if sum(sizes) == r else 0.0
+                    assert np.all(block == want), (d, k, w, sizes)
+
+
+def test_coproduct_is_the_read_only_dense_sectors():
+    rng = np.random.default_rng(41)
+    for d in range(1, 5):
+        for N in range(1, 6):
+            xi = random_series(rng, d, N)
+            for k in range(1, N + 2):
+                sectors = coproduct(xi, k)
+                assert isinstance(sectors, MappingProxyType)
+                assert same_sectors(sectors, _coproduct_sectors(xi.levels, k)), (d, N, k)
+                assert all(not b.flags.writeable for b in sectors.values())
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_coproduct_rejects_arity_below_one(k):
+    with pytest.raises(ValueError, match="arity"):
+        coproduct(TensorSeries.unit(2, 2), k)
 
 
 def wide_levels(rng, d, N, lead):
@@ -244,12 +282,7 @@ def test_basis_sectors_are_the_identity_batch_sectors():
     # with those block sizes whose concatenated subwords sit at flat index c,
     # as the oracle's subset-choice enumeration lists them.
     for d, r, k in [(1, 3, 2), (2, 3, 3), (3, 2, 2), (2, 4, 4), (4, 2, 3)]:
-        counts: dict = {}
-        for w in level_words(d, r):
-            for blocks in oracle.enumerate_partitions(r, k):
-                sub = tuple(w[p] for blk in blocks for p in blk)
-                block = counts.setdefault(tuple(map(len, blocks)), np.zeros((d**r, d**r)))
-                block[word_index(w, d), word_index(sub, d)] += 1.0
+        counts = oracle.partition_counts(d, r, k)
         cached = _basis_sectors(d, r, k)
         assert cached.keys() == counts.keys()
         assert all(cached[s].tobytes() == counts[s].tobytes() for s in counts)
@@ -257,15 +290,9 @@ def test_basis_sectors_are_the_identity_batch_sectors():
         assert all(not b.flags.writeable for b in cached.values())
 
 
-def test_box_mul_unit_and_slotwise():
-    unit_key = ((), ())
-    one = BoxTensor(2, 2, 2, {unit_key: 1.0})
-    ab = BoxTensor(2, 2, 2, {((1,), (2, 1)): 2.5})
-    out = box_mul(one, ab)
-    assert out.coeffs == ab.coeffs
-    left = BoxTensor(2, 2, 2, {((1,), ()): 1.0})
-    right = BoxTensor(2, 2, 2, {((), (2,)): 1.0})
-    assert box_mul(left, right).coeffs == {((1,), (2,)): 1.0}
+def sector_gap(a, b):
+    """Max coefficient gap between two sets of sectors, a missing one zero."""
+    return max(float(np.max(np.abs(a.get(s, 0.0) - b.get(s, 0.0)))) for s in a.keys() | b.keys())
 
 
 def test_coproduct_is_box_homomorphism_on_low_degree():
@@ -278,8 +305,8 @@ def test_coproduct_is_box_homomorphism_on_low_degree():
         eta = TensorSeries(d, N, [rng.standard_normal(d**i) if i <= 2 else np.zeros(d**i)
                                   for i in range(N + 1)])
         lhs = coproduct(tensor_mul(xi, eta), k)
-        rhs = box_mul(coproduct(xi, k), coproduct(eta, k))
-        assert box_deviation(lhs, rhs) < 1e-12
+        rhs = oracle.slotwise_product(coproduct(xi, k), coproduct(eta, k), d, N)
+        assert sector_gap(lhs, rhs) < 1e-12
 
 
 def test_shuffle_examples():
@@ -314,14 +341,15 @@ def test_shuffle_coproduct_duality():
     rng = np.random.default_rng(4)
     d, N = 2, 4
     xi = random_series(rng, d, N)
-    box = coproduct(xi, 2)
+    sectors = coproduct(xi, 2)
     for ru in range(N + 1):
         for rw in range(N + 1 - ru):
             for u in level_words(d, ru):
                 for w in level_words(d, rw):
                     sh = shuffle_product(u, w, N)
                     pairing = sum(mult * xi.coeff(word) for word, mult in sh.items())
-                    assert box.coeff((u, w)) == pytest.approx(pairing, abs=1e-12)
+                    coeff = sectors[ru, rw][word_index(u + w, d)]
+                    assert coeff == pytest.approx(pairing, abs=1e-12)
 
 
 def test_is_group_like_exponential():
@@ -343,22 +371,18 @@ def test_is_group_like_rejects_bad_scalar():
 
 
 def test_is_group_like_matches_box_route():
-    # Dense sector comparison agrees with the sparse coproduct construction.
+    # The coproduct of a group-like g is the slotwise product of g placed in
+    # each slot in turn, sum over profiles of g^{l_1} [] ... [] g^{l_k}.
     g = tensor_mul(exp_segment([0.5, 0.1], 3), exp_segment([-0.2, 0.8], 3))
     d, N = 2, 3
     for k in (2, 3):
         lhs = coproduct(g, k)
-        rhs: dict = {}
-        for profile in itertools.product(range(N + 1), repeat=k):
-            if sum(profile) > N:
-                continue
-            for words in itertools.product(*(list(level_words(d, l)) for l in profile)):
-                c = 1.0
-                for w in words:
-                    c *= g.coeff(w)
-                if c:
-                    rhs[words] = rhs.get(words, 0.0) + c
-        assert box_deviation(lhs, BoxTensor(d, N, k, rhs)) < 1e-12
+        rhs = {(0,) * k: np.ones(1)}
+        for j in range(k):
+            slot = {tuple(l if i == j else 0 for i in range(k)): g.level(l) for l in range(N + 1)}
+            rhs = oracle.slotwise_product(rhs, slot, d, N)
+        # The coproduct keeps the profiles of total at most N.
+        assert sector_gap(lhs, {s: b for s, b in rhs.items() if sum(s) <= N}) < 1e-12
     ok, dev = is_group_like(g, 1e-12)
     assert ok, dev
 
