@@ -310,13 +310,13 @@ def _integrand(cfg: ScenarioConfig, X: rp.GeometricRoughPath) -> cp.ControlledPa
         F = cfg.build_field(cfg.N)
         if F.dim_in != cfg.d or F.dim_out % cfg.d != 0:
             raise ConfigError("integrand field must map R^d into L(V;U)")
-        return lip.compose(F, cp.canonical_lift(X, cfg.alpha), X)
+        return lip.compose(F, cp.canonical_lift(X), X)
     # Component (a, b) of U = R^(d*d) integrates X^a against dX^b: row (a*d + b)*d + b
     # of L(V;U) is X^a, so its level-1 block A holds A[(a*d + b)*d + b, a] = 1.
     d = X.d
     A = np.einsum("ij,kl->iklj", np.eye(d), np.eye(d)).reshape(d**3, d)
     blocks = [np.zeros((d**3, 1)), A] + [np.zeros((d**3, d**i)) for i in range(2, X.N)]
-    return cp.zero_remainder_path(blocks, X, cfg.alpha)
+    return cp.zero_remainder_path(blocks, X)
 
 
 def cmd_integrate(cfg: ScenarioConfig, out: Path) -> int:
@@ -455,7 +455,7 @@ def _suite_removal(cfg, rng, opts) -> dict:
         e = int(rng.integers(1, 3))
         levels = [rng.standard_normal((X.n_points, e * cfg.d, cfg.d**i))
                   for i in range(cfg.N)]
-        Z = cp.ControlledPath(X.times, cfg.d, cfg.N, e * cfg.d, cfg.alpha, levels)
+        Z = cp.ControlledPath(X.times, cfg.d, cfg.N, e * cfg.d, levels)
         inner = np.sort(rng.choice(np.arange(1, 16), size=3, replace=False))
         part = ri.Partition((0, *map(int, inner), 16))
         j = int(rng.integers(1, len(part.indices) - 1))
@@ -494,7 +494,7 @@ def _suite_rates(cfg, rng, opts) -> dict:
         except ValueError as err:
             raise ConfigError(f"verify.amplitude gives no finite driver: {err}") from err
         X = _lift(path, cfg.N, cfg.beta, "verify.amplitude")
-        Z = lip.compose(F, cp.canonical_lift(X, cfg.alpha), X)
+        Z = lip.compose(F, cp.canonical_lift(X), X)
         probe = ri.convergence_rate_probe(Z, X, 0, n, depths)
         for mesh, inc in zip(probe.meshes, probe.increments):
             envelope[mesh] = max(envelope.get(mesh, 0.0), inc)

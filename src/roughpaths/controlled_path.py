@@ -39,12 +39,13 @@ class ControlledPath:
     """Tuple (Y^0, ..., Y^{N-1}) of map-valued paths sharing the driver grid.
 
     ``levels[i]`` has shape (P, dim_u, d**i); level 0 is the actual path with
-    a trailing singleton axis.  Immutable after construction.
+    a trailing singleton axis.  Immutable after construction.  A path carries
+    no Holder exponent: the norms that measure it take alpha as an argument.
     """
 
-    __slots__ = ("times", "d", "N", "dim_u", "alpha", "levels")
+    __slots__ = ("times", "d", "N", "dim_u", "levels")
 
-    def __init__(self, times, d: int, N: int, dim_u: int, alpha: float, levels):
+    def __init__(self, times, d: int, N: int, dim_u: int, levels):
         times = np.asarray(times, dtype=float).ravel()
         if len(levels) != N:
             raise ValueError(f"expected {N} level blocks, got {len(levels)}")
@@ -63,7 +64,6 @@ class ControlledPath:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "dim_u", dim_u)
-        object.__setattr__(self, "alpha", float(alpha))
         object.__setattr__(self, "levels", tuple(stacked))
 
     def __setattr__(self, name, value):
@@ -73,24 +73,16 @@ class ControlledPath:
     def n_points(self) -> int:
         return self.times.size
 
-    def level(self, i: int) -> np.ndarray:
-        return self.levels[i]
-
     def path_values(self) -> np.ndarray:
         """The level-0 path as a (P, dim_u) array."""
         return self.levels[0][:, :, 0]
 
-    def block(self, i: int, idx: int) -> np.ndarray:
-        """Level-i map at one grid point, shape (dim_u, d**i)."""
-        return self.levels[i][idx]
-
     def replace_levels(self, new_levels) -> "ControlledPath":
-        return ControlledPath(self.times, self.d, self.N, self.dim_u, self.alpha, new_levels)
+        return ControlledPath(self.times, self.d, self.N, self.dim_u, new_levels)
 
     def to_json_dict(self) -> dict:
         return {
             "grid": self.times.tolist(),
-            "alpha": self.alpha,
             "d": self.d,
             "N": self.N,
             "dim_u": self.dim_u,
@@ -106,9 +98,10 @@ class ControlledPath:
         return buf.getvalue()
 
 
-def default_alpha(N: int, beta: float) -> float:
-    """Midpoint of the admissible interval (1/(N+1), beta)."""
-    return 0.5 * (1.0 / (N + 1) + beta)
+def _check_alpha(alpha: float, N: int) -> None:
+    """The remainder exponents (N - i) alpha need 1/(N+1) < alpha <= 1."""
+    if not (1.0 / (N + 1) < alpha <= 1.0):
+        raise ValueError(f"alpha {alpha} outside (1/{N + 1}, 1]")
 
 
 def _check_pair(Y: ControlledPath, X: GeometricRoughPath) -> None:
@@ -190,27 +183,28 @@ def remainder(Y: ControlledPath, X: GeometricRoughPath, i: int, s_idx: int, t_id
     return _remainders_at(Y, X, i, s_idx, slice(t_idx, t_idx + 1))[0]
 
 
-def seminorm(Y: ControlledPath, X: GeometricRoughPath, alpha: float | None = None) -> float:
-    """Sum over levels of the grid-pair maxima of |RY^i| / (t-s)^((N-i) alpha)."""
+def seminorm(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> float:
+    """Sum over levels of the grid-pair maxima of |RY^i| / (t-s)^((N-i) alpha),
+    for 1/(N+1) < alpha <= 1."""
     _check_pair(Y, X)
-    a = Y.alpha if alpha is None else alpha
-    if not (1.0 / (Y.N + 1) < a <= 1.0):
-        raise ValueError(f"alpha {a} outside (1/{Y.N + 1}, 1]")
+    _check_alpha(alpha, Y.N)
     return float(sum(_scan_pairs(Y.times, _remainder_blocks(Y, X, i), Y.dim_u * Y.d**i,
-                                 [(Y.N - i) * a])[0] for i in range(Y.N)))
+                                 [(Y.N - i) * alpha])[0] for i in range(Y.N)))
 
 
 def distance(Ya: ControlledPath, Yb: ControlledPath,
-             Xa: GeometricRoughPath, Xb: GeometricRoughPath,
-             alpha: float | None = None) -> float:
-    """Controlled distance: levelwise grid maxima of |RY^i - RYtilde^i| ratios."""
+             Xa: GeometricRoughPath, Xb: GeometricRoughPath, alpha: float) -> float:
+    """Controlled distance at exponent alpha: the sum over levels of the
+    grid-pair maxima of |RY^i - RYtilde^i| / (t-s)^((N-i) alpha)."""
     _check_pair(Ya, Xa)
     _check_pair(Yb, Xb)
+    if Ya.d != Yb.d or Ya.N != Yb.N:
+        raise ValueError("controlled paths disagree in (d, N)")
     if Ya.n_points != Yb.n_points or not np.array_equal(Ya.times, Yb.times):
         raise ValueError("controlled paths must share the grid")
     if Ya.dim_u != Yb.dim_u:
         raise ValueError("controlled paths must share the target dimension")
-    a = Ya.alpha if alpha is None else alpha
+    _check_alpha(alpha, Ya.N)
 
     def level(i):
         rem_a, rem_b = _remainder_blocks(Ya, Xa, i), _remainder_blocks(Yb, Xb, i)
@@ -220,7 +214,7 @@ def distance(Ya: ControlledPath, Yb: ControlledPath,
             out -= rem_b(rows, cols)
             return out
 
-        return _scan_pairs(Ya.times, block, Ya.dim_u * Ya.d**i, [(Ya.N - i) * a])[0]
+        return _scan_pairs(Ya.times, block, Ya.dim_u * Ya.d**i, [(Ya.N - i) * alpha])[0]
 
     return float(sum(level(i) for i in range(Ya.N)))
 
@@ -230,8 +224,9 @@ def _initial_norm(Y: ControlledPath) -> float:
     return sum(float(np.abs(Y.levels[i][0]).sum()) for i in range(Y.N))
 
 
-def triple_norm(Y: ControlledPath, X: GeometricRoughPath, alpha: float | None = None) -> float:
-    """Banach norm: controlled seminorm plus l1 norms of the initial blocks."""
+def triple_norm(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> float:
+    """Banach norm at exponent alpha: controlled seminorm plus l1 norms of the
+    initial blocks."""
     return seminorm(Y, X, alpha) + _initial_norm(Y)
 
 
@@ -244,7 +239,7 @@ def level_holder_norm(Y: ControlledPath, i: int, exponent: float) -> float:
                        lvl.shape[1], [exponent])[0]
 
 
-def zero_remainder_path(blocks, X: GeometricRoughPath, alpha: float) -> ControlledPath:
+def zero_remainder_path(blocks, X: GeometricRoughPath) -> ControlledPath:
     """The unique controlled path with the given start blocks and RY = 0.
 
     ``blocks[i]`` is the (dim_u, d**i) level-i map at the grid start; each
@@ -262,19 +257,17 @@ def zero_remainder_path(blocks, X: GeometricRoughPath, alpha: float) -> Controll
         for j in range(i, X.N):
             arr += _fill_leading(blocks[j], X.levels[j - i])
         levels.append(arr)
-    return ControlledPath(X.times, d, X.N, e, alpha, levels)
+    return ControlledPath(X.times, d, X.N, e, levels)
 
 
-def canonical_lift(X: GeometricRoughPath, alpha: float | None = None) -> ControlledPath:
+def canonical_lift(X: GeometricRoughPath) -> ControlledPath:
     """The driver's own level-1 path controlled by itself: the zero-remainder
     path with start blocks (0, identity, 0, ...)."""
     if X.N < 2:
         raise ValueError("canonical lift needs N >= 2")
-    if alpha is None:
-        alpha = default_alpha(X.N, X.beta)
     d = X.d
     blocks = [np.zeros((d, 1)), np.eye(d)] + [np.zeros((d, d**i)) for i in range(2, X.N)]
-    return zero_remainder_path(blocks, X, alpha)
+    return zero_remainder_path(blocks, X)
 
 
 def path_add(Ya: ControlledPath, Yb: ControlledPath) -> ControlledPath:
@@ -313,15 +306,12 @@ def concatenate(left: ControlledPath, right: ControlledPath, X: GeometricRoughPa
     if start + times.size > X.n_points or not np.array_equal(times, X.times[start:start + times.size]):
         raise ValueError("joined grid must be a contiguous slice of the driver grid")
     levels = [np.concatenate([a, b[1:]], axis=0) for a, b in zip(left.levels, right.levels)]
-    return ControlledPath(times, left.d, left.N, left.dim_u, left.alpha, levels)
+    return ControlledPath(times, left.d, left.N, left.dim_u, levels)
 
 
-def restrict_path(Y: ControlledPath, s_idx: int, t_idx: int,
-                  alpha: float | None = None) -> ControlledPath:
+def restrict_path(Y: ControlledPath, s_idx: int, t_idx: int) -> ControlledPath:
     """Slice a controlled path to grid indices s_idx..t_idx."""
     if not (0 <= s_idx < t_idx < Y.n_points):
         raise ValueError("invalid restriction indices")
     rows = slice(s_idx, t_idx + 1)
-    return ControlledPath(Y.times[rows], Y.d, Y.N, Y.dim_u,
-                          Y.alpha if alpha is None else alpha,
-                          [lvl[rows] for lvl in Y.levels])
+    return ControlledPath(Y.times[rows], Y.d, Y.N, Y.dim_u, [lvl[rows] for lvl in Y.levels])

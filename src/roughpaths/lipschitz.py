@@ -29,7 +29,7 @@ from functools import reduce
 
 import numpy as np
 
-from .controlled_path import ControlledPath, _fill_leading, _remainder_blocks
+from .controlled_path import ControlledPath, _check_alpha, _fill_leading, _remainder_blocks
 from .rough_path import GeometricRoughPath, _scan_pairs
 from .tensor_algebra import (
     TensorSeries,
@@ -316,7 +316,7 @@ def compose(F: LipFunction, Y: ControlledPath, X: GeometricRoughPath) -> Control
     f_blocks = {j: F.eval(j, ys) for j in range(1, Y.N)}
     z_levels = [F.eval(0, ys)]
     z_levels += [_composed_level(f_blocks, Y.levels, r) for r in range(1, Y.N)]
-    return ControlledPath(Y.times, Y.d, Y.N, F.dim_out, Y.alpha, z_levels)
+    return ControlledPath(Y.times, Y.d, Y.N, F.dim_out, z_levels)
 
 
 def _slot_maps(y_blocks, x_inc: TensorSeries) -> dict:
@@ -413,16 +413,17 @@ class RemainderProbe:
 
 
 def remainder_regularity_probe(F: LipFunction, Y: ControlledPath, X: GeometricRoughPath,
-                               r: int, alpha: float | None = None) -> RemainderProbe:
-    """Composed-path remainder scan: max |RZ^r_{s,t}| and its Holder ratio.
+                               r: int, alpha: float) -> RemainderProbe:
+    """Composed-path remainder scan: max |RZ^r_{s,t}| and its Holder ratio at
+    exponent (N - r) alpha, for 1/(N+1) < alpha <= 1.
 
     A finite ratio across the grid is the observable form of the stability
     of controlled paths under Lipschitz composition.
     """
     if not (0 <= r < Y.N):
         raise ValueError(f"level {r} outside 0..{Y.N - 1}")
+    _check_alpha(alpha, Y.N)
     Z = compose(F, Y, X)
-    a = Y.alpha if alpha is None else alpha
     worst_abs, worst_ratio = _scan_pairs(Y.times, _remainder_blocks(Z, X, r), Z.dim_u * Z.d**r,
-                                         [0.0, (Y.N - r) * a])
+                                         [0.0, (Y.N - r) * alpha])
     return RemainderProbe(level=r, max_remainder=worst_abs, max_ratio=worst_ratio)

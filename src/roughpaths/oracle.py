@@ -222,7 +222,7 @@ def compose_reference(F, Y, X) -> ControlledPath:
                     acc += inv_jfact * np.einsum("pux,px->pu", fj, tensor)
             block[:, :, col] = acc
         z_levels.append(block)
-    return ControlledPath(Y.times, d, N, F.dim_out, Y.alpha, z_levels)
+    return ControlledPath(Y.times, d, N, F.dim_out, z_levels)
 
 
 def composed_level_reference(f_blocks, y_levels, r: int) -> np.ndarray:
@@ -285,7 +285,6 @@ def _remainder_maxima(Ya, Xa, Yb, Xb, alpha) -> float:
     """Sum over levels i of the grid maximum over s < t of
     |RYa^i_{s,t} - RYb^i_{s,t}| / (t - s)^((N - i) alpha), the second term
     dropped when ``Yb`` is None; one increment(X, s, t) per pair and driver."""
-    a = Ya.alpha if alpha is None else alpha
     times, N = Ya.times, Ya.N
     worst = [0.0] * N
     for s in range(times.size - 1):
@@ -296,16 +295,16 @@ def _remainder_maxima(Ya, Xa, Yb, Xb, alpha) -> float:
                 rem = _remainder_reference(Ya, inc_a, i, s, t)
                 if Yb is not None:
                     rem = rem - _remainder_reference(Yb, inc_b, i, s, t)
-                ratio = float(np.abs(rem).sum()) / (times[t] - times[s]) ** ((N - i) * a)
+                ratio = float(np.abs(rem).sum()) / (times[t] - times[s]) ** ((N - i) * alpha)
                 worst[i] = max(worst[i], ratio)
     return sum(worst)
 
 
-def seminorm_reference(Y, X, alpha: float | None = None) -> float:
+def seminorm_reference(Y, X, alpha: float) -> float:
     """The controlled seminorm, scanned pair by pair (see ``_remainder_maxima``)."""
     return _remainder_maxima(Y, X, None, None, alpha)
 
 
-def distance_reference(Ya, Yb, Xa, Xb, alpha: float | None = None) -> float:
+def distance_reference(Ya, Yb, Xa, Xb, alpha: float) -> float:
     """The controlled distance, scanned pair by pair (see ``_remainder_maxima``)."""
     return _remainder_maxima(Ya, Xa, Yb, Xb, alpha)

@@ -121,8 +121,7 @@ class SolveReport:
         return asdict(self)
 
 
-def canonical_initial_path(y0, F: LipFunction, X: GeometricRoughPath,
-                           alpha: float) -> ControlledPath:
+def canonical_initial_path(y0, F: LipFunction, X: GeometricRoughPath) -> ControlledPath:
     """Zero-remainder start path: initial blocks from the field's derivative
     recursion at y0, propagated along the driver's running signature."""
     y0 = np.asarray(y0, dtype=float).ravel()
@@ -141,7 +140,7 @@ def canonical_initial_path(y0, F: LipFunction, X: GeometricRoughPath,
         for r in range(N - 1):
             z = f_blocks[0] if r == 0 else _composed_level(f_blocks, w0, r)
             w0.append(_operator_slot_last(z, d))
-        return zero_remainder_path([w[0] for w in w0], X, alpha)
+        return zero_remainder_path([w[0] for w in w0], X)
 
 
 def picard_step(Y: ControlledPath, F: LipFunction, X: GeometricRoughPath, y0) -> ControlledPath:
@@ -172,7 +171,7 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
     """
     y0 = np.asarray(y0, dtype=float).ravel()
     try:
-        W = canonical_initial_path(y0, F, X_local, config.alpha)
+        W = canonical_initial_path(y0, F, X_local)
     except NonFiniteLevelError as err:
         raise SolveFailure(f"start path overflowed: {err}") from err
     Y = W if initial_guess is None else initial_guess

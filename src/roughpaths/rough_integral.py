@@ -132,7 +132,7 @@ def integral_controlled(Z: ControlledPath, X: GeometricRoughPath,
         level0 = level0 + np.asarray(offset, dtype=float).ravel()[None, :]
     levels = [level0[:, :, None]]
     levels += [_operator_slot_last(Z.levels[k - 1], d) for k in range(1, X.N)]
-    return ControlledPath(X.times, X.d, X.N, e, Z.alpha, levels)
+    return ControlledPath(X.times, X.d, X.N, e, levels)
 
 
 def removal_identity_check(Z: ControlledPath, X: GeometricRoughPath,

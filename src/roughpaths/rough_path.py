@@ -101,6 +101,12 @@ class PiecewiseLinearPath:
         return PiecewiseLinearPath(new_t, new_p)
 
 
+def _check_beta(beta: float) -> None:
+    """The level exponents i beta need 0 < beta <= 1."""
+    if not (0.0 < beta <= 1.0):
+        raise ValueError(f"beta {beta} outside (0, 1]")
+
+
 class GeometricRoughPath:
     """Grid-sampled group-valued path t -> X_{t0,t} with a declared Holder exponent.
 
@@ -117,8 +123,7 @@ class GeometricRoughPath:
             raise ValueError("grid times must be finite and strictly increasing")
         if len(levels) != N + 1:
             raise ValueError(f"expected {N + 1} stacked level blocks")
-        if not (0.0 < beta <= 1.0):
-            raise ValueError("beta must lie in (0, 1]")
+        _check_beta(beta)
         stacked = []
         for i, arr in enumerate(levels):
             arr = np.ascontiguousarray(arr, dtype=float)
@@ -265,9 +270,7 @@ def holder_norm(X: GeometricRoughPath, level: int, beta: float) -> float:
     """Grid maximum of |X^level_{s,t}| / (t-s)^(level*beta) over all pairs s < t."""
     if not (1 <= level <= X.N):
         raise ValueError(f"level {level} outside 1..{X.N}")
-    if not (0.0 < beta <= 1.0):
-        raise ValueError("exponent must lie in (0, 1]")
-
+    _check_beta(beta)
     return _scan_pairs(X.times, lambda s, t: _increments(X, (s, None), (None, t), level)[level],
                        X.d**level, [level * beta])[0]
 
@@ -278,6 +281,7 @@ def holder_distance(Xa: GeometricRoughPath, Xb: GeometricRoughPath, beta: float)
         raise ValueError("rough paths are incompatible")
     if Xa.n_points != Xb.n_points or not np.array_equal(Xa.times, Xb.times):
         raise ValueError("rough paths must share the grid; resample upstream")
+    _check_beta(beta)
 
     def block(i):
         return lambda s, t: (_increments(Xa, (s, None), (None, t), i)[i]

@@ -119,6 +119,8 @@ class TensorSeries:
         return cls._wrap(d, N, blocks)
 
     def level(self, i: int) -> np.ndarray:
+        if not 0 <= i <= self.N:
+            raise ValueError(f"level {i} outside 0..{self.N}")
         return self.levels[i]
 
     def coeff(self, word: Word) -> float:
@@ -149,9 +151,6 @@ class TensorSeries:
 
     def __neg__(self) -> "TensorSeries":
         return TensorSeries._wrap(self.d, self.N, [-a for a in self.levels])
-
-    def scale(self, c: float) -> "TensorSeries":
-        return TensorSeries._wrap(self.d, self.N, [c * a for a in self.levels])
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "N": self.N, "levels": [b.tolist() for b in self.levels]}

@@ -163,7 +163,7 @@ def test_c05_point_removal_identity():
         X = rp.lift_path(random_walk_path(rng, d, 16, step=0.2), N)
         e = int(rng.integers(1, 3))
         levels = [rng.standard_normal((17, e * d, d**i)) for i in range(N)]
-        Z = cp.ControlledPath(X.times, d, N, e * d, 0.3, levels)
+        Z = cp.ControlledPath(X.times, d, N, e * d, levels)
         inner = np.sort(rng.choice(np.arange(1, 16), size=3, replace=False))
         part = ri.Partition((0, *map(int, inner), 16))
         j = int(rng.integers(1, len(part.indices) - 1))
@@ -180,7 +180,7 @@ def test_c06_rough_integral_vs_classical():
     t = X.times
     levels = [(t**2)[:, None, None].copy(), (2 * t)[:, None, None].copy(),
               np.full((n + 1, 1, 1), 2.0)]
-    Z = cp.ControlledPath(X.times, 1, 3, 1, 0.28, levels)
+    Z = cp.ControlledPath(X.times, 1, 3, 1, levels)
     val, _ = ri.rough_integral(Z, X, 0, n)
     poly_dev = abs(val[0] - 1.0 / 3.0)
     stielt = oracle.riemann_stieltjes(
@@ -190,7 +190,7 @@ def test_c06_rough_integral_vs_classical():
     # Linear integrand: exact 1/2 for any partition.
     X2 = line_lift(32, 2)
     lev2 = [X2.times[:, None, None].copy(), np.ones((33, 1, 1))]
-    Z2 = cp.ControlledPath(X2.times, 1, 2, 1, 0.4, lev2)
+    Z2 = cp.ControlledPath(X2.times, 1, 2, 1, lev2)
     lin_dev = abs(ri.compensated_sum(Z2, X2, ri.Partition((0, 7, 32)))[0] - 0.5)
 
     # Signature integrand reproduces the level-2 block for any partition.
@@ -204,7 +204,7 @@ def test_c06_rough_integral_vs_classical():
         for b in range(d):
             z0[:, (a * d + b) * d + b, 0] = Xr.levels[1][:, a]
             z1[:, (a * d + b) * d + b, a] = 1.0
-    Zs = cp.ControlledPath(Xr.times, d, 3, e * d, 0.3,
+    Zs = cp.ControlledPath(Xr.times, d, 3, e * d,
                            [z0, z1, np.zeros((nr, e * d, d**2))])
     sig_dev = 0.0
     want = Xr.levels[2][nr - 1]
@@ -234,7 +234,7 @@ def test_c07_convergence_rate():
     envelope = {}
     for seed in range(3, 9):
         X = rp.lift_path(weierstrass_path(n=512, seed=seed), N, beta=0.32)
-        Z = lip.compose(F, cp.canonical_lift(X, alpha), X)
+        Z = lip.compose(F, cp.canonical_lift(X), X)
         probe = ri.convergence_rate_probe(Z, X, 0, 512, depths=depths)
         for mesh, inc in zip(probe.meshes, probe.increments):
             envelope[mesh] = max(envelope.get(mesh, 0.0), inc)
@@ -286,9 +286,9 @@ def test_c09_fixed_point_uniqueness_patching():
     # Distinct admissible initial guesses converge to the same local solution.
     X_loc = rp.restrict(X, 0, 32)
     base = solve_local(F, X_loc, [1.0], cfg)
-    W = canonical_initial_path([1.0], F, X_loc, cfg.alpha)
+    W = canonical_initial_path([1.0], F, X_loc)
     bump = np.sin(np.pi * X_loc.times)
-    pert = cp.ControlledPath(X_loc.times, 1, 3, 1, cfg.alpha,
+    pert = cp.ControlledPath(X_loc.times, 1, 3, 1,
                              [0.05 * bump[:, None, None] * np.ones((33, 1, 1))
                               for _ in range(3)])
     other = solve_local(F, X_loc, [1.0], cfg, initial_guess=cp.path_add(W, pert))
@@ -298,7 +298,7 @@ def test_c09_fixed_point_uniqueness_patching():
     half = grid_index(X.times, 0.5)
     left, _ = solve(F, X, [1.0], 0.5, cfg)
     right, _ = solve(F, rp.restrict(X, half, 128), left.path_values()[-1], 1.0, cfg)
-    glued = cp.ControlledPath(X.times, 1, 3, 1, cfg.alpha,
+    glued = cp.ControlledPath(X.times, 1, 3, 1,
                               [np.concatenate([a, b[1:]])
                                for a, b in zip(left.levels, right.levels)])
     split_gap = cp.distance(glued, Y, X, X, cfg.alpha)

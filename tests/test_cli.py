@@ -675,6 +675,16 @@ def test_readme_lists_every_config_key():
     assert listed == set(config_keys())
 
 
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # The README's library example runs as printed against today's signatures.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    code = readme.split("## Library example")[1].split("```python\n")[1].split("```")[0]
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["report"].success
+
+
 DROP = object()
 FUZZ_VALUES = [DROP, "x", True, None, {}, 3, 0.5, NAN, INF, -INF, 1e308, -1, -2.5, [], [[1]]]
 

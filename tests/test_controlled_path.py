@@ -5,7 +5,6 @@ from roughpaths.controlled_path import (
     ControlledPath,
     canonical_lift,
     concatenate,
-    default_alpha,
     distance,
     level_holder_norm,
     path_add,
@@ -20,6 +19,7 @@ from roughpaths.controlled_path import (
 )
 from roughpaths import rough_path
 from roughpaths.controlled_path import NonFiniteLevelError, _remainder_blocks
+from roughpaths.lipschitz import linear, remainder_regularity_probe
 from roughpaths.oracle import distance_reference, seminorm_reference
 from roughpaths.rough_path import (
     GeometricRoughPath,
@@ -37,16 +37,20 @@ def random_driver(rng, d, N, n_segments, horizon=1.0):
     return lift_path(PiecewiseLinearPath(times, points), N)
 
 
-def random_controlled(rng, X, dim_u, alpha=None):
-    a = default_alpha(X.N, X.beta) if alpha is None else alpha
+# The exponent these tests measure at: the midpoint of (1/(N+1), beta) for
+# N = 3 and beta = 1/3, the drivers of ``random_driver``.
+ALPHA = 0.5 * (1.0 / 4 + 1.0 / 3)
+
+
+def random_controlled(rng, X, dim_u):
     levels = [rng.standard_normal((X.n_points, dim_u, X.d**i)) for i in range(X.N)]
-    return ControlledPath(X.times, X.d, X.N, dim_u, a, levels)
+    return ControlledPath(X.times, X.d, X.N, dim_u, levels)
 
 
 def test_constructor_validates_shapes():
     X = random_driver(np.random.default_rng(0), 2, 3, 4)
     with pytest.raises(ValueError):
-        ControlledPath(X.times, 2, 3, 1, 0.3, [np.zeros((5, 1, 1)), np.zeros((5, 1, 2)), np.zeros((5, 1, 3))])
+        ControlledPath(X.times, 2, 3, 1, [np.zeros((5, 1, 1)), np.zeros((5, 1, 2)), np.zeros((5, 1, 3))])
 
 
 def test_constructor_rejects_non_finite_levels():
@@ -55,7 +59,7 @@ def test_constructor_rejects_non_finite_levels():
         levels = [np.zeros((5, 1, 2**i)) for i in range(3)]
         levels[1][2, 0, 1] = bad
         with pytest.raises(NonFiniteLevelError, match="level 1"):
-            ControlledPath(X.times, 2, 3, 1, 0.3, levels)
+            ControlledPath(X.times, 2, 3, 1, levels)
 
 
 def walk_driver(rng, d, N, P, step=0.3):
@@ -74,9 +78,9 @@ def test_seminorm_matches_reference():
             for P in (5, 17):
                 X = walk_driver(rng, d, N, P)
                 for e in (1, 2):
-                    Y = random_controlled(rng, X, e, alpha)
-                    ref = seminorm_reference(Y, X)
-                    assert abs(seminorm(Y, X) - ref) <= 1e-13 * ref, (d, N, P, e)
+                    Y = random_controlled(rng, X, e)
+                    ref = seminorm_reference(Y, X, alpha)
+                    assert abs(seminorm(Y, X, alpha) - ref) <= 1e-13 * ref, (d, N, P, e)
 
 
 def test_distance_matches_reference():
@@ -87,10 +91,10 @@ def test_distance_matches_reference():
             for P in (5, 17):
                 Xa, Xb = walk_driver(rng, d, N, P), walk_driver(rng, d, N, P)
                 for e in (1, 2):
-                    Ya = random_controlled(rng, Xa, e, alpha)
-                    Yb = random_controlled(rng, Xb, e, alpha)
-                    ref = distance_reference(Ya, Yb, Xa, Xb)
-                    assert abs(distance(Ya, Yb, Xa, Xb) - ref) <= 1e-13 * ref, (d, N, P, e)
+                    Ya = random_controlled(rng, Xa, e)
+                    Yb = random_controlled(rng, Xb, e)
+                    ref = distance_reference(Ya, Yb, Xa, Xb, alpha)
+                    assert abs(distance(Ya, Yb, Xa, Xb, alpha) - ref) <= 1e-13 * ref, (d, N, P, e)
 
 
 def test_zero_remainder_roundoff_floor():
@@ -101,9 +105,9 @@ def test_zero_remainder_roundoff_floor():
     rng = np.random.default_rng(42)
     X = walk_driver(rng, 2, 4, 33)
     blocks = [rng.standard_normal((2, 2**i)) for i in range(4)]
-    Y = zero_remainder_path(blocks, X, 0.24)
-    assert seminorm(Y, X) < 5e-13
-    assert seminorm_reference(Y, X) < 5e-13
+    Y = zero_remainder_path(blocks, X)
+    assert seminorm(Y, X, 0.24) < 5e-13
+    assert seminorm_reference(Y, X, 0.24) < 5e-13
 
 
 def test_large_amplitude_walk_matches_reference():
@@ -116,15 +120,15 @@ def test_large_amplitude_walk_matches_reference():
     # size of the levels, about 1.3e4 on this path.
     rng = np.random.default_rng(44)
     Xa, Xb = walk_driver(rng, 2, 4, 65, step=3.0), walk_driver(rng, 2, 4, 65, step=3.0)
-    Ya, Yb = random_controlled(rng, Xa, 2, 0.24), random_controlled(rng, Xb, 2, 0.24)
-    ref = seminorm_reference(Ya, Xa)
-    assert abs(seminorm(Ya, Xa) - ref) <= 1e-13 * ref
-    ref = distance_reference(Ya, Yb, Xa, Xb)
-    assert abs(distance(Ya, Yb, Xa, Xb) - ref) <= 1e-13 * ref
-    Z = zero_remainder_path([rng.standard_normal((2, 2**i)) for i in range(4)], Xa, 0.24)
-    floor = seminorm_reference(Z, Xa)
+    Ya, Yb = random_controlled(rng, Xa, 2), random_controlled(rng, Xb, 2)
+    ref = seminorm_reference(Ya, Xa, 0.24)
+    assert abs(seminorm(Ya, Xa, 0.24) - ref) <= 1e-13 * ref
+    ref = distance_reference(Ya, Yb, Xa, Xb, 0.24)
+    assert abs(distance(Ya, Yb, Xa, Xb, 0.24) - ref) <= 1e-13 * ref
+    Z = zero_remainder_path([rng.standard_normal((2, 2**i)) for i in range(4)], Xa)
+    floor = seminorm_reference(Z, Xa, 0.24)
     assert 0.0 < floor < 1e-8
-    assert seminorm(Z, Xa) <= 4.0 * floor
+    assert seminorm(Z, Xa, 0.24) <= 4.0 * floor
 
 
 def test_scans_do_not_depend_on_tiling(monkeypatch):
@@ -135,10 +139,10 @@ def test_scans_do_not_depend_on_tiling(monkeypatch):
     cases = []
     for d, N, e in ((1, 3, 1), (2, 4, 2), (3, 5, 1), (4, 3, 2)):
         X, Xb = walk_driver(rng, d, N, 19), walk_driver(rng, d, N, 19)
-        cases.append((X, Xb, random_controlled(rng, X, e, 0.3), random_controlled(rng, Xb, e, 0.3)))
+        cases.append((X, Xb, random_controlled(rng, X, e), random_controlled(rng, Xb, e)))
 
     def scans():
-        return [(seminorm(Ya, Xa), distance(Ya, Yb, Xa, Xb), distance(Ya, Ya, Xa, Xa),
+        return [(seminorm(Ya, Xa, 0.3), distance(Ya, Yb, Xa, Xb, 0.3), distance(Ya, Ya, Xa, Xa, 0.3),
                  [holder_norm(Xa, level, 0.3) for level in range(1, Xa.N + 1)],
                  group_like_deviation(Xa))
                 for Xa, Xb, Ya, Yb in cases]
@@ -193,16 +197,16 @@ def test_canonical_lift_remainders_vanish():
         for t in range(s, 7):
             direct = (path.points[t] - path.points[s]) - (path.points[t] - path.points[s])
             assert np.allclose(remainder(Y, X, 0, s, t)[:, 0], direct, atol=1e-13)
-    assert seminorm(Y, X) < 1e-12
+    assert seminorm(Y, X, ALPHA) < 1e-12
 
 
 def test_constant_path_zero_remainder():
     X = random_driver(np.random.default_rng(2), 2, 3, 5)
     levels = [np.ones((6, 1, 1)), np.zeros((6, 1, 2)), np.zeros((6, 1, 4))]
-    Y = ControlledPath(X.times, 2, 3, 1, 0.3, levels)
+    Y = ControlledPath(X.times, 2, 3, 1, levels)
     for i in range(3):
         assert np.max(np.abs(remainder_rows(Y, X, i, 0))) == 0.0
-    assert seminorm(Y, X) == 0.0
+    assert seminorm(Y, X, 0.3) == 0.0
 
 
 def test_top_level_remainder_is_plain_increment():
@@ -224,31 +228,60 @@ def test_remainder_level_out_of_range():
 
 def test_seminorm_zero_path():
     X = random_driver(np.random.default_rng(5), 2, 3, 4)
-    Y = ControlledPath(X.times, 2, 3, 1, 0.3, [np.zeros((5, 1, 2**i)) for i in range(3)])
-    assert seminorm(Y, X) == 0.0
-    assert triple_norm(Y, X) == 0.0
+    Y = ControlledPath(X.times, 2, 3, 1, [np.zeros((5, 1, 2**i)) for i in range(3)])
+    assert seminorm(Y, X, 0.3) == 0.0
+    assert triple_norm(Y, X, 0.3) == 0.0
 
 
 def test_distance_pseudometric():
     rng = np.random.default_rng(6)
     X = random_driver(rng, 2, 3, 5)
     Ya, Yb, Yc = (random_controlled(rng, X, 2) for _ in range(3))
-    assert distance(Ya, Ya, X, X) == 0.0
-    assert distance(Ya, Yb, X, X) == distance(Yb, Ya, X, X)
-    dab = distance(Ya, Yb, X, X)
-    dbc = distance(Yb, Yc, X, X)
-    dac = distance(Ya, Yc, X, X)
+    assert distance(Ya, Ya, X, X, ALPHA) == 0.0
+    assert distance(Ya, Yb, X, X, ALPHA) == distance(Yb, Ya, X, X, ALPHA)
+    dab = distance(Ya, Yb, X, X, ALPHA)
+    dbc = distance(Yb, Yc, X, X, ALPHA)
+    dac = distance(Ya, Yc, X, X, ALPHA)
     assert dac <= dab + dbc + 1e-12
-    zero = ControlledPath(X.times, 2, 3, 2, Ya.alpha, [np.zeros_like(l) for l in Ya.levels])
-    assert distance(Ya, zero, X, X) == pytest.approx(seminorm(Ya, X))
+    zero = ControlledPath(X.times, 2, 3, 2, [np.zeros_like(l) for l in Ya.levels])
+    assert distance(Ya, zero, X, X, ALPHA) == pytest.approx(seminorm(Ya, X, ALPHA))
+
+
+@pytest.mark.parametrize("alpha", [np.nan, 0.25, 1.5], ids=["nan", "below", "above"])
+def test_norms_reject_alpha_outside_range(alpha):
+    # At N = 3 alpha must lie in (1/4, 1].  Every measure checks it before
+    # scanning: the running maximum of a scan drops NaN ratios, so a NaN
+    # exponent would read 0.0.
+    rng = np.random.default_rng(15)
+    X = random_driver(rng, 2, 3, 8)
+    Ya, Yb = random_controlled(rng, X, 2), random_controlled(rng, X, 2)
+    F = linear(rng.standard_normal((2, 2)), n_levels=3)
+    measures = (lambda: seminorm(Ya, X, alpha), lambda: triple_norm(Ya, X, alpha),
+                lambda: distance(Ya, Yb, X, X, alpha),
+                lambda: remainder_regularity_probe(F, Ya, X, 1, alpha))
+    for measure in measures:
+        with pytest.raises(ValueError, match=r"alpha .* outside \(1/4, 1\]"):
+            measure()
+
+
+def test_distance_rejects_paths_of_other_depth():
+    # Canonical lifts of one path at N = 3 and N = 2: each is a valid pair
+    # with its own driver, but the two cannot be compared level by level.
+    rng = np.random.default_rng(16)
+    path = PiecewiseLinearPath(np.linspace(0.0, 1.0, 9), rng.standard_normal((9, 2)))
+    X3, X2 = lift_path(path, 3), lift_path(path, 2)
+    Y3, Y2 = canonical_lift(X3), canonical_lift(X2)
+    for args in ((Y3, Y2, X3, X2), (Y2, Y3, X2, X3)):
+        with pytest.raises(ValueError, match=r"\(d, N\)"):
+            distance(*args, 0.4)
 
 
 def test_triple_norm_homogeneity():
     rng = np.random.default_rng(7)
     X = random_driver(rng, 2, 3, 4)
     Y = random_controlled(rng, X, 1)
-    base = triple_norm(Y, X)
-    assert triple_norm(path_scale(Y, -2.5), X) == pytest.approx(2.5 * base)
+    base = triple_norm(Y, X, ALPHA)
+    assert triple_norm(path_scale(Y, -2.5), X, ALPHA) == pytest.approx(2.5 * base)
 
 
 def test_completeness_proxy_linear_decay():
@@ -256,10 +289,10 @@ def test_completeness_proxy_linear_decay():
     X = random_driver(rng, 2, 3, 4)
     Y = random_controlled(rng, X, 1)
     Z = random_controlled(rng, X, 1)
-    base = triple_norm(Z, X)
+    base = triple_norm(Z, X, ALPHA)
     for n in range(1, 6):
         Yn = path_add(Y, path_scale(Z, 2.0**-n))
-        assert triple_norm(path_sub(Yn, Y), X) == pytest.approx(2.0**-n * base, rel=1e-12)
+        assert triple_norm(path_sub(Yn, Y), X, ALPHA) == pytest.approx(2.0**-n * base, rel=1e-12)
 
 
 def test_canonical_seminorm_ignores_top_driver_level():
@@ -269,7 +302,7 @@ def test_canonical_seminorm_ignores_top_driver_level():
     levels = [arr.copy() for arr in X.levels]
     levels[3] = levels[3] + rng.standard_normal(levels[3].shape)
     X_perturbed = GeometricRoughPath(X.times, X.d, X.N, X.beta, levels)
-    assert seminorm(Y, X_perturbed) == seminorm(Y, X)
+    assert seminorm(Y, X_perturbed, ALPHA) == seminorm(Y, X, ALPHA)
 
 
 def test_cross_interval_remainder_identity():
@@ -300,7 +333,7 @@ def test_concatenate_roundtrip_and_trivial_left():
     for a, b in zip(back.levels, Y.levels):
         assert np.array_equal(a, b)
     # Single-point left piece: the joined path is just the right piece.
-    point = ControlledPath(Y.times[:1], Y.d, Y.N, Y.dim_u, Y.alpha,
+    point = ControlledPath(Y.times[:1], Y.d, Y.N, Y.dim_u,
                            [lvl[:1] for lvl in Y.levels])
     same = concatenate(point, Y, X)
     for a, b in zip(same.levels, Y.levels):
@@ -326,30 +359,26 @@ def test_zero_remainder_paths_concatenate_cleanly():
     rng = np.random.default_rng(14)
     X = random_driver(rng, 2, 3, 8)
     blocks = [rng.standard_normal((2, 2**i)) for i in range(3)]
-    left = zero_remainder_path(blocks, restrict(X, 0, 4), 0.3)
+    left = zero_remainder_path(blocks, restrict(X, 0, 4))
     end_blocks = [left.levels[i][-1] for i in range(3)]
-    right = zero_remainder_path(end_blocks, restrict(X, 4, 8), 0.3)
+    right = zero_remainder_path(end_blocks, restrict(X, 4, 8))
     glued = concatenate(left, right, X)
     for i in range(3):
         for s in range(8):
             assert np.max(np.abs(remainder_rows(glued, X, i, s))) < 1e-12
-    assert seminorm(glued, X) < 1e-11
+    assert seminorm(glued, X, 0.3) < 1e-11
 
 
 def test_level_holder_norm_linear_path():
     w = np.array([1.5, -0.5])
     times = np.linspace(0.0, 1.0, 9)
     X = lift_path(PiecewiseLinearPath(times, np.outer(times, w)), 3)
-    Y = canonical_lift(X, alpha=0.3)
+    Y = canonical_lift(X)
     # |Y^0_{s,t}| = |w| (t-s); the ratio peaks at the full interval.
     assert level_holder_norm(Y, 0, 0.3) == pytest.approx(np.abs(w).sum())
     assert level_holder_norm(Y, 1, 0.3) == 0.0
     # Top level matches its own remainder seminorm (plain increments).
     assert level_holder_norm(Y, Y.N - 1, 0.3) == 0.0
-
-
-def test_default_alpha_midpoint():
-    assert default_alpha(3, 1 / 3) == pytest.approx((0.25 + 1 / 3) / 2)
 
 
 def test_exports_parse():

@@ -59,7 +59,7 @@ def random_driver(rng, d, N, n_segments):
 
 def random_controlled(rng, X, dim_u):
     levels = [rng.standard_normal((X.n_points, dim_u, X.d**i)) for i in range(X.N)]
-    return ControlledPath(X.times, X.d, X.N, dim_u, 0.3, levels)
+    return ControlledPath(X.times, X.d, X.N, dim_u, levels)
 
 
 def sin_scalar(n_levels):
@@ -143,7 +143,7 @@ def test_compose_identity_is_identity():
 def test_compose_square_of_line():
     # F(y) = y^2 along x_t = t: levels are x^2, 2x, 2.
     X = line_driver(N=3, n=10)
-    Y = canonical_lift(X, alpha=0.3)
+    Y = canonical_lift(X)
     F = polynomial(1, 1, {(2,): [1.0]}, n_levels=3)
     Z = compose(F, Y, X)
     t = X.times
@@ -198,7 +198,7 @@ def test_compose_memory_stays_near_output_size():
     d, N, e, P = 4, 5, 2, 257
     times = np.linspace(0.0, 1.0, P)
     X = lift_path(PiecewiseLinearPath(times, np.cumsum(0.05 * rng.standard_normal((P, d)), 0)), N)
-    Y = ControlledPath(times, d, N, e, 0.3, [rng.standard_normal((P, e, d**i)) for i in range(N)])
+    Y = ControlledPath(times, d, N, e, [rng.standard_normal((P, e, d**i)) for i in range(N)])
     F = ridge(e, 2, [{"coef": [1.0, 0.5], "kind": "sin", "weight": [0.3, -0.2]}], N)
     compose(F, Y, X)
     tracemalloc.start()
@@ -227,7 +227,7 @@ def test_compose_does_not_depend_on_gather_tiles(monkeypatch, block):
 
 def test_compose_requires_enough_levels():
     X = line_driver(N=3, n=4)
-    Y = canonical_lift(X, alpha=0.3)
+    Y = canonical_lift(X)
     with pytest.raises(ValueError):
         compose(identity(1, n_levels=2), Y, X)
 
@@ -372,17 +372,17 @@ def test_expansion_identity_needs_group_like_driver():
 def test_remainder_probe_linear_on_canonical_lift():
     rng = np.random.default_rng(11)
     X = random_driver(rng, 2, 3, 6)
-    Y = canonical_lift(X, alpha=0.3)
+    Y = canonical_lift(X)
     F = linear(rng.standard_normal((2, 2)), n_levels=3)
     for r in (1, 2):
-        probe = remainder_regularity_probe(F, Y, X, r)
+        probe = remainder_regularity_probe(F, Y, X, r, 0.3)
         assert probe.max_remainder < 1e-12
     G = constant([1.0], 2, n_levels=3)
     for r in (1, 2):
-        assert remainder_regularity_probe(G, Y, X, r).max_ratio == 0.0
+        assert remainder_regularity_probe(G, Y, X, r, 0.3).max_ratio == 0.0
     for r in (-1, 3):
         with pytest.raises(ValueError, match="outside"):
-            remainder_regularity_probe(G, Y, X, r)
+            remainder_regularity_probe(G, Y, X, r, 0.3)
 
 
 def test_remainder_probe_values_on_ridge_walk():
@@ -392,14 +392,14 @@ def test_remainder_probe_values_on_ridge_walk():
     times = np.linspace(0.0, 1.0, 129)
     X = lift_path(PiecewiseLinearPath(times, 0.3 * np.cumsum(rng.standard_normal((129, 2)), axis=0) / 11),
                   4, 0.25)
-    Y = canonical_lift(X, alpha=0.24)
+    Y = canonical_lift(X)
     F = ridge(2, 3, [{"coef": [1.0, 0.0, 0.5], "kind": "sin", "weight": [1.0, -0.5]},
                      {"coef": [0.0, 1.0, -0.3], "kind": "cos", "weight": [0.7, 1.0]}], n_levels=4)
     pinned = {1: (0.047683842822049426, 0.09302817700772104),
               2: (0.48219303617239495, 0.7492725909283283),
               3: (3.265357587027502, 4.021179479983098)}
     for r, (max_remainder, max_ratio) in pinned.items():
-        probe = remainder_regularity_probe(F, Y, X, r)
+        probe = remainder_regularity_probe(F, Y, X, r, 0.24)
         assert probe.max_remainder == pytest.approx(max_remainder, rel=1e-13, abs=0)
         assert probe.max_ratio == pytest.approx(max_ratio, rel=1e-13, abs=0)
 
@@ -417,7 +417,7 @@ def test_compose_continuity_linear_in_epsilon(driver, N, alpha, beta):
         X = random_driver(rng, 2, N, 6)
     else:
         X = lift_path(weierstrass_path(n=96, octaves=6, amp=0.2, seed=7), N, beta)
-    Y = canonical_lift(X, alpha=alpha)
+    Y = canonical_lift(X)
     bump = random_controlled(rng, X, 2)
     F = ridge(2, 1, [{"coef": [1.0], "kind": "sin", "weight": [0.9, -0.4]}], n_levels=N)
     base = compose(F, Y, X)
@@ -465,8 +465,8 @@ def test_canonical_initial_blocks_match_reference():
             X = random_driver(rng, d, N, 2)
             for e in (1, 2):
                 for F in reference_fields(rng, e, e * d, N):
-                    W = canonical_initial_path(0.3 * rng.standard_normal(e), F, X, 0.3)
-                    start = ControlledPath(W.times[:1], d, N - 1, e, W.alpha,
+                    W = canonical_initial_path(0.3 * rng.standard_normal(e), F, X)
+                    start = ControlledPath(W.times[:1], d, N - 1, e,
                                            [lvl[:1] for lvl in W.levels[:N - 1]])
                     Z = compose_reference(F, start, X)
                     assert_levels_match([W.levels[r + 1][0] for r in range(N - 1)],

@@ -24,6 +24,7 @@ from roughpaths.rde_solver import (
     solve_local,
 )
 from roughpaths.rough_path import PiecewiseLinearPath, lift_path, restrict
+from test_acceptance import weierstrass_path
 
 
 def line_driver(n=256, N=3, T=1.0):
@@ -65,7 +66,7 @@ def test_config_validation():
 def test_canonical_initial_path_zero_field():
     X, _ = line_driver(n=16)
     F = constant(np.zeros(1), 1, n_levels=3)
-    W = canonical_initial_path([2.0], F, X, 0.29)
+    W = canonical_initial_path([2.0], F, X)
     assert np.allclose(W.path_values(), 2.0)
     for i in (1, 2):
         assert np.max(np.abs(W.levels[i])) == 0.0
@@ -75,7 +76,7 @@ def test_canonical_initial_path_blocks_and_remainders():
     X, _ = line_driver(n=32)
     F = scalar_identity_field()
     y0 = 1.7
-    W = canonical_initial_path([y0], F, X, 0.29)
+    W = canonical_initial_path([y0], F, X)
     # First derivative block is the field value; the next repeats it for a
     # scalar linear field.
     assert W.levels[1][0, 0, 0] == pytest.approx(y0)
@@ -88,7 +89,7 @@ def test_canonical_initial_path_blocks_and_remainders():
 def test_picard_step_zero_and_constant_fields():
     X, times = line_driver(n=32)
     rng = np.random.default_rng(0)
-    junk = ControlledPath(X.times, 1, 3, 1, 0.29,
+    junk = ControlledPath(X.times, 1, 3, 1,
                           [rng.standard_normal((33, 1, 1)) for _ in range(3)])
     Fz = constant(np.zeros(1), 1, n_levels=3)
     out = picard_step(junk, Fz, X, [3.0])
@@ -182,9 +183,9 @@ def test_uniqueness_from_different_initial_guesses():
     F = scalar_identity_field()
     cfg = default_config()
     base = solve_local(F, X_loc, [1.0], cfg)
-    W = canonical_initial_path([1.0], F, X_loc, cfg.alpha)
+    W = canonical_initial_path([1.0], F, X_loc)
     bump = np.sin(np.pi * X_loc.times)  # vanishes at the interval start
-    pert = ControlledPath(X_loc.times, 1, 3, 1, cfg.alpha,
+    pert = ControlledPath(X_loc.times, 1, 3, 1,
                           [0.05 * bump[:, None, None] * np.ones((idx + 1, 1, 1))
                            for _ in range(3)])
     other = solve_local(F, X_loc, [1.0], cfg, initial_guess=path_add(W, pert))
@@ -202,7 +203,7 @@ def test_split_horizon_matches_full():
     right, _ = solve(F, X_right, left.path_values()[-1], 1.0, cfg)
     glued_vals = np.concatenate([left.path_values(), right.path_values()[1:]])
     assert np.max(np.abs(glued_vals - full.path_values())) <= 10 * cfg.contraction_tol
-    glued = ControlledPath(times, 1, 3, 1, cfg.alpha,
+    glued = ControlledPath(times, 1, 3, 1,
                            [np.concatenate([a, b[1:]]) for a, b in zip(left.levels, right.levels)])
     assert distance(glued, full, X, X, cfg.alpha) <= 10 * cfg.contraction_tol
 
@@ -326,14 +327,52 @@ def test_continuity_probe_identical_inputs():
     assert probe.d_out == 0.0
 
 
-def test_continuity_probe_linear_in_initial_value():
-    X, _ = line_driver(n=64)
-    F = scalar_identity_field()
-    cfg = default_config()
+# The solution map on a rough driver, beta <= 1/3, at N = 4 and 5: C10's
+# field and contraction tolerance on a coarse sample of its driver.
+ROUGH_CASES = [(4, 0.22, 0.24), (5, 0.18, 0.195)]
+ROUGH_IDS = ["weierstrass-N4", "weierstrass-N5"]
+
+
+def rough_scenario(N, alpha, beta):
+    path = weierstrass_path(n=48, octaves=6, amp=0.2, seed=7)
+    F = ridge(1, 2, [{"coef": [1.0, 0.0], "kind": "sin", "weight": [1.0]},
+                     {"coef": [0.0, 1.0], "kind": "cos", "weight": [1.0]}],
+              n_levels=N, lip_norm=2.0)
+    return path, F, default_config(N, alpha=alpha, beta=beta, contraction_tol=1e-10)
+
+
+@pytest.mark.parametrize("driver, N, alpha, beta",
+                         [("line", 3, 0.29, 1 / 3)] + [("weierstrass", *c) for c in ROUGH_CASES],
+                         ids=["line-N3"] + ROUGH_IDS)
+def test_continuity_probe_linear_in_initial_value(driver, N, alpha, beta):
+    # d_out / eps read 49.913/49.928/49.935 at N = 4 and 214.06/214.09/214.10
+    # at N = 5 when these cases were added.
+    if driver == "line":
+        X, _ = line_driver(n=64)
+        F, y0, cfg = scalar_identity_field(), 1.0, default_config()
+    else:
+        path, F, cfg = rough_scenario(N, alpha, beta)
+        X, y0 = lift_path(path, N, beta), 0.3
     ratios = []
     for eps in (1e-3, 5e-4, 2.5e-4):
-        probe = continuity_probe(F, X, X, [1.0], [1.0 + eps], 1.0, cfg)
+        probe = continuity_probe(F, X, X, [y0], [y0 + eps], 1.0, cfg)
         ratios.append(probe.d_out / eps)
+    assert ratios[0] == pytest.approx(ratios[1], rel=0.1)
+    assert ratios[1] == pytest.approx(ratios[2], rel=0.1)
+
+
+@pytest.mark.parametrize("N, alpha, beta", ROUGH_CASES, ids=ROUGH_IDS)
+def test_continuity_probe_linear_in_driver_shift(N, alpha, beta):
+    # Shift the driver by eps * 0.5 sin(pi t) * (1, -0.5).  d_out / d_in read
+    # 1.59958/1.59955/1.59954 at N = 4 and 6.81547/6.81565/6.81574 at N = 5
+    # when this test was added.
+    path, F, cfg = rough_scenario(N, alpha, beta)
+    X = lift_path(path, N, beta)
+    shift = 0.5 * np.sin(np.pi * path.times)[:, None] * np.array([1.0, -0.5])
+    ratios = []
+    for eps in (1e-3, 5e-4, 2.5e-4):
+        Xp = lift_path(PiecewiseLinearPath(path.times, path.points + eps * shift), N, beta)
+        ratios.append(continuity_probe(F, X, Xp, [0.3], [0.3], 1.0, cfg).ratio)
     assert ratios[0] == pytest.approx(ratios[1], rel=0.1)
     assert ratios[1] == pytest.approx(ratios[2], rel=0.1)
 

@@ -34,7 +34,7 @@ def rough_driver(rng, d=2, N=3, n=64):
 
 def random_integrand(rng, X, e):
     levels = [rng.standard_normal((X.n_points, e * X.d, X.d**i)) for i in range(X.N)]
-    return ControlledPath(X.times, X.d, X.N, e * X.d, 0.3, levels)
+    return ControlledPath(X.times, X.d, X.N, e * X.d, levels)
 
 
 def signature_integrand(X):
@@ -51,7 +51,7 @@ def signature_integrand(X):
         for b in range(d):
             z1[:, (a * d + b) * d + b, a] = 1.0
     levels = [z0, z1] + [np.zeros((n, e * d, d**i)) for i in range(2, X.N)]
-    return ControlledPath(X.times, d, X.N, e * d, 0.3, levels)
+    return ControlledPath(X.times, d, X.N, e * d, levels)
 
 
 def test_partition_validation_and_mesh():
@@ -66,7 +66,7 @@ def test_partition_validation_and_mesh():
 
 def test_zero_integrand():
     X, _ = line_driver()
-    Z = ControlledPath(X.times, 1, 2, 1, 0.4, [np.zeros((17, 1, 1)), np.zeros((17, 1, 1))])
+    Z = ControlledPath(X.times, 1, 2, 1, [np.zeros((17, 1, 1)), np.zeros((17, 1, 1))])
     val = compensated_sum(Z, X, Partition((0, 7, 16)))
     assert np.allclose(val, 0.0)
 
@@ -75,7 +75,7 @@ def test_telescoping_smooth_case_exact_half():
     # Z = (x, 1, 0): every partition gives exactly 1/2 on x_t = t over [0,1].
     X, times = line_driver(N=2, n=16)
     levels = [times[:, None, None].copy(), np.ones((17, 1, 1))]
-    Z = ControlledPath(X.times, 1, 2, 1, 0.4, levels)
+    Z = ControlledPath(X.times, 1, 2, 1, levels)
     for part in (Partition((0, 16)), Partition((0, 3, 9, 16)), Partition(tuple(range(17)))):
         assert compensated_sum(Z, X, part)[0] == pytest.approx(0.5, abs=1e-14)
     val, err = rough_integral(Z, X, 0, 16)
@@ -91,7 +91,7 @@ def test_constant_integrand_telescopes():
     n = X.n_points
     levels = [np.tile(A.reshape(-1, 1), (n, 1, 1)).reshape(n, e * X.d, 1)]
     levels += [np.zeros((n, e * X.d, X.d**i)) for i in range(1, X.N)]
-    Z = ControlledPath(X.times, X.d, X.N, e * X.d, 0.3, levels)
+    Z = ControlledPath(X.times, X.d, X.N, e * X.d, levels)
     for part in (Partition((0, n - 1)), Partition((0, 5, 20, n - 1))):
         got = compensated_sum(Z, X, part)
         want = A @ X.levels[1][n - 1]
@@ -115,7 +115,7 @@ def test_signature_integrand_reproduces_level_two():
 
 def test_rough_integral_trivial_interval():
     X, _ = line_driver()
-    Z = ControlledPath(X.times, 1, 2, 1, 0.4, [np.zeros((17, 1, 1)), np.zeros((17, 1, 1))])
+    Z = ControlledPath(X.times, 1, 2, 1, [np.zeros((17, 1, 1)), np.zeros((17, 1, 1))])
     val, err = rough_integral(Z, X, 5, 5)
     assert val.shape == (1,) and val[0] == 0.0 and err == 0.0
 
@@ -194,7 +194,7 @@ def test_refinement_increments_decay_on_average():
         F = ridge(2, 2, [{"coef": [1.0, 0.0], "kind": "sin", "weight": [1.0, 0.5]},
                          {"coef": [0.0, 1.0], "kind": "cos", "weight": [-0.4, 1.0]}],
                   n_levels=3)
-        Z = compose(F, canonical_lift(X, alpha=0.3), X)
+        Z = compose(F, canonical_lift(X), X)
         probe = convergence_rate_probe(Z, X, 0, 64, depths=[1, 2, 3, 4, 5])
         ratios = [b / a for a, b in zip(probe.increments, probe.increments[1:]) if a > 0]
         mean_ratios.extend(np.log(ratios))
@@ -205,7 +205,7 @@ def test_refinement_increments_decay_on_average():
 def test_rate_probe_non_applicable_for_smooth_case():
     X, times = line_driver(N=2, n=32)
     levels = [times[:, None, None].copy(), np.ones((33, 1, 1))]
-    Z = ControlledPath(X.times, 1, 2, 1, 0.4, levels)
+    Z = ControlledPath(X.times, 1, 2, 1, levels)
     probe = convergence_rate_probe(Z, X, 0, 32, depths=[1, 2, 3, 4])
     assert probe.exponent is None
 
@@ -219,7 +219,7 @@ def test_smooth_matches_stieltjes_oracle():
     X = lift_path(path, 3)
     levels = [(times**2)[:, None, None].copy(), (2 * times)[:, None, None].copy(),
               np.full((n + 1, 1, 1), 2.0)]
-    Z = ControlledPath(X.times, 1, 3, 1, 0.28, levels)
+    Z = ControlledPath(X.times, 1, 3, 1, levels)
     val, _ = rough_integral(Z, X, 0, n)
     assert val[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
     oracle_val = riemann_stieltjes(lambda t: np.array([[t * t]]), path, refinement=64)
@@ -288,7 +288,7 @@ def test_compensated_sum_matches_reference():
             n = X.n_points
             for e in (1, 2):
                 levels = [rng.standard_normal((n, e * d, d**i)) for i in range(N)]
-                Z = ControlledPath(X.times, d, N, e * d, 0.3, levels)
+                Z = ControlledPath(X.times, d, N, e * d, levels)
                 for part in (Partition(tuple(range(n))), Partition((0, 3, 4, n - 1)),
                              Partition((2, 6))):
                     want = compensated_sum_reference(Z, X, part)

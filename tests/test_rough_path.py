@@ -217,6 +217,18 @@ def test_holder_norm_monotone_under_refinement():
         assert holder_norm(Xr, i, 0.45) >= holder_norm(X, i, 0.45) - 1e-13
 
 
+@pytest.mark.parametrize("beta", [np.nan, 0.0, 1.5], ids=["nan", "below", "above"])
+def test_holder_scans_reject_beta_outside_range(beta):
+    rng = np.random.default_rng(16)
+    times = np.linspace(0.0, 1.0, 9)
+    Xa, Xb = (lift_path(PiecewiseLinearPath(times, rng.standard_normal((9, 2))), 3)
+              for _ in range(2))
+    with pytest.raises(ValueError, match=r"beta .* outside \(0, 1\]"):
+        holder_distance(Xa, Xb, beta)
+    with pytest.raises(ValueError, match=r"beta .* outside \(0, 1\]"):
+        holder_norm(Xa, 1, beta)
+
+
 def test_holder_distance_properties():
     rng = np.random.default_rng(6)
     times = np.linspace(0, 1, 7)

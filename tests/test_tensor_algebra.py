@@ -66,6 +66,12 @@ def test_with_level_rejects_level_outside_series(d, N, i, block):
         TensorSeries.unit(d, N).with_level(i, block)
 
 
+@pytest.mark.parametrize("i", [-1, 3], ids=["below-0", "above-N"])
+def test_level_rejects_level_outside_series(i):
+    with pytest.raises(ValueError, match=f"level {i} outside 0..2"):
+        TensorSeries.unit(2, 2).level(i)
+
+
 def test_public_names_resolve():
     assert all(hasattr(roughpaths, name) for name in roughpaths.__all__)
     assert "BoxTensor" not in roughpaths.__all__
