@@ -10,10 +10,12 @@ By Chen's relation X_{s,t} = X_{0,s}^{-1} (x) X_{0,t}, the remainder
 RY^i_{s,t} = Y^i_t - sum_j Y^{i+j}_s(X^j_{s,t} (x) .) regroups as
 Y^i_t - sum_b C^{i,b}_s(X^b_{0,t} (x) .), where C^{i,b}_s pairs the levels at
 s with the cached inverse X_{0,s}^{-1}.  The maps C^{i,b} are built once per
-call for every start row a scan needs (a single-row query builds its own row
-only), after which the remainders of any block of (s, t) pairs are products
-of those maps with the running signature, with no per-row increment.  The grid-pair scans of ``rough_path`` take them in
-tiles of bounded size.
+call for every start row, after which the remainders of any block of (s, t)
+pairs are products of those maps with the running signature, with no per-row
+increment.  The grid-pair scans of ``rough_path`` take them in tiles of
+bounded size.  Over one driver Y -> RY is linear, so the gap between two
+paths on the same driver is the seminorm of their difference; ``distance``
+serves the gap between paths on two drivers.
 
 Every pairing of a controlled level with a driver tensor in its leading
 slots, Y^{i+j}_s(X^j_{s,t} (x) .), is one contraction, :func:`_fill_leading`,
@@ -28,7 +30,7 @@ import io
 
 import numpy as np
 
-from .rough_path import GeometricRoughPath, _scan_pairs
+from .rough_path import GeometricRoughPath, _check_beta, _scan_pairs
 
 
 class NonFiniteLevelError(ValueError):
@@ -122,26 +124,24 @@ def _fill_leading(block: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("...ejk,...j->...ek", cube, x)
 
 
-def _remainder_blocks(Y: ControlledPath, X: GeometricRoughPath, i: int,
-                      starts: slice = slice(None)):
+def _remainder_blocks(Y: ControlledPath, X: GeometricRoughPath, i: int):
     """RY^i by Chen's relation, as a pair-block function for ``_scan_pairs``.
 
-    Builds C^{i,b}_s = sum_c Y^{i+b+c}_s((X_{0,s}^{-1})^c (x) .) for every start
-    row s in ``starts`` (default: the whole grid) and b = 0..N-1-i, from the
-    cached inverse stack.  The returned ``block(rows, cols)`` gives
-    RY^i_{s,t} = Y^i_t - sum_b C^{i,b}_s(X^b_{0,t} (x) .) for s in ``rows``,
-    counted within ``starts``, and t in ``cols`` as an (R, T, e * d**i) array.
+    Builds C^{i,b}_s = sum_c Y^{i+b+c}_s((X_{0,s}^{-1})^c (x) .) for every grid
+    row s and b = 0..N-1-i, from the cached inverse stack.  The returned
+    ``block(rows, cols)`` gives RY^i_{s,t} = Y^i_t - sum_b C^{i,b}_s(X^b_{0,t} (x) .)
+    for s in ``rows`` and t in ``cols`` as an (R, T, e * d**i) array.
     Each pair's sum runs over the words of X^b_{0,t} in one fixed order of
     elementwise operations, never a BLAS product, whose rounding follows the
     matrix shape: a pair's value does not depend on the block it is in.
     """
     P, e, d = Y.n_points, Y.dim_u, Y.d
-    inv = [lvl[starts] for lvl in X._inverse_stack()]
+    inv = X._inverse_stack()
     maps, x_rows = [], []
     for b in range(Y.N - i):
-        acc = Y.levels[i + b][starts]
+        acc = Y.levels[i + b]
         for c in range(1, Y.N - i - b):
-            acc = acc + _fill_leading(Y.levels[i + b + c][starts], inv[c])
+            acc = acc + _fill_leading(Y.levels[i + b + c], inv[c])
         maps.append(np.ascontiguousarray(
             acc.reshape(-1, e, d**b, d**i).swapaxes(1, 2)).reshape(-1, d**b, e * d**i))
         x_rows.append(np.ascontiguousarray(X.levels[b].T))
@@ -158,29 +158,14 @@ def _remainder_blocks(Y: ControlledPath, X: GeometricRoughPath, i: int,
     return block
 
 
-def _remainders_at(Y: ControlledPath, X: GeometricRoughPath, i: int, s_idx: int,
-                   cols: slice) -> np.ndarray:
-    """RY^i_{s,t} for one start row s and t in ``cols``, shape (T, dim_u, d**i);
-    the maps C^{i,b} are built for that row only."""
+def remainder_rows(Y: ControlledPath, X: GeometricRoughPath, i: int, s_idx: int) -> np.ndarray:
+    """RY^i_{s,t} for fixed s and every t >= s, shape (P - s, dim_u, d**i)."""
     _check_pair(Y, X)
     if not (0 <= i < Y.N):
         raise ValueError(f"level {i} outside 0..{Y.N - 1}")
     X._check_index(s_idx)
-    rows = _remainder_blocks(Y, X, i, slice(s_idx, s_idx + 1))(slice(0, 1), cols)
+    rows = _remainder_blocks(Y, X, i)(slice(s_idx, s_idx + 1), slice(s_idx, Y.n_points))
     return rows.reshape(-1, Y.dim_u, Y.d**i)
-
-
-def remainder_rows(Y: ControlledPath, X: GeometricRoughPath, i: int, s_idx: int) -> np.ndarray:
-    """RY^i_{s,t} for fixed s and every t >= s, shape (P - s, dim_u, d**i)."""
-    return _remainders_at(Y, X, i, s_idx, slice(s_idx, Y.n_points))
-
-
-def remainder(Y: ControlledPath, X: GeometricRoughPath, i: int, s_idx: int, t_idx: int) -> np.ndarray:
-    """Single remainder block RY^i_{s,t}, shape (dim_u, d**i)."""
-    if s_idx > t_idx:
-        raise ValueError("remainder requires s_idx <= t_idx")
-    X._check_index(t_idx)
-    return _remainders_at(Y, X, i, s_idx, slice(t_idx, t_idx + 1))[0]
 
 
 def seminorm(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> float:
@@ -197,11 +182,8 @@ def distance(Ya: ControlledPath, Yb: ControlledPath,
     """Controlled distance at exponent alpha: the sum over levels of the
     grid-pair maxima of |RY^i - RYtilde^i| / (t-s)^((N-i) alpha)."""
     _check_pair(Ya, Xa)
+    _check_pair(Yb, Xa)
     _check_pair(Yb, Xb)
-    if Ya.d != Yb.d or Ya.N != Yb.N:
-        raise ValueError("controlled paths disagree in (d, N)")
-    if Ya.n_points != Yb.n_points or not np.array_equal(Ya.times, Yb.times):
-        raise ValueError("controlled paths must share the grid")
     if Ya.dim_u != Yb.dim_u:
         raise ValueError("controlled paths must share the target dimension")
     _check_alpha(alpha, Ya.N)
@@ -231,9 +213,10 @@ def triple_norm(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> float
 
 
 def level_holder_norm(Y: ControlledPath, i: int, exponent: float) -> float:
-    """Grid maximum of |Y^i_t - Y^i_s| / (t-s)^exponent."""
+    """Grid maximum of |Y^i_t - Y^i_s| / (t-s)^exponent, for 0 < exponent <= 1."""
     if not (0 <= i < Y.N):
         raise ValueError(f"level {i} outside 0..{Y.N - 1}")
+    _check_beta(exponent)
     lvl = Y.levels[i].reshape(Y.n_points, -1)
     return _scan_pairs(Y.times, lambda rows, cols: lvl[None, cols] - lvl[rows, None],
                        lvl.shape[1], [exponent])[0]

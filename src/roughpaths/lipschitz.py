@@ -29,7 +29,13 @@ from functools import reduce
 
 import numpy as np
 
-from .controlled_path import ControlledPath, _check_alpha, _fill_leading, _remainder_blocks
+from .controlled_path import (
+    ControlledPath,
+    _check_alpha,
+    _check_pair,
+    _fill_leading,
+    _remainder_blocks,
+)
 from .rough_path import GeometricRoughPath, _scan_pairs
 from .tensor_algebra import (
     TensorSeries,
@@ -43,7 +49,8 @@ from .tensor_algebra import (
 
 
 class LipFunction:
-    """A function together with its derivative levels 0..n_levels.
+    """A function together with its derivative levels 0..n_levels, Lip-gamma
+    with gamma = n_levels + 1.
 
     ``eval(j, ys)`` evaluates the level-j symmetric multilinear block at a
     batch of points: ys has shape (P, dim_in), the result has shape
@@ -51,15 +58,12 @@ class LipFunction:
     """
 
     def __init__(self, dim_in: int, dim_out: int, n_levels: int, evaluator,
-                 gamma: float | None = None, lip_norm: float | None = None,
                  label: str = "custom"):
         if n_levels < 0:
             raise ValueError("n_levels must be >= 0")
         self.dim_in = int(dim_in)
         self.dim_out = int(dim_out)
         self.n_levels = int(n_levels)
-        self.gamma = float(gamma) if gamma is not None else float(n_levels + 1)
-        self.lip_norm = float(lip_norm) if lip_norm is not None else None
         self.label = label
         self._evaluator = evaluator
 
@@ -79,10 +83,10 @@ class LipFunction:
 
     def __repr__(self) -> str:
         return (f"LipFunction({self.label}, W=R^{self.dim_in}, U=R^{self.dim_out}, "
-                f"levels=0..{self.n_levels}, gamma={self.gamma})")
+                f"levels=0..{self.n_levels})")
 
 
-def constant(value, dim_in: int, n_levels: int, **kw) -> LipFunction:
+def constant(value, dim_in: int, n_levels: int) -> LipFunction:
     value = np.asarray(value, dtype=float).ravel()
 
     def ev(j, ys):
@@ -91,10 +95,10 @@ def constant(value, dim_in: int, n_levels: int, **kw) -> LipFunction:
             return np.broadcast_to(value[None, :, None], (p, value.size, 1)).copy()
         return np.zeros((p, value.size, dim_in**j))
 
-    return LipFunction(dim_in, value.size, n_levels, ev, label="constant", **kw)
+    return LipFunction(dim_in, value.size, n_levels, ev, label="constant")
 
 
-def linear(matrix, offset=None, n_levels: int = 1, **kw) -> LipFunction:
+def linear(matrix, offset=None, n_levels: int = 1) -> LipFunction:
     A = np.atleast_2d(np.asarray(matrix, dtype=float))
     dim_out, dim_in = A.shape
     b = np.zeros(dim_out) if offset is None else np.asarray(offset, dtype=float).ravel()
@@ -109,14 +113,14 @@ def linear(matrix, offset=None, n_levels: int = 1, **kw) -> LipFunction:
             return np.broadcast_to(A[None], (p, dim_out, dim_in)).copy()
         return np.zeros((p, dim_out, dim_in**j))
 
-    return LipFunction(dim_in, dim_out, n_levels, ev, label="linear", **kw)
+    return LipFunction(dim_in, dim_out, n_levels, ev, label="linear")
 
 
-def identity(dim: int, n_levels: int = 1, **kw) -> LipFunction:
-    return linear(np.eye(dim), n_levels=n_levels, **kw)
+def identity(dim: int, n_levels: int = 1) -> LipFunction:
+    return linear(np.eye(dim), n_levels=n_levels)
 
 
-def polynomial(dim_in: int, dim_out: int, coeffs: dict | list, n_levels: int, **kw) -> LipFunction:
+def polynomial(dim_in: int, dim_out: int, coeffs: dict | list, n_levels: int) -> LipFunction:
     """Multivariate polynomial with exact derivative levels.
 
     ``coeffs`` maps exponent tuples (length dim_in, non-negative whole
@@ -150,13 +154,13 @@ def polynomial(dim_in: int, dim_out: int, coeffs: dict | list, n_levels: int, **
                 out[:, :, flat] += np.outer(fall * powers, vec)
         return out
 
-    return LipFunction(dim_in, dim_out, n_levels, ev, label="polynomial", **kw)
+    return LipFunction(dim_in, dim_out, n_levels, ev, label="polynomial")
 
 
 RIDGE_KINDS = ("sin", "cos", "exp")
 
 
-def ridge(dim_in: int, dim_out: int, terms, n_levels: int, **kw) -> LipFunction:
+def ridge(dim_in: int, dim_out: int, terms, n_levels: int) -> LipFunction:
     """Sum of smooth ridge terms coef * g(weight . y + phase), g in sin/cos/exp.
 
     Every derivative level is exact: level j contributes
@@ -193,7 +197,7 @@ def ridge(dim_in: int, dim_out: int, terms, n_levels: int, **kw) -> LipFunction:
             out += vals[:, None, None] * outer[None]
         return out
 
-    return LipFunction(dim_in, dim_out, n_levels, ev, label="ridge", **kw)
+    return LipFunction(dim_in, dim_out, n_levels, ev, label="ridge")
 
 
 def from_config(spec: dict, n_levels: int) -> LipFunction:
@@ -237,10 +241,13 @@ class LipReport:
     violated: bool
 
 
-def lip_norm_check(F: LipFunction, lo, hi, sample_count: int = 64, rng=None) -> LipReport:
+def lip_norm_check(F: LipFunction, lo, hi, declared: float | None = None,
+                   sample_count: int = 64, rng=None) -> LipReport:
     """Empirical level norms and remainder ratios on a box; report-only.
 
-    Sampling can falsify the declared bound, never prove it.
+    The level-j remainder ratio divides by |y - x|^(gamma - j), gamma =
+    n_levels + 1.  Sampling can falsify a ``declared`` bound on the Lip norm,
+    never prove it.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (F.dim_in,))
@@ -259,11 +266,11 @@ def lip_norm_check(F: LipFunction, lo, hi, sample_count: int = 64, rng=None) -> 
             if gap < 1e-9:
                 continue
             rj = np.abs(taylor_remainder(F, j, x, y)).sum()
-            worst = max(worst, rj / gap ** (F.gamma - j))
+            worst = max(worst, rj / gap ** (F.n_levels + 1 - j))
         ratios.append(worst)
     empirical = max(level_norms + ratios)
-    violated = F.lip_norm is not None and empirical > F.lip_norm * (1 + 1e-9)
-    return LipReport(level_norms, ratios, F.lip_norm, violated)
+    violated = declared is not None and empirical > declared * (1 + 1e-9)
+    return LipReport(level_norms, ratios, declared, violated)
 
 
 def _composed_level(f_blocks, y_levels, r: int) -> np.ndarray:
@@ -310,8 +317,7 @@ def compose(F: LipFunction, Y: ControlledPath, X: GeometricRoughPath) -> Control
         raise ValueError(f"field expects W=R^{F.dim_in}, path has target R^{Y.dim_u}")
     if F.n_levels < Y.N:
         raise ValueError(f"field has levels 0..{F.n_levels}, need at least 0..{Y.N}")
-    if Y.d != X.d or Y.N != X.N or not np.array_equal(Y.times, X.times):
-        raise ValueError("controlled path and driver are incompatible")
+    _check_pair(Y, X)
     ys = Y.path_values()
     f_blocks = {j: F.eval(j, ys) for j in range(1, Y.N)}
     z_levels = [F.eval(0, ys)]

@@ -190,7 +190,7 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
         Y = Y_new
         if res <= config.contraction_tol:
             local = LocalSolve(Y, it + 1, residuals)
-            if enforce_ball and distance(Y, W, X_local, X_local, config.alpha) > 1.0 + 1e-9:
+            if enforce_ball and seminorm(path_sub(Y, W), X_local, config.alpha) > 1.0 + 1e-9:
                 raise BallExit("converged outside the unit ball; shrink tau", local=local)
             return local
         if len(residuals) >= 3 and residuals[-1] > residuals[-2] > residuals[-3] \
@@ -286,7 +286,7 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
     except SolveFailure as err:
         err.partial, err.report = solution, report
         raise
-    report.global_residual = distance(solution, image, X_T, X_T, config.alpha)
+    report.global_residual = seminorm(path_sub(solution, image), X_T, config.alpha)
     report.wall_time_s = time.perf_counter() - start
     report.success = True
     return solution, report

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled_path import ControlledPath, _fill_leading, remainder
+from .controlled_path import ControlledPath, _check_pair, _fill_leading, remainder_rows
 from .rough_path import GeometricRoughPath, _increments, increment
 
 
@@ -68,11 +68,6 @@ def _operator_slot_last(block: np.ndarray, d: int) -> np.ndarray:
     return np.swapaxes(block.reshape(lead + (e, d, m)), -1, -2).reshape(lead + (e, d * m))
 
 
-def _check_integrand(Z: ControlledPath, X: GeometricRoughPath) -> None:
-    if Z.d != X.d or Z.N != X.N or not np.array_equal(Z.times, X.times):
-        raise ValueError("integrand must share the driver grid")
-
-
 def _interval_terms(Z: ControlledPath, X: GeometricRoughPath, idx) -> np.ndarray:
     """Terms Z^{k-1}_a paired with X^k_{a,b} over consecutive grid indices a < b
     of ``idx``, shape (len(idx) - 1, N, e): interval, then level k = 1..N.
@@ -80,7 +75,7 @@ def _interval_terms(Z: ControlledPath, X: GeometricRoughPath, idx) -> np.ndarray
     The integrand block maps V^(x)(k-1) into L(V;U); with the operator slot
     moved last, the driver tensor fills all k of its slots.
     """
-    _check_integrand(Z, X)
+    _check_pair(Z, X)
     _, d = _integrand_dims(Z)
     idx = np.asarray(idx)
     a = idx[:-1]
@@ -108,7 +103,7 @@ def rough_integral(Z: ControlledPath, X: GeometricRoughPath,
     The error estimate is the gap between the finest dyadic coarsening below
     the native grid and the native value.
     """
-    _check_integrand(Z, X)
+    _check_pair(Z, X)
     e, _ = _integrand_dims(Z)
     if s_idx == t_idx:
         return np.zeros(e), 0.0
@@ -145,10 +140,11 @@ def removal_identity_check(Z: ControlledPath, X: GeometricRoughPath,
         raise ValueError("j must index an interior partition point")
     e, d = _integrand_dims(Z)
     lhs = compensated_sum(Z, X, partition) - compensated_sum(Z, X, partition.remove(j))
-    inc_right = increment(X, idx[j], idx[j + 1])
+    a, b = idx[j - 1], idx[j]
+    inc_right = increment(X, b, idx[j + 1])
     rhs = np.zeros(e)
     for k in range(1, X.N + 1):
-        rz = _operator_slot_last(remainder(Z, X, k - 1, idx[j - 1], idx[j]), d)
+        rz = _operator_slot_last(remainder_rows(Z, X, k - 1, a)[b - a], d)
         rhs = rhs + _fill_leading(rz, inc_right.levels[k])[:, 0]
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -227,6 +223,6 @@ def tail_constant(N: int, alpha: float) -> float:
     for exponents close to 1.  Diverges unless (N+1) alpha > 1.
     """
     p = (N + 1) * alpha
-    if p <= 1.0:
+    if not p > 1.0:  # also rejects NaN
         raise ValueError(f"(N+1)*alpha = {p} must exceed 1 for the tail to converge")
     return float(2.0**p * _hurwitz_zeta2(p))

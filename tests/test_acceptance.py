@@ -317,7 +317,7 @@ def test_c10_lipschitz_stability_under_refinement():
     cfg = SolverConfig(alpha=alpha, beta=0.32, tau_init=0.25, contraction_tol=1e-10)
     F = lip.ridge(1, 2, [{"coef": [1.0, 0.0], "kind": "sin", "weight": [1.0]},
                          {"coef": [0.0, 1.0], "kind": "cos", "weight": [1.0]}],
-                  n_levels=N, lip_norm=2.0)
+                  n_levels=N)
     coarse = weierstrass_path(n=96, octaves=6, amp=0.2, seed=7)
     ratios = {}
     for label, path in (("coarse", coarse), ("fine", coarse.refine_midpoints())):

@@ -10,7 +10,6 @@ from roughpaths.controlled_path import (
     path_add,
     path_scale,
     path_sub,
-    remainder,
     remainder_rows,
     restrict_path,
     seminorm,
@@ -84,7 +83,9 @@ def test_seminorm_matches_reference():
 
 
 def test_distance_matches_reference():
-    rng = np.random.default_rng(41)
+    # On one driver Y -> RY is linear: the distance of two paths is the
+    # seminorm of their difference, the gap the solver measures.
+    rng, rng_c = np.random.default_rng(41), np.random.default_rng(42)
     for d in range(1, 5):
         for N in range(1, 6):
             alpha = (1.0 / (N + 1) + 0.6) / 2
@@ -95,6 +96,10 @@ def test_distance_matches_reference():
                     Yb = random_controlled(rng, Xb, e)
                     ref = distance_reference(Ya, Yb, Xa, Xb, alpha)
                     assert abs(distance(Ya, Yb, Xa, Xb, alpha) - ref) <= 1e-13 * ref, (d, N, P, e)
+                    Yc = random_controlled(rng_c, Xa, e)
+                    ref = distance_reference(Ya, Yc, Xa, Xa, alpha)
+                    gap = seminorm(path_sub(Ya, Yc), Xa, alpha)
+                    assert abs(gap - ref) <= 1e-13 * ref, (d, N, P, e)
 
 
 def test_zero_remainder_roundoff_floor():
@@ -161,7 +166,7 @@ def test_scans_do_not_depend_on_tiling(monkeypatch):
             for s in range(P - 1):
                 assert np.array_equal(block(slice(s, s + 1), slice(s + 1, P))[0], whole[s, s:])
                 assert np.array_equal(block(slice(s, s + 1), slice(P - 1, P))[0, 0], whole[s, -1])
-                # remainder_rows builds the maps for its start row only.
+                # remainder_rows reads the same all-rows maps, one start row.
                 own = remainder_rows(Ya, Xa, i, s)[1:].reshape(P - 1 - s, -1)
                 assert np.array_equal(own, whole[s, s:])
 
@@ -196,7 +201,7 @@ def test_canonical_lift_remainders_vanish():
     for s in range(6):
         for t in range(s, 7):
             direct = (path.points[t] - path.points[s]) - (path.points[t] - path.points[s])
-            assert np.allclose(remainder(Y, X, 0, s, t)[:, 0], direct, atol=1e-13)
+            assert np.allclose(remainder_rows(Y, X, 0, s)[t - s][:, 0], direct, atol=1e-13)
     assert seminorm(Y, X, ALPHA) < 1e-12
 
 
@@ -214,7 +219,7 @@ def test_top_level_remainder_is_plain_increment():
     X = random_driver(rng, 2, 3, 4)
     Y = random_controlled(rng, X, 2)
     s, t = 1, 3
-    top = remainder(Y, X, 2, s, t)
+    top = remainder_rows(Y, X, 2, s)[t - s]
     assert np.allclose(top, Y.levels[2][t] - Y.levels[2][s])
 
 
@@ -223,7 +228,7 @@ def test_remainder_level_out_of_range():
     X = random_driver(rng, 2, 3, 4)
     Y = random_controlled(rng, X, 1)
     with pytest.raises(ValueError):
-        remainder(Y, X, 3, 0, 1)
+        remainder_rows(Y, X, 3, 0)
 
 
 def test_seminorm_zero_path():
@@ -314,10 +319,10 @@ def test_cross_interval_remainder_identity():
     for s, u, t in [(0, 3, 7), (1, 4, 6), (2, 5, 8)]:
         xrows = _increments(X, u, slice(None), X.N)
         for k in range(Y.N):
-            lhs = remainder(Y, X, k, s, t)
-            rhs = remainder(Y, X, k, u, t)
+            lhs = remainder_rows(Y, X, k, s)[t - s]
+            rhs = remainder_rows(Y, X, k, u)[t - u]
             for j in range(k, Y.N):
-                block = remainder(Y, X, j, s, u)
+                block = remainder_rows(Y, X, j, s)[u - s]
                 cube = block.reshape(Y.dim_u, X.d ** (j - k), X.d**k)
                 rhs = rhs + np.einsum("ejk,j->ek", cube, xrows[j - k][t])
             assert np.allclose(lhs, rhs, atol=1e-12 * max(1.0, scale))

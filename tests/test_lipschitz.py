@@ -63,7 +63,7 @@ def random_controlled(rng, X, dim_u):
 
 
 def sin_scalar(n_levels):
-    return ridge(1, 1, [{"coef": [1.0], "kind": "sin", "weight": [1.0]}], n_levels, lip_norm=1.0)
+    return ridge(1, 1, [{"coef": [1.0], "kind": "sin", "weight": [1.0]}], n_levels)
 
 
 def test_taylor_remainder_polynomial_exact():
@@ -97,17 +97,15 @@ def test_derivative_blocks_are_symmetric():
 
 def test_lip_norm_check_linear_and_sine():
     A = np.array([[1.0, -2.0]])
-    F = linear(A, n_levels=2, lip_norm=100.0)
-    rep = lip_norm_check(F, [-1, -1], [1, 1], sample_count=32)
+    F = linear(A, n_levels=2)
+    rep = lip_norm_check(F, [-1, -1], [1, 1], declared=100.0, sample_count=32)
     assert rep.remainder_ratios[1] == 0.0
     assert not rep.violated
     G = sin_scalar(2)
-    rep = lip_norm_check(G, [-np.pi], [np.pi], sample_count=64)
+    rep = lip_norm_check(G, [-np.pi], [np.pi], declared=1.0, sample_count=64)
     assert max(rep.remainder_ratios) <= 1.0 + 1e-9
     assert not rep.violated
-    H = sin_scalar(2)
-    H.lip_norm = 1e-3
-    assert lip_norm_check(H, [-np.pi], [np.pi], sample_count=16).violated
+    assert lip_norm_check(G, [-np.pi], [np.pi], declared=1e-3, sample_count=16).violated
 
 
 def test_compose_with_linear_field_maps_levels():

@@ -337,7 +337,7 @@ def rough_scenario(N, alpha, beta):
     path = weierstrass_path(n=48, octaves=6, amp=0.2, seed=7)
     F = ridge(1, 2, [{"coef": [1.0, 0.0], "kind": "sin", "weight": [1.0]},
                      {"coef": [0.0, 1.0], "kind": "cos", "weight": [1.0]}],
-              n_levels=N, lip_norm=2.0)
+              n_levels=N)
     return path, F, default_config(N, alpha=alpha, beta=beta, contraction_tol=1e-10)
 
 

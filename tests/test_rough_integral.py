@@ -229,8 +229,9 @@ def test_smooth_matches_stieltjes_oracle():
 def test_tail_constant_closed_form_and_divergence():
     # (N+1) alpha = 2: the series is 4 (pi^2/6 - 1).
     assert tail_constant(3, 0.5) == pytest.approx(4 * (np.pi**2 / 6 - 1), rel=1e-12)
-    with pytest.raises(ValueError):
-        tail_constant(3, 0.25)
+    for alpha in (0.25, np.nan):
+        with pytest.raises(ValueError):
+            tail_constant(3, alpha)
 
 
 # pi to 50 digits: the closed forms lose digits to the "- 1" in double precision.

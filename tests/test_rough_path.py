@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from roughpaths.controlled_path import canonical_lift, level_holder_norm
 from roughpaths.rough_path import (
     GeometricRoughPath,
     PiecewiseLinearPath,
@@ -227,6 +228,8 @@ def test_holder_scans_reject_beta_outside_range(beta):
         holder_distance(Xa, Xb, beta)
     with pytest.raises(ValueError, match=r"beta .* outside \(0, 1\]"):
         holder_norm(Xa, 1, beta)
+    with pytest.raises(ValueError, match=r"beta .* outside \(0, 1\]"):
+        level_holder_norm(canonical_lift(Xa), 0, beta)
 
 
 def test_holder_distance_properties():
