@@ -5,17 +5,19 @@ V^(x)i to the target space U.  Remainders subtract the local expansion
 against the driver's increments; their grid-pair Holder maxima define the
 seminorm, distance and full norm used by the solver.
 
-Remainders come from one kernel, :func:`_remainder_blocks`, one level at a time.
-By Chen's relation X_{s,t} = X_{0,s}^{-1} (x) X_{0,t}, the remainder
-RY^i_{s,t} = Y^i_t - sum_j Y^{i+j}_s(X^j_{s,t} (x) .) regroups as
+Remainders come from one kernel, :func:`_remainder_blocks`, in one pass over
+all the levels asked for.  By Chen's relation X_{s,t} = X_{0,s}^{-1} (x) X_{0,t},
+the remainder RY^i_{s,t} = Y^i_t - sum_j Y^{i+j}_s(X^j_{s,t} (x) .) regroups as
 Y^i_t - sum_b C^{i,b}_s(X^b_{0,t} (x) .), where C^{i,b}_s pairs the levels at
-s with the cached inverse X_{0,s}^{-1}.  The maps C^{i,b} are built once per
-call for every start row, after which the remainders of any block of (s, t)
-pairs are products of those maps with the running signature, with no per-row
-increment.  The grid-pair scans of ``rough_path`` take them in tiles of
-bounded size.  Over one driver Y -> RY is linear, so the gap between two
-paths on the same driver is the seminorm of their difference; ``distance``
-serves the gap between paths on two drivers.
+s with the cached inverse X_{0,s}^{-1} and depends on i + b only through one
+expansion map A^{i+b}_s.  The maps are built once per call for every start
+row and every level, after which the remainders of any block of (s, t) pairs
+are one einsum per level of those maps with the running signature, with no
+per-row increment.  The grid-pair scans of ``rough_path`` take every level of
+a seminorm in one scan, over tiles of bounded size.  Over one driver
+Y -> RY is linear, so the gap between two paths on the same driver is the
+seminorm of their difference; ``distance`` serves the gap between paths on
+two drivers.
 
 Every pairing of a controlled level with a driver tensor in its leading
 slots, Y^{i+j}_s(X^j_{s,t} (x) .), is one contraction, :func:`_fill_leading`,
@@ -124,35 +126,43 @@ def _fill_leading(block: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("...ejk,...j->...ek", cube, x)
 
 
-def _remainder_blocks(Y: ControlledPath, X: GeometricRoughPath, i: int):
-    """RY^i by Chen's relation, as a pair-block function for ``_scan_pairs``.
+def _remainder_blocks(Y: ControlledPath, X: GeometricRoughPath, levels):
+    """RY^i for every level i in ``levels`` by Chen's relation, as a pair-block
+    function for ``_scan_pairs``.
 
-    Builds C^{i,b}_s = sum_c Y^{i+b+c}_s((X_{0,s}^{-1})^c (x) .) for every grid
-    row s and b = 0..N-1-i, from the cached inverse stack.  The returned
-    ``block(rows, cols)`` gives RY^i_{s,t} = Y^i_t - sum_b C^{i,b}_s(X^b_{0,t} (x) .)
-    for s in ``rows`` and t in ``cols`` as an (R, T, e * d**i) array.
-    Each pair's sum runs over the words of X^b_{0,t} in one fixed order of
-    elementwise operations, never a BLAS product, whose rounding follows the
+    Builds the expansion maps A^m_s = sum_c Y^{m+c}_s((X_{0,s}^{-1})^c (x) .)
+    once for every grid row s and m >= min(levels), from the cached inverse
+    stack; the maps C^{i,b} of level i are the blocks of A^{i+b} with the b
+    leading slots moved ahead, for b = 0..N-1-i, stacked along one word axis.
+    The returned ``block(rows, cols)`` gives, for s in ``rows`` and t in
+    ``cols``, one (R, T, e * d**i) array per level,
+    RY^i_{s,t} = Y^i_t - sum_b C^{i,b}_s(X^b_{0,t} (x) .): one einsum over the
+    words of X^0_{0,t}..X^{N-1-i}_{0,t}.  The einsum runs numpy's own loop in
+    one fixed order per pair, never a BLAS product, whose rounding follows the
     matrix shape: a pair's value does not depend on the block it is in.
     """
-    P, e, d = Y.n_points, Y.dim_u, Y.d
+    P, e, d, N = Y.n_points, Y.dim_u, Y.d, Y.N
     inv = X._inverse_stack()
-    maps, x_rows = [], []
-    for b in range(Y.N - i):
-        acc = Y.levels[i + b]
-        for c in range(1, Y.N - i - b):
-            acc = acc + _fill_leading(Y.levels[i + b + c], inv[c])
-        maps.append(np.ascontiguousarray(
-            acc.reshape(-1, e, d**b, d**i).swapaxes(1, 2)).reshape(-1, d**b, e * d**i))
-        x_rows.append(np.ascontiguousarray(X.levels[b].T))
-    level = Y.levels[i].reshape(P, e * d**i)
+    expansions = {}
+    for m in range(min(levels), N):
+        acc = Y.levels[m]
+        for c in range(1, N - m):
+            acc = acc + _fill_leading(Y.levels[m + c], inv[c])
+        expansions[m] = acc
+    # Driver words X^b_{0,t}, b = 0..N-1, one row each; level i reads the leading rows.
+    words = np.concatenate([lvl.T for lvl in X.levels[:N]])
+    values, maps = [], []
+    for i in levels:
+        values.append(Y.levels[i].reshape(P, e * d**i))
+        maps.append(np.concatenate(
+            [expansions[i + b].reshape(P, e, d**b, d**i).swapaxes(1, 2).reshape(P, d**b, e * d**i)
+             for b in range(N - i)], axis=1))
 
     def block(rows, cols):
-        out = level[None, cols] - maps[0][rows, 0, None]
-        for b in range(1, len(maps)):
-            m, x = maps[b][rows], x_rows[b][:, cols, None]
-            for k in range(d**b):
-                out -= x[k] * m[:, None, k]
+        out = []
+        for value, m in zip(values, maps):
+            rem = np.einsum("rke,kt->rte", m[rows], words[:m.shape[1], cols])
+            out.append(np.subtract(value[None, cols], rem, out=rem))
         return out
 
     return block
@@ -164,8 +174,13 @@ def remainder_rows(Y: ControlledPath, X: GeometricRoughPath, i: int, s_idx: int)
     if not (0 <= i < Y.N):
         raise ValueError(f"level {i} outside 0..{Y.N - 1}")
     X._check_index(s_idx)
-    rows = _remainder_blocks(Y, X, i)(slice(s_idx, s_idx + 1), slice(s_idx, Y.n_points))
+    rows = _remainder_blocks(Y, X, [i])(slice(s_idx, s_idx + 1), slice(s_idx, Y.n_points))[0]
     return rows.reshape(-1, Y.dim_u, Y.d**i)
+
+
+def _remainder_width(Y: ControlledPath) -> int:
+    """Doubles per grid pair of the remainders of every level."""
+    return Y.dim_u * sum(Y.d**i for i in range(Y.N))
 
 
 def seminorm(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> float:
@@ -173,8 +188,8 @@ def seminorm(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> float:
     for 1/(N+1) < alpha <= 1."""
     _check_pair(Y, X)
     _check_alpha(alpha, Y.N)
-    return float(sum(_scan_pairs(Y.times, _remainder_blocks(Y, X, i), Y.dim_u * Y.d**i,
-                                 [(Y.N - i) * alpha])[0] for i in range(Y.N)))
+    return float(sum(_scan_pairs(Y.times, _remainder_blocks(Y, X, range(Y.N)), _remainder_width(Y),
+                                 [(Y.N - i) * alpha for i in range(Y.N)])))
 
 
 def distance(Ya: ControlledPath, Yb: ControlledPath,
@@ -187,18 +202,13 @@ def distance(Ya: ControlledPath, Yb: ControlledPath,
     if Ya.dim_u != Yb.dim_u:
         raise ValueError("controlled paths must share the target dimension")
     _check_alpha(alpha, Ya.N)
+    rem_a, rem_b = _remainder_blocks(Ya, Xa, range(Ya.N)), _remainder_blocks(Yb, Xb, range(Ya.N))
 
-    def level(i):
-        rem_a, rem_b = _remainder_blocks(Ya, Xa, i), _remainder_blocks(Yb, Xb, i)
+    def block(rows, cols):
+        return [np.subtract(a, b, out=a) for a, b in zip(rem_a(rows, cols), rem_b(rows, cols))]
 
-        def block(rows, cols):
-            out = rem_a(rows, cols)
-            out -= rem_b(rows, cols)
-            return out
-
-        return _scan_pairs(Ya.times, block, Ya.dim_u * Ya.d**i, [(Ya.N - i) * alpha])[0]
-
-    return float(sum(level(i) for i in range(Ya.N)))
+    return float(sum(_scan_pairs(Ya.times, block, _remainder_width(Ya),
+                                 [(Ya.N - i) * alpha for i in range(Ya.N)])))
 
 
 def _initial_norm(Y: ControlledPath) -> float:
@@ -218,7 +228,7 @@ def level_holder_norm(Y: ControlledPath, i: int, exponent: float) -> float:
         raise ValueError(f"level {i} outside 0..{Y.N - 1}")
     _check_beta(exponent)
     lvl = Y.levels[i].reshape(Y.n_points, -1)
-    return _scan_pairs(Y.times, lambda rows, cols: lvl[None, cols] - lvl[rows, None],
+    return _scan_pairs(Y.times, lambda rows, cols: [lvl[None, cols] - lvl[rows, None]],
                        lvl.shape[1], [exponent])[0]
 
 
@@ -253,15 +263,20 @@ def canonical_lift(X: GeometricRoughPath) -> ControlledPath:
     return zero_remainder_path(blocks, X)
 
 
-def path_add(Ya: ControlledPath, Yb: ControlledPath) -> ControlledPath:
+def _check_summands(Ya: ControlledPath, Yb: ControlledPath) -> None:
+    if Ya.d != Yb.d or Ya.N != Yb.N:
+        raise ValueError("controlled paths disagree in (d, N)")
     if not np.array_equal(Ya.times, Yb.times) or Ya.dim_u != Yb.dim_u:
         raise ValueError("controlled paths must share grid and target")
+
+
+def path_add(Ya: ControlledPath, Yb: ControlledPath) -> ControlledPath:
+    _check_summands(Ya, Yb)
     return Ya.replace_levels([a + b for a, b in zip(Ya.levels, Yb.levels)])
 
 
 def path_sub(Ya: ControlledPath, Yb: ControlledPath) -> ControlledPath:
-    if not np.array_equal(Ya.times, Yb.times) or Ya.dim_u != Yb.dim_u:
-        raise ValueError("controlled paths must share grid and target")
+    _check_summands(Ya, Yb)
     return Ya.replace_levels([a - b for a, b in zip(Ya.levels, Yb.levels)])
 
 

@@ -430,6 +430,8 @@ def remainder_regularity_probe(F: LipFunction, Y: ControlledPath, X: GeometricRo
         raise ValueError(f"level {r} outside 0..{Y.N - 1}")
     _check_alpha(alpha, Y.N)
     Z = compose(F, Y, X)
-    worst_abs, worst_ratio = _scan_pairs(Y.times, _remainder_blocks(Z, X, r), Z.dim_u * Z.d**r,
-                                         [0.0, (Y.N - r) * alpha])
+    rem = _remainder_blocks(Z, X, [r])
+    # The one level's block, read at both exponents.
+    worst_abs, worst_ratio = _scan_pairs(Y.times, lambda rows, cols: 2 * rem(rows, cols),
+                                         Z.dim_u * Z.d**r, [0.0, (Y.N - r) * alpha])
     return RemainderProbe(level=r, max_remainder=worst_abs, max_ratio=worst_ratio)

@@ -167,7 +167,8 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
     the iteration budget, and :class:`BallExit` (carrying the converged
     result) when the final iterate leaves the unit ball around the start
     path while ``enforce_ball`` is set, and :class:`SolveFailure` when the
-    start path or an iterate overflows or breaches the explosion guard.
+    start path or an iterate overflows or breaches the explosion guard, or
+    a residual is not finite.
     """
     y0 = np.asarray(y0, dtype=float).ravel()
     try:
@@ -186,6 +187,8 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
             raise SolveFailure(f"state norm {peak:.3e} breached the explosion guard "
                                f"{config.explosion_bound:.3e}")
         res = triple_norm(path_sub(Y_new, Y), X_local, config.alpha)
+        if not math.isfinite(res):
+            raise SolveFailure(f"Picard residual {res} is not finite")
         residuals.append(res)
         Y = Y_new
         if res <= config.contraction_tol:

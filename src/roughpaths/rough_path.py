@@ -20,10 +20,11 @@ import numpy as np
 from .tensor_algebra import TensorSeries, _group_inverse_levels, _group_like_deviation
 from .tensor_algebra import _product_level, _segment_levels, _truncated_product
 
-# Doubles in one pair block (start rows x end points x entries per pair) of
-# a grid-pair scan.  On the README line solve (P=513, 2-core VM) 8192 kept
-# the peak memory within 0.6 MB of 2048 and ran as fast as 32768 within
-# run-to-run noise; the whole grid in one block added 6 MB.
+# Doubles in one pair block (start rows x end points x entries per pair, all
+# levels of a seminorm together) of a grid-pair scan.  On the README line
+# solve (P=513, 2-core VM, best of 3) 8192 kept the peak memory 0.1 MB below
+# 2048 and ran as fast as 32768 within run-to-run noise (2048 ran 1.7x
+# slower); 32768 added 0.5 MB and the whole grid in one block 13 MB.
 _PAIR_BLOCK = 8192
 
 
@@ -253,16 +254,18 @@ def _pair_tiles(n: int, width: int):
 def _scan_pairs(times: np.ndarray, block_fn, width: int, exponents) -> list[float]:
     """Max of l1-norm / gap**exponent over all grid pairs s < t, one result per exponent.
 
-    ``block_fn(rows, cols)`` returns the (R, T, width) block of pair entries
-    for the start rows and end points of one tile of :func:`_pair_tiles`; its
-    pairs with t <= s are masked out.
+    ``block_fn(rows, cols)`` returns one block per exponent, each an (R, T, w)
+    array of pair entries for the start rows and end points of one tile of
+    :func:`_pair_tiles`; ``width`` is the doubles per pair of all the blocks
+    together, and pairs with t <= s are masked out.  So one pass scans every
+    level of a seminorm.  A NaN maximum propagates to the result.
     """
     worst = [0.0] * len(exponents)
     for rows, cols, keep in _pair_tiles(times.size, width):
-        norms = np.abs(block_fn(rows, cols)).sum(axis=-1)[keep]
         gaps = (times[cols] - times[rows, None])[keep]
-        for k, exp in enumerate(exponents):
-            worst[k] = max(worst[k], float(np.max(norms / gaps**exp)))
+        for k, (block, exp) in enumerate(zip(block_fn(rows, cols), exponents)):
+            norms = np.abs(block).sum(axis=-1)[keep]
+            worst[k] = float(np.maximum(worst[k], np.max(norms / gaps**exp)))
     return worst
 
 
@@ -271,7 +274,7 @@ def holder_norm(X: GeometricRoughPath, level: int, beta: float) -> float:
     if not (1 <= level <= X.N):
         raise ValueError(f"level {level} outside 1..{X.N}")
     _check_beta(beta)
-    return _scan_pairs(X.times, lambda s, t: _increments(X, (s, None), (None, t), level)[level],
+    return _scan_pairs(X.times, lambda s, t: [_increments(X, (s, None), (None, t), level)[level]],
                        X.d**level, [level * beta])[0]
 
 
@@ -284,8 +287,8 @@ def holder_distance(Xa: GeometricRoughPath, Xb: GeometricRoughPath, beta: float)
     _check_beta(beta)
 
     def block(i):
-        return lambda s, t: (_increments(Xa, (s, None), (None, t), i)[i]
-                             - _increments(Xb, (s, None), (None, t), i)[i])
+        return lambda s, t: [_increments(Xa, (s, None), (None, t), i)[i]
+                             - _increments(Xb, (s, None), (None, t), i)[i]]
 
     return sum(_scan_pairs(Xa.times, block(i), Xa.d**i, [i * beta])[0] for i in range(1, Xa.N + 1))
 

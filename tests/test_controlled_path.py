@@ -160,15 +160,57 @@ def test_scans_do_not_depend_on_tiling(monkeypatch):
     # compare every pair's remainder too: one start row against the grid.
     for Xa, _, Ya, _ in cases:
         P = Xa.n_points
+        every = _remainder_blocks(Ya, Xa, range(Ya.N))
+        every_whole = every(slice(0, P - 1), slice(1, P))
         for i in range(Ya.N):
-            block = _remainder_blocks(Ya, Xa, i)
-            whole = block(slice(0, P - 1), slice(1, P))
+            block = _remainder_blocks(Ya, Xa, [i])
+            whole = block(slice(0, P - 1), slice(1, P))[0]
             for s in range(P - 1):
-                assert np.array_equal(block(slice(s, s + 1), slice(s + 1, P))[0], whole[s, s:])
-                assert np.array_equal(block(slice(s, s + 1), slice(P - 1, P))[0, 0], whole[s, -1])
+                assert np.array_equal(block(slice(s, s + 1), slice(s + 1, P))[0][0], whole[s, s:])
+                assert np.array_equal(block(slice(s, s + 1), slice(P - 1, P))[0][0, 0], whole[s, -1])
                 # remainder_rows reads the same all-rows maps, one start row.
                 own = remainder_rows(Ya, Xa, i, s)[1:].reshape(P - 1 - s, -1)
                 assert np.array_equal(own, whole[s, s:])
+                # One pass over every level gives each level's one-level values.
+                row = every(slice(s, s + 1), slice(s + 1, P))[i][0]
+                assert np.array_equal(row, whole[s, s:])
+                assert np.array_equal(every_whole[i][s, s:], whole[s, s:])
+
+
+def test_scan_keeps_a_nan_pair(monkeypatch):
+    # RY^0 = Y^0_t - Y^0_s - Y^1_s X^1_{s,t} - Y^2_s X^2_{s,t} is inf - inf for
+    # every pair; the oracle reads inf.  A NaN pair must not drop its tile.
+    times = np.arange(5.0)
+    X = lift_path(PiecewiseLinearPath(times, 10.0 * times), 3)
+    Y = ControlledPath(X.times, 1, 3, 1, [np.zeros((5, 1, 1)), np.full((5, 1, 1), 1e308),
+                                          np.full((5, 1, 1), -1e308)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(remainder_rows(Y, X, 0, 0)[1:]).all()
+        assert seminorm_reference(Y, X, 0.3) == np.inf
+        assert not np.isfinite(seminorm(Y, X, 0.3))
+    # One pair per tile on three points: a NaN pair before, between and after
+    # finite and infinite ones propagates; finite pairs keep their maximum.
+    monkeypatch.setattr(rough_path, "_PAIR_BLOCK", 1)
+    for values in ((np.nan, 1.0, np.inf), (1.0, np.nan, np.inf), (np.inf, 1.0, np.nan),
+                   (1.0, 3.0, 2.0)):
+        pairs = dict(zip(((0, 1), (0, 2), (1, 2)), values))
+        scan = rough_path._scan_pairs(
+            np.arange(3.0), lambda rows, cols: [np.full((1, 1, 1), pairs[rows.start, cols.start])],
+            1, [0.0])
+        assert np.isnan(scan[0]) if np.isnan(values).any() else scan == [3.0]
+
+
+def test_path_arithmetic_rejects_other_depth_or_dimension():
+    rng = np.random.default_rng(17)
+    times = np.linspace(0.0, 1.0, 9)
+    path = PiecewiseLinearPath(times, rng.standard_normal((9, 2)))
+    Y3, Y2 = canonical_lift(lift_path(path, 3)), canonical_lift(lift_path(path, 2))
+    Yd1 = random_controlled(rng, lift_path(PiecewiseLinearPath(times, times), 3), 2)
+    Yd2 = random_controlled(rng, lift_path(path, 3), 2)
+    for pair in ((Y2, Y3), (Y3, Y2), (Yd2, Yd1), (Yd1, Yd2)):
+        for op in (path_add, path_sub):
+            with pytest.raises(ValueError, match=r"\(d, N\)"):
+                op(*pair)
 
 
 def test_pair_tiles_stay_within_budget():

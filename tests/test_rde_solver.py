@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from roughpaths import rde_solver
 from roughpaths.controlled_path import (
     ControlledPath,
     distance,
@@ -230,6 +231,15 @@ def test_overflowing_iterate_is_a_solve_failure():
         solve(F, X, [0.0], 1.0, default_config())
 
 
+def test_non_finite_residual_is_a_solve_failure(monkeypatch):
+    # A NaN residual compares false with every bound, so without the check the
+    # loop would run to max_picard_iters and report a contraction failure.
+    X, _ = line_driver(n=16)
+    monkeypatch.setattr(rde_solver, "triple_norm", lambda *args: float("nan"))
+    with pytest.raises(SolveFailure, match="residual nan is not finite"):
+        solve_local(scalar_identity_field(), X, [1.0], default_config())
+
+
 def test_patch_budget_exhausted_keeps_the_accepted_patch():
     X, _ = line_driver(n=32)
     with pytest.raises(SolveFailure, match="patch budget exhausted") as info:
@@ -287,6 +297,30 @@ def test_smooth_driver_convergence_order():
         errors.append(abs(Y.path_values()[-1, 0] - np.e))
     slopes = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
     assert all(2.5 < s < 3.5 for s in slopes), (errors, slopes)
+
+
+@pytest.mark.parametrize("N, alpha, beta", [(2, 0.40, 0.45), (3, 0.28, 0.32), (4, 0.22, 0.24)])
+def test_rough_driver_convergence_order(N, alpha, beta):
+    # C10's field on a coarse rough polyline, midpoint-refined: the lift is
+    # the polyline's exact signature, so RK4 along it is the reference.  The
+    # polyline is Lipschitz below its mesh, so the order is about N, the
+    # step-N Euler order with beta = 1 (Davie 2008).  Max errors read
+    # 1.04e-2/2.92e-3/7.69e-4, 2.95e-3/2.52e-4/2.50e-5 and
+    # 7.53e-4/6.58e-5/4.53e-6 when this test was added: fitted orders 1.88,
+    # 3.44 and 3.69.  M = 192 exceeds the default patch budget at N = 2, 3.
+    F = ridge(1, 2, [{"coef": [1.0, 0.0], "kind": "sin", "weight": [1.0]},
+                     {"coef": [0.0, 1.0], "kind": "cos", "weight": [1.0]}], n_levels=N)
+    cfg = SolverConfig(alpha=alpha, beta=beta, tau_init=0.25, contraction_tol=1e-12)
+    path = weierstrass_path(n=24, octaves=6, amp=0.2, seed=7)
+    sizes, errors = [], []
+    for _ in range(3):
+        Y, _ = solve(F, lift_path(path, N, beta), [0.3], 1.0, cfg)
+        oracle = ode_rk4(lambda y: F.eval_at(0, y).reshape(1, 2), path, [0.3], substeps=20)
+        sizes.append(path.n_segments)
+        errors.append(np.max(np.abs(Y.path_values() - oracle)))
+        path = path.refine_midpoints()
+    order = -np.polyfit(np.log(sizes), np.log(errors), 1)[0]
+    assert order >= N - 0.5, (errors, order)
 
 
 def test_solve_at_caps_matches_rk4_on_walk():
