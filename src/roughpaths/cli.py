@@ -381,33 +381,35 @@ def _random_polyline(rng, d: int, segments: int) -> rp.PiecewiseLinearPath:
 
 
 def _suite_chen(cfg, rng, opts) -> dict:
-    worst = 0.0
+    devs = []
     for _ in range(opts.get("paths", 5)):
         X = rp.lift_path(_random_polyline(rng, cfg.d, opts.get("segments", 8)),
                          cfg.N, cfg.beta)
         scale = max(1.0, X.value(X.n_points - 1).max_abs())
-        worst = max(worst, rp.chen_deviation(X) / scale)
+        devs.append(rp.chen_deviation(X) / scale)
+    worst = ta._max_abs(devs)
     return {"max_deviation": worst, "pass": bool(worst <= 1e-12)}
 
 
 def _suite_group_like(cfg, rng, opts) -> dict:
     corrupt = opts["corrupt_level2"]
     N = max(2, cfg.N)
-    worst = 0.0
+    devs = []
     for _ in range(opts.get("paths", 3)):
         X = rp.lift_path(_random_polyline(rng, cfg.d, opts.get("segments", 6)),
                          N, min(cfg.beta, 1 / N))
         if corrupt:
             broken = rp._increments(X, slice(0, X.n_points - 1, 2), X.n_points - 1, N)
             broken[2] = np.zeros_like(broken[2])
-            worst = max(worst, ta._group_like_deviation(broken))
+            devs.append(ta._group_like_deviation(broken))
         else:
-            worst = max(worst, rp.group_like_deviation(X))
+            devs.append(rp.group_like_deviation(X))
+    worst = ta._max_abs(devs)
     return {"max_violation": worst, "corrupted": corrupt, "pass": bool(worst <= 1e-10)}
 
 
 def _suite_coproduct(cfg, rng, opts) -> dict:
-    worst = 0.0
+    devs = []
     d, N = min(cfg.d, 2), min(4, cfg.N)
     for k in (1, 2, 3):
         for r in range(0, N + 1):
@@ -416,7 +418,7 @@ def _suite_coproduct(cfg, rng, opts) -> dict:
             batch = [np.eye(d**r) if i == r else np.zeros((d**r, d**i)) for i in range(N + 1)]
             counts = partition_counts(d, r, k)
             for sizes, block in ta._coproduct_sectors(batch, k).items():
-                worst = max(worst, float(np.max(np.abs(block - counts.get(sizes, 0.0)))))
+                devs.append(block - counts.get(sizes, 0.0))
     xi = ta.TensorSeries(d, N, [rng.standard_normal(d**i) for i in range(N + 1)])
     sectors = ta.coproduct(xi, 2)
     for ru in range(N + 1):
@@ -426,7 +428,8 @@ def _suite_coproduct(cfg, rng, opts) -> dict:
                     pairing = sum(mult * xi.coeff(word)
                                   for word, mult in ta.shuffle_product(u, w, N).items())
                     coeff = sectors[ru, rw][ta.word_index(u + w, d)]
-                    worst = max(worst, abs(float(coeff) - pairing))
+                    devs.append(float(coeff) - pairing)
+    worst = ta._max_abs(devs)
     return {"max_deviation": worst, "pass": bool(worst <= 1e-12)}
 
 
@@ -435,7 +438,7 @@ def _suite_alg_lemma(cfg, rng, opts) -> dict:
     # Level j of the increment enters only terms of level total >= 1 + j: below
     # N = 4 no level past 1 is read, and every level-1 element is group-like.
     N, d = max(4, cfg.N), cfg.d
-    worst = 0.0
+    devs = []
     for _ in range(opts.get("paths", 4)):
         X = rp.lift_path(_random_polyline(rng, d, 4), N, min(cfg.beta, 1 / N))
         inc = rp.increment(X, 0, X.n_points - 1)
@@ -444,12 +447,13 @@ def _suite_alg_lemma(cfg, rng, opts) -> dict:
         y_blocks = [rng.standard_normal((2, d**i)) for i in range(N)]
         for k in range(1, N):
             for r in range(1, N):
-                worst = max(worst, lip.expansion_identity_check(y_blocks, inc, r, k))
+                devs.append(lip.expansion_identity_check(y_blocks, inc, r, k))
+    worst = ta._max_abs(devs)
     return {"max_deviation": worst, "corrupted": corrupt, "pass": bool(worst <= 1e-10)}
 
 
 def _suite_removal(cfg, rng, opts) -> dict:
-    worst = 0.0
+    devs = []
     for _ in range(opts.get("instances", 20)):
         X = rp.lift_path(_random_polyline(rng, cfg.d, 16), cfg.N, cfg.beta)
         e = int(rng.integers(1, 3))
@@ -459,7 +463,8 @@ def _suite_removal(cfg, rng, opts) -> dict:
         inner = np.sort(rng.choice(np.arange(1, 16), size=3, replace=False))
         part = ri.Partition((0, *map(int, inner), 16))
         j = int(rng.integers(1, len(part.indices) - 1))
-        worst = max(worst, ri.removal_identity_check(Z, X, part, j))
+        devs.append(ri.removal_identity_check(Z, X, part, j))
+    worst = ta._max_abs(devs)
     return {"max_deviation": worst, "pass": bool(worst <= 1e-10)}
 
 

@@ -33,6 +33,7 @@ import io
 import numpy as np
 
 from .rough_path import GeometricRoughPath, _check_beta, _scan_pairs
+from .tensor_algebra import _max_abs
 
 
 class NonFiniteLevelError(ValueError):
@@ -295,9 +296,8 @@ def concatenate(left: ControlledPath, right: ControlledPath, X: GeometricRoughPa
         raise ValueError("controlled paths are incompatible")
     if left.times[-1] != right.times[0]:
         raise ValueError("junction times differ")
-    mismatch = max(float(np.max(np.abs(left.levels[i][-1] - right.levels[i][0])))
-                   for i in range(left.N))
-    if mismatch > tol:
+    mismatch = _max_abs(left.levels[i][-1] - right.levels[i][0] for i in range(left.N))
+    if not mismatch <= tol:
         raise ValueError(f"junction value mismatch {mismatch:.3e} exceeds {tol:.3e}")
     times = np.concatenate([left.times, right.times[1:]])
     start = int(np.searchsorted(X.times, times[0]))

@@ -3,9 +3,10 @@
 Classical RK4 integration, left-point Riemann-Stieltjes sums, a recursive
 enumeration of ordered subset partitions with the coproduct counts of basis
 words read off it, the slotwise product of coproduct sectors, the coproduct
-sectors and the composed levels summed one transpose per position
-assignment, Holder grid maxima from signatures chained segment by segment,
-the Lipschitz composition summed column by column over ordered partitions,
+sectors summed one transpose per position assignment, the composed levels
+summed one transpose per set partition, Holder grid maxima from signatures
+chained segment by segment, the Lipschitz composition summed column by
+column over ordered partitions with weight 1/j!,
 the compensated sum taken one interval and one level at a time, and the
 controlled seminorm and distance scanned pair by pair from each pair's own
 increment.  Deliberately naive: these are oracles, not production paths.
@@ -20,7 +21,7 @@ import numpy as np
 
 from .controlled_path import ControlledPath
 from .rough_path import increment
-from .tensor_algebra import _assignment_axes, exp_segment, word_index
+from .tensor_algebra import _assignment_axes, _set_partition_axes, exp_segment, word_index
 
 
 @dataclass(frozen=True)
@@ -227,26 +228,22 @@ def compose_reference(F, Y, X) -> ControlledPath:
 
 def composed_level_reference(f_blocks, y_levels, r: int) -> np.ndarray:
     """Level r >= 1 of a composition on the arguments of
-    ``lipschitz._composed_level``: per arity j and block-size profile with no
-    empty block, F^j contracted against the profile's levels of Y and scaled
-    by 1/j!, then transposed back to word order by the inverse of each
-    position assignment's axis order and added into a zero cube one
-    assignment at a time, in assignment order.
+    ``lipschitz._composed_level``: per non-decreasing block-size profile, F^j
+    contracted against the profile's levels of Y, then transposed back to
+    word order by the inverse of each set partition's axis order and added
+    into a zero cube one set partition at a time, in table order.
     """
     P, u = f_blocks[1].shape[:2]
     e, d = y_levels[1].shape[1:]
     cube = np.zeros((P, u) + (d,) * r)
-    for j in range(1, r + 1):
-        for sizes, orders in _assignment_axes(r, j).items():
-            if 0 in sizes:
-                continue
-            t, width = f_blocks[j], 1
-            for l in reversed(sizes):
-                t = np.swapaxes(y_levels[l], 1, 2)[:, None] @ t.reshape(P, -1, e, width)
-                width *= d**l
-            t = t.reshape(cube.shape) / math.factorial(j)
-            for order in orders:
-                cube += t.transpose((0, 1) + tuple(2 + q for q in np.argsort(order)))
+    for sizes, orders in _set_partition_axes(r).items():
+        t, width = f_blocks[len(sizes)], 1
+        for l in reversed(sizes):
+            t = np.swapaxes(y_levels[l], 1, 2)[:, None] @ t.reshape(P, -1, e, width)
+            width *= d**l
+        t = t.reshape(cube.shape)
+        for order in orders:
+            cube += t.transpose((0, 1) + tuple(2 + q for q in np.argsort(order)))
     return cube.reshape(P, u, d**r)
 
 

@@ -27,6 +27,7 @@ from .controlled_path import (
 from .lipschitz import LipFunction, _composed_level, compose
 from .rough_integral import _operator_slot_last, integral_controlled
 from .rough_path import GeometricRoughPath, holder_distance, restrict
+from .tensor_algebra import _max_abs
 
 
 class ContractionFailure(RuntimeError):
@@ -271,10 +272,9 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
             if solution is None:
                 solution = local.path
             else:
-                mismatch = max(float(np.max(np.abs(solution.levels[i][-1]
-                                                   - local.path.levels[i][0])))
-                               for i in range(solution.N))
-                report.junction_mismatch = max(report.junction_mismatch, mismatch)
+                report.junction_mismatch = _max_abs(
+                    [report.junction_mismatch]
+                    + [solution.levels[i][-1] - local.path.levels[i][0] for i in range(solution.N)])
                 solution = concatenate(solution, local.path, X, tol=junction_tol)
             y_current = solution.path_values()[-1]
             idx0 = idx1
@@ -302,11 +302,7 @@ def levels_from_field(Y: ControlledPath, F: LipFunction, X: GeometricRoughPath) 
     level-0 path through the field.
     """
     Z = compose(F, Y, X)
-    worst = 0.0
-    for i in range(1, Y.N):
-        shifted = _operator_slot_last(Z.levels[i - 1], Y.d)
-        worst = max(worst, float(np.max(np.abs(Y.levels[i] - shifted))))
-    return worst
+    return _max_abs(Y.levels[i] - _operator_slot_last(Z.levels[i - 1], Y.d) for i in range(1, Y.N))
 
 
 @dataclass(frozen=True)

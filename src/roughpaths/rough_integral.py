@@ -18,6 +18,7 @@ import numpy as np
 
 from .controlled_path import ControlledPath, _check_pair, _fill_leading, remainder_rows
 from .rough_path import GeometricRoughPath, _increments, increment
+from .tensor_algebra import _is_whole
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,10 @@ class Partition:
 
 
 def dyadic_partition(s_idx: int, t_idx: int, depth: int) -> Partition:
-    """2**depth intervals with indices snapped to the grid (duplicates merged)."""
+    """2**depth intervals with indices snapped to the grid (duplicates merged);
+    ``depth`` must be an integer >= 0."""
+    if not (_is_whole(depth) and depth >= 0):
+        raise ValueError(f"dyadic depth {depth!r} must be an integer >= 0")
     # Once 2**depth >= t_idx - s_idx every grid index is hit: skip forming 2**depth points.
     if depth >= int(t_idx - s_idx - 1).bit_length():
         return Partition(tuple(range(s_idx, t_idx + 1)))
@@ -172,14 +176,13 @@ def convergence_rate_probe(Z: ControlledPath, X: GeometricRoughPath,
     """Fit the decay exponent of Cauchy increments against the partition mesh.
 
     Increments below roundoff make the fit meaningless; the probe then
-    reports no exponent.
+    reports no exponent.  Each depth must be an integer >= 0.
     """
-    depths = sorted(int(m) for m in depths)
-    values, meshes = [], []
-    for m in depths:
-        part = dyadic_partition(s_idx, t_idx, m)
-        values.append(compensated_sum(Z, X, part))
-        meshes.append(part.mesh(X.times))
+    # Each depth is checked by its partition before the sort compares it.
+    parts = sorted(((m, dyadic_partition(s_idx, t_idx, m)) for m in depths), key=lambda mp: mp[0])
+    depths = [m for m, _ in parts]
+    values = [compensated_sum(Z, X, part) for _, part in parts]
+    meshes = [part.mesh(X.times) for _, part in parts]
     increments = [float(np.abs(a - b).sum()) for a, b in zip(values, values[1:])]
     scale = max(float(np.abs(v).sum()) for v in values)
     usable = [(mesh, inc) for mesh, inc in zip(meshes, increments)

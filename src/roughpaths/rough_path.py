@@ -17,8 +17,8 @@ import io
 
 import numpy as np
 
-from .tensor_algebra import TensorSeries, _group_inverse_levels, _group_like_deviation
-from .tensor_algebra import _product_level, _segment_levels, _truncated_product
+from .tensor_algebra import TensorSeries, _check_caps, _group_inverse_levels, _group_like_deviation
+from .tensor_algebra import _is_whole, _max_abs, _product_level, _segment_levels, _truncated_product
 
 # Doubles in one pair block (start rows x end points x entries per pair, all
 # levels of a seminorm together) of a grid-pair scan.  On the README line
@@ -155,6 +155,8 @@ class GeometricRoughPath:
         return TensorSeries._wrap(self.d, self.N, [lvl[idx] for lvl in self.levels])
 
     def _check_index(self, idx: int) -> None:
+        if not _is_whole(idx):
+            raise IndexError(f"grid index {idx!r} is not an integer")
         if not (0 <= idx < self.n_points):
             raise IndexError(f"grid index {idx} outside 0..{self.n_points - 1}")
 
@@ -178,8 +180,12 @@ class GeometricRoughPath:
 
 
 def lift_path(path: PiecewiseLinearPath, N: int, beta: float | None = None) -> GeometricRoughPath:
-    """Level-N signature lift of a piecewise-linear path, exact by Chen concatenation."""
+    """Level-N signature lift of a piecewise-linear path, exact by Chen concatenation.
+
+    N must be an integer in 1..5 and the path's dimension at most 4.
+    """
     d = path.d
+    _check_caps(d, N)
     if beta is None:
         beta = min(0.5, 1.0 / N)
     n = path.times.size
@@ -301,24 +307,23 @@ def path_norm(X: GeometricRoughPath, beta: float) -> float:
 def chen_deviation(X: GeometricRoughPath) -> float:
     """Max coefficient deviation of X_{s,u} (x) X_{u,t} from X_{s,t} over grid triples.
 
-    Batched per junction index u over all (s <= u, t >= u) pairs.
+    Batched per junction index u over all (s <= u, t >= u) pairs; a NaN
+    deviation propagates to the result.
     """
-    n = X.n_points
     pair = _increments(X, (slice(None), None), None, X.N)
-    worst = 0.0
-    for u in range(n):
+
+    def gaps(u):
         prod = _truncated_product([lvl[: u + 1, u, None] for lvl in pair],
                                   [lvl[None, u, u:] for lvl in pair])
-        for r in range(1, X.N + 1):
-            dev = np.abs(prod[r] - pair[r][: u + 1, u:])
-            worst = max(worst, float(dev.max()))
-    return worst
+        return (prod[r] - pair[r][: u + 1, u:] for r in range(1, X.N + 1))
+
+    return _max_abs(gap for u in range(X.n_points) for gap in gaps(u))
 
 
 def group_like_deviation(X: GeometricRoughPath) -> float:
-    """Worst group-likeness violation over all grid-pair increments, batched per pair tile."""
-    worst = 0.0
-    for rows, cols, keep in _pair_tiles(X.n_points, sum(X.d**r for r in range(X.N + 1))):
-        worst = max(worst, _group_like_deviation(
-            [lvl[keep] for lvl in _increments(X, (rows, None), (None, cols), X.N)]))
-    return worst
+    """Worst group-likeness violation over all grid-pair increments, batched per pair
+    tile; a NaN violation propagates to the result."""
+    width = sum(X.d**r for r in range(X.N + 1))
+    return _max_abs(
+        _group_like_deviation([lvl[keep] for lvl in _increments(X, (s, None), (None, t), X.N)])
+        for s, t, keep in _pair_tiles(X.n_points, width))

@@ -5,11 +5,14 @@ products, symmetrization, and the coproduct that splits a word over ordered
 subset partitions.  The coproduct is computed in one place, as dense sectors,
 one per block-size profile (:func:`_coproduct_sectors`); :func:`coproduct`
 returns them read-only, and the group-likeness check and the expansion
-identity in ``lipschitz`` read them too.  Every sum over the assignments of
-word positions to blocks reads one cached table of gather indices per
-(r, k, d) (:func:`_assignment_gathers`): the coproduct sectors, the
-shuffle product and the composition in ``lipschitz``, whose sums run in
-tiles of bounded size (:func:`_add_assignments`).
+identity in ``lipschitz`` read them too.  The assignments of word positions
+to blocks are enumerated in one place (:func:`_assignment_axes`), and every
+sum over them reads a cached table of gather indices made from it: per
+(r, k, d) for the coproduct sectors and the shuffle product
+(:func:`_assignment_gathers`), and per (r, d), one row per set partition of
+the positions, for the composition in ``lipschitz``
+(:func:`_set_partition_gathers`).  The sums run in tiles of bounded size
+(:func:`_add_assignments`).
 
 Coefficient blocks are dense float64 arrays, one per level; a word
 (a_1, ..., a_r) with letters in 1..d addresses the level-r coefficient at
@@ -56,6 +59,28 @@ def level_words(d: int, r: int):
     return itertools.product(range(1, d + 1), repeat=r)
 
 
+def _is_whole(value) -> bool:
+    """Whether ``value`` is an integer, a bool excluded."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_caps(d, N) -> None:
+    """The construction caps: d in 1..MAX_DIM and N in 1..MAX_LEVEL, both integers."""
+    if not (_is_whole(d) and 1 <= d <= MAX_DIM):
+        raise ValueError(f"dimension {d!r} outside 1..{MAX_DIM}")
+    if not (_is_whole(N) and 1 <= N <= MAX_LEVEL):
+        raise ValueError(f"level {N!r} outside 1..{MAX_LEVEL}")
+
+
+def _max_abs(blocks) -> float:
+    """Largest |entry| over an iterable of arrays (0.0 when there is none).
+
+    A NaN entry makes the result NaN: ``max(worst, x)`` would drop a NaN
+    that comes after a number, since comparisons with NaN are false.
+    """
+    return float(np.max([np.max(np.abs(b), initial=0.0) for b in blocks], initial=0.0))
+
+
 def _check_word(word: Word, d: int, n_max: int) -> None:
     if len(word) > n_max:
         raise ValueError(f"word length {len(word)} exceeds level cap {n_max}")
@@ -73,10 +98,7 @@ class TensorSeries:
     __slots__ = ("d", "N", "levels")
 
     def __init__(self, d: int, N: int, levels):
-        if not (1 <= d <= MAX_DIM):
-            raise ValueError(f"dimension {d} outside 1..{MAX_DIM}")
-        if not (1 <= N <= MAX_LEVEL):
-            raise ValueError(f"level {N} outside 1..{MAX_LEVEL}")
+        _check_caps(d, N)
         if len(levels) != N + 1:
             raise ValueError(f"expected {N + 1} level blocks, got {len(levels)}")
         blocks = []
@@ -139,7 +161,7 @@ class TensorSeries:
         return TensorSeries._wrap(self.d, self.N, blocks)
 
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(b))) if b.size else 0.0 for b in self.levels)
+        return _max_abs(self.levels)
 
     def __add__(self, other: "TensorSeries") -> "TensorSeries":
         _check_compatible(self, other)
@@ -222,6 +244,7 @@ def _segment_levels(v, N: int) -> list:
 def exp_segment(v, N: int) -> TensorSeries:
     """Signature of a single linear segment with increment ``v``: level k is v^(x)k / k!."""
     v = np.asarray(v, dtype=float).ravel()
+    _check_caps(v.size, N)
     return TensorSeries._wrap(v.size, N, _segment_levels(v, N))
 
 
@@ -263,24 +286,57 @@ def _assignment_axes(r: int, k: int):
     return grouped
 
 
-@lru_cache(maxsize=None)
-def _assignment_gathers(r: int, k: int, d: int, inverse: bool = False) -> MappingProxyType:
-    """The position assignments of :func:`_assignment_axes` as gather indices.
-
-    Returns {sizes: idx}, ``idx`` a read-only (assignments, d**r) integer
-    array whose row a maps each flat index c of a level-r block to the flat
-    index that the transpose by assignment a's axis order reads there: the
-    transposed block flattened is ``flat[idx[a]]``.  With ``inverse`` the
-    rows are the inverse permutations, the transposes by the inverse orders.
-    """
+def _gather_rows(orders, r: int, d: int) -> np.ndarray:
+    """Read-only (len(orders), d**r) gather indices: row a maps each flat index
+    c of a level-r block to the flat index that the transpose by ``orders[a]``
+    reads there, so the transposed block flattened is ``flat[idx[a]]``."""
     base = np.arange(d**r).reshape((d,) * r)
+    idx = np.array([base.transpose(order).ravel() for order in orders]).reshape(len(orders), d**r)
+    idx.setflags(write=False)
+    return idx
+
+
+@lru_cache(maxsize=None)
+def _assignment_gathers(r: int, k: int, d: int) -> MappingProxyType:
+    """The position assignments of :func:`_assignment_axes` as gather indices,
+    {sizes: idx}, row a of ``idx`` the transpose by assignment a's axis order
+    (see :func:`_gather_rows`)."""
+    return MappingProxyType({sizes: _gather_rows(orders, r, d)
+                             for sizes, orders in _assignment_axes(r, k).items()})
+
+
+@lru_cache(maxsize=None)
+def _set_partition_axes(r: int) -> MappingProxyType:
+    """The set partitions of r >= 1 positions, one position assignment each.
+
+    Returns {sizes: (axis orders)} over the non-decreasing block-size
+    profiles with no empty block, the integer partitions of r, arity j =
+    len(sizes) ascending.  The orders are those of :func:`_assignment_axes`
+    at arity j, in its order, kept when the blocks of equal size are ordered
+    by their smallest position: of the j! assignments that label the blocks
+    of one set partition, exactly one has sorted sizes and such ties.
+    """
     table = {}
-    for sizes, orders in _assignment_axes(r, k).items():
-        idx = np.array([base.transpose(np.argsort(order) if inverse else order).ravel()
-                        for order in orders]).reshape(len(orders), d**r)
-        idx.setflags(write=False)
-        table[sizes] = idx
+    for j in range(1, r + 1):
+        for sizes, orders in _assignment_axes(r, j).items():
+            if 0 in sizes or list(sizes) != sorted(sizes):
+                continue
+            # Each block lists its positions ascending, so its first entry is its smallest.
+            starts = list(itertools.accumulate(sizes, initial=0))
+            ties = [i for i in range(j - 1) if sizes[i] == sizes[i + 1]]
+            table[sizes] = tuple(order for order in orders
+                                 if all(order[starts[i]] < order[starts[i + 1]] for i in ties))
     return MappingProxyType(table)
+
+
+@lru_cache(maxsize=None)
+def _set_partition_gathers(r: int, d: int) -> MappingProxyType:
+    """The set partitions of :func:`_set_partition_axes` as gather indices,
+    {sizes: idx}: row a of ``idx`` is the transpose by the inverse of the
+    a-th axis order, which moves a block listed block by block back to word
+    order."""
+    return MappingProxyType({sizes: _gather_rows([np.argsort(order) for order in orders], r, d)
+                             for sizes, orders in _set_partition_axes(r).items()})
 
 
 def _add_assignments(acc, src, idx) -> None:
@@ -373,13 +429,13 @@ def coproduct(xi: TensorSeries, k: int) -> MappingProxyType:
 def _group_like_deviation(levels) -> float:
     """Max gap of each coproduct sector (l_1..l_k) to xi^{l_1} box ... box xi^{l_k}, batched."""
     lead = levels[0].shape[:-1]
-    worst = 0.0
-    for k in range(2, len(levels)):
-        for sizes, block in _coproduct_sectors(levels, k).items():
-            rhs = reduce(lambda x, y: (x[..., :, None] * y[..., None, :]).reshape(lead + (-1,)),
-                         (levels[l] for l in sizes))
-            worst = max(worst, float(np.max(np.abs(block - rhs))))
-    return worst
+
+    def box(sizes):
+        return reduce(lambda x, y: (x[..., :, None] * y[..., None, :]).reshape(lead + (-1,)),
+                      (levels[l] for l in sizes))
+
+    return _max_abs(block - box(sizes) for k in range(2, len(levels))
+                    for sizes, block in _coproduct_sectors(levels, k).items())
 
 
 def is_group_like(xi: TensorSeries, tol: float) -> tuple[bool, float]:

@@ -16,6 +16,7 @@ from roughpaths.controlled_path import (
 )
 from roughpaths.lipschitz import (
     _composed_level,
+    RIDGE_KINDS,
     LipFunction,
     compose,
     constant,
@@ -95,6 +96,32 @@ def test_derivative_blocks_are_symmetric():
             assert np.max(np.abs(blocks - symmetrize(blocks, 2, j))) < 1e-13
 
 
+@pytest.mark.parametrize("dim_in", [1, 2, 3])
+def test_field_blocks_are_symmetric_in_their_slots(dim_in):
+    # Composition reads each set partition in one slot order, so every block
+    # F^j must be symmetric.  Constant, linear and polynomial blocks are
+    # symmetric exactly; a ridge block is coef * g^(j) times an outer product
+    # of j weights, whose entries multiply the same factors in different
+    # orders, so its slot permutations agree to 8 ulps of the largest entry.
+    rng = np.random.default_rng(25)
+    n = 5
+    ys = rng.standard_normal((4, dim_in))
+    coeffs = {expo: rng.standard_normal(2)
+              for expo in itertools.product(range(4), repeat=dim_in) if sum(expo) <= 6}
+    terms = [{"coef": rng.standard_normal(2), "kind": kind,
+              "weight": rng.standard_normal(dim_in), "phase": 0.3} for kind in RIDGE_KINDS]
+    fields = [(constant([1.0, -2.0], dim_in, n), 0.0),
+              (linear(rng.standard_normal((2, dim_in)), n_levels=n), 0.0),
+              (polynomial(dim_in, 2, coeffs, n), 0.0),
+              (ridge(dim_in, 2, terms, n), 8 * np.finfo(float).eps)]
+    for F, rel in fields:
+        for j in range(n + 1):
+            cube = F.eval(j, ys).reshape((4, 2) + (dim_in,) * j)
+            for perm in itertools.permutations(range(j)):
+                gap = np.abs(cube - cube.transpose((0, 1) + tuple(2 + p for p in perm)))
+                assert np.max(gap) <= rel * np.max(np.abs(cube)), (F.label, j, perm)
+
+
 def test_lip_norm_check_linear_and_sine():
     A = np.array([[1.0, -2.0]])
     F = linear(A, n_levels=2)
@@ -170,9 +197,18 @@ def test_ridge_levels_match_direct_formula():
         assert F.eval(j, ys).tobytes() == expected.tobytes()
 
 
+def symmetric_blocks(a, e, j):
+    """s[i_1..i_j] = a[sorted(i_1..i_j)] over the last axis: exactly symmetric."""
+    return a[..., [np.ravel_multi_index(tuple(sorted(i)), (e,) * j)
+                   for i in itertools.product(range(e), repeat=j)]]
+
+
 def test_composed_level_matches_transpose_reference():
-    # Bit for bit, for one grid point and for several: the assignments of
-    # each profile are added in the order of one transpose per assignment.
+    # Bit for bit, for one grid point and for several: the set partitions of
+    # each profile are added in the order of one transpose per set partition.
+    # Against the ordered-partition sum with 1/j! of the oracle, the blocks
+    # being exactly symmetric, every entry agrees to 1e-13 of the sum of the
+    # sizes of its terms, which is the composed level of |F^j| and |Y^l|.
     rng = np.random.default_rng(24)
 
     def wide(shape):
@@ -180,12 +216,21 @@ def test_composed_level_matches_transpose_reference():
 
     for d, N, e, u in [(1, 5, 1, 1), (2, 5, 2, 3), (3, 5, 1, 3), (4, 4, 2, 2), (4, 5, 1, 1)]:
         for P in (1, 6):
-            f_blocks = {j: wide((P, u, e**j)) for j in range(1, N)}
+            f_blocks = {j: symmetric_blocks(wide((P, u, e**j)), e, j) for j in range(N)}
             y_levels = [wide((P, e, d**i)) for i in range(N)]
             for r in range(1, N):
                 got = _composed_level(f_blocks, y_levels, r)
                 want = composed_level_reference(f_blocks, y_levels, r)
                 assert got.tobytes() == want.tobytes(), (d, N, P, r)
+        # The six-point batch, as a controlled path on a driver's grid.
+        X = random_driver(rng, d, N, P - 1)
+        F = LipFunction(e, u, N - 1, lambda j, ys: f_blocks[j])
+        ordered = compose_reference(F, ControlledPath(X.times, d, N, e, y_levels), X).levels
+        abs_blocks = {j: np.abs(b) for j, b in f_blocks.items()}
+        for r in range(1, N):
+            sizes = _composed_level(abs_blocks, [np.abs(y) for y in y_levels], r)
+            got = _composed_level(f_blocks, y_levels, r)
+            assert np.all(np.abs(got - ordered[r]) <= 1e-13 * sizes), (d, N, r)
 
 
 def test_compose_memory_stays_near_output_size():

@@ -313,3 +313,16 @@ def test_dyadic_partition_full_range_shortcut(s_idx, t_idx):
         assert dyadic_partition(s_idx, t_idx, depth).indices == \
             _dyadic_by_formula(s_idx, t_idx, depth)
     assert dyadic_partition(s_idx, t_idx, 40).indices == tuple(range(s_idx, t_idx + 1))
+
+
+@pytest.mark.parametrize("depth", [-1, -5, 1.5, 2.0, True, False, "2", None])
+def test_dyadic_partition_rejects_bad_depth(depth):
+    # A negative depth once gave (0, 16) on [0, 8], past the window's end;
+    # depth 1.5 gave (0, 3, 6, 8).
+    with pytest.raises(ValueError, match="depth"):
+        dyadic_partition(0, 8, depth)
+    X, times = line_driver(N=2, n=8)
+    Z = ControlledPath(X.times, 1, 2, 1, [times[:, None, None].copy(), np.ones((9, 1, 1))])
+    with pytest.raises(ValueError, match="depth"):
+        convergence_rate_probe(Z, X, 0, 8, depths=[1, depth, 3])
+    assert dyadic_partition(0, 8, np.int64(2)).indices == (0, 2, 4, 6, 8)

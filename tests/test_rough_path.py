@@ -150,6 +150,44 @@ def test_chen_on_random_paths():
         assert chen_deviation(X) <= 1e-12 * max(1.0, X.value(X.n_points - 1).max_abs())
 
 
+def test_scans_propagate_nan_increments():
+    # The raw constructor takes these finite levels, but their increments
+    # overflow: X_{1,0} level 2 is inf and X_{1,1} level 2 is NaN.  A NaN
+    # increment must not drop out of the maxima.
+    X = GeometricRoughPath([0.0, 1.0], 1, 2, 0.5,
+                           [np.ones((2, 1)), [[0.0], [1e200]], [[0.0], [1e300]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(chen_deviation(X))
+        assert not group_like_deviation(X) <= 1e-10
+
+
+@pytest.mark.parametrize("N", [0, 6, -1, True, 2.0, 2.5, "3", None])
+def test_lift_rejects_level_outside_caps(N):
+    path = PiecewiseLinearPath([0.0, 0.5, 1.0], [[0.0], [1.0], [0.5]])
+    with pytest.raises(ValueError, match="level"):
+        lift_path(path, N)
+
+
+def test_lift_rejects_dimension_over_cap():
+    with pytest.raises(ValueError, match="dimension"):
+        lift_path(PiecewiseLinearPath([0.0, 1.0], np.zeros((2, 5))), 2)
+    assert lift_path(PiecewiseLinearPath([0.0, 1.0], np.zeros((2, 4))), np.int64(2)).N == 2
+
+
+@pytest.mark.parametrize("idx", [0.5, 1.0, True, np.float64(2.0), "1", None])
+def test_grid_index_must_be_an_integer(idx):
+    X = lift_path(PiecewiseLinearPath([0.0, 0.5, 1.0, 1.5], np.arange(8.0).reshape(4, 2)), 2)
+    with pytest.raises(IndexError, match="not an integer"):
+        increment(X, idx, 3)
+    with pytest.raises(IndexError, match="not an integer"):
+        increment(X, 0, idx)
+    with pytest.raises(IndexError, match="not an integer"):
+        restrict(X, idx, 3)
+    with pytest.raises(IndexError, match="not an integer"):
+        X.value(idx)
+    assert increment(X, np.int64(1), 3).coeff((1,)) == 4.0
+
+
 def test_increments_row_matches_pointwise():
     rng = np.random.default_rng(2)
     p = random_path(rng, 2, 6)

@@ -13,6 +13,9 @@ from roughpaths.tensor_algebra import (
     TensorSeries,
     _basis_sectors,
     _coproduct_sectors,
+    _max_abs,
+    _set_partition_axes,
+    _set_partition_gathers,
     admissible_norm,
     coproduct,
     exp_segment,
@@ -49,6 +52,9 @@ def test_series_validation():
         TensorSeries(2, 6, [[1.0]] + [[0] * 2**i for i in range(1, 7)])
     with pytest.raises(ValueError):
         TensorSeries(2, 2, [[1.0], [0, 0], [0, 0, 0]])
+    for d, N in [(True, 1), (2, True), (2.0, 1), (2, 1.0), (0, 1), (2, 0)]:
+        with pytest.raises(ValueError, match="outside"):
+            TensorSeries(d, N, [[1.0], [0, 0]])
 
 
 def test_series_immutable():
@@ -162,6 +168,25 @@ def test_exp_segment_zero_is_unit():
 def test_exp_segment_factorials():
     e = exp_segment([1.0], 3)
     assert np.allclose([e.level(i)[0] for i in range(4)], [1.0, 1.0, 0.5, 1.0 / 6.0])
+
+
+@pytest.mark.parametrize("v, N, what", [
+    ([1.0], 0, "level"), ([1.0], 6, "level"), ([1.0], True, "level"), ([1.0], 2.0, "level"),
+    ([1.0], -1, "level"), (np.ones(5), 2, "dimension"), ([], 2, "dimension"),
+])
+def test_exp_segment_rejects_values_outside_caps(v, N, what):
+    with pytest.raises(ValueError, match=what):
+        exp_segment(v, N)
+
+
+def test_max_abs_propagates_nan():
+    # max(worst, x) keeps worst when x is NaN; the one reduction does not.
+    assert _max_abs([]) == 0.0 and _max_abs([np.zeros(0)]) == 0.0
+    assert _max_abs([np.array([-3.0, 1.0]), 2.0]) == 3.0
+    for blocks in ([1.0, np.nan], [np.nan, 1.0], [np.array([0.0, np.nan]), np.array([np.inf])]):
+        assert np.isnan(_max_abs(blocks))
+        assert np.isnan(_max_abs(iter(blocks)))
+    assert _max_abs([np.array([1.0, -np.inf])]) == np.inf
 
 
 def test_exp_segment_collinear_chen():
@@ -281,6 +306,35 @@ def test_coproduct_sectors_do_not_depend_on_gather_tiles(monkeypatch, block):
         for k in range(1, N + 1):
             assert same_sectors(_coproduct_sectors(levels, k),
                                 oracle.coproduct_sectors_reference(levels, k)), (d, lead, k)
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_set_partitions_each_listed_once(r):
+    # One canonical assignment per set partition of the r positions: the
+    # Bell number of rows, over one profile per integer partition of r.
+    axes = _set_partition_axes(r)
+    assert sum(map(len, axes.values())) == [1, 2, 5, 15, 52][r - 1]
+    assert len(axes) == [1, 2, 3, 5, 7][r - 1]
+    listed = []
+    for sizes, orders in axes.items():
+        assert list(sizes) == sorted(sizes) and min(sizes) >= 1 and sum(sizes) == r
+        cuts = list(itertools.accumulate(sizes, initial=0))
+        for order in orders:
+            blocks = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+            assert all(list(blk) == sorted(blk) for blk in blocks)
+            assert all(blocks[i][0] < blocks[i + 1][0]
+                       for i in range(len(sizes) - 1) if sizes[i] == sizes[i + 1])
+            listed.append(frozenset(map(frozenset, blocks)))
+    expected = {frozenset(map(frozenset, blocks))
+                for j in range(1, r + 1) for blocks in oracle.enumerate_partitions(r, j, False)}
+    assert len(listed) == len(set(listed)) and set(listed) == expected
+    # Row a of the gather table undoes the transpose by the a-th order.
+    for d in (1, 2, 3):
+        base = np.arange(d**r).reshape((d,) * r)
+        for sizes, idx in _set_partition_gathers(r, d).items():
+            assert not idx.flags.writeable
+            for row, order in zip(idx, axes[sizes]):
+                assert np.array_equal(base.transpose(order).ravel()[row], base.ravel())
 
 
 def test_basis_sectors_are_the_identity_batch_sectors():
