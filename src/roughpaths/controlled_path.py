@@ -32,8 +32,8 @@ import io
 
 import numpy as np
 
-from .rough_path import GeometricRoughPath, _check_beta, _scan_pairs
-from .tensor_algebra import _max_abs
+from .rough_path import GeometricRoughPath, _check_beta, _grid_times, _scan_pairs
+from .tensor_algebra import _frozen_levels, _is_whole, _max_abs
 
 
 class NonFiniteLevelError(ValueError):
@@ -44,32 +44,23 @@ class ControlledPath:
     """Tuple (Y^0, ..., Y^{N-1}) of map-valued paths sharing the driver grid.
 
     ``levels[i]`` has shape (P, dim_u, d**i); level 0 is the actual path with
-    a trailing singleton axis.  Immutable after construction.  A path carries
+    a trailing singleton axis; a non-finite entry raises
+    :class:`NonFiniteLevelError`.  Immutable after construction.  A path carries
     no Holder exponent: the norms that measure it take alpha as an argument.
     """
 
     __slots__ = ("times", "d", "N", "dim_u", "levels")
 
     def __init__(self, times, d: int, N: int, dim_u: int, levels):
-        times = np.asarray(times, dtype=float).ravel()
-        if len(levels) != N:
-            raise ValueError(f"expected {N} level blocks, got {len(levels)}")
-        stacked = []
-        for i, arr in enumerate(levels):
-            arr = np.ascontiguousarray(arr, dtype=float)
-            if arr.shape != (times.size, dim_u, d**i):
-                raise ValueError(
-                    f"level {i} block has shape {arr.shape}, expected {(times.size, dim_u, d**i)}")
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteLevelError(f"level {i} block has non-finite entries")
-            arr.setflags(write=False)
-            stacked.append(arr)
-        times.setflags(write=False)
+        times = _grid_times(times, 1)
+        if not (_is_whole(dim_u) and dim_u >= 1):
+            raise ValueError(f"target dimension {dim_u!r} must be an integer >= 1")
+        levels = _frozen_levels(d, N, levels, (times.size, dim_u), N - 1, NonFiniteLevelError)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "dim_u", dim_u)
-        object.__setattr__(self, "levels", tuple(stacked))
+        object.__setattr__(self, "levels", levels)
 
     def __setattr__(self, name, value):
         raise AttributeError("ControlledPath is immutable")
@@ -290,8 +281,10 @@ def concatenate(left: ControlledPath, right: ControlledPath, X: GeometricRoughPa
     """Join controlled paths over adjacent intervals sharing a junction point.
 
     End values of ``left`` must match start values of ``right`` at every
-    level within ``tol`` (max-abs); the junction row keeps the left values.
+    level within ``tol`` >= 0 (max-abs); the junction row keeps the left values.
     """
+    if not tol >= 0:  # also rejects NaN
+        raise ValueError(f"tol {tol!r} must be a number >= 0")
     if left.d != right.d or left.N != right.N or left.dim_u != right.dim_u:
         raise ValueError("controlled paths are incompatible")
     if left.times[-1] != right.times[0]:

@@ -48,6 +48,7 @@ from .tensor_algebra import (
     _basis_sectors,
     _coproduct_sectors,
     _max_abs,
+    _is_whole,
     _set_partition_gathers,
     _truncated_product,
     symmetrize,
@@ -68,8 +69,10 @@ class LipFunction:
 
     def __init__(self, dim_in: int, dim_out: int, n_levels: int, evaluator,
                  label: str = "custom"):
-        if n_levels < 0:
-            raise ValueError("n_levels must be >= 0")
+        for name, value, least in (("dim_in", dim_in, 1), ("dim_out", dim_out, 1),
+                                   ("n_levels", n_levels, 0)):
+            if not (_is_whole(value) and value >= least):
+                raise ValueError(f"{name} {value!r} must be an integer >= {least}")
         self.dim_in = int(dim_in)
         self.dim_out = int(dim_out)
         self.n_levels = int(n_levels)
@@ -95,8 +98,16 @@ class LipFunction:
                 f"levels=0..{self.n_levels})")
 
 
+def _finite(value, name: str) -> np.ndarray:
+    """``value`` as a float array, rejected unless every entry is finite."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def constant(value, dim_in: int, n_levels: int) -> LipFunction:
-    value = np.asarray(value, dtype=float).ravel()
+    value = _finite(value, "constant value").ravel()
 
     def ev(j, ys):
         p = ys.shape[0]
@@ -108,9 +119,9 @@ def constant(value, dim_in: int, n_levels: int) -> LipFunction:
 
 
 def linear(matrix, offset=None, n_levels: int = 1) -> LipFunction:
-    A = np.atleast_2d(np.asarray(matrix, dtype=float))
+    A = np.atleast_2d(_finite(matrix, "linear matrix"))
     dim_out, dim_in = A.shape
-    b = np.zeros(dim_out) if offset is None else np.asarray(offset, dtype=float).ravel()
+    b = np.zeros(dim_out) if offset is None else _finite(offset, "linear offset").ravel()
     if b.size != dim_out:
         raise ValueError(f"offset has {b.size} entries, the matrix {dim_out} rows")
 
@@ -141,7 +152,7 @@ def polynomial(dim_in: int, dim_out: int, coeffs: dict | list, n_levels: int) ->
         if len(expo) != dim_in or any(m < 0 or not float(m).is_integer() for m in expo):
             raise ValueError(f"bad exponent tuple {expo!r}")
         expo = tuple(int(m) for m in expo)
-        vec = np.asarray(vec, dtype=float).ravel()
+        vec = _finite(vec, "monomial value").ravel()
         if vec.size != dim_out:
             raise ValueError("monomial value has wrong output dimension")
         monos.append((np.array(expo), vec))
@@ -177,10 +188,10 @@ def ridge(dim_in: int, dim_out: int, terms, n_levels: int) -> LipFunction:
     """
     parsed = []
     for term in terms:
-        coef = np.asarray(term["coef"], dtype=float).ravel()
-        weight = np.asarray(term["weight"], dtype=float).ravel()
+        coef = _finite(term["coef"], "ridge coef").ravel()
+        weight = _finite(term["weight"], "ridge weight").ravel()
         kind = term["kind"]
-        phase = float(term.get("phase", 0.0))
+        phase = float(_finite(term.get("phase", 0.0), "ridge phase"))
         if kind not in RIDGE_KINDS:
             raise ValueError(f"unknown ridge kind {kind!r}")
         if coef.size != dim_out or weight.size != dim_in:
@@ -193,11 +204,6 @@ def ridge(dim_in: int, dim_out: int, terms, n_levels: int) -> LipFunction:
         shift = j * np.pi / 2.0
         return np.sin(x + shift) if kind == "sin" else np.cos(x + shift)
 
-    # coef (x) weight^(x)j per term and level, built once.
-    outers = [[np.multiply.outer(coef, reduce(lambda a, b: np.multiply.outer(a, b).ravel(),
-                                              [weight] * j, np.ones(1)))
-               for coef, _, weight, _ in parsed] for j in range(n_levels + 1)]
-
     def ev(j, ys):
         p = ys.shape[0]
         out = np.zeros((p, dim_out, dim_in**j))
@@ -206,7 +212,13 @@ def ridge(dim_in: int, dim_out: int, terms, n_levels: int) -> LipFunction:
             out += vals[:, None, None] * outer[None]
         return out
 
-    return LipFunction(dim_in, dim_out, n_levels, ev, label="ridge")
+    # The function checks n_levels before the outers are built from it.
+    field = LipFunction(dim_in, dim_out, n_levels, ev, label="ridge")
+    # coef (x) weight^(x)j per term and level, built once.
+    outers = [[np.multiply.outer(coef, reduce(lambda a, b: np.multiply.outer(a, b).ravel(),
+                                              [weight] * j, np.ones(1)))
+               for coef, _, weight, _ in parsed] for j in range(n_levels + 1)]
+    return field
 
 
 def from_config(spec: dict, n_levels: int) -> LipFunction:

@@ -44,8 +44,10 @@ class Partition:
 
 
 def dyadic_partition(s_idx: int, t_idx: int, depth: int) -> Partition:
-    """2**depth intervals with indices snapped to the grid (duplicates merged);
-    ``depth`` must be an integer >= 0."""
+    """2**depth intervals with indices snapped to the grid (duplicates merged),
+    for integers 0 <= s_idx < t_idx and ``depth`` >= 0."""
+    if not (_is_whole(s_idx) and _is_whole(t_idx) and 0 <= s_idx < t_idx):
+        raise ValueError(f"dyadic window ({s_idx!r}, {t_idx!r}) needs integers 0 <= s_idx < t_idx")
     if not (_is_whole(depth) and depth >= 0):
         raise ValueError(f"dyadic depth {depth!r} must be an integer >= 0")
     # Once 2**depth >= t_idx - s_idx every grid index is hit: skip forming 2**depth points.

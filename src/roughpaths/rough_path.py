@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 
-from .tensor_algebra import TensorSeries, _check_caps, _group_inverse_levels, _group_like_deviation
-from .tensor_algebra import _is_whole, _max_abs, _product_level, _segment_levels, _truncated_product
+from .tensor_algebra import TensorSeries, _check_caps, _frozen_levels, _group_inverse_levels
+from .tensor_algebra import _group_like_deviation, _is_whole, _max_abs, _product_level
+from .tensor_algebra import _segment_levels, _truncated_product
 
 # Doubles in one pair block (start rows x end points x entries per pair, all
 # levels of a seminorm together) of a grid-pair scan.  On the README line
@@ -28,24 +30,32 @@ from .tensor_algebra import _is_whole, _max_abs, _product_level, _segment_levels
 _PAIR_BLOCK = 8192
 
 
+def _grid_times(times, least: int) -> np.ndarray:
+    """The read-only grid of a grid-sampled object: finite, strictly increasing,
+    at least ``least`` points.  A NaN fails every comparison, so finite end
+    points and increasing steps make every time finite in one pass."""
+    times = np.asarray(times, dtype=float).ravel()
+    if times.size < least or not (math.isfinite(times[0]) and math.isfinite(times[-1])
+                                  and (times[1:] > times[:-1]).all()):
+        raise ValueError(f"grid times must be finite and strictly increasing, at least {least} points")
+    times.setflags(write=False)
+    return times
+
+
 class PiecewiseLinearPath:
     """Continuous piecewise-linear path: strictly increasing times, points in R^d."""
 
     __slots__ = ("times", "points")
 
     def __init__(self, times, points):
-        times = np.asarray(times, dtype=float).ravel()
-        points = np.asarray(points, dtype=float)
+        times = _grid_times(times, 2)
+        points = np.ascontiguousarray(points, dtype=float)
         if points.ndim == 1:
             points = points[:, None]
         if times.size != points.shape[0]:
             raise ValueError("times and points disagree in length")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(points))):
-            raise ValueError("times and points must be finite")
-        if times.size < 2 or np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing with at least two entries")
-        times.setflags(write=False)
-        points = np.ascontiguousarray(points, dtype=float)
+        if not np.isfinite(points).all():
+            raise ValueError("points must be finite")
         points.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
@@ -113,33 +123,21 @@ class GeometricRoughPath:
 
     ``levels[i]`` stacks the level-i blocks of the running signature at every
     grid point, shape (M+1, d**i).  Use :func:`lift_path` to construct lifts;
-    the raw constructor checks shapes only.
+    the raw constructor checks the grid, beta and the level blocks (caps,
+    shapes, finiteness), not group-likeness.
     """
 
     __slots__ = ("times", "d", "N", "beta", "levels", "_inverses")
 
     def __init__(self, times, d: int, N: int, beta: float, levels):
-        times = np.asarray(times, dtype=float).ravel()
-        if times.size < 1 or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
-            raise ValueError("grid times must be finite and strictly increasing")
-        if len(levels) != N + 1:
-            raise ValueError(f"expected {N + 1} stacked level blocks")
+        times = _grid_times(times, 1)
         _check_beta(beta)
-        stacked = []
-        for i, arr in enumerate(levels):
-            arr = np.ascontiguousarray(arr, dtype=float)
-            if arr.shape != (times.size, d**i):
-                raise ValueError(f"level {i} block has shape {arr.shape}, expected {(times.size, d**i)}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"level {i} block has non-finite entries")
-            arr.setflags(write=False)
-            stacked.append(arr)
-        times.setflags(write=False)
+        levels = _frozen_levels(d, N, levels, (times.size,), N)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "beta", float(beta))
-        object.__setattr__(self, "levels", tuple(stacked))
+        object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "_inverses", None)
 
     def __setattr__(self, name, value):
@@ -152,7 +150,7 @@ class GeometricRoughPath:
     def value(self, idx: int) -> TensorSeries:
         """Running signature X_{t0, t_idx} as a series."""
         self._check_index(idx)
-        return TensorSeries._wrap(self.d, self.N, [lvl[idx] for lvl in self.levels])
+        return TensorSeries(self.d, self.N, [lvl[idx] for lvl in self.levels])
 
     def _check_index(self, idx: int) -> None:
         if not _is_whole(idx):
@@ -211,7 +209,7 @@ def increment(X: GeometricRoughPath, s_idx: int, t_idx: int) -> TensorSeries:
         raise ValueError("increment requires s_idx <= t_idx")
     if s_idx == t_idx:
         return TensorSeries.unit(X.d, X.N)
-    return TensorSeries._wrap(X.d, X.N, _increments(X, s_idx, t_idx, X.N))
+    return TensorSeries(X.d, X.N, _increments(X, s_idx, t_idx, X.N))
 
 
 def _increments(X: GeometricRoughPath, s, t, top: int) -> list:

@@ -72,6 +72,25 @@ def _check_caps(d, N) -> None:
         raise ValueError(f"level {N!r} outside 1..{MAX_LEVEL}")
 
 
+def _frozen_levels(d, N, levels, lead: tuple, top: int, error=ValueError) -> tuple:
+    """The read-only level blocks 0..top of a level container, checked: the caps
+    on (d, N), level i of shape ``lead + (d**i,)``, finite entries (else ``error``).
+    A C-contiguous float64 block is frozen in place, not copied."""
+    _check_caps(d, N)
+    if len(levels) != top + 1:
+        raise ValueError(f"expected {top + 1} level blocks, got {len(levels)}")
+    blocks = []
+    for i, block in enumerate(levels):
+        arr = np.ascontiguousarray(block, dtype=float)
+        if arr.shape != lead + (d**i,):
+            raise ValueError(f"level {i} block has shape {arr.shape}, expected {lead + (d**i,)}")
+        if not np.isfinite(arr).all():
+            raise error(f"level {i} block has non-finite entries")
+        arr.setflags(write=False)
+        blocks.append(arr)
+    return tuple(blocks)
+
+
 def _max_abs(blocks) -> float:
     """Largest |entry| over an iterable of arrays (0.0 when there is none).
 
@@ -92,53 +111,32 @@ class TensorSeries:
     """Element of the level-N truncated tensor algebra over R^d.
 
     ``levels[i]`` is the dense level-i coefficient block of size ``d**i``.
-    Instances are immutable; all operations return new series.
+    Every series goes through this constructor: it copies each block, flat,
+    and :func:`_frozen_levels` checks the caps, the block sizes and
+    finiteness.  Instances are immutable; all operations return new series.
     """
 
     __slots__ = ("d", "N", "levels")
 
     def __init__(self, d: int, N: int, levels):
-        _check_caps(d, N)
-        if len(levels) != N + 1:
-            raise ValueError(f"expected {N + 1} level blocks, got {len(levels)}")
-        blocks = []
-        for i, block in enumerate(levels):
-            arr = np.array(block, dtype=float).ravel()
-            if arr.size != d**i:
-                raise ValueError(f"level {i} block has {arr.size} entries, expected {d**i}")
-            arr.setflags(write=False)
-            blocks.append(arr)
+        blocks = _frozen_levels(d, N, [np.array(b, dtype=float).ravel() for b in levels], (), N)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "N", N)
-        object.__setattr__(self, "levels", tuple(blocks))
+        object.__setattr__(self, "levels", blocks)
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorSeries is immutable")
 
     @classmethod
-    def _wrap(cls, d: int, N: int, blocks) -> "TensorSeries":
-        # Internal fast path: trusts shapes, freezes without re-copying.
-        self = object.__new__(cls)
-        frozen = []
-        for arr in blocks:
-            arr = np.ascontiguousarray(arr, dtype=float)
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "levels", tuple(frozen))
-        return self
-
-    @classmethod
     def unit(cls, d: int, N: int) -> "TensorSeries":
-        return cls._wrap(d, N, [np.ones(1)] + [np.zeros(d**i) for i in range(1, N + 1)])
+        return cls(d, N, [np.ones(1)] + [np.zeros(d**i) for i in range(1, N + 1)])
 
     @classmethod
     def from_word(cls, word: Word, d: int, N: int, coeff: float = 1.0) -> "TensorSeries":
         _check_word(word, d, N)
         blocks = [np.zeros(d**i) for i in range(N + 1)]
         blocks[len(word)][word_index(word, d)] = coeff
-        return cls._wrap(d, N, blocks)
+        return cls(d, N, blocks)
 
     def level(self, i: int) -> np.ndarray:
         if not 0 <= i <= self.N:
@@ -151,28 +149,24 @@ class TensorSeries:
 
     def with_level(self, i: int, block) -> "TensorSeries":
         """Copy of the series with level ``i`` replaced (diagnostics only)."""
-        if not 0 <= i <= self.N:
-            raise ValueError(f"level {i} outside 0..{self.N}")
-        arr = np.array(block, dtype=float).ravel()
-        if arr.size != self.d**i:
-            raise ValueError("replacement block has wrong size")
+        self.level(i)  # checks i
         blocks = list(self.levels)
-        blocks[i] = arr
-        return TensorSeries._wrap(self.d, self.N, blocks)
+        blocks[i] = block
+        return TensorSeries(self.d, self.N, blocks)
 
     def max_abs(self) -> float:
         return _max_abs(self.levels)
 
     def __add__(self, other: "TensorSeries") -> "TensorSeries":
         _check_compatible(self, other)
-        return TensorSeries._wrap(self.d, self.N, [a + b for a, b in zip(self.levels, other.levels)])
+        return TensorSeries(self.d, self.N, [a + b for a, b in zip(self.levels, other.levels)])
 
     def __sub__(self, other: "TensorSeries") -> "TensorSeries":
         _check_compatible(self, other)
-        return TensorSeries._wrap(self.d, self.N, [a - b for a, b in zip(self.levels, other.levels)])
+        return TensorSeries(self.d, self.N, [a - b for a, b in zip(self.levels, other.levels)])
 
     def __neg__(self) -> "TensorSeries":
-        return TensorSeries._wrap(self.d, self.N, [-a for a in self.levels])
+        return TensorSeries(self.d, self.N, [-a for a in self.levels])
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "N": self.N, "levels": [b.tolist() for b in self.levels]}
@@ -223,12 +217,12 @@ def _group_inverse_levels(g) -> list:
 def tensor_mul(a: TensorSeries, b: TensorSeries) -> TensorSeries:
     """Truncated tensor product: level r of the result is sum_{i+j=r} a^i (x) b^j."""
     _check_compatible(a, b)
-    return TensorSeries._wrap(a.d, a.N, _truncated_product(a.levels, b.levels))
+    return TensorSeries(a.d, a.N, _truncated_product(a.levels, b.levels))
 
 
 def group_inverse(g: TensorSeries) -> TensorSeries:
     """Inverse of a series with unit scalar part (finite Neumann series)."""
-    return TensorSeries._wrap(g.d, g.N, _group_inverse_levels(g.levels))
+    return TensorSeries(g.d, g.N, _group_inverse_levels(g.levels))
 
 
 def _segment_levels(v, N: int) -> list:
@@ -245,7 +239,7 @@ def exp_segment(v, N: int) -> TensorSeries:
     """Signature of a single linear segment with increment ``v``: level k is v^(x)k / k!."""
     v = np.asarray(v, dtype=float).ravel()
     _check_caps(v.size, N)
-    return TensorSeries._wrap(v.size, N, _segment_levels(v, N))
+    return TensorSeries(v.size, N, _segment_levels(v, N))
 
 
 def shuffle_product(u: Word, w: Word, n_max: int) -> dict:
@@ -446,6 +440,8 @@ def is_group_like(xi: TensorSeries, tol: float) -> tuple[bool, float]:
     xi^{l_1} box ... box xi^{l_k}, sector by sector.  Returns
     (within tolerance, max coefficient deviation).
     """
+    if not tol >= 0:  # also rejects NaN
+        raise ValueError(f"tol {tol!r} must be a number >= 0")
     if abs(float(xi.levels[0][0]) - 1.0) > 1e-9:
         raise ValueError("is_group_like requires level-0 coefficient 1")
     worst = _group_like_deviation(xi.levels)
@@ -475,6 +471,4 @@ def symmetrize(block, dim: int, k: int) -> np.ndarray:
 
 def admissible_norm(xi: TensorSeries, i: int) -> float:
     """Level-i norm: l1 over the coordinate basis (a cross norm, permutation invariant)."""
-    if not (0 <= i <= xi.N):
-        raise ValueError(f"level {i} outside 0..{xi.N}")
-    return float(np.sum(np.abs(xi.levels[i])))
+    return float(np.sum(np.abs(xi.level(i))))
