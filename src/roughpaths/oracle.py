@@ -7,9 +7,10 @@ sectors summed one transpose per position assignment, the composed levels
 summed one transpose per set partition, Holder grid maxima from signatures
 chained segment by segment, the Lipschitz composition summed column by
 column over ordered partitions with weight 1/j!,
-the compensated sum taken one interval and one level at a time, and the
+the compensated sum taken one interval and one level at a time, the
 controlled seminorm and distance scanned pair by pair from each pair's own
-increment.  Deliberately naive: these are oracles, not production paths.
+increment, and the group inverse by the finite Neumann series.
+Deliberately naive: these are oracles, not production paths.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ import numpy as np
 
 from .controlled_path import ControlledPath
 from .rough_path import increment
-from .tensor_algebra import _assignment_axes, _set_partition_axes, exp_segment, word_index
+from .tensor_algebra import _assignment_axes, _set_partition_axes, _truncated_product
+from .tensor_algebra import exp_segment, word_index
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,19 @@ def coproduct_sectors_reference(levels, k: int) -> dict:
                 acc += cube.transpose((0,) + tuple(1 + p for p in order)).reshape(acc.shape)
             sectors[sizes] = acc.reshape(lead + (d**r,))
     return sectors
+
+
+def group_inverse_reference(g) -> list:
+    """Inverse of level lists with level-0 coefficient 1, batched over leading
+    axes, by the finite Neumann series: N passes of inv <- unit + (unit - g) (x) inv,
+    each a full truncated product.  Exact in the truncated algebra because
+    (unit - g) has zero scalar part and is therefore nilpotent."""
+    unit = [np.ones_like(g[0])] + [np.zeros_like(lvl) for lvl in g[1:]]
+    u = [a - b for a, b in zip(unit, g)]
+    inv = unit
+    for _ in range(len(g) - 1):
+        inv = [a + b for a, b in zip(unit, _truncated_product(u, inv))]
+    return inv
 
 
 def chained_signature(points, N: int) -> list:

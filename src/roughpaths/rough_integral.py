@@ -4,10 +4,13 @@ The integrand is a controlled path whose target is the space of linear maps
 V -> U, stored flat with target dimension dim_u * d (row-major (u, v)).  The
 integral on the driver's native grid is the realized limit; dyadic
 coarsenings estimate convergence.  The terms Z^{k-1}_a X^k_{a,b} of every
-interval and level come from one batched kernel, :func:`_interval_terms`:
-the increments of every interval from ``rough_path._increments``, then one
-leading-slot contraction per level.  Summation order is fixed
-(ascending time, then level) so results are bit-stable.
+interval and level come from one batched kernel, :func:`_interval_terms`,
+one leading-slot contraction per level against increments passed in: the
+running integral reads the driver's cached grid-step increments, computed
+once per driver however many Picard steps integrate against it, and a
+compensated sum over a coarser partition takes its own from
+``rough_path._increments``.  Summation order is fixed (ascending time, then
+level) so results are bit-stable.
 """
 from __future__ import annotations
 
@@ -74,20 +77,18 @@ def _operator_slot_last(block: np.ndarray, d: int) -> np.ndarray:
     return np.swapaxes(block.reshape(lead + (e, d, m)), -1, -2).reshape(lead + (e, d * m))
 
 
-def _interval_terms(Z: ControlledPath, X: GeometricRoughPath, idx) -> np.ndarray:
-    """Terms Z^{k-1}_a paired with X^k_{a,b} over consecutive grid indices a < b
-    of ``idx``, shape (len(idx) - 1, N, e): interval, then level k = 1..N.
+def _interval_terms(Z: ControlledPath, a, inc) -> np.ndarray:
+    """Terms Z^{k-1}_a paired with X^k_{a,b} over intervals [a, b] that start at
+    the grid indices ``a`` (an index array or slice), shape (intervals, N, e):
+    interval, then level k = 1..N.  ``inc`` holds the levels of the intervals'
+    driver increments X_{a,b}, level k of shape (intervals, d**k).
 
     The integrand block maps V^(x)(k-1) into L(V;U); with the operator slot
     moved last, the driver tensor fills all k of its slots.
     """
-    _check_pair(Z, X)
     _, d = _integrand_dims(Z)
-    idx = np.asarray(idx)
-    a = idx[:-1]
-    inc = _increments(X, a, idx[1:], X.N)
     return np.stack([_fill_leading(_operator_slot_last(Z.levels[k - 1][a], d), inc[k])[..., 0]
-                     for k in range(1, X.N + 1)], axis=1)
+                     for k in range(1, Z.N + 1)], axis=1)
 
 
 def compensated_sum(Z: ControlledPath, X: GeometricRoughPath, partition: Partition) -> np.ndarray:
@@ -98,7 +99,9 @@ def compensated_sum(Z: ControlledPath, X: GeometricRoughPath, partition: Partiti
     idx = partition.indices
     if idx[0] < 0 or idx[-1] >= X.n_points:
         raise ValueError("partition leaves the driver grid")
-    terms = _interval_terms(Z, X, idx)
+    _check_pair(Z, X)
+    a, b = np.asarray(idx[:-1]), np.asarray(idx[1:])
+    terms = _interval_terms(Z, a, _increments(X, a, b, X.N))
     return np.cumsum(terms.reshape(-1, terms.shape[-1]), axis=0)[-1]
 
 
@@ -126,8 +129,9 @@ def integral_controlled(Z: ControlledPath, X: GeometricRoughPath,
     """The indefinite integral as a controlled path: running level 0, and the
     integrand's levels shifted up by one with the operator slot re-absorbed."""
     e, d = _integrand_dims(Z)
+    _check_pair(Z, X)
     level0 = np.zeros((X.n_points, e))
-    per_step = _interval_terms(Z, X, np.arange(X.n_points)).sum(axis=1)
+    per_step = _interval_terms(Z, np.arange(X.n_points - 1), X._step_increments()).sum(axis=1)
     np.cumsum(per_step, axis=0, out=level0[1:])
     if offset is not None:
         level0 = level0 + np.asarray(offset, dtype=float).ravel()[None, :]

@@ -1,9 +1,12 @@
 """Geometric rough paths built from piecewise-linear drivers.
 
 A lift stores the running signatures X_{t0,ti} on the driver grid, built
-level by level, and, once first needed, their stacked inverses
-X_{t0,ti}^{-1}; every increment X_{s,t} = X_{t0,s}^{-1} (x) X_{t0,t} is one
-truncated product against that cached stack, batched along the grid axis
+level by level.  Work that depends on the driver alone is done once per
+driver and cached read-only on first use: the stacked inverses
+X_{t0,ti}^{-1}, one product level per inverse level, and the increments of
+the consecutive grid steps, which every Picard step integrates against.
+Every increment X_{s,t} = X_{t0,s}^{-1} (x) X_{t0,t} is one truncated
+product against the cached inverse stack, batched along the grid axis
 (:func:`_increments`).  Holder norms, distances and remainder bounds are grid
 maxima over all O(M^2) pairs, taken by one scan (:func:`_scan_pairs`) over
 tiles of start rows and end points: each tile's pair block holds at most a
@@ -127,7 +130,7 @@ class GeometricRoughPath:
     shapes, finiteness), not group-likeness.
     """
 
-    __slots__ = ("times", "d", "N", "beta", "levels", "_inverses")
+    __slots__ = ("times", "d", "N", "beta", "levels", "_inverses", "_steps")
 
     def __init__(self, times, d: int, N: int, beta: float, levels):
         times = _grid_times(times, 1)
@@ -139,6 +142,7 @@ class GeometricRoughPath:
         object.__setattr__(self, "beta", float(beta))
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "_inverses", None)
+        object.__setattr__(self, "_steps", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GeometricRoughPath is immutable")
@@ -158,14 +162,26 @@ class GeometricRoughPath:
         if not (0 <= idx < self.n_points):
             raise IndexError(f"grid index {idx} outside 0..{self.n_points - 1}")
 
-    def _inverse_stack(self) -> tuple:
-        """Stacked inverses X_{t0,t_i}^{-1}, one (P, d**i) array per level (cached)."""
-        if self._inverses is None:
-            stacked = _group_inverse_levels(self.levels)
-            for arr in stacked:
+    def _cached(self, slot: str, build) -> tuple:
+        """The level arrays held in ``slot``: made by ``build()`` on first use,
+        then kept read-only for the life of the driver."""
+        if getattr(self, slot) is None:
+            arrays = tuple(build())
+            for arr in arrays:
                 arr.setflags(write=False)
-            object.__setattr__(self, "_inverses", tuple(stacked))
-        return self._inverses
+            object.__setattr__(self, slot, arrays)
+        return getattr(self, slot)
+
+    def _inverse_stack(self) -> tuple:
+        """Stacked inverses X_{t0,t_i}^{-1}, one (P, d**i) array per level (cached),
+        one :func:`_product_level` per level (see ``_group_inverse_levels``)."""
+        return self._cached("_inverses", lambda: _group_inverse_levels(self.levels))
+
+    def _step_increments(self) -> tuple:
+        """Increments X_{t_k,t_{k+1}} of every grid step, one (P - 1, d**i) array per
+        level (cached): the values of :func:`_increments` over consecutive indices."""
+        return self._cached("_steps", lambda: _increments(
+            self, np.arange(self.n_points - 1), np.arange(1, self.n_points), self.N))
 
     def to_json_dict(self) -> dict:
         return {

@@ -129,10 +129,12 @@ class TensorSeries:
 
     @classmethod
     def unit(cls, d: int, N: int) -> "TensorSeries":
+        _check_caps(d, N)
         return cls(d, N, [np.ones(1)] + [np.zeros(d**i) for i in range(1, N + 1)])
 
     @classmethod
     def from_word(cls, word: Word, d: int, N: int, coeff: float = 1.0) -> "TensorSeries":
+        _check_caps(d, N)
         _check_word(word, d, N)
         blocks = [np.zeros(d**i) for i in range(N + 1)]
         blocks[len(word)][word_index(word, d)] = coeff
@@ -200,17 +202,24 @@ def _truncated_product(a, b) -> list:
 def _group_inverse_levels(g) -> list:
     """Inverse of level lists with unit scalar part, batched over leading axes.
 
-    Computed from the finite Neumann series of (unit - g), which is exact in
-    the truncated algebra because (unit - g) has zero scalar part and is
-    therefore nilpotent.
+    The inverse h solves h = unit + (unit - g) (x) h.  With g^0 = 1 the
+    factor (unit - g) has zero scalar part, so level r of the right side
+    reads only levels below r of h: h^0 = 1, and h^r is level r of
+    (unit - g) (x) h with h's own level r taken as zero, one
+    :func:`_product_level` per level.  That is the final pass of the finite
+    Neumann series (``oracle.group_inverse_reference``), summed in the same
+    order, so the two agree bit for bit when g^0 is exactly 1, as it is for
+    every lift, increment and segment exponential.  A g^0 within the
+    accepted 1e-9 of 1 but not 1 is read as 1: the result is then the
+    inverse of g with its scalar part set to 1, which is off from the true
+    inverse, and from the Neumann loop, by O(|g^0 - 1|).
     """
     if np.any(np.abs(g[0] - 1.0) > 1e-9):
         raise ValueError("group_inverse requires level-0 coefficient 1")
-    unit = [np.ones_like(g[0])] + [np.zeros_like(lvl) for lvl in g[1:]]
-    u = [a - b for a, b in zip(unit, g)]
-    inv = unit
-    for _ in range(len(g) - 1):
-        inv = [a + b for a, b in zip(unit, _truncated_product(u, inv))]
+    u = [np.zeros_like(g[0])] + [-lvl for lvl in g[1:]]
+    inv = [np.ones_like(g[0])]
+    for r in range(1, len(g)):
+        inv.append(_product_level(u, inv + [np.zeros_like(g[r])], r))
     return inv
 
 
@@ -221,7 +230,8 @@ def tensor_mul(a: TensorSeries, b: TensorSeries) -> TensorSeries:
 
 
 def group_inverse(g: TensorSeries) -> TensorSeries:
-    """Inverse of a series with unit scalar part (finite Neumann series)."""
+    """Inverse of a series with unit scalar part, level by level (see
+    :func:`_group_inverse_levels`)."""
     return TensorSeries(g.d, g.N, _group_inverse_levels(g.levels))
 
 

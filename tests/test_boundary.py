@@ -43,6 +43,12 @@ CASES = {
     "series-unit-d5": (lambda: TensorSeries.unit(5, 2), ValueError, "dimension 5 outside"),
     "series-word-d5": (lambda: TensorSeries.from_word((1,), 5, 2), ValueError, "dimension 5 outside"),
     "series-unit-N0": (lambda: TensorSeries.unit(2, 0), ValueError, "level 0 outside"),
+    # The caps are checked before any block is built from d and N.
+    "series-unit-d-float": (lambda: TensorSeries.unit(2.5, 2), ValueError, "dimension 2.5 outside"),
+    "series-unit-N-float": (lambda: TensorSeries.unit(2, 2.5), ValueError, "level 2.5 outside"),
+    "series-unit-d-str": (lambda: TensorSeries.unit("2", 2), ValueError, "dimension '2' outside"),
+    "series-word-d-float": (lambda: TensorSeries.from_word((0,), 2.5, 2), ValueError,
+                            "dimension 2.5 outside"),
     "series-nan-level": (lambda: TensorSeries(2, 2, [1, [nan, 1], [0] * 4]), ValueError,
                          "level 1 block has non-finite"),
     "exp-segment-nan": (lambda: exp_segment([nan, 1], 3), ValueError, "non-finite"),

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from roughpaths import rde_solver
+from roughpaths import rde_solver, rough_integral, rough_path, tensor_algebra
 from roughpaths.controlled_path import (
     ControlledPath,
     distance,
     path_add,
     remainder_rows,
     restrict_path,
+    seminorm,
 )
 from roughpaths.lipschitz import constant, linear, polynomial, ridge
 from roughpaths.oracle import ode_rk4
@@ -191,6 +192,27 @@ def test_uniqueness_from_different_initial_guesses():
                            for _ in range(3)])
     other = solve_local(F, X_loc, [1.0], cfg, initial_guess=path_add(W, pert))
     assert distance(base.path, other.path, X_loc, X_loc, cfg.alpha) <= 10 * cfg.contraction_tol
+
+
+def test_picard_steps_reuse_the_driver_cache(monkeypatch):
+    # Once the first Picard step on a restricted driver has built its inverse
+    # stack and grid-step increments, later steps and seminorms only read them.
+    X, _ = line_driver(n=64)
+    X_loc = restrict(X, 8, 40)
+    F = scalar_identity_field()
+    Y = picard_step(canonical_initial_path([1.0], F, X_loc), F, X_loc, [1.0])
+    calls = []
+
+    def counted(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    for module in (tensor_algebra, rough_path, rough_integral):
+        for name in ("_group_inverse_levels", "_increments"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    Y = picard_step(Y, F, X_loc, [1.0])
+    seminorm(Y, X_loc, default_config().alpha)
+    assert calls == []
 
 
 def test_split_horizon_matches_full():

@@ -313,6 +313,18 @@ def test_step_increments_chain_to_endpoint():
         assert np.allclose(acc.level(r), end.level(r), atol=1e-13)
 
 
+def test_step_increments_are_cached_read_only():
+    X = lift_path(random_path(np.random.default_rng(12), 3, 9), 4)
+    a = np.arange(X.n_points)
+    steps = X._step_increments()
+    assert X._step_increments() is steps
+    expected = _increments(X, a[:-1], a[1:], X.N)
+    assert [lvl.shape for lvl in steps] == [lvl.shape for lvl in expected]
+    assert [lvl.tobytes() for lvl in steps] == [lvl.tobytes() for lvl in expected]
+    with pytest.raises(ValueError):
+        steps[2][0, 0] = 1.0
+
+
 def test_pair_scans_match_chained_oracle():
     # Every prefix of the driver, so the maxima sit at different grid pairs.
     rng = np.random.default_rng(9)

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 import roughpaths
 from roughpaths import oracle, tensor_algebra
+from roughpaths.rough_path import PiecewiseLinearPath, lift_path, restrict
 from roughpaths.tensor_algebra import (
     MAX_DIM,
+    MAX_LEVEL,
     TensorSeries,
     _basis_sectors,
     _coproduct_sectors,
@@ -147,6 +149,25 @@ def test_group_inverse_levelwise_formula():
     unit = TensorSeries.unit(2, 2)
     for i in range(3):
         assert np.allclose(prod.level(i), unit.level(i), atol=1e-13)
+
+
+@pytest.mark.parametrize("d", range(1, MAX_DIM + 1))
+def test_group_inverse_matches_neumann_reference_bytes(d):
+    # Level by level, the inverse is the Neumann loop's final pass summed in
+    # the same order: equal bytes, signs of zero included, whenever g^0 is 1.
+    rng = np.random.default_rng(40 + d)
+    for N in range(1, MAX_LEVEL + 1):
+        points = np.cumsum(rng.standard_normal((9, d)), axis=0)
+        points[:3] = 0.0  # a flat stretch: the lift's first three rows are exact zeros
+        X = lift_path(PiecewiseLinearPath(np.linspace(0.0, 1.0, 9), points), N)
+        assert not X.levels[N][:3].any()
+        noisy = [X.levels[0]] + [lvl + 0.1 * rng.standard_normal(lvl.shape) for lvl in X.levels[1:]]
+        single = random_series(rng, d, N, unit_scalar=True).levels
+        for g in (X.levels, restrict(X, 1, 7).levels, noisy, single):
+            got = tensor_algebra._group_inverse_levels(g)
+            expected = oracle.group_inverse_reference(g)
+            assert [lvl.shape for lvl in got] == [lvl.shape for lvl in expected]
+            assert [lvl.tobytes() for lvl in got] == [lvl.tobytes() for lvl in expected]
 
 
 def test_group_inverse_unit_and_rejection():
