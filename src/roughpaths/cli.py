@@ -24,7 +24,6 @@ from . import rough_integral as ri
 from . import rough_path as rp
 from . import tensor_algebra as ta
 from .controlled_path import NonFiniteLevelError
-from .oracle import partition_counts
 from .rde_solver import (SolveFailure, SolverConfig, _is_int_at_least, check_exponents,
                          grid_index, solve)
 
@@ -409,6 +408,9 @@ def _suite_group_like(cfg, rng, opts) -> dict:
 
 
 def _suite_coproduct(cfg, rng, opts) -> dict:
+    # Test support, loaded only by the suite that reads it.
+    from .oracle import partition_counts
+
     devs = []
     d, N = min(cfg.d, 2), min(4, cfg.N)
     for k in (1, 2, 3):

@@ -178,10 +178,20 @@ def _remainder_width(Y: ControlledPath) -> int:
 def seminorm(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> float:
     """Sum over levels of the grid-pair maxima of |RY^i| / (t-s)^((N-i) alpha),
     for 1/(N+1) < alpha <= 1."""
+    return float(prefix_seminorms(Y, X, alpha)[-1])
+
+
+def prefix_seminorms(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> np.ndarray:
+    """The seminorm of every prefix of the grid, from one scan: entry j is the
+    seminorm of Y on grid indices 0..j (0 at j = 0), and the last entry is
+    :func:`seminorm`.  A remainder RY_{s,t} depends on s and t alone, so entry
+    j is the seminorm of ``restrict_path(Y, 0, j)`` on the re-based driver up
+    to the roundoff of re-basing.  The entries do not decrease."""
     _check_pair(Y, X)
     _check_alpha(alpha, Y.N)
-    return float(sum(_scan_pairs(Y.times, _remainder_blocks(Y, X, range(Y.N)), _remainder_width(Y),
-                                 [(Y.N - i) * alpha for i in range(Y.N)])))
+    ends = _scan_pairs(Y.times, _remainder_blocks(Y, X, range(Y.N)), _remainder_width(Y),
+                       [(Y.N - i) * alpha for i in range(Y.N)])
+    return np.maximum.accumulate(ends, axis=1).sum(axis=0)
 
 
 def distance(Ya: ControlledPath, Yb: ControlledPath,
@@ -200,7 +210,7 @@ def distance(Ya: ControlledPath, Yb: ControlledPath,
         return [np.subtract(a, b, out=a) for a, b in zip(rem_a(rows, cols), rem_b(rows, cols))]
 
     return float(sum(_scan_pairs(Ya.times, block, _remainder_width(Ya),
-                                 [(Ya.N - i) * alpha for i in range(Ya.N)])))
+                                 [(Ya.N - i) * alpha for i in range(Ya.N)]).max(axis=1)))
 
 
 def _initial_norm(Y: ControlledPath) -> float:
@@ -220,8 +230,8 @@ def level_holder_norm(Y: ControlledPath, i: int, exponent: float) -> float:
         raise ValueError(f"level {i} outside 0..{Y.N - 1}")
     _check_beta(exponent)
     lvl = Y.levels[i].reshape(Y.n_points, -1)
-    return _scan_pairs(Y.times, lambda rows, cols: [lvl[None, cols] - lvl[rows, None]],
-                       lvl.shape[1], [exponent])[0]
+    return float(_scan_pairs(Y.times, lambda rows, cols: [lvl[None, cols] - lvl[rows, None]],
+                             lvl.shape[1], [exponent]).max())
 
 
 def zero_remainder_path(blocks, X: GeometricRoughPath) -> ControlledPath:

@@ -447,6 +447,7 @@ def remainder_regularity_probe(F: LipFunction, Y: ControlledPath, X: GeometricRo
     Z = compose(F, Y, X)
     rem = _remainder_blocks(Z, X, [r])
     # The one level's block, read at both exponents.
-    worst_abs, worst_ratio = _scan_pairs(Y.times, lambda rows, cols: 2 * rem(rows, cols),
-                                         Z.dim_u * Z.d**r, [0.0, (Y.N - r) * alpha])
+    ends = _scan_pairs(Y.times, lambda rows, cols: 2 * rem(rows, cols), Z.dim_u * Z.d**r,
+                       [0.0, (Y.N - r) * alpha])
+    worst_abs, worst_ratio = ends.max(axis=1).tolist()
     return RemainderProbe(level=r, max_remainder=worst_abs, max_ratio=worst_ratio)

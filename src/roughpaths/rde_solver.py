@@ -20,6 +20,8 @@ from .controlled_path import (
     concatenate,
     distance,
     path_sub,
+    prefix_seminorms,
+    restrict_path,
     seminorm,
     triple_norm,
     zero_remainder_path,
@@ -30,6 +32,10 @@ from .rough_path import GeometricRoughPath, holder_distance, restrict
 from .tensor_algebra import _max_abs
 
 
+# Largest ball distance of an accepted local solution: the unit ball, with slack for roundoff.
+_BALL_RADIUS = 1.0 + 1e-9
+
+
 class ContractionFailure(RuntimeError):
     """Local Picard iteration did not contract; the caller should shrink tau."""
 
@@ -37,14 +43,18 @@ class ContractionFailure(RuntimeError):
 class BallExit(ContractionFailure):
     """Iterates converged but the fixed point sits outside the unit ball.
 
+    Carries the converged result ``local`` and ``in_ball``, the grid steps of
+    its longest prefix that stays in the ball (0 when none does): the
+    solution map is causal, so :func:`solve` keeps that prefix as a patch.
     Shrinking tau only helps up to a point: the ball distance carries a
     Holder-constant term that does not scale with the interval length, so
     rough drivers can make the ball unattainable on any grid interval.
     """
 
-    def __init__(self, message, local=None):
+    def __init__(self, message, local=None, in_ball: int = 0):
         super().__init__(message)
         self.local = local
+        self.in_ball = in_ball
 
 
 class SolveFailure(RuntimeError):
@@ -166,7 +176,8 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
 
     Raises :class:`ContractionFailure` when iterates diverge or stall past
     the iteration budget, and :class:`BallExit` (carrying the converged
-    result) when the final iterate leaves the unit ball around the start
+    result and its longest in-ball prefix, read off the one ball-distance
+    scan) when the final iterate leaves the unit ball around the start
     path while ``enforce_ball`` is set, and :class:`SolveFailure` when the
     start path or an iterate overflows or breaches the explosion guard, or
     a residual is not finite.
@@ -194,8 +205,12 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
         Y = Y_new
         if res <= config.contraction_tol:
             local = LocalSolve(Y, it + 1, residuals)
-            if enforce_ball and seminorm(path_sub(Y, W), X_local, config.alpha) > 1.0 + 1e-9:
-                raise BallExit("converged outside the unit ball; shrink tau", local=local)
+            if enforce_ball:
+                # The ball distance of every prefix, non-decreasing in its end point.
+                ball = prefix_seminorms(path_sub(Y, W), X_local, config.alpha)
+                if ball[-1] > _BALL_RADIUS:
+                    raise BallExit("converged outside the unit ball", local=local,
+                                   in_ball=int(np.count_nonzero(ball <= _BALL_RADIUS)) - 1)
             return local
         if len(residuals) >= 3 and residuals[-1] > residuals[-2] > residuals[-3] \
                 and residuals[-1] > 10.0 * residuals[0]:
@@ -219,8 +234,13 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
           config: SolverConfig) -> tuple[ControlledPath, SolveReport]:
     """Global solve on [t0, horizon] by patching local fixed points.
 
-    A working interval length is reused across patches and shrunk on
-    non-contraction; patches join at shared grid points, the junction
+    A working interval length tau is reused across patches.  An attempt that
+    converges outside the unit ball keeps its longest in-ball prefix of one
+    grid step or more as a patch, with the attempt's iterations and
+    residuals, and tau becomes that prefix's length.  tau shrinks by
+    ``tau_shrink`` on non-contraction and on a ball exit with no such prefix,
+    and grows back by ``1 / tau_shrink``, up to ``tau_init``, after each
+    attempt accepted whole.  Patches join at shared grid points, the junction
     keeping the left end values.
     """
     config.validate(X.N)
@@ -244,19 +264,28 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
                                                   side="right")) - 1)
             idx1 = max(idx1, idx0 + 1)
             X_loc = restrict(X, idx0, idx1)
+            tau_next = min(config.tau_init, tau / config.tau_shrink)
             try:
                 local = solve_local(F, X_loc, y_current, config, enforce_ball=enforce_ball)
-            except BallExit:
-                if idx1 > idx0 + 1:
+            except BallExit as err:
+                if err.in_ball >= 1:
+                    # The iterate restricted to a prefix is the iterate on that
+                    # prefix; the next attempt takes the length that fitted here.
+                    idx1 = idx0 + err.in_ball
+                    tau_next = float(X.times[idx1] - X.times[idx0])
+                    local = LocalSolve(restrict_path(err.local.path, 0, err.in_ball),
+                                       err.local.iterations, err.local.residuals)
+                elif idx1 > idx0 + 1:
                     tau *= config.tau_shrink
                     continue
-                # Converged residuals but the ball is unattainable even on one
-                # grid step: fall back to residual-only mode and restart at the
-                # configured interval length; the exits are reported.
-                report.ball_exits += 1
-                enforce_ball = False
-                tau = config.tau_init
-                continue
+                else:
+                    # Converged residuals but the ball is unattainable even on one
+                    # grid step: fall back to residual-only mode and restart at the
+                    # configured interval length; the exits are reported.
+                    report.ball_exits += 1
+                    enforce_ball = False
+                    tau = config.tau_init
+                    continue
             except ContractionFailure as err:
                 if idx1 == idx0 + 1:
                     raise SolveFailure(f"non-contraction at minimum interval: {err}") from err
@@ -278,6 +307,7 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
                 solution = concatenate(solution, local.path, X, tol=junction_tol)
             y_current = solution.path_values()[-1]
             idx0 = idx1
+            tau = tau_next
 
         X_T = _up_to(X, idx_T)
         report.solution_seminorm = seminorm(solution, X_T, config.alpha)

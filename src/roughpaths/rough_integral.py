@@ -58,7 +58,8 @@ def dyadic_partition(s_idx: int, t_idx: int, depth: int) -> Partition:
         return Partition(tuple(range(s_idx, t_idx + 1)))
     pieces = 2**depth
     raw = s_idx + np.round(np.arange(pieces + 1) * (t_idx - s_idx) / pieces).astype(int)
-    return Partition(tuple(np.unique(raw)))
+    # The snapped indices do not decrease, so equal ones are neighbours: merge them in order.
+    return Partition(tuple(dict.fromkeys(raw.tolist())))
 
 
 def _integrand_dims(Z: ControlledPath) -> tuple[int, int]:
@@ -77,18 +78,19 @@ def _operator_slot_last(block: np.ndarray, d: int) -> np.ndarray:
     return np.swapaxes(block.reshape(lead + (e, d, m)), -1, -2).reshape(lead + (e, d * m))
 
 
-def _interval_terms(Z: ControlledPath, a, inc) -> np.ndarray:
-    """Terms Z^{k-1}_a paired with X^k_{a,b} over intervals [a, b] that start at
-    the grid indices ``a`` (an index array or slice), shape (intervals, N, e):
-    interval, then level k = 1..N.  ``inc`` holds the levels of the intervals'
-    driver increments X_{a,b}, level k of shape (intervals, d**k).
+def _interval_terms(blocks, inc) -> np.ndarray:
+    """Terms Z^{k-1}_a paired with X^k_{a,b} over intervals [a, b], shape
+    (intervals, N, e): interval, then level k = 1..N.  ``blocks[k - 1]`` holds
+    the integrand level k - 1 at the intervals' starts a with the operator
+    slot moved last (:func:`_operator_slot_last`), shape (intervals, e, d**k);
+    ``inc`` holds the levels of the intervals' driver increments X_{a,b},
+    level k of shape (intervals, d**k).
 
     The integrand block maps V^(x)(k-1) into L(V;U); with the operator slot
     moved last, the driver tensor fills all k of its slots.
     """
-    _, d = _integrand_dims(Z)
-    return np.stack([_fill_leading(_operator_slot_last(Z.levels[k - 1][a], d), inc[k])[..., 0]
-                     for k in range(1, Z.N + 1)], axis=1)
+    return np.stack([_fill_leading(block, inc[k])[..., 0] for k, block in enumerate(blocks, start=1)],
+                    axis=1)
 
 
 def compensated_sum(Z: ControlledPath, X: GeometricRoughPath, partition: Partition) -> np.ndarray:
@@ -100,8 +102,9 @@ def compensated_sum(Z: ControlledPath, X: GeometricRoughPath, partition: Partiti
     if idx[0] < 0 or idx[-1] >= X.n_points:
         raise ValueError("partition leaves the driver grid")
     _check_pair(Z, X)
+    _, d = _integrand_dims(Z)
     a, b = np.asarray(idx[:-1]), np.asarray(idx[1:])
-    terms = _interval_terms(Z, a, _increments(X, a, b, X.N))
+    terms = _interval_terms([_operator_slot_last(z[a], d) for z in Z.levels], _increments(X, a, b, X.N))
     return np.cumsum(terms.reshape(-1, terms.shape[-1]), axis=0)[-1]
 
 
@@ -130,14 +133,15 @@ def integral_controlled(Z: ControlledPath, X: GeometricRoughPath,
     integrand's levels shifted up by one with the operator slot re-absorbed."""
     e, d = _integrand_dims(Z)
     _check_pair(Z, X)
+    # Each integrand level with its operator slot last, once: the step terms
+    # read it at the step starts, and it is the integral's next level up.
+    shifted = [_operator_slot_last(z, d) for z in Z.levels]
     level0 = np.zeros((X.n_points, e))
-    per_step = _interval_terms(Z, np.arange(X.n_points - 1), X._step_increments()).sum(axis=1)
+    per_step = _interval_terms([z[:-1] for z in shifted], X._step_increments()).sum(axis=1)
     np.cumsum(per_step, axis=0, out=level0[1:])
     if offset is not None:
         level0 = level0 + np.asarray(offset, dtype=float).ravel()[None, :]
-    levels = [level0[:, :, None]]
-    levels += [_operator_slot_last(Z.levels[k - 1], d) for k in range(1, X.N)]
-    return ControlledPath(X.times, X.d, X.N, e, levels)
+    return ControlledPath(X.times, X.d, X.N, e, [level0[:, :, None]] + shifted[:-1])
 
 
 def removal_identity_check(Z: ControlledPath, X: GeometricRoughPath,

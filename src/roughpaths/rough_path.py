@@ -11,7 +11,9 @@ product against the cached inverse stack, batched along the grid axis
 maxima over all O(M^2) pairs, taken by one scan (:func:`_scan_pairs`) over
 tiles of start rows and end points: each tile's pair block holds at most a
 fixed number of doubles (``_PAIR_BLOCK``), so the pairwise tensors are never
-materialized at once, and a pair's value does not depend on its tile.
+materialized at once, and a pair's value does not depend on its tile.  The
+scan keeps the maximum per end point, so the maxima of every prefix of the
+grid come from the same pass.
 """
 from __future__ import annotations
 
@@ -271,22 +273,33 @@ def _pair_tiles(n: int, width: int):
         s0 = s1
 
 
-def _scan_pairs(times: np.ndarray, block_fn, width: int, exponents) -> list[float]:
-    """Max of l1-norm / gap**exponent over all grid pairs s < t, one result per exponent.
+def _scan_pairs(times: np.ndarray, block_fn, width: int, exponents) -> np.ndarray:
+    """Max of l1-norm / gap**exponent over grid pairs s < t, per exponent and per end point.
 
     ``block_fn(rows, cols)`` returns one block per exponent, each an (R, T, w)
     array of pair entries for the start rows and end points of one tile of
     :func:`_pair_tiles`; ``width`` is the doubles per pair of all the blocks
     together, and pairs with t <= s are masked out.  So one pass scans every
-    level of a seminorm.  A NaN maximum propagates to the result.
+    level of a seminorm.  Returns a (len(exponents), P) array: entry [k, t] is
+    the maximum over start rows s < t (0 at t = 0).  Its row maxima are the
+    maxima over all pairs; its running maximum along t is the maximum over the
+    pairs of every prefix [t_0, t_j].  A NaN pair propagates to its end point.
     """
-    worst = [0.0] * len(exponents)
+    ends = np.zeros((len(exponents), times.size))
     for rows, cols, keep in _pair_tiles(times.size, width):
-        gaps = (times[cols] - times[rows, None])[keep]
+        gaps = times[cols] - times[rows, None]
+        if keep is not ...:
+            drop = ~keep
+            # A masked pair's gap is <= 0: a unit gap keeps its power finite and silent.
+            gaps = np.maximum(gaps, drop)
+        ratios = np.empty((len(exponents),) + gaps.shape)
         for k, (block, exp) in enumerate(zip(block_fn(rows, cols), exponents)):
-            norms = np.abs(block).sum(axis=-1)[keep]
-            worst[k] = float(np.maximum(worst[k], np.max(norms / gaps**exp)))
-    return worst
+            np.divide(np.abs(block).sum(axis=-1), gaps**exp, out=ratios[k])
+        if keep is not ...:
+            np.copyto(ratios, -np.inf, where=drop)
+        tile = ends[:, cols]
+        np.maximum(tile, ratios.max(axis=1), out=tile)
+    return ends
 
 
 def holder_norm(X: GeometricRoughPath, level: int, beta: float) -> float:
@@ -294,8 +307,8 @@ def holder_norm(X: GeometricRoughPath, level: int, beta: float) -> float:
     if not (1 <= level <= X.N):
         raise ValueError(f"level {level} outside 1..{X.N}")
     _check_beta(beta)
-    return _scan_pairs(X.times, lambda s, t: [_increments(X, (s, None), (None, t), level)[level]],
-                       X.d**level, [level * beta])[0]
+    return float(_scan_pairs(X.times, lambda s, t: [_increments(X, (s, None), (None, t), level)[level]],
+                             X.d**level, [level * beta]).max())
 
 
 def holder_distance(Xa: GeometricRoughPath, Xb: GeometricRoughPath, beta: float) -> float:
@@ -310,7 +323,8 @@ def holder_distance(Xa: GeometricRoughPath, Xb: GeometricRoughPath, beta: float)
         return lambda s, t: [_increments(Xa, (s, None), (None, t), i)[i]
                              - _increments(Xb, (s, None), (None, t), i)[i]]
 
-    return sum(_scan_pairs(Xa.times, block(i), Xa.d**i, [i * beta])[0] for i in range(1, Xa.N + 1))
+    return sum(float(_scan_pairs(Xa.times, block(i), Xa.d**i, [i * beta]).max())
+               for i in range(1, Xa.N + 1))
 
 
 def path_norm(X: GeometricRoughPath, beta: float) -> float:

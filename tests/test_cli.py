@@ -383,18 +383,46 @@ def test_exponent_edge_warns_once(tmp_path, capsys):
     assert sum(line.startswith("warning:") for line in err.splitlines()) == 1
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # numpy is the only runtime dependency; scipy.special once pulled in
-    # numpy.f2py and numpy.testing on every start.
-    code = ("import sys, roughpaths.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy' "
-            "or m.startswith(('numpy.f2py', 'numpy.testing'))])")
+def fresh_modules(code, wanted):
+    """Modules matching ``wanted`` (a module-name predicate given as source text
+    over ``m``) that a fresh interpreter holds after running ``code``."""
+    script = f"{code}\nimport sys\nprint(sorted(m for m in sys.modules if {wanted}))"
     src = str(Path(roughpaths.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; scipy.special once pulled in
+    # numpy.f2py and numpy.testing on every start.
+    assert fresh_modules("import roughpaths.cli", "m.split('.')[0] == 'scipy' "
+                         "or m.startswith(('numpy.f2py', 'numpy.testing'))") == "[]"
+
+
+def test_cli_import_leaves_oracle_unloaded():
+    # The oracle is test support: only the coproduct suite reads it, so the
+    # solve, lift and integrate commands do not compile it at start.
+    assert fresh_modules("import roughpaths.cli", "m == 'roughpaths.oracle'") == "[]"
+
+
+def test_rate_probe_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on first use (numpy 2.4), 9-14 ms of every
+    # verify and integrate start; the dyadic partitions merge neighbours.
+    code = """
+import numpy as np
+from roughpaths.controlled_path import ControlledPath
+from roughpaths.rough_integral import convergence_rate_probe
+from roughpaths.rough_path import PiecewiseLinearPath, lift_path
+rng = np.random.default_rng(0)
+times = np.linspace(0.0, 1.0, 65)
+X = lift_path(PiecewiseLinearPath(times, rng.standard_normal((65, 1))), 2)
+Z = ControlledPath(times, 1, 2, 1, [rng.standard_normal((65, 1, 1)) for _ in range(2)])
+assert convergence_rate_probe(Z, X, 0, 64, [1, 2, 3, 4]).exponent is not None
+"""
+    assert fresh_modules(code, "m.split('.')[:2] == ['numpy', 'ma']") == "[]"
 
 
 @pytest.mark.parametrize("key, value", [

@@ -10,6 +10,7 @@ from roughpaths.controlled_path import (
     path_add,
     path_scale,
     path_sub,
+    prefix_seminorms,
     remainder_rows,
     restrict_path,
     seminorm,
@@ -17,7 +18,7 @@ from roughpaths.controlled_path import (
     zero_remainder_path,
 )
 from roughpaths import rough_path
-from roughpaths.controlled_path import NonFiniteLevelError, _remainder_blocks
+from roughpaths.controlled_path import NonFiniteLevelError, _remainder_blocks, _remainder_width
 from roughpaths.lipschitz import linear, remainder_regularity_probe
 from roughpaths.oracle import distance_reference, seminorm_reference
 from roughpaths.rough_path import (
@@ -27,6 +28,7 @@ from roughpaths.rough_path import (
     group_like_deviation,
     holder_norm,
     lift_path,
+    restrict,
 )
 
 
@@ -149,7 +151,12 @@ def test_scans_do_not_depend_on_tiling(monkeypatch):
     def scans():
         return [(seminorm(Ya, Xa, 0.3), distance(Ya, Yb, Xa, Xb, 0.3), distance(Ya, Ya, Xa, Xa, 0.3),
                  [holder_norm(Xa, level, 0.3) for level in range(1, Xa.N + 1)],
-                 group_like_deviation(Xa))
+                 group_like_deviation(Xa),
+                 # The maximum of every level per end point, and the prefix seminorms.
+                 rough_path._scan_pairs(Xa.times, _remainder_blocks(Ya, Xa, range(Ya.N)),
+                                        _remainder_width(Ya), [(Ya.N - i) * 0.3 for i in range(Ya.N)]
+                                        ).tolist(),
+                 prefix_seminorms(Ya, Xa, 0.3).tolist())
                 for Xa, Xb, Ya, Yb in cases]
 
     default = scans()
@@ -177,6 +184,23 @@ def test_scans_do_not_depend_on_tiling(monkeypatch):
                 assert np.array_equal(every_whole[i][s, s:], whole[s, s:])
 
 
+def test_prefix_seminorms_are_seminorms_of_the_prefixes():
+    # Entry j is the seminorm of the path restricted to grid indices 0..j on
+    # the re-based driver, over every d <= 4, N <= 5; the last is the seminorm.
+    rng = np.random.default_rng(45)
+    for d in range(1, 5):
+        for N in range(1, 6):
+            X = walk_driver(rng, d, N, 9 if d**N > 64 else 17)
+            Y = random_controlled(rng, X, 2)
+            alpha = 0.5 * (1.0 / (N + 1) + 1.0 / N)
+            prefixes = prefix_seminorms(Y, X, alpha)
+            assert prefixes[0] == 0.0 and (np.diff(prefixes) >= 0).all()
+            assert prefixes[-1] == seminorm(Y, X, alpha)
+            for j in range(1, X.n_points):
+                want = seminorm(restrict_path(Y, 0, j), restrict(X, 0, j), alpha)
+                assert abs(prefixes[j] - want) <= 1e-13 * want, (d, N, j)
+
+
 def test_scan_keeps_a_nan_pair(monkeypatch):
     # RY^0 = Y^0_t - Y^0_s - Y^1_s X^1_{s,t} - Y^2_s X^2_{s,t} is inf - inf for
     # every pair; the oracle reads inf.  A NaN pair must not drop its tile.
@@ -194,10 +218,13 @@ def test_scan_keeps_a_nan_pair(monkeypatch):
     for values in ((np.nan, 1.0, np.inf), (1.0, np.nan, np.inf), (np.inf, 1.0, np.nan),
                    (1.0, 3.0, 2.0)):
         pairs = dict(zip(((0, 1), (0, 2), (1, 2)), values))
-        scan = rough_path._scan_pairs(
+        ends = rough_path._scan_pairs(
             np.arange(3.0), lambda rows, cols: [np.full((1, 1, 1), pairs[rows.start, cols.start])],
             1, [0.0])
-        assert np.isnan(scan[0]) if np.isnan(values).any() else scan == [3.0]
+        assert np.isnan(ends.max()) if np.isnan(values).any() else ends.max(axis=1).tolist() == [3.0]
+        # Each end point keeps the maximum over its own start rows, NaN included.
+        expect = [0.0, pairs[0, 1], np.max([pairs[0, 2], pairs[1, 2]])]
+        np.testing.assert_array_equal(ends, [expect])
 
 
 def test_path_arithmetic_rejects_other_depth_or_dimension():

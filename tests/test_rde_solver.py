@@ -6,13 +6,16 @@ from roughpaths.controlled_path import (
     ControlledPath,
     distance,
     path_add,
+    path_sub,
     remainder_rows,
     restrict_path,
     seminorm,
+    triple_norm,
 )
 from roughpaths.lipschitz import constant, linear, polynomial, ridge
 from roughpaths.oracle import ode_rk4
 from roughpaths.rde_solver import (
+    BallExit,
     ContinuityProbe,
     ContractionFailure,
     SolveFailure,
@@ -288,11 +291,15 @@ def test_horizon_at_grid_start_rejected():
 
 
 def test_readme_line_solve_counts():
-    # The README scenario: dY = Y dX along x_t = t on 513 points.
+    # The README scenario: dY = Y dX along x_t = t on 513 points.  The attempt
+    # on [0.75, 1] converges outside the ball; its in-ball prefix up to
+    # 0.98046875 is kept with the attempt's 10 iterations, so 5 attempts make
+    # the 5 patches.
     X, _ = line_driver(n=512)
     Y, report = solve(scalar_identity_field(), X, [1.0], 1.0, default_config())
     assert report.n_patches == 5
-    assert [p.iterations for p in report.patches] == [10, 10, 10, 8, 8]
+    assert [p.iterations for p in report.patches] == [10, 10, 10, 10, 6]
+    assert [p.t_end for p in report.patches] == [0.25, 0.5, 0.75, 0.98046875, 1.0]
     assert np.max(np.abs(Y.path_values()[:, 0] - np.exp(X.times))) < 1e-8
 
 
@@ -321,21 +328,30 @@ def test_smooth_driver_convergence_order():
     assert all(2.5 < s < 3.5 for s in slopes), (errors, slopes)
 
 
-@pytest.mark.parametrize("N, alpha, beta", [(2, 0.40, 0.45), (3, 0.28, 0.32), (4, 0.22, 0.24)])
+# The rough ladder: (N, alpha, beta) of C10's ridge field on a Weierstrass polyline.
+ROUGH_CELLS = [(2, 0.40, 0.45), (3, 0.28, 0.32), (4, 0.22, 0.24)]
+
+
+def ridge_field(N):
+    return ridge(1, 2, [{"coef": [1.0, 0.0], "kind": "sin", "weight": [1.0]},
+                        {"coef": [0.0, 1.0], "kind": "cos", "weight": [1.0]}], n_levels=N)
+
+
+@pytest.mark.parametrize("N, alpha, beta", ROUGH_CELLS)
 def test_rough_driver_convergence_order(N, alpha, beta):
     # C10's field on a coarse rough polyline, midpoint-refined: the lift is
     # the polyline's exact signature, so RK4 along it is the reference.  The
     # polyline is Lipschitz below its mesh, so the order is about N, the
     # step-N Euler order with beta = 1 (Davie 2008).  Max errors read
-    # 1.04e-2/2.92e-3/7.69e-4, 2.95e-3/2.52e-4/2.50e-5 and
-    # 7.53e-4/6.58e-5/4.53e-6 when this test was added: fitted orders 1.88,
-    # 3.44 and 3.69.  M = 192 exceeds the default patch budget at N = 2, 3.
-    F = ridge(1, 2, [{"coef": [1.0, 0.0], "kind": "sin", "weight": [1.0]},
-                     {"coef": [0.0, 1.0], "kind": "cos", "weight": [1.0]}], n_levels=N)
+    # 1.04e-2/2.92e-3/7.69e-4/1.97e-4, 2.95e-3/2.52e-4/2.50e-5/2.79e-6 and
+    # 7.53e-4/6.58e-5/4.53e-6/2.95e-7 at M = 24..192 when M = 192 was added:
+    # fitted orders 1.91, 3.35 and 3.78.  M = 192 runs within the default
+    # patch budget because a ball exit keeps its in-ball prefix.
+    F = ridge_field(N)
     cfg = SolverConfig(alpha=alpha, beta=beta, tau_init=0.25, contraction_tol=1e-12)
     path = weierstrass_path(n=24, octaves=6, amp=0.2, seed=7)
     sizes, errors = [], []
-    for _ in range(3):
+    for _ in range(4):
         Y, _ = solve(F, lift_path(path, N, beta), [0.3], 1.0, cfg)
         oracle = ode_rk4(lambda y: F.eval_at(0, y).reshape(1, 2), path, [0.3], substeps=20)
         sizes.append(path.n_segments)
@@ -343,6 +359,29 @@ def test_rough_driver_convergence_order(N, alpha, beta):
         path = path.refine_midpoints()
     order = -np.polyfit(np.log(sizes), np.log(errors), 1)[0]
     assert order >= N - 0.5, (errors, order)
+
+
+@pytest.mark.parametrize("N, alpha, beta", ROUGH_CELLS)
+def test_accepted_prefix_matches_fresh_solve(N, alpha, beta):
+    # An attempt over six grid steps of the rough ladder converges outside the
+    # ball.  The solution map is causal, so its longest in-ball prefix is the
+    # fixed point on that prefix: a fresh solve there agrees to the
+    # contraction tolerance, and solve keeps exactly that prefix as its patch.
+    F = ridge_field(N)
+    cfg = SolverConfig(alpha=alpha, beta=beta, tau_init=0.25, contraction_tol=1e-12)
+    X = lift_path(weierstrass_path(n=24, octaves=6, amp=0.2, seed=7), N, beta)
+    with pytest.raises(BallExit) as info:
+        solve_local(F, restrict(X, 0, 6), [0.3], cfg)
+    j = info.value.in_ball
+    assert 1 <= j < 6
+    prefix = restrict_path(info.value.local.path, 0, j)
+    fresh = solve_local(F, restrict(X, 0, j), [0.3], cfg)
+    assert triple_norm(path_sub(prefix, fresh.path), restrict(X, 0, j), alpha) <= cfg.contraction_tol
+    Y, report = solve(F, X, [0.3], 1.0, cfg)
+    first = report.patches[0]
+    assert (first.t_end, first.iterations) == (X.times[j], info.value.local.iterations)
+    assert first.residuals == info.value.local.residuals
+    assert all(np.array_equal(a[:j + 1], b) for a, b in zip(Y.levels, prefix.levels))
 
 
 def test_solve_at_caps_matches_rk4_on_walk():
@@ -391,10 +430,7 @@ ROUGH_IDS = ["weierstrass-N4", "weierstrass-N5"]
 
 def rough_scenario(N, alpha, beta):
     path = weierstrass_path(n=48, octaves=6, amp=0.2, seed=7)
-    F = ridge(1, 2, [{"coef": [1.0, 0.0], "kind": "sin", "weight": [1.0]},
-                     {"coef": [0.0, 1.0], "kind": "cos", "weight": [1.0]}],
-              n_levels=N)
-    return path, F, default_config(N, alpha=alpha, beta=beta, contraction_tol=1e-10)
+    return path, ridge_field(N), default_config(N, alpha=alpha, beta=beta, contraction_tol=1e-10)
 
 
 @pytest.mark.parametrize("driver, N, alpha, beta",
