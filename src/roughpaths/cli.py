@@ -24,8 +24,7 @@ from . import rough_integral as ri
 from . import rough_path as rp
 from . import tensor_algebra as ta
 from .controlled_path import NonFiniteLevelError
-from .rde_solver import (SolveFailure, SolverConfig, _is_int_at_least, check_exponents,
-                         grid_index, solve)
+from .rde_solver import SolveFailure, SolverConfig, check_exponents, grid_index, solve
 
 SCHEMA_VERSION = 1
 ALL_SUITES = ("chen", "group_like", "coproduct", "alg_lemma", "removal", "rates")
@@ -54,7 +53,7 @@ class Key:
 
 def _integer(lo: int, hi: float = math.inf, **kw) -> Key:
     return Key(f"an integer in {lo}..{hi}" if hi < math.inf else f"an integer >= {lo}",
-               lambda v: _is_int_at_least(v, lo) and v <= hi, **kw)
+               lambda v: ta._is_whole(v) and lo <= v <= hi, **kw)
 
 
 def _number(**kw) -> Key:

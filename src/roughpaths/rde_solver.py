@@ -1,9 +1,10 @@
 """Fixed-point solver for dY = F(Y) dX in the controlled-path sense.
 
 One Picard step composes the field with the current iterate and integrates
-the result; local solves iterate from the canonical zero-remainder start
-path inside the unit ball, and a patching loop with adaptive interval
-length extends local solutions to the full horizon.
+the result; a local solve iterates from the canonical zero-remainder start
+path and returns its outcome, and a patching loop with adaptive interval
+length keeps the fixed points that lie in the unit ball around their start
+path and extends them to the full horizon.
 """
 from __future__ import annotations
 
@@ -29,32 +30,11 @@ from .controlled_path import (
 from .lipschitz import LipFunction, _composed_level, compose
 from .rough_integral import _operator_slot_last, integral_controlled
 from .rough_path import GeometricRoughPath, holder_distance, restrict
-from .tensor_algebra import _max_abs
+from .tensor_algebra import _is_whole, _max_abs
 
 
 # Largest ball distance of an accepted local solution: the unit ball, with slack for roundoff.
 _BALL_RADIUS = 1.0 + 1e-9
-
-
-class ContractionFailure(RuntimeError):
-    """Local Picard iteration did not contract; the caller should shrink tau."""
-
-
-class BallExit(ContractionFailure):
-    """Iterates converged but the fixed point sits outside the unit ball.
-
-    Carries the converged result ``local`` and ``in_ball``, the grid steps of
-    its longest prefix that stays in the ball (0 when none does): the
-    solution map is causal, so :func:`solve` keeps that prefix as a patch.
-    Shrinking tau only helps up to a point: the ball distance carries a
-    Holder-constant term that does not scale with the interval length, so
-    rough drivers can make the ball unattainable on any grid interval.
-    """
-
-    def __init__(self, message, local=None, in_ball: int = 0):
-        super().__init__(message)
-        self.local = local
-        self.in_ball = in_ball
 
 
 class SolveFailure(RuntimeError):
@@ -62,10 +42,6 @@ class SolveFailure(RuntimeError):
 
     partial: ControlledPath | None = None
     report: SolveReport | None = None
-
-
-def _is_int_at_least(value, least: int) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
 def check_exponents(N: int, alpha: float, beta: float) -> list:
@@ -94,7 +70,7 @@ class SolverConfig:
     def validate(self, N: int) -> list:
         """Enforce the exponent window and the budgets; returns the window's warnings."""
         warnings = check_exponents(N, self.alpha, self.beta)
-        if not all(_is_int_at_least(v, 1) for v in (self.max_picard_iters, self.max_patches)):
+        if not all(_is_whole(v) and v >= 1 for v in (self.max_picard_iters, self.max_patches)):
             raise ValueError("iteration and patch budgets must be integers >= 1")
         # A NaN or infinite tau never shrinks to one grid step: the patch loop would not end.
         if not (0 < self.contraction_tol < math.inf and 0 < self.tau_init < math.inf):
@@ -163,24 +139,23 @@ def picard_step(Y: ControlledPath, F: LipFunction, X: GeometricRoughPath, y0) ->
 
 @dataclass
 class LocalSolve:
+    """One local attempt: the last iterate, the start path (the centre of the
+    unit ball), the Picard steps and their residuals, and the outcome:
+    ``"converged"``, ``"diverged"`` or ``"stalled"`` past the iteration budget."""
     path: ControlledPath
+    start: ControlledPath
     iterations: int
     residuals: list
+    outcome: str
 
 
 def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverConfig,
-                initial_guess: ControlledPath | None = None,
-                enforce_ball: bool = True) -> LocalSolve:
+                initial_guess: ControlledPath | None = None) -> LocalSolve:
     """Iterate the solution map on one interval until the successive-iterate
-    norm drops below the contraction tolerance.
+    norm drops below the contraction tolerance, and return the attempt.
 
-    Raises :class:`ContractionFailure` when iterates diverge or stall past
-    the iteration budget, and :class:`BallExit` (carrying the converged
-    result and its longest in-ball prefix, read off the one ball-distance
-    scan) when the final iterate leaves the unit ball around the start
-    path while ``enforce_ball`` is set, and :class:`SolveFailure` when the
-    start path or an iterate overflows or breaches the explosion guard, or
-    a residual is not finite.
+    Raises :class:`SolveFailure` when the start path or an iterate overflows
+    or breaches the explosion guard, or a residual is not finite.
     """
     y0 = np.asarray(y0, dtype=float).ravel()
     try:
@@ -189,7 +164,7 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
         raise SolveFailure(f"start path overflowed: {err}") from err
     Y = W if initial_guess is None else initial_guess
     residuals: list = []
-    for it in range(config.max_picard_iters):
+    for _ in range(config.max_picard_iters):
         try:
             Y_new = picard_step(Y, F, X_local, y0)
         except NonFiniteLevelError as err:
@@ -204,18 +179,19 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
         residuals.append(res)
         Y = Y_new
         if res <= config.contraction_tol:
-            local = LocalSolve(Y, it + 1, residuals)
-            if enforce_ball:
-                # The ball distance of every prefix, non-decreasing in its end point.
-                ball = prefix_seminorms(path_sub(Y, W), X_local, config.alpha)
-                if ball[-1] > _BALL_RADIUS:
-                    raise BallExit("converged outside the unit ball", local=local,
-                                   in_ball=int(np.count_nonzero(ball <= _BALL_RADIUS)) - 1)
-            return local
+            return LocalSolve(Y, W, len(residuals), residuals, "converged")
         if len(residuals) >= 3 and residuals[-1] > residuals[-2] > residuals[-3] \
                 and residuals[-1] > 10.0 * residuals[0]:
-            raise ContractionFailure("residuals diverge; shrink tau")
-    raise ContractionFailure(f"no contraction within {config.max_picard_iters} iterations")
+            return LocalSolve(Y, W, len(residuals), residuals, "diverged")
+    return LocalSolve(Y, W, len(residuals), residuals, "stalled")
+
+
+def _in_ball_steps(local: LocalSolve, X_local: GeometricRoughPath, alpha: float) -> int:
+    """Grid steps of the longest prefix of the attempt inside the unit ball
+    around its start path (0 when none is), from the ball distance of every
+    prefix, which one scan gives and which is non-decreasing in the end point."""
+    ball = prefix_seminorms(path_sub(local.path, local.start), X_local, alpha)
+    return int(np.count_nonzero(ball <= _BALL_RADIUS)) - 1
 
 
 def grid_index(times, t: float, tol: float = 1e-9) -> int:
@@ -234,14 +210,18 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
           config: SolverConfig) -> tuple[ControlledPath, SolveReport]:
     """Global solve on [t0, horizon] by patching local fixed points.
 
-    A working interval length tau is reused across patches.  An attempt that
-    converges outside the unit ball keeps its longest in-ball prefix of one
+    A working interval length tau is reused across patches.  The fixed point
+    of a converged attempt is checked against the unit ball around its start
+    path; one that leaves the ball keeps its longest in-ball prefix of one
     grid step or more as a patch, with the attempt's iterations and
     residuals, and tau becomes that prefix's length.  tau shrinks by
-    ``tau_shrink`` on non-contraction and on a ball exit with no such prefix,
-    and grows back by ``1 / tau_shrink``, up to ``tau_init``, after each
-    attempt accepted whole.  Patches join at shared grid points, the junction
-    keeping the left end values.
+    ``tau_shrink`` on an attempt that diverges or stalls and on one with no
+    such prefix, and grows back by ``1 / tau_shrink``, up to ``tau_init``,
+    after each attempt accepted whole.  Non-contraction on one grid step
+    fails the solve.  When no fixed point on one grid step is in the ball,
+    the solve reports a ball exit, stops checking the ball (residual-only
+    mode) and restarts at ``tau_init``.  Patches join at shared grid points,
+    the junction keeping the left end values.
     """
     config.validate(X.N)
     start = time.perf_counter()
@@ -255,7 +235,7 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
     tau = config.tau_init
     idx0 = 0
     solution: ControlledPath | None = None
-    enforce_ball = True
+    check_ball = True
     try:
         while idx0 < idx_T:
             if len(report.patches) >= config.max_patches:
@@ -265,32 +245,35 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
             idx1 = max(idx1, idx0 + 1)
             X_loc = restrict(X, idx0, idx1)
             tau_next = min(config.tau_init, tau / config.tau_shrink)
-            try:
-                local = solve_local(F, X_loc, y_current, config, enforce_ball=enforce_ball)
-            except BallExit as err:
-                if err.in_ball >= 1:
-                    # The iterate restricted to a prefix is the iterate on that
-                    # prefix; the next attempt takes the length that fitted here.
-                    idx1 = idx0 + err.in_ball
-                    tau_next = float(X.times[idx1] - X.times[idx0])
-                    local = LocalSolve(restrict_path(err.local.path, 0, err.in_ball),
-                                       err.local.iterations, err.local.residuals)
-                elif idx1 > idx0 + 1:
-                    tau *= config.tau_shrink
-                    continue
-                else:
-                    # Converged residuals but the ball is unattainable even on one
-                    # grid step: fall back to residual-only mode and restart at the
-                    # configured interval length; the exits are reported.
-                    report.ball_exits += 1
-                    enforce_ball = False
-                    tau = config.tau_init
-                    continue
-            except ContractionFailure as err:
-                if idx1 == idx0 + 1:
-                    raise SolveFailure(f"non-contraction at minimum interval: {err}") from err
+            local = solve_local(F, X_loc, y_current, config)
+            steps = idx1 - idx0
+            if local.outcome != "converged":
+                if steps == 1:
+                    why = ("residuals diverge; shrink tau" if local.outcome == "diverged"
+                           else f"no contraction within {config.max_picard_iters} iterations")
+                    raise SolveFailure(f"non-contraction at minimum interval: {why}")
                 tau *= config.tau_shrink
                 continue
+            in_ball = _in_ball_steps(local, X_loc, config.alpha) if check_ball else steps
+            if in_ball == 0 and steps > 1:
+                tau *= config.tau_shrink
+                continue
+            if in_ball == 0:
+                # Converged, but not even one grid step reaches the ball: its
+                # distance has a Holder-constant term that does not shrink with
+                # the interval.  Stop checking the ball, report the exit and
+                # restart at the configured interval length.
+                report.ball_exits += 1
+                check_ball = False
+                tau = config.tau_init
+                continue
+            path = local.path
+            if in_ball < steps:
+                # The iterate restricted to a prefix is the iterate on that
+                # prefix; the next attempt takes the length that fitted here.
+                idx1 = idx0 + in_ball
+                tau_next = float(X.times[idx1] - X.times[idx0])
+                path = restrict_path(path, 0, in_ball)
             report.patches.append(PatchReport(
                 t_start=float(X.times[idx0]), t_end=float(X.times[idx1]),
                 tau=float(X.times[idx1] - X.times[idx0]),
@@ -299,12 +282,12 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
                 residuals=list(local.residuals)))
             report.n_patches = len(report.patches)
             if solution is None:
-                solution = local.path
+                solution = path
             else:
                 report.junction_mismatch = _max_abs(
                     [report.junction_mismatch]
-                    + [solution.levels[i][-1] - local.path.levels[i][0] for i in range(solution.N)])
-                solution = concatenate(solution, local.path, X, tol=junction_tol)
+                    + [solution.levels[i][-1] - path.levels[i][0] for i in range(solution.N)])
+                solution = concatenate(solution, path, X, tol=junction_tol)
             y_current = solution.path_values()[-1]
             idx0 = idx1
             tau = tau_next

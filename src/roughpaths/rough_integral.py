@@ -31,7 +31,11 @@ class Partition:
     indices: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(self.indices)
+        for i in idx:
+            if not _is_whole(i):
+                raise ValueError(f"partition index {i!r} is not an integer")
+        idx = tuple(map(int, idx))
         if len(idx) < 2 or any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError("partition indices must be strictly increasing, length >= 2")
         object.__setattr__(self, "indices", idx)
@@ -186,10 +190,12 @@ def convergence_rate_probe(Z: ControlledPath, X: GeometricRoughPath,
     """Fit the decay exponent of Cauchy increments against the partition mesh.
 
     Increments below roundoff make the fit meaningless; the probe then
-    reports no exponent.  Each depth must be an integer >= 0.
+    reports no exponent.  ``depths`` holds one or more integers >= 0.
     """
     # Each depth is checked by its partition before the sort compares it.
     parts = sorted(((m, dyadic_partition(s_idx, t_idx, m)) for m in depths), key=lambda mp: mp[0])
+    if not parts:
+        raise ValueError("depths must hold at least one depth")
     depths = [m for m, _ in parts]
     values = [compensated_sum(Z, X, part) for _, part in parts]
     meshes = [part.mesh(X.times) for _, part in parts]

@@ -4,9 +4,9 @@ config boundary fuzz)."""
 import numpy as np
 import pytest
 
-from roughpaths.controlled_path import ControlledPath, concatenate
+from roughpaths.controlled_path import ControlledPath, canonical_lift, concatenate
 from roughpaths.lipschitz import LipFunction, constant, linear, polynomial, ridge
-from roughpaths.rough_integral import dyadic_partition
+from roughpaths.rough_integral import Partition, convergence_rate_probe, dyadic_partition
 from roughpaths.rough_path import GeometricRoughPath, PiecewiseLinearPath, lift_path
 from roughpaths.tensor_algebra import TensorSeries, exp_segment, is_group_like
 
@@ -32,6 +32,11 @@ def concatenate_with(tol):
     left = ControlledPath(X.times[:2], 1, 2, 1, [np.zeros((2, 1, 1)), np.zeros((2, 1, 1))])
     right = ControlledPath(X.times[1:], 1, 2, 1, [np.zeros((2, 1, 1)), np.zeros((2, 1, 1))])
     return concatenate(left, right, X, tol=tol)
+
+
+def rate_probe(depths):
+    X = lift_path(PiecewiseLinearPath(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9)[:, None]), 2)
+    return convergence_rate_probe(canonical_lift(X), X, 0, 8, depths)
 
 
 def no_eval(j, ys):
@@ -83,6 +88,12 @@ CASES = {
     "dyadic-reversed": (lambda: dyadic_partition(8, 0, 2), ValueError, r"dyadic window \(8, 0\)"),
     "dyadic-negative": (lambda: dyadic_partition(-4, 4, 1), ValueError, r"dyadic window \(-4, 4\)"),
     "dyadic-float": (lambda: dyadic_partition(0.5, 4, 1), ValueError, r"dyadic window \(0.5, 4\)"),
+    "rate-probe-no-depths": (lambda: rate_probe([]), ValueError, "depths must hold at least one"),
+    # Partition indices are grid indices, never truncated.
+    "partition-float-index": (lambda: Partition((0.5, 8.2)), ValueError,
+                              "partition index 0.5 is not an integer"),
+    "partition-bool-index": (lambda: Partition((False, True)), ValueError,
+                             "partition index False is not an integer"),
     # Tolerances.
     "group-like-nan-tol": (lambda: is_group_like(TensorSeries.unit(2, 3), nan), ValueError, "tol nan"),
     "group-like-negative-tol": (lambda: is_group_like(TensorSeries.unit(2, 3), -1.0), ValueError,

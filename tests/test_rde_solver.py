@@ -15,11 +15,10 @@ from roughpaths.controlled_path import (
 from roughpaths.lipschitz import constant, linear, polynomial, ridge
 from roughpaths.oracle import ode_rk4
 from roughpaths.rde_solver import (
-    BallExit,
     ContinuityProbe,
-    ContractionFailure,
     SolveFailure,
     SolverConfig,
+    _in_ball_steps,
     canonical_initial_path,
     continuity_probe,
     grid_index,
@@ -111,8 +110,10 @@ def test_solve_local_zero_field_single_iteration():
     X, _ = line_driver(n=16)
     F = constant(np.zeros(1), 1, n_levels=3)
     local = solve_local(F, X, [5.0], default_config())
-    assert local.iterations == 1
+    assert (local.outcome, local.iterations) == ("converged", 1)
     assert np.allclose(local.path.path_values(), 5.0)
+    start = canonical_initial_path([5.0], F, X)
+    assert all(np.array_equal(a, b) for a, b in zip(local.start.levels, start.levels))
 
 
 def test_solve_local_exponential_on_quarter_interval():
@@ -284,6 +285,23 @@ def test_non_contraction_at_one_grid_step_is_a_solve_failure():
     assert info.value.report.n_patches == 0
 
 
+@pytest.mark.parametrize("scale, iters, outcome, why", [
+    (1.0, 1, "stalled", "no contraction within 1 iterations"),
+    (20.0, 60, "diverged", "residuals diverge; shrink tau"),
+])
+def test_non_contraction_outcomes_and_failure_texts(scale, iters, outcome, why):
+    # The grid step 0.5 exceeds tau_init, so solve's first attempt spans one
+    # grid step: its non-contraction fails the solve, and the text says how.
+    X, _ = line_driver(n=2)
+    F = linear(np.array([[scale]]), n_levels=3)
+    cfg = default_config(max_picard_iters=iters)
+    local = solve_local(F, X, [1.0], cfg)
+    assert local.outcome == outcome and local.iterations == len(local.residuals) <= iters
+    with pytest.raises(SolveFailure) as info:
+        solve(F, X, [1.0], 1.0, cfg)
+    assert str(info.value) == f"non-contraction at minimum interval: {why}"
+
+
 def test_horizon_at_grid_start_rejected():
     X, _ = line_driver(n=16)
     with pytest.raises(ValueError, match="horizon must exceed the grid start"):
@@ -361,6 +379,21 @@ def test_rough_driver_convergence_order(N, alpha, beta):
     assert order >= N - 0.5, (errors, order)
 
 
+def test_rough_cell_pins_the_unit_ball_fallback():
+    # N = 2, M = 24 takes every branch of the unit-ball policy: the attempt
+    # on [0, 0.25] keeps its in-ball prefix [0, 0.125]; the one on
+    # [0.125, 0.25] has no in-ball prefix, so tau shrinks; the one-step
+    # attempt on [0.125, 0.1667] has none either, so solve falls back to
+    # residual-only mode once and restarts at tau_init.
+    N, alpha, beta = ROUGH_CELLS[0]
+    cfg = SolverConfig(alpha=alpha, beta=beta, tau_init=0.25, contraction_tol=1e-12)
+    X = lift_path(weierstrass_path(n=24, octaves=6, amp=0.2, seed=7), N, beta)
+    _, report = solve(ridge_field(N), X, [0.3], 1.0, cfg)
+    assert report.ball_exits == 1
+    assert [p.t_end for p in report.patches] == [0.125, 0.375, 0.625, 0.875, 1.0]
+    assert [p.iterations for p in report.patches] == [12, 13, 13, 12, 7]
+
+
 @pytest.mark.parametrize("N, alpha, beta", ROUGH_CELLS)
 def test_accepted_prefix_matches_fresh_solve(N, alpha, beta):
     # An attempt over six grid steps of the rough ladder converges outside the
@@ -370,17 +403,17 @@ def test_accepted_prefix_matches_fresh_solve(N, alpha, beta):
     F = ridge_field(N)
     cfg = SolverConfig(alpha=alpha, beta=beta, tau_init=0.25, contraction_tol=1e-12)
     X = lift_path(weierstrass_path(n=24, octaves=6, amp=0.2, seed=7), N, beta)
-    with pytest.raises(BallExit) as info:
-        solve_local(F, restrict(X, 0, 6), [0.3], cfg)
-    j = info.value.in_ball
+    local = solve_local(F, restrict(X, 0, 6), [0.3], cfg)
+    assert local.outcome == "converged"
+    j = _in_ball_steps(local, restrict(X, 0, 6), alpha)
     assert 1 <= j < 6
-    prefix = restrict_path(info.value.local.path, 0, j)
+    prefix = restrict_path(local.path, 0, j)
     fresh = solve_local(F, restrict(X, 0, j), [0.3], cfg)
     assert triple_norm(path_sub(prefix, fresh.path), restrict(X, 0, j), alpha) <= cfg.contraction_tol
     Y, report = solve(F, X, [0.3], 1.0, cfg)
     first = report.patches[0]
-    assert (first.t_end, first.iterations) == (X.times[j], info.value.local.iterations)
-    assert first.residuals == info.value.local.residuals
+    assert (first.t_end, first.iterations) == (X.times[j], local.iterations)
+    assert first.residuals == local.residuals
     assert all(np.array_equal(a[:j + 1], b) for a, b in zip(Y.levels, prefix.levels))
 
 

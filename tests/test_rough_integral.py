@@ -62,6 +62,9 @@ def test_partition_validation_and_mesh():
     assert p.remove(1).indices == (0, 5)
     with pytest.raises(ValueError):
         p.remove(2)
+    # Numpy integers are grid indices too, stored as int.
+    q = Partition(np.array([0, 3], dtype=np.int32))
+    assert q.indices == (0, 3) and all(type(i) is int for i in q.indices)
 
 
 def test_zero_integrand():
