@@ -140,11 +140,10 @@ def picard_step(Y: ControlledPath, F: LipFunction, X: GeometricRoughPath, y0) ->
 @dataclass
 class LocalSolve:
     """One local attempt: the last iterate, the start path (the centre of the
-    unit ball), the Picard steps and their residuals, and the outcome:
+    unit ball), the residual of each Picard step, and the outcome:
     ``"converged"``, ``"diverged"`` or ``"stalled"`` past the iteration budget."""
     path: ControlledPath
     start: ControlledPath
-    iterations: int
     residuals: list
     outcome: str
 
@@ -179,11 +178,11 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
         residuals.append(res)
         Y = Y_new
         if res <= config.contraction_tol:
-            return LocalSolve(Y, W, len(residuals), residuals, "converged")
+            return LocalSolve(Y, W, residuals, "converged")
         if len(residuals) >= 3 and residuals[-1] > residuals[-2] > residuals[-3] \
                 and residuals[-1] > 10.0 * residuals[0]:
-            return LocalSolve(Y, W, len(residuals), residuals, "diverged")
-    return LocalSolve(Y, W, len(residuals), residuals, "stalled")
+            return LocalSolve(Y, W, residuals, "diverged")
+    return LocalSolve(Y, W, residuals, "stalled")
 
 
 def _in_ball_steps(local: LocalSolve, X_local: GeometricRoughPath, alpha: float) -> int:
@@ -247,17 +246,16 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
             tau_next = min(config.tau_init, tau / config.tau_shrink)
             local = solve_local(F, X_loc, y_current, config)
             steps = idx1 - idx0
-            if local.outcome != "converged":
-                if steps == 1:
-                    why = ("residuals diverge; shrink tau" if local.outcome == "diverged"
-                           else f"no contraction within {config.max_picard_iters} iterations")
-                    raise SolveFailure(f"non-contraction at minimum interval: {why}")
-                tau *= config.tau_shrink
-                continue
-            in_ball = _in_ball_steps(local, X_loc, config.alpha) if check_ball else steps
+            in_ball = 0
+            if local.outcome == "converged":
+                in_ball = _in_ball_steps(local, X_loc, config.alpha) if check_ball else steps
             if in_ball == 0 and steps > 1:
                 tau *= config.tau_shrink
                 continue
+            if in_ball == 0 and local.outcome != "converged":
+                why = ("residuals diverge; shrink tau" if local.outcome == "diverged"
+                       else f"no contraction within {config.max_picard_iters} iterations")
+                raise SolveFailure(f"non-contraction at minimum interval: {why}")
             if in_ball == 0:
                 # Converged, but not even one grid step reaches the ball: its
                 # distance has a Holder-constant term that does not shrink with
@@ -277,7 +275,7 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
             report.patches.append(PatchReport(
                 t_start=float(X.times[idx0]), t_end=float(X.times[idx1]),
                 tau=float(X.times[idx1] - X.times[idx0]),
-                iterations=local.iterations,
+                iterations=len(local.residuals),
                 final_residual=local.residuals[-1],
                 residuals=list(local.residuals)))
             report.n_patches = len(report.patches)

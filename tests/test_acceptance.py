@@ -16,6 +16,7 @@ from roughpaths import rough_path as rp
 from roughpaths import tensor_algebra as ta
 from roughpaths.rde_solver import (
     SolverConfig,
+    _in_ball_steps,
     canonical_initial_path,
     continuity_probe,
     grid_index,
@@ -292,6 +293,8 @@ def test_c09_fixed_point_uniqueness_patching():
                              [0.05 * bump[:, None, None] * np.ones((33, 1, 1))
                               for _ in range(3)])
     other = solve_local(F, X_loc, [1.0], cfg, initial_guess=cp.path_add(W, pert))
+    assert base.outcome == other.outcome == "converged"
+    assert _in_ball_steps(base, X_loc, cfg.alpha) == _in_ball_steps(other, X_loc, cfg.alpha) == 32
     guess_gap = cp.distance(base.path, other.path, X_loc, X_loc, cfg.alpha)
 
     # Split-horizon vs full-horizon.

@@ -110,7 +110,8 @@ def test_solve_local_zero_field_single_iteration():
     X, _ = line_driver(n=16)
     F = constant(np.zeros(1), 1, n_levels=3)
     local = solve_local(F, X, [5.0], default_config())
-    assert (local.outcome, local.iterations) == ("converged", 1)
+    assert (local.outcome, len(local.residuals)) == ("converged", 1)
+    assert _in_ball_steps(local, X, default_config().alpha) == 16
     assert np.allclose(local.path.path_values(), 5.0)
     start = canonical_initial_path([5.0], F, X)
     assert all(np.array_equal(a, b) for a, b in zip(local.start.levels, start.levels))
@@ -121,6 +122,8 @@ def test_solve_local_exponential_on_quarter_interval():
     idx = 64
     X_loc = restrict(X, 0, idx)
     local = solve_local(scalar_identity_field(), X_loc, [1.0], default_config())
+    assert local.outcome == "converged"
+    assert _in_ball_steps(local, X_loc, default_config().alpha) == idx
     got = local.path.path_values()[:, 0]
     assert np.max(np.abs(got - np.exp(times[: idx + 1]))) < 1e-8
     # Residuals decay geometrically once contraction kicks in.
@@ -195,6 +198,8 @@ def test_uniqueness_from_different_initial_guesses():
                           [0.05 * bump[:, None, None] * np.ones((idx + 1, 1, 1))
                            for _ in range(3)])
     other = solve_local(F, X_loc, [1.0], cfg, initial_guess=path_add(W, pert))
+    assert base.outcome == other.outcome == "converged"
+    assert _in_ball_steps(base, X_loc, cfg.alpha) == _in_ball_steps(other, X_loc, cfg.alpha) == idx
     assert distance(base.path, other.path, X_loc, X_loc, cfg.alpha) <= 10 * cfg.contraction_tol
 
 
@@ -296,7 +301,7 @@ def test_non_contraction_outcomes_and_failure_texts(scale, iters, outcome, why):
     F = linear(np.array([[scale]]), n_levels=3)
     cfg = default_config(max_picard_iters=iters)
     local = solve_local(F, X, [1.0], cfg)
-    assert local.outcome == outcome and local.iterations == len(local.residuals) <= iters
+    assert local.outcome == outcome and len(local.residuals) <= iters
     with pytest.raises(SolveFailure) as info:
         solve(F, X, [1.0], 1.0, cfg)
     assert str(info.value) == f"non-contraction at minimum interval: {why}"
@@ -409,10 +414,11 @@ def test_accepted_prefix_matches_fresh_solve(N, alpha, beta):
     assert 1 <= j < 6
     prefix = restrict_path(local.path, 0, j)
     fresh = solve_local(F, restrict(X, 0, j), [0.3], cfg)
+    assert fresh.outcome == "converged" and _in_ball_steps(fresh, restrict(X, 0, j), alpha) == j
     assert triple_norm(path_sub(prefix, fresh.path), restrict(X, 0, j), alpha) <= cfg.contraction_tol
     Y, report = solve(F, X, [0.3], 1.0, cfg)
     first = report.patches[0]
-    assert (first.t_end, first.iterations) == (X.times[j], local.iterations)
+    assert (first.t_end, first.iterations) == (X.times[j], len(local.residuals))
     assert first.residuals == local.residuals
     assert all(np.array_equal(a[:j + 1], b) for a, b in zip(Y.levels, prefix.levels))
 
