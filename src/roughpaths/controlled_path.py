@@ -33,7 +33,7 @@ import io
 import numpy as np
 
 from .rough_path import GeometricRoughPath, _check_beta, _grid_times, _scan_pairs
-from .tensor_algebra import _frozen_levels, _is_whole, _max_abs
+from .tensor_algebra import _check_whole, _frozen_levels, _max_abs
 
 
 class NonFiniteLevelError(ValueError):
@@ -53,8 +53,7 @@ class ControlledPath:
 
     def __init__(self, times, d: int, N: int, dim_u: int, levels):
         times = _grid_times(times, 1)
-        if not (_is_whole(dim_u) and dim_u >= 1):
-            raise ValueError(f"target dimension {dim_u!r} must be an integer >= 1")
+        _check_whole(dim_u, "target dimension", 1)
         levels = _frozen_levels(d, N, levels, (times.size, dim_u), N - 1, NonFiniteLevelError)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "d", d)
@@ -163,8 +162,7 @@ def _remainder_blocks(Y: ControlledPath, X: GeometricRoughPath, levels):
 def remainder_rows(Y: ControlledPath, X: GeometricRoughPath, i: int, s_idx: int) -> np.ndarray:
     """RY^i_{s,t} for fixed s and every t >= s, shape (P - s, dim_u, d**i)."""
     _check_pair(Y, X)
-    if not (0 <= i < Y.N):
-        raise ValueError(f"level {i} outside 0..{Y.N - 1}")
+    _check_whole(i, "level", 0, Y.N - 1)
     X._check_index(s_idx)
     rows = _remainder_blocks(Y, X, [i])(slice(s_idx, s_idx + 1), slice(s_idx, Y.n_points))[0]
     return rows.reshape(-1, Y.dim_u, Y.d**i)
@@ -226,8 +224,7 @@ def triple_norm(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> float
 
 def level_holder_norm(Y: ControlledPath, i: int, exponent: float) -> float:
     """Grid maximum of |Y^i_t - Y^i_s| / (t-s)^exponent, for 0 < exponent <= 1."""
-    if not (0 <= i < Y.N):
-        raise ValueError(f"level {i} outside 0..{Y.N - 1}")
+    _check_whole(i, "level", 0, Y.N - 1)
     _check_beta(exponent)
     lvl = Y.levels[i].reshape(Y.n_points, -1)
     return float(_scan_pairs(Y.times, lambda rows, cols: [lvl[None, cols] - lvl[rows, None]],
@@ -312,7 +309,9 @@ def concatenate(left: ControlledPath, right: ControlledPath, X: GeometricRoughPa
 
 def restrict_path(Y: ControlledPath, s_idx: int, t_idx: int) -> ControlledPath:
     """Slice a controlled path to grid indices s_idx..t_idx."""
-    if not (0 <= s_idx < t_idx < Y.n_points):
-        raise ValueError("invalid restriction indices")
+    _check_whole(s_idx, "grid index s_idx", 0, Y.n_points - 1, IndexError)
+    _check_whole(t_idx, "grid index t_idx", 0, Y.n_points - 1, IndexError)
+    if s_idx >= t_idx:
+        raise ValueError(f"restriction needs s_idx < t_idx, got ({s_idx}, {t_idx})")
     rows = slice(s_idx, t_idx + 1)
     return ControlledPath(Y.times[rows], Y.d, Y.N, Y.dim_u, [lvl[rows] for lvl in Y.levels])

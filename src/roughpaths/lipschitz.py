@@ -46,9 +46,9 @@ from .tensor_algebra import (
     TensorSeries,
     _add_assignments,
     _basis_sectors,
+    _check_whole,
     _coproduct_sectors,
     _max_abs,
-    _is_whole,
     _set_partition_gathers,
     _truncated_product,
     symmetrize,
@@ -59,35 +59,41 @@ class LipFunction:
     """A function together with its derivative levels 0..n_levels, Lip-gamma
     with gamma = n_levels + 1.
 
-    ``eval(j, ys)`` evaluates the level-j symmetric multilinear block at a
-    batch of points: ys has shape (P, dim_in), the result has shape
-    (P, dim_out, dim_in**j).  Evaluators must be pure, and each block must be
-    symmetric in its j input slots: composition reads every set partition of
-    the word positions in one slot order only, so a block that is not
-    symmetric gives a wrong composed path.
+    The evaluator contract: ``evaluator(top, ys)`` takes an integer
+    0 <= top <= n_levels and a (P, dim_in) float batch of points, and returns
+    the list of levels 0..top at those points, level j a symmetric
+    multilinear block of shape (P, dim_out, dim_in**j).  Evaluators must be
+    pure, and each block must be symmetric in its j input slots: composition
+    reads every set partition of the word positions in one slot order only,
+    so a block that is not symmetric gives a wrong composed path.
+    ``eval_levels`` is the one checked route to the evaluator; ``eval`` and
+    ``eval_at`` read one level through it.
     """
 
     def __init__(self, dim_in: int, dim_out: int, n_levels: int, evaluator,
                  label: str = "custom"):
-        for name, value, least in (("dim_in", dim_in, 1), ("dim_out", dim_out, 1),
-                                   ("n_levels", n_levels, 0)):
-            if not (_is_whole(value) and value >= least):
-                raise ValueError(f"{name} {value!r} must be an integer >= {least}")
-        self.dim_in = int(dim_in)
-        self.dim_out = int(dim_out)
-        self.n_levels = int(n_levels)
+        self.dim_in = _check_whole(dim_in, "dim_in", 1)
+        self.dim_out = _check_whole(dim_out, "dim_out", 1)
+        self.n_levels = _check_whole(n_levels, "n_levels", 0)
         self.label = label
         self._evaluator = evaluator
 
-    def eval(self, j: int, ys) -> np.ndarray:
-        if not (0 <= j <= self.n_levels):
-            raise ValueError(f"derivative level {j} outside 0..{self.n_levels}")
+    def eval_levels(self, top: int, ys) -> list:
+        """Levels 0..top at a (P, dim_in) batch of points, from one evaluator call."""
+        top = _check_whole(top, "derivative level", 0, self.n_levels)
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        out = self._evaluator(j, ys)
-        expected = (ys.shape[0], self.dim_out, self.dim_in**j)
-        if out.shape != expected:
-            raise ValueError(f"evaluator returned {out.shape}, expected {expected}")
-        return out
+        if ys.ndim != 2 or ys.shape[1] != self.dim_in:
+            raise ValueError(f"points have shape {ys.shape}, expected (P, {self.dim_in})")
+        levels = list(self._evaluator(top, ys))
+        got = [np.shape(block) for block in levels]
+        expected = [(ys.shape[0], self.dim_out, self.dim_in**j) for j in range(top + 1)]
+        if got != expected:
+            raise ValueError(f"evaluator returned {got}, expected {expected}")
+        return levels
+
+    def eval(self, j: int, ys) -> np.ndarray:
+        """Level-j block at a batch of points, shape (P, dim_out, dim_in**j)."""
+        return self.eval_levels(j, ys)[j]
 
     def eval_at(self, j: int, y) -> np.ndarray:
         """Level-j block at a single point, shape (dim_out, dim_in**j)."""
@@ -109,11 +115,10 @@ def _finite(value, name: str) -> np.ndarray:
 def constant(value, dim_in: int, n_levels: int) -> LipFunction:
     value = _finite(value, "constant value").ravel()
 
-    def ev(j, ys):
+    def ev(top, ys):
         p = ys.shape[0]
-        if j == 0:
-            return np.broadcast_to(value[None, :, None], (p, value.size, 1)).copy()
-        return np.zeros((p, value.size, dim_in**j))
+        levels = [np.broadcast_to(value[None, :, None], (p, value.size, 1)).copy()]
+        return levels + [np.zeros((p, value.size, dim_in**j)) for j in range(1, top + 1)]
 
     return LipFunction(dim_in, value.size, n_levels, ev, label="constant")
 
@@ -125,13 +130,12 @@ def linear(matrix, offset=None, n_levels: int = 1) -> LipFunction:
     if b.size != dim_out:
         raise ValueError(f"offset has {b.size} entries, the matrix {dim_out} rows")
 
-    def ev(j, ys):
+    def ev(top, ys):
         p = ys.shape[0]
-        if j == 0:
-            return (ys @ A.T + b)[:, :, None]
-        if j == 1:
-            return np.broadcast_to(A[None], (p, dim_out, dim_in)).copy()
-        return np.zeros((p, dim_out, dim_in**j))
+        levels = [(ys @ A.T + b)[:, :, None]]
+        if top >= 1:
+            levels.append(np.broadcast_to(A[None], (p, dim_out, dim_in)).copy())
+        return levels + [np.zeros((p, dim_out, dim_in**j)) for j in range(2, top + 1)]
 
     return LipFunction(dim_in, dim_out, n_levels, ev, label="linear")
 
@@ -157,22 +161,23 @@ def polynomial(dim_in: int, dim_out: int, coeffs: dict | list, n_levels: int) ->
             raise ValueError("monomial value has wrong output dimension")
         monos.append((np.array(expo), vec))
 
-    def ev(j, ys):
-        p = ys.shape[0]
-        out = np.zeros((p, dim_out, dim_in**j))
-        for flat, idx_tuple in enumerate(itertools.product(range(dim_in), repeat=j)):
-            counts = np.bincount(np.array(idx_tuple, dtype=int), minlength=dim_in) if j else \
-                np.zeros(dim_in, dtype=int)
-            for expo, vec in monos:
-                if np.any(counts > expo):
-                    continue
-                fall = 1.0
-                for m, q in zip(expo, counts):
-                    for step in range(q):
-                        fall *= m - step
-                powers = np.prod(ys ** (expo - counts), axis=1)
-                out[:, :, flat] += np.outer(fall * powers, vec)
-        return out
+    def ev(top, ys):
+        levels = []
+        for j in range(top + 1):
+            out = np.zeros((ys.shape[0], dim_out, dim_in**j))
+            for flat, word in enumerate(itertools.product(range(dim_in), repeat=j)):
+                counts = np.bincount(np.array(word, dtype=int), minlength=dim_in)
+                for expo, vec in monos:
+                    if np.any(counts > expo):
+                        continue
+                    fall = 1.0
+                    for m, q in zip(expo, counts):
+                        for step in range(q):
+                            fall *= m - step
+                    powers = np.prod(ys ** (expo - counts), axis=1)
+                    out[:, :, flat] += np.outer(fall * powers, vec)
+            levels.append(out)
+        return levels
 
     return LipFunction(dim_in, dim_out, n_levels, ev, label="polynomial")
 
@@ -198,26 +203,28 @@ def ridge(dim_in: int, dim_out: int, terms, n_levels: int) -> LipFunction:
             raise ValueError("ridge term dimensions do not match")
         parsed.append((coef, kind, weight, phase))
 
-    def g_deriv(kind, j, x):
+    def g_derivs(kind, x, top):
+        """g^(j)(x) for j = 0..top.  sin and cos are taken at x + j pi/2 on
+        every level: the derivative cycle (+-sin x, +-cos x) moves the last bits."""
         if kind == "exp":
-            return np.exp(x)
-        shift = j * np.pi / 2.0
-        return np.sin(x + shift) if kind == "sin" else np.cos(x + shift)
+            return [np.exp(x)] * (top + 1)
+        g = np.sin if kind == "sin" else np.cos
+        return [g(x + j * np.pi / 2.0) for j in range(top + 1)]
 
-    def ev(j, ys):
+    def ev(top, ys):
         p = ys.shape[0]
-        out = np.zeros((p, dim_out, dim_in**j))
-        for (_, kind, weight, phase), outer in zip(parsed, outers[j]):
-            vals = g_deriv(kind, j, ys @ weight + phase)
-            out += vals[:, None, None] * outer[None]
-        return out
+        levels = [np.zeros((p, dim_out, dim_in**j)) for j in range(top + 1)]
+        for (_, kind, weight, phase), outer in zip(parsed, outers):
+            for out, vals, block in zip(levels, g_derivs(kind, ys @ weight + phase, top), outer):
+                out += vals[:, None, None] * block[None]
+        return levels
 
     # The function checks n_levels before the outers are built from it.
     field = LipFunction(dim_in, dim_out, n_levels, ev, label="ridge")
     # coef (x) weight^(x)j per term and level, built once.
     outers = [[np.multiply.outer(coef, reduce(lambda a, b: np.multiply.outer(a, b).ravel(),
                                               [weight] * j, np.ones(1)))
-               for coef, _, weight, _ in parsed] for j in range(n_levels + 1)]
+               for j in range(n_levels + 1)] for coef, _, weight, _ in parsed]
     return field
 
 
@@ -245,10 +252,11 @@ def taylor_remainder(F: LipFunction, j: int, x, y) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     out = F.eval_at(j, y).copy()
+    at_x = F.eval_levels(F.n_levels, x)
     step = y - x
     powers = np.ones(1)
     for l in range(0, F.n_levels - j + 1):
-        block = F.eval_at(j + l, x).reshape(F.dim_out, F.dim_in**l, F.dim_in**j)
+        block = at_x[j + l][0].reshape(F.dim_out, F.dim_in**l, F.dim_in**j)
         out -= np.einsum("elk,l->ek", block, powers) / math.factorial(l)
         powers = np.multiply.outer(step, powers).ravel()
     return out
@@ -268,17 +276,19 @@ def lip_norm_check(F: LipFunction, lo, hi, declared: float | None = None,
 
     The level-j remainder ratio divides by |y - x|^(gamma - j), gamma =
     n_levels + 1.  Sampling can falsify a ``declared`` bound on the Lip norm,
-    never prove it.
+    never prove it.  The box [lo, hi] must be finite with lo <= hi, and
+    ``sample_count`` an integer >= 1.
     """
+    lo = np.broadcast_to(_finite(lo, "box lo"), (F.dim_in,))
+    hi = np.broadcast_to(_finite(hi, "box hi"), (F.dim_in,))
+    if not (lo <= hi).all():
+        raise ValueError(f"box lo {lo.tolist()} exceeds hi {hi.tolist()}")
+    sample_count = _check_whole(sample_count, "sample_count", 1)
     rng = np.random.default_rng(0) if rng is None else rng
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (F.dim_in,))
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (F.dim_in,))
     xs = rng.uniform(lo, hi, (sample_count, F.dim_in))
     ys = rng.uniform(lo, hi, (sample_count, F.dim_in))
-    level_norms = []
-    for j in range(F.n_levels + 1):
-        blocks = F.eval(j, xs)
-        level_norms.append(float(np.max(np.abs(blocks).reshape(sample_count, -1).sum(axis=1))))
+    level_norms = [float(np.max(np.abs(blocks).reshape(sample_count, -1).sum(axis=1)))
+                   for blocks in F.eval_levels(F.n_levels, xs)]
     ratios = []
     gaps = np.abs(ys - xs).sum(axis=1)
     for j in range(F.n_levels + 1):
@@ -326,17 +336,16 @@ def compose(F: LipFunction, Y: ControlledPath, X: GeometricRoughPath) -> Control
     of F applied to the box products of Y's levels, weighted by 1/j!.  As F^j
     is symmetric this is the unweighted sum over set partitions, one block
     order each (see ``_composed_level``): one contraction per non-decreasing
-    block-size profile, then one tiled gather over its set partitions.
+    block-size profile, then one tiled gather over its set partitions.  The
+    levels F^0..F^{N-1} at the grid points come from one evaluator call.
     """
     if F.dim_in != Y.dim_u:
         raise ValueError(f"field expects W=R^{F.dim_in}, path has target R^{Y.dim_u}")
     if F.n_levels < Y.N:
         raise ValueError(f"field has levels 0..{F.n_levels}, need at least 0..{Y.N}")
     _check_pair(Y, X)
-    ys = Y.path_values()
-    f_blocks = {j: F.eval(j, ys) for j in range(1, Y.N)}
-    z_levels = [F.eval(0, ys)]
-    z_levels += [_composed_level(f_blocks, Y.levels, r) for r in range(1, Y.N)]
+    f_blocks = F.eval_levels(Y.N - 1, Y.path_values())
+    z_levels = [f_blocks[0]] + [_composed_level(f_blocks, Y.levels, r) for r in range(1, Y.N)]
     return ControlledPath(Y.times, Y.d, Y.N, F.dim_out, z_levels)
 
 
@@ -402,8 +411,8 @@ def expansion_identity_check(y_blocks, x_inc: TensorSeries, r: int, k: int) -> f
     group-like.
     """
     d, N = x_inc.d, x_inc.N
-    if not (1 <= k <= N - 1) or not (1 <= r <= N - 1):
-        raise ValueError("need 1 <= k, r <= N-1")
+    _check_whole(k, "arity k", 1, N - 1)
+    _check_whole(r, "word length r", 1, N - 1)
     y_blocks = [np.asarray(b, dtype=float) for b in y_blocks]
     e = y_blocks[0].shape[0] if y_blocks and y_blocks[0].ndim == 2 else 0
     if e < 1 or len(y_blocks) != N or any(b.shape != (e, d**i) for i, b in enumerate(y_blocks)):
@@ -441,8 +450,7 @@ def remainder_regularity_probe(F: LipFunction, Y: ControlledPath, X: GeometricRo
     A finite ratio across the grid is the observable form of the stability
     of controlled paths under Lipschitz composition.
     """
-    if not (0 <= r < Y.N):
-        raise ValueError(f"level {r} outside 0..{Y.N - 1}")
+    _check_whole(r, "level", 0, Y.N - 1)
     _check_alpha(alpha, Y.N)
     Z = compose(F, Y, X)
     rem = _remainder_blocks(Z, X, [r])

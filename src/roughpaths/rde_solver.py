@@ -122,7 +122,7 @@ def canonical_initial_path(y0, F: LipFunction, X: GeometricRoughPath) -> Control
     # all on a one-point batch.  Overflow is caught by the controlled path's
     # finiteness check.
     with np.errstate(over="ignore", invalid="ignore"):
-        f_blocks = {j: F.eval(j, y0[None]) for j in range(N - 1)}
+        f_blocks = F.eval_levels(max(N - 2, 0), y0[None])
         w0 = [y0[None, :, None]]
         for r in range(N - 1):
             z = f_blocks[0] if r == 0 else _composed_level(f_blocks, w0, r)

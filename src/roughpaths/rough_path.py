@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .tensor_algebra import TensorSeries, _check_caps, _frozen_levels, _group_inverse_levels
-from .tensor_algebra import _group_like_deviation, _is_whole, _max_abs, _product_level
+from .tensor_algebra import _check_whole, _group_like_deviation, _is_whole, _max_abs, _product_level
 from .tensor_algebra import _segment_levels, _truncated_product
 
 # Doubles in one pair block (start rows x end points x entries per pair, all
@@ -304,8 +304,7 @@ def _scan_pairs(times: np.ndarray, block_fn, width: int, exponents) -> np.ndarra
 
 def holder_norm(X: GeometricRoughPath, level: int, beta: float) -> float:
     """Grid maximum of |X^level_{s,t}| / (t-s)^(level*beta) over all pairs s < t."""
-    if not (1 <= level <= X.N):
-        raise ValueError(f"level {level} outside 1..{X.N}")
+    _check_whole(level, "level", 1, X.N)
     _check_beta(beta)
     return float(_scan_pairs(X.times, lambda s, t: [_increments(X, (s, None), (None, t), level)[level]],
                              X.d**level, [level * beta]).max())

@@ -64,12 +64,19 @@ def _is_whole(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_whole(value, name: str, lo: int, hi: int | None = None, error=ValueError) -> int:
+    """``value`` as an int when it is an integer (a bool excluded) in lo..hi, or
+    at least ``lo`` when ``hi`` is None; else ``error`` naming the argument."""
+    if not (_is_whole(value) and lo <= value and (hi is None or value <= hi)):
+        bound = f"must be an integer >= {lo}" if hi is None else f"outside {lo}..{hi}"
+        raise error(f"{name} {value!r} {bound}")
+    return int(value)
+
+
 def _check_caps(d, N) -> None:
     """The construction caps: d in 1..MAX_DIM and N in 1..MAX_LEVEL, both integers."""
-    if not (_is_whole(d) and 1 <= d <= MAX_DIM):
-        raise ValueError(f"dimension {d!r} outside 1..{MAX_DIM}")
-    if not (_is_whole(N) and 1 <= N <= MAX_LEVEL):
-        raise ValueError(f"level {N!r} outside 1..{MAX_LEVEL}")
+    _check_whole(d, "dimension", 1, MAX_DIM)
+    _check_whole(N, "level", 1, MAX_LEVEL)
 
 
 def _frozen_levels(d, N, levels, lead: tuple, top: int, error=ValueError) -> tuple:
@@ -141,9 +148,7 @@ class TensorSeries:
         return cls(d, N, blocks)
 
     def level(self, i: int) -> np.ndarray:
-        if not 0 <= i <= self.N:
-            raise ValueError(f"level {i} outside 0..{self.N}")
-        return self.levels[i]
+        return self.levels[_check_whole(i, "level", 0, self.N)]
 
     def coeff(self, word: Word) -> float:
         _check_word(word, self.d, self.N)

@@ -4,10 +4,32 @@ config boundary fuzz)."""
 import numpy as np
 import pytest
 
-from roughpaths.controlled_path import ControlledPath, canonical_lift, concatenate
-from roughpaths.lipschitz import LipFunction, constant, linear, polynomial, ridge
+from roughpaths.controlled_path import (
+    ControlledPath,
+    canonical_lift,
+    concatenate,
+    level_holder_norm,
+    remainder_rows,
+    restrict_path,
+)
+from roughpaths.lipschitz import (
+    LipFunction,
+    constant,
+    expansion_identity_check,
+    linear,
+    lip_norm_check,
+    polynomial,
+    remainder_regularity_probe,
+    ridge,
+)
 from roughpaths.rough_integral import Partition, convergence_rate_probe, dyadic_partition
-from roughpaths.rough_path import GeometricRoughPath, PiecewiseLinearPath, lift_path
+from roughpaths.rough_path import (
+    GeometricRoughPath,
+    PiecewiseLinearPath,
+    holder_norm,
+    increment,
+    lift_path,
+)
 from roughpaths.tensor_algebra import TensorSeries, exp_segment, is_group_like
 
 nan, inf = float("nan"), float("inf")
@@ -39,8 +61,18 @@ def rate_probe(depths):
     return convergence_rate_probe(canonical_lift(X), X, 0, 8, depths)
 
 
-def no_eval(j, ys):
-    return np.zeros((ys.shape[0], 1, 1))
+def no_eval(top, ys):
+    return [np.zeros((ys.shape[0], 1, 1)) for _ in range(top + 1)]
+
+
+# A 9-point d=1, N=3 driver, its canonical lift and a linear field.
+WALK = lift_path(PiecewiseLinearPath(np.linspace(0.0, 1.0, 9), np.sin(np.arange(9.0))[:, None]), 3)
+LIFT = canonical_lift(WALK)
+LINE = linear([[1.0]], n_levels=2)
+
+
+def expansion_check(r, k):
+    return expansion_identity_check([lvl[0] for lvl in LIFT.levels], increment(WALK, 0, 4), r, k)
 
 
 CASES = {
@@ -84,6 +116,58 @@ CASES = {
     "lip-dim-in-0": (lambda: LipFunction(0, 1, 1, no_eval), ValueError, "dim_in 0 must be an integer >= 1"),
     "lip-dim-out-0": (lambda: LipFunction(1, 0, 1, no_eval), ValueError, "dim_out 0 must be an integer >= 1"),
     "constant-dim-in-0": (lambda: constant([1.0], 0, 1), ValueError, "dim_in 0 must be an integer"),
+    # Field levels: one integer check in eval_levels, for every field.
+    "lip-eval-level-bool": (lambda: LINE.eval(True, [[0.0]]), ValueError,
+                            "derivative level True outside 0..2"),
+    "lip-eval-level-float": (lambda: LINE.eval(1.0, [[0.0]]), ValueError,
+                             r"derivative level 1.0 outside 0..2"),
+    "ridge-eval-level-float": (lambda: ridge_term().eval(1.0, [[0.0]]), ValueError,
+                               r"derivative level 1.0 outside 0..2"),
+    "polynomial-eval-level-float": (lambda: polynomial(1, 1, {(2,): [1.0]}, 2).eval(1.0, [[0.0]]),
+                                    ValueError, r"derivative level 1.0 outside 0..2"),
+    "lip-eval-level-negative": (lambda: LINE.eval(-1, [[0.0]]), ValueError,
+                                "derivative level -1 outside 0..2"),
+    "lip-eval-level-above": (lambda: LINE.eval_levels(3, [[0.0]]), ValueError,
+                             "derivative level 3 outside 0..2"),
+    "lip-eval-points-width": (lambda: LINE.eval(0, [[0.0, 1.0]]), ValueError,
+                              r"points have shape \(1, 2\), expected \(P, 1\)"),
+    "lip-evaluator-short": (lambda: LipFunction(1, 1, 2, lambda top, ys: no_eval(0, ys)).eval(2, [[0.0]]),
+                            ValueError, "evaluator returned"),
+    # The sampling box and count of lip_norm_check.
+    "lip-check-nan-box": (lambda: lip_norm_check(LINE, [nan], [1.0]), ValueError, "box lo must be finite"),
+    "lip-check-inf-box": (lambda: lip_norm_check(LINE, [0.0], [inf]), ValueError, "box hi must be finite"),
+    "lip-check-reversed-box": (lambda: lip_norm_check(LINE, [1.0], [0.0]), ValueError,
+                               r"box lo \[1.0\] exceeds hi \[0.0\]"),
+    "lip-check-no-samples": (lambda: lip_norm_check(LINE, 0.0, 1.0, sample_count=0), ValueError,
+                             "sample_count 0 must be an integer >= 1"),
+    "lip-check-float-samples": (lambda: lip_norm_check(LINE, 0.0, 1.0, sample_count=2.5), ValueError,
+                                "sample_count 2.5 must be an integer >= 1"),
+    "lip-check-bool-samples": (lambda: lip_norm_check(LINE, 0.0, 1.0, sample_count=True), ValueError,
+                               "sample_count True must be an integer >= 1"),
+    # Levels and grid indices of the scans and probes: a bool or a float is
+    # never read as an integer.
+    "series-level-bool": (lambda: TensorSeries.unit(2, 2).level(True), ValueError, "level True outside 0..2"),
+    "holder-level-bool": (lambda: holder_norm(WALK, True, 0.3), ValueError, "level True outside 1..3"),
+    "holder-level-float": (lambda: holder_norm(WALK, 1.0, 0.3), ValueError, "level 1.0 outside 1..3"),
+    "level-holder-float": (lambda: level_holder_norm(LIFT, 1.0, 0.3), ValueError,
+                           "level 1.0 outside 0..2"),
+    "remainder-rows-bool": (lambda: remainder_rows(LIFT, WALK, True, 0), ValueError,
+                            "level True outside 0..2"),
+    "remainder-rows-float": (lambda: remainder_rows(LIFT, WALK, 1.0, 0), ValueError,
+                             "level 1.0 outside 0..2"),
+    "restrict-path-bool": (lambda: restrict_path(LIFT, False, True), IndexError,
+                           "grid index s_idx False outside 0..8"),
+    "restrict-path-float": (lambda: restrict_path(LIFT, 0.5, 3), IndexError,
+                            "grid index s_idx 0.5 outside 0..8"),
+    "restrict-path-past-end": (lambda: restrict_path(LIFT, 0, 9), IndexError,
+                               "grid index t_idx 9 outside 0..8"),
+    "restrict-path-empty": (lambda: restrict_path(LIFT, 3, 3), ValueError,
+                            r"restriction needs s_idx < t_idx, got \(3, 3\)"),
+    "expansion-r-bool": (lambda: expansion_check(True, 1), ValueError, "word length r True outside 1..2"),
+    "expansion-r-float": (lambda: expansion_check(1.0, 1), ValueError, "word length r 1.0 outside 1..2"),
+    "expansion-k-float": (lambda: expansion_check(1, 2.0), ValueError, "arity k 2.0 outside 1..2"),
+    "remainder-probe-bool": (lambda: remainder_regularity_probe(linear([[1.0]], n_levels=3), LIFT, WALK,
+                                                                True, 0.3), ValueError, "level True outside 0..2"),
     # The dyadic window.
     "dyadic-reversed": (lambda: dyadic_partition(8, 0, 2), ValueError, r"dyadic window \(8, 0\)"),
     "dyadic-negative": (lambda: dyadic_partition(-4, 4, 1), ValueError, r"dyadic window \(-4, 4\)"),

@@ -116,10 +116,34 @@ def test_field_blocks_are_symmetric_in_their_slots(dim_in):
               (ridge(dim_in, 2, terms, n), 8 * np.finfo(float).eps)]
     for F, rel in fields:
         for j in range(n + 1):
-            cube = F.eval(j, ys).reshape((4, 2) + (dim_in,) * j)
+            block = F.eval(j, ys)
+            # Every call reads level j bit for bit, whatever levels it asks for.
+            for top in range(j, n + 1):
+                assert F.eval_levels(top, ys)[j].tobytes() == block.tobytes(), (F.label, j, top)
+            cube = block.reshape((4, 2) + (dim_in,) * j)
             for perm in itertools.permutations(range(j)):
                 gap = np.abs(cube - cube.transpose((0, 1) + tuple(2 + p for p in perm)))
                 assert np.max(gap) <= rel * np.max(np.abs(cube)), (F.label, j, perm)
+
+
+def test_compose_and_start_path_call_the_evaluator_once():
+    # Composition and the start path read every level they need at one point
+    # set, so each makes one evaluator call, not one per level.
+    X = random_driver(np.random.default_rng(26), 2, 5, 8)
+    G = ridge(1, 2, [{"coef": [1.0, 0.0], "kind": "sin", "weight": [0.5]},
+                     {"coef": [0.0, 1.0], "kind": "exp", "weight": [0.2]}], n_levels=5)
+    tops = []
+
+    def counting(top, ys):
+        tops.append(top)
+        return G.eval_levels(top, ys)
+
+    F = LipFunction(1, 2, 5, counting)
+    Y = canonical_initial_path([0.3], F, X)
+    assert tops == [3]
+    Z = compose(F, Y, X)
+    assert tops == [3, 4]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(Z.levels, compose(G, Y, X).levels))
 
 
 def test_lip_norm_check_linear_and_sine():
@@ -224,7 +248,7 @@ def test_composed_level_matches_transpose_reference():
                 assert got.tobytes() == want.tobytes(), (d, N, P, r)
         # The six-point batch, as a controlled path on a driver's grid.
         X = random_driver(rng, d, N, P - 1)
-        F = LipFunction(e, u, N - 1, lambda j, ys: f_blocks[j])
+        F = LipFunction(e, u, N - 1, lambda top, ys: [f_blocks[j] for j in range(top + 1)])
         ordered = compose_reference(F, ControlledPath(X.times, d, N, e, y_levels), X).levels
         abs_blocks = {j: np.abs(b) for j, b in f_blocks.items()}
         for r in range(1, N):

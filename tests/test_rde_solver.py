@@ -437,6 +437,8 @@ def test_solve_at_caps_matches_rk4_on_walk():
                        contraction_tol=1e-10)
     Y, report = solve(F, lift_path(path, N, 1 / 5), [0.2], 0.5, cfg)
     assert report.success
+    assert [p.t_end for p in report.patches] == [0.25, 0.5]
+    assert [p.iterations for p in report.patches] == [8, 8]
     oracle = ode_rk4(lambda y: F.eval_at(0, y).reshape(1, d), path, [0.2], substeps=20)
     assert np.max(np.abs(Y.path_values() - oracle[:M // 2 + 1])) <= 1e-8
 
