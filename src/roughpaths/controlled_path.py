@@ -53,7 +53,7 @@ class ControlledPath:
 
     def __init__(self, times, d: int, N: int, dim_u: int, levels):
         times = _grid_times(times, 1)
-        _check_whole(dim_u, "target dimension", 1)
+        _check_whole(dim_u, "target dimension dim_u", 1)
         levels = _frozen_levels(d, N, levels, (times.size, dim_u), N - 1, NonFiniteLevelError)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "d", d)
@@ -162,8 +162,8 @@ def _remainder_blocks(Y: ControlledPath, X: GeometricRoughPath, levels):
 def remainder_rows(Y: ControlledPath, X: GeometricRoughPath, i: int, s_idx: int) -> np.ndarray:
     """RY^i_{s,t} for fixed s and every t >= s, shape (P - s, dim_u, d**i)."""
     _check_pair(Y, X)
-    _check_whole(i, "level", 0, Y.N - 1)
-    X._check_index(s_idx)
+    _check_whole(i, "level i", 0, Y.N - 1)
+    s_idx = _check_whole(s_idx, "grid index s_idx", 0, X.n_points - 1, IndexError)
     rows = _remainder_blocks(Y, X, [i])(slice(s_idx, s_idx + 1), slice(s_idx, Y.n_points))[0]
     return rows.reshape(-1, Y.dim_u, Y.d**i)
 
@@ -224,7 +224,7 @@ def triple_norm(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> float
 
 def level_holder_norm(Y: ControlledPath, i: int, exponent: float) -> float:
     """Grid maximum of |Y^i_t - Y^i_s| / (t-s)^exponent, for 0 < exponent <= 1."""
-    _check_whole(i, "level", 0, Y.N - 1)
+    _check_whole(i, "level i", 0, Y.N - 1)
     _check_beta(exponent)
     lvl = Y.levels[i].reshape(Y.n_points, -1)
     return float(_scan_pairs(Y.times, lambda rows, cols: [lvl[None, cols] - lvl[rows, None]],

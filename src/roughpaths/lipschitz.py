@@ -80,7 +80,7 @@ class LipFunction:
 
     def eval_levels(self, top: int, ys) -> list:
         """Levels 0..top at a (P, dim_in) batch of points, from one evaluator call."""
-        top = _check_whole(top, "derivative level", 0, self.n_levels)
+        top = _check_whole(top, "derivative level top", 0, self.n_levels)
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
         if ys.ndim != 2 or ys.shape[1] != self.dim_in:
             raise ValueError(f"points have shape {ys.shape}, expected (P, {self.dim_in})")
@@ -93,6 +93,7 @@ class LipFunction:
 
     def eval(self, j: int, ys) -> np.ndarray:
         """Level-j block at a batch of points, shape (P, dim_out, dim_in**j)."""
+        j = _check_whole(j, "derivative level j", 0, self.n_levels)
         return self.eval_levels(j, ys)[j]
 
     def eval_at(self, j: int, y) -> np.ndarray:
@@ -141,7 +142,7 @@ def linear(matrix, offset=None, n_levels: int = 1) -> LipFunction:
 
 
 def identity(dim: int, n_levels: int = 1) -> LipFunction:
-    return linear(np.eye(dim), n_levels=n_levels)
+    return linear(np.eye(_check_whole(dim, "dimension dim", 1)), n_levels=n_levels)
 
 
 def polynomial(dim_in: int, dim_out: int, coeffs: dict | list, n_levels: int) -> LipFunction:
@@ -152,14 +153,6 @@ def polynomial(dim_in: int, dim_out: int, coeffs: dict | list, n_levels: int) ->
     the sum of the listed monomials, so a repeated exponent tuple adds up.
     """
     monos = []
-    for expo, vec in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-        if len(expo) != dim_in or any(m < 0 or not float(m).is_integer() for m in expo):
-            raise ValueError(f"bad exponent tuple {expo!r}")
-        expo = tuple(int(m) for m in expo)
-        vec = _finite(vec, "monomial value").ravel()
-        if vec.size != dim_out:
-            raise ValueError("monomial value has wrong output dimension")
-        monos.append((np.array(expo), vec))
 
     def ev(top, ys):
         levels = []
@@ -179,7 +172,17 @@ def polynomial(dim_in: int, dim_out: int, coeffs: dict | list, n_levels: int) ->
             levels.append(out)
         return levels
 
-    return LipFunction(dim_in, dim_out, n_levels, ev, label="polynomial")
+    # The function checks the dimensions and n_levels before the monomials are read against them.
+    field = LipFunction(dim_in, dim_out, n_levels, ev, label="polynomial")
+    for expo, vec in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
+        if len(expo) != dim_in or any(m < 0 or not float(m).is_integer() for m in expo):
+            raise ValueError(f"bad exponent tuple {expo!r}")
+        expo = tuple(int(m) for m in expo)
+        vec = _finite(vec, "monomial value").ravel()
+        if vec.size != dim_out:
+            raise ValueError("monomial value has wrong output dimension")
+        monos.append((np.array(expo), vec))
+    return field
 
 
 RIDGE_KINDS = ("sin", "cos", "exp")
@@ -191,18 +194,6 @@ def ridge(dim_in: int, dim_out: int, terms, n_levels: int) -> LipFunction:
     Every derivative level is exact: level j contributes
     coef * g^(j)(weight . y + phase) * weight^(x)j.
     """
-    parsed = []
-    for term in terms:
-        coef = _finite(term["coef"], "ridge coef").ravel()
-        weight = _finite(term["weight"], "ridge weight").ravel()
-        kind = term["kind"]
-        phase = float(_finite(term.get("phase", 0.0), "ridge phase"))
-        if kind not in RIDGE_KINDS:
-            raise ValueError(f"unknown ridge kind {kind!r}")
-        if coef.size != dim_out or weight.size != dim_in:
-            raise ValueError("ridge term dimensions do not match")
-        parsed.append((coef, kind, weight, phase))
-
     def g_derivs(kind, x, top):
         """g^(j)(x) for j = 0..top.  sin and cos are taken at x + j pi/2 on
         every level: the derivative cycle (+-sin x, +-cos x) moves the last bits."""
@@ -219,8 +210,19 @@ def ridge(dim_in: int, dim_out: int, terms, n_levels: int) -> LipFunction:
                 out += vals[:, None, None] * block[None]
         return levels
 
-    # The function checks n_levels before the outers are built from it.
+    # The function checks the dimensions and n_levels before the terms are read against them.
     field = LipFunction(dim_in, dim_out, n_levels, ev, label="ridge")
+    parsed = []
+    for term in terms:
+        coef = _finite(term["coef"], "ridge coef").ravel()
+        weight = _finite(term["weight"], "ridge weight").ravel()
+        kind = term["kind"]
+        phase = float(_finite(term.get("phase", 0.0), "ridge phase"))
+        if kind not in RIDGE_KINDS:
+            raise ValueError(f"unknown ridge kind {kind!r}")
+        if coef.size != dim_out or weight.size != dim_in:
+            raise ValueError("ridge term dimensions do not match")
+        parsed.append((coef, kind, weight, phase))
     # coef (x) weight^(x)j per term and level, built once.
     outers = [[np.multiply.outer(coef, reduce(lambda a, b: np.multiply.outer(a, b).ravel(),
                                               [weight] * j, np.ones(1)))
@@ -243,6 +245,21 @@ def from_config(spec: dict, n_levels: int) -> LipFunction:
     raise ValueError(f"unknown field kind {kind!r}")
 
 
+def _taylor_defects(F: LipFunction, j: int, at_x, at_y, steps) -> np.ndarray:
+    """F^j(y) minus its expansion around x through the available levels, for a
+    batch of sample pairs: ``at_x`` holds the levels 0..n_levels at the points
+    x, ``at_y`` level j at the points y, and ``steps`` the (P, dim_in) steps
+    y - x.  Returns (P, dim_out, dim_in**j)."""
+    P = steps.shape[0]
+    out = at_y.copy()
+    powers = np.ones((P, 1))
+    for l in range(0, F.n_levels - j + 1):
+        block = at_x[j + l].reshape(P, F.dim_out, F.dim_in**l, F.dim_in**j)
+        out -= np.einsum("pelk,pl->pek", block, powers) / math.factorial(l)
+        powers = (steps[:, :, None] * powers[:, None, :]).reshape(P, -1)
+    return out
+
+
 def taylor_remainder(F: LipFunction, j: int, x, y) -> np.ndarray:
     """Defect of the level-j expansion of F around x evaluated at y.
 
@@ -251,15 +268,8 @@ def taylor_remainder(F: LipFunction, j: int, x, y) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    out = F.eval_at(j, y).copy()
-    at_x = F.eval_levels(F.n_levels, x)
-    step = y - x
-    powers = np.ones(1)
-    for l in range(0, F.n_levels - j + 1):
-        block = at_x[j + l][0].reshape(F.dim_out, F.dim_in**l, F.dim_in**j)
-        out -= np.einsum("elk,l->ek", block, powers) / math.factorial(l)
-        powers = np.multiply.outer(step, powers).ravel()
-    return out
+    at_y = F.eval(j, y[None])
+    return _taylor_defects(F, j, F.eval_levels(F.n_levels, x[None]), at_y, (y - x)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -277,7 +287,9 @@ def lip_norm_check(F: LipFunction, lo, hi, declared: float | None = None,
     The level-j remainder ratio divides by |y - x|^(gamma - j), gamma =
     n_levels + 1.  Sampling can falsify a ``declared`` bound on the Lip norm,
     never prove it.  The box [lo, hi] must be finite with lo <= hi, and
-    ``sample_count`` an integer >= 1.
+    ``sample_count`` an integer >= 1.  Every level at the sampled points x and
+    y comes from two evaluator calls, one per point set, and the remainders of
+    all samples from one batched expansion per level.
     """
     lo = np.broadcast_to(_finite(lo, "box lo"), (F.dim_in,))
     hi = np.broadcast_to(_finite(hi, "box hi"), (F.dim_in,))
@@ -287,14 +299,16 @@ def lip_norm_check(F: LipFunction, lo, hi, declared: float | None = None,
     rng = np.random.default_rng(0) if rng is None else rng
     xs = rng.uniform(lo, hi, (sample_count, F.dim_in))
     ys = rng.uniform(lo, hi, (sample_count, F.dim_in))
+    at_x, at_y = F.eval_levels(F.n_levels, xs), F.eval_levels(F.n_levels, ys)
     level_norms = [float(np.max(np.abs(blocks).reshape(sample_count, -1).sum(axis=1)))
-                   for blocks in F.eval_levels(F.n_levels, xs)]
-    ratios = []
+                   for blocks in at_x]
     gaps = np.abs(ys - xs).sum(axis=1)
+    far = gaps >= 1e-9
+    ratios = []
     for j in range(F.n_levels + 1):
-        power = F.n_levels + 1 - j
-        ratios.append(_max_abs(np.abs(taylor_remainder(F, j, x, y)).sum() / gap**power
-                               for x, y, gap in zip(xs, ys, gaps) if gap >= 1e-9))
+        defects = _taylor_defects(F, j, at_x, at_y[j], ys - xs)
+        ratios.append(_max_abs([np.abs(defects).reshape(sample_count, -1).sum(axis=1)[far]
+                                / gaps[far] ** (F.n_levels + 1 - j)]))
     empirical = _max_abs(level_norms + ratios)
     violated = declared is not None and not empirical <= declared * (1 + 1e-9)
     return LipReport(level_norms, ratios, declared, violated)
@@ -450,7 +464,7 @@ def remainder_regularity_probe(F: LipFunction, Y: ControlledPath, X: GeometricRo
     A finite ratio across the grid is the observable form of the stability
     of controlled paths under Lipschitz composition.
     """
-    _check_whole(r, "level", 0, Y.N - 1)
+    _check_whole(r, "level r", 0, Y.N - 1)
     _check_alpha(alpha, Y.N)
     Z = compose(F, Y, X)
     rem = _remainder_blocks(Z, X, [r])

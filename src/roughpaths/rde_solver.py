@@ -30,7 +30,7 @@ from .controlled_path import (
 from .lipschitz import LipFunction, _composed_level, compose
 from .rough_integral import _operator_slot_last, integral_controlled
 from .rough_path import GeometricRoughPath, holder_distance, restrict
-from .tensor_algebra import _is_whole, _max_abs
+from .tensor_algebra import MAX_LEVEL, _check_whole, _max_abs
 
 
 # Largest ball distance of an accepted local solution: the unit ball, with slack for roundoff.
@@ -46,7 +46,7 @@ class SolveFailure(RuntimeError):
 
 def check_exponents(N: int, alpha: float, beta: float) -> list:
     """Enforce 1/(N+1) < alpha < beta <= 1/N; warn when alpha is within 1e-9 of an open end."""
-    lo = 1.0 / (N + 1)
+    lo = 1.0 / (_check_whole(N, "level N", 1, MAX_LEVEL) + 1)
     if not (lo < alpha < beta <= 1.0 / N):
         raise ValueError(f"exponents must satisfy 1/{N + 1} < alpha < beta <= 1/{N}, "
                          f"got alpha={alpha}, beta={beta}")
@@ -70,8 +70,8 @@ class SolverConfig:
     def validate(self, N: int) -> list:
         """Enforce the exponent window and the budgets; returns the window's warnings."""
         warnings = check_exponents(N, self.alpha, self.beta)
-        if not all(_is_whole(v) and v >= 1 for v in (self.max_picard_iters, self.max_patches)):
-            raise ValueError("iteration and patch budgets must be integers >= 1")
+        _check_whole(self.max_picard_iters, "max_picard_iters", 1)
+        _check_whole(self.max_patches, "max_patches", 1)
         # A NaN or infinite tau never shrinks to one grid step: the patch loop would not end.
         if not (0 < self.contraction_tol < math.inf and 0 < self.tau_init < math.inf):
             raise ValueError("contraction_tol and tau_init must be finite and positive")

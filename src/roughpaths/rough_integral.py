@@ -19,23 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled_path import ControlledPath, _check_pair, _fill_leading, remainder_rows
-from .rough_path import GeometricRoughPath, _increments, increment
-from .tensor_algebra import _is_whole
+from .controlled_path import ControlledPath, _check_pair, _fill_leading, _remainder_blocks
+from .rough_path import GeometricRoughPath, _increments
+from .tensor_algebra import MAX_LEVEL, _check_whole
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered subset of grid indices with fixed endpoints."""
+    """Ordered subset of grid indices (integers >= 0) with fixed endpoints."""
 
     indices: tuple
 
     def __post_init__(self):
-        idx = tuple(self.indices)
-        for i in idx:
-            if not _is_whole(i):
-                raise ValueError(f"partition index {i!r} is not an integer")
-        idx = tuple(map(int, idx))
+        idx = tuple(_check_whole(i, "partition index", 0) for i in self.indices)
         if len(idx) < 2 or any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError("partition indices must be strictly increasing, length >= 2")
         object.__setattr__(self, "indices", idx)
@@ -45,18 +41,19 @@ class Partition:
         return float(np.max(np.diff(t)))
 
     def remove(self, j: int) -> "Partition":
-        if not (0 < j < len(self.indices) - 1):
-            raise ValueError("only interior points can be removed")
+        """The partition without its interior point j, 0 < j < len(indices) - 1."""
+        j = _check_whole(j, "interior point j", 1, len(self.indices) - 2)
         return Partition(self.indices[:j] + self.indices[j + 1:])
 
 
 def dyadic_partition(s_idx: int, t_idx: int, depth: int) -> Partition:
     """2**depth intervals with indices snapped to the grid (duplicates merged),
     for integers 0 <= s_idx < t_idx and ``depth`` >= 0."""
-    if not (_is_whole(s_idx) and _is_whole(t_idx) and 0 <= s_idx < t_idx):
-        raise ValueError(f"dyadic window ({s_idx!r}, {t_idx!r}) needs integers 0 <= s_idx < t_idx")
-    if not (_is_whole(depth) and depth >= 0):
-        raise ValueError(f"dyadic depth {depth!r} must be an integer >= 0")
+    s_idx = _check_whole(s_idx, "dyadic window s_idx", 0)
+    t_idx = _check_whole(t_idx, "dyadic window t_idx", 0)
+    if s_idx >= t_idx:
+        raise ValueError(f"dyadic window ({s_idx}, {t_idx}) needs s_idx < t_idx")
+    depth = _check_whole(depth, "dyadic depth", 0)
     # Once 2**depth >= t_idx - s_idx every grid index is hit: skip forming 2**depth points.
     if depth >= int(t_idx - s_idx - 1).bit_length():
         return Partition(tuple(range(s_idx, t_idx + 1)))
@@ -103,7 +100,7 @@ def compensated_sum(Z: ControlledPath, X: GeometricRoughPath, partition: Partiti
     Deterministic left-to-right reduction: ascending time, then level.
     """
     idx = partition.indices
-    if idx[0] < 0 or idx[-1] >= X.n_points:
+    if idx[-1] >= X.n_points:
         raise ValueError("partition leaves the driver grid")
     _check_pair(Z, X)
     _, d = _integrand_dims(Z)
@@ -120,6 +117,8 @@ def rough_integral(Z: ControlledPath, X: GeometricRoughPath,
     the native grid and the native value.
     """
     _check_pair(Z, X)
+    s_idx = _check_whole(s_idx, "grid index s_idx", 0, X.n_points - 1, IndexError)
+    t_idx = _check_whole(t_idx, "grid index t_idx", 0, X.n_points - 1, IndexError)
     e, _ = _integrand_dims(Z)
     if s_idx == t_idx:
         return np.zeros(e), 0.0
@@ -152,18 +151,16 @@ def removal_identity_check(Z: ControlledPath, X: GeometricRoughPath,
                            partition: Partition, j: int) -> float:
     """Deviation in the exact identity for removing one interior partition point:
     the sum difference equals the integrand remainder over the left gap paired
-    with the driver levels over the right gap."""
+    with the driver levels over the right gap: the remainders RZ^{k-1}_{a,b} of
+    every level from one pass, paired with X^k_{b,c} by the per-interval kernel."""
+    coarse = partition.remove(j)
     idx = partition.indices
-    if not (0 < j < len(idx) - 1):
-        raise ValueError("j must index an interior partition point")
-    e, d = _integrand_dims(Z)
-    lhs = compensated_sum(Z, X, partition) - compensated_sum(Z, X, partition.remove(j))
-    a, b = idx[j - 1], idx[j]
-    inc_right = increment(X, b, idx[j + 1])
-    rhs = np.zeros(e)
-    for k in range(1, X.N + 1):
-        rz = _operator_slot_last(remainder_rows(Z, X, k - 1, a)[b - a], d)
-        rhs = rhs + _fill_leading(rz, inc_right.levels[k])[:, 0]
+    _, d = _integrand_dims(Z)
+    lhs = compensated_sum(Z, X, partition) - compensated_sum(Z, X, coarse)
+    a, b, c = idx[j - 1], idx[j], idx[j + 1]
+    rem = _remainder_blocks(Z, X, range(Z.N))(slice(a, a + 1), slice(b, b + 1))
+    blocks = [_operator_slot_last(r.reshape(1, Z.dim_u, -1), d) for r in rem]
+    rhs = np.cumsum(_interval_terms(blocks, _increments(X, [b], [c], X.N))[0], axis=0)[-1]
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -192,6 +189,8 @@ def convergence_rate_probe(Z: ControlledPath, X: GeometricRoughPath,
     Increments below roundoff make the fit meaningless; the probe then
     reports no exponent.  ``depths`` holds one or more integers >= 0.
     """
+    _check_whole(s_idx, "grid index s_idx", 0, X.n_points - 1, IndexError)
+    _check_whole(t_idx, "grid index t_idx", 0, X.n_points - 1, IndexError)
     # Each depth is checked by its partition before the sort compares it.
     parts = sorted(((m, dyadic_partition(s_idx, t_idx, m)) for m in depths), key=lambda mp: mp[0])
     if not parts:
@@ -241,7 +240,7 @@ def tail_constant(N: int, alpha: float) -> float:
     :func:`_hurwitz_zeta2`; direct summation cannot reach the needed accuracy
     for exponents close to 1.  Diverges unless (N+1) alpha > 1.
     """
-    p = (N + 1) * alpha
+    p = (_check_whole(N, "level N", 1, MAX_LEVEL) + 1) * alpha
     if not p > 1.0:  # also rejects NaN
         raise ValueError(f"(N+1)*alpha = {p} must exceed 1 for the tail to converge")
     return float(2.0**p * _hurwitz_zeta2(p))

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .tensor_algebra import TensorSeries, _check_caps, _frozen_levels, _group_inverse_levels
-from .tensor_algebra import _check_whole, _group_like_deviation, _is_whole, _max_abs, _product_level
+from .tensor_algebra import _check_whole, _group_like_deviation, _max_abs, _product_level
 from .tensor_algebra import _segment_levels, _truncated_product
 
 # Doubles in one pair block (start rows x end points x entries per pair, all
@@ -36,10 +36,12 @@ _PAIR_BLOCK = 8192
 
 
 def _grid_times(times, least: int) -> np.ndarray:
-    """The read-only grid of a grid-sampled object: finite, strictly increasing,
-    at least ``least`` points.  A NaN fails every comparison, so finite end
-    points and increasing steps make every time finite in one pass."""
-    times = np.asarray(times, dtype=float).ravel()
+    """The read-only grid of a grid-sampled object: a 1-D array, finite, strictly
+    increasing, at least ``least`` points.  A NaN fails every comparison, so
+    finite end points and increasing steps make every time finite in one pass."""
+    times = np.array(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"grid times must be a 1-D array, got shape {times.shape}")
     if times.size < least or not (math.isfinite(times[0]) and math.isfinite(times[-1])
                                   and (times[1:] > times[:-1]).all()):
         raise ValueError(f"grid times must be finite and strictly increasing, at least {least} points")
@@ -57,6 +59,8 @@ class PiecewiseLinearPath:
         points = np.ascontiguousarray(points, dtype=float)
         if points.ndim == 1:
             points = points[:, None]
+        if points.ndim != 2 or points.shape[1] < 1:
+            raise ValueError(f"points must be a (P, d) array with d >= 1, got shape {points.shape}")
         if times.size != points.shape[0]:
             raise ValueError("times and points disagree in length")
         if not np.isfinite(points).all():
@@ -155,14 +159,8 @@ class GeometricRoughPath:
 
     def value(self, idx: int) -> TensorSeries:
         """Running signature X_{t0, t_idx} as a series."""
-        self._check_index(idx)
+        idx = _check_whole(idx, "grid index idx", 0, self.n_points - 1, IndexError)
         return TensorSeries(self.d, self.N, [lvl[idx] for lvl in self.levels])
-
-    def _check_index(self, idx: int) -> None:
-        if not _is_whole(idx):
-            raise IndexError(f"grid index {idx!r} is not an integer")
-        if not (0 <= idx < self.n_points):
-            raise IndexError(f"grid index {idx} outside 0..{self.n_points - 1}")
 
     def _cached(self, slot: str, build) -> tuple:
         """The level arrays held in ``slot``: made by ``build()`` on first use,
@@ -221,8 +219,8 @@ def lift_path(path: PiecewiseLinearPath, N: int, beta: float | None = None) -> G
 
 def increment(X: GeometricRoughPath, s_idx: int, t_idx: int) -> TensorSeries:
     """The increment X_{s,t} = X_{t0,s}^{-1} (x) X_{t0,t}."""
-    X._check_index(s_idx)
-    X._check_index(t_idx)
+    s_idx = _check_whole(s_idx, "grid index s_idx", 0, X.n_points - 1, IndexError)
+    t_idx = _check_whole(t_idx, "grid index t_idx", 0, X.n_points - 1, IndexError)
     if s_idx > t_idx:
         raise ValueError("increment requires s_idx <= t_idx")
     if s_idx == t_idx:
@@ -243,8 +241,8 @@ def _increments(X: GeometricRoughPath, s, t, top: int) -> list:
 
 def restrict(X: GeometricRoughPath, s_idx: int, t_idx: int) -> GeometricRoughPath:
     """Sub-path on grid indices s_idx..t_idx, rebased so the start is the unit."""
-    X._check_index(s_idx)
-    X._check_index(t_idx)
+    s_idx = _check_whole(s_idx, "grid index s_idx", 0, X.n_points - 1, IndexError)
+    t_idx = _check_whole(t_idx, "grid index t_idx", 0, X.n_points - 1, IndexError)
     if s_idx >= t_idx:
         raise ValueError("restrict requires s_idx < t_idx")
     rows = slice(s_idx, t_idx + 1)

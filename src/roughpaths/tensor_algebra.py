@@ -39,6 +39,7 @@ Word = tuple
 
 def word_index(word: Word, d: int) -> int:
     """Flat index of a word inside its level block."""
+    _check_whole(d, "dimension d", 1, MAX_DIM)
     idx = 0
     for a in word:
         idx = idx * d + (a - 1)
@@ -47,6 +48,9 @@ def word_index(word: Word, d: int) -> int:
 
 def index_word(idx: int, r: int, d: int) -> Word:
     """Inverse of :func:`word_index` at level ``r``."""
+    _check_whole(d, "dimension d", 1, MAX_DIM)
+    _check_whole(r, "word length r", 0, MAX_LEVEL)
+    _check_whole(idx, "flat index idx", 0, d**r - 1)
     letters = []
     for _ in range(r):
         letters.append(idx % d + 1)
@@ -56,6 +60,8 @@ def index_word(idx: int, r: int, d: int) -> Word:
 
 def level_words(d: int, r: int):
     """All words of length ``r``, in flat-index order."""
+    _check_whole(d, "dimension d", 1, MAX_DIM)
+    _check_whole(r, "word length r", 0, MAX_LEVEL)
     return itertools.product(range(1, d + 1), repeat=r)
 
 
@@ -75,8 +81,8 @@ def _check_whole(value, name: str, lo: int, hi: int | None = None, error=ValueEr
 
 def _check_caps(d, N) -> None:
     """The construction caps: d in 1..MAX_DIM and N in 1..MAX_LEVEL, both integers."""
-    _check_whole(d, "dimension", 1, MAX_DIM)
-    _check_whole(N, "level", 1, MAX_LEVEL)
+    _check_whole(d, "dimension d", 1, MAX_DIM)
+    _check_whole(N, "level N", 1, MAX_LEVEL)
 
 
 def _frozen_levels(d, N, levels, lead: tuple, top: int, error=ValueError) -> tuple:
@@ -108,10 +114,11 @@ def _max_abs(blocks) -> float:
 
 
 def _check_word(word: Word, d: int, n_max: int) -> None:
-    if len(word) > n_max:
-        raise ValueError(f"word length {len(word)} exceeds level cap {n_max}")
-    if any(not (1 <= a <= d) for a in word):
-        raise ValueError(f"word {word!r} has letters outside 1..{d}")
+    """A word of at most ``n_max`` letters, each an integer in 1..d."""
+    _check_whole(len(word), "word length", 0, n_max)
+    name = f"word {tuple(word)!r} letter"
+    for a in word:
+        _check_whole(a, name, 1, d)
 
 
 class TensorSeries:
@@ -148,7 +155,7 @@ class TensorSeries:
         return cls(d, N, blocks)
 
     def level(self, i: int) -> np.ndarray:
-        return self.levels[_check_whole(i, "level", 0, self.N)]
+        return self.levels[_check_whole(i, "level i", 0, self.N)]
 
     def coeff(self, word: Word) -> float:
         _check_word(word, self.d, self.N)
@@ -267,9 +274,7 @@ def shuffle_product(u: Word, w: Word, n_max: int) -> dict:
     the alphabet 1..max letter, in assignment order.
     """
     uw = tuple(u) + tuple(w)
-    if len(uw) > n_max:
-        raise ValueError(f"combined length {len(uw)} exceeds level cap {n_max}")
-    _check_word(uw, MAX_DIM, n_max)
+    _check_word(uw, MAX_DIM, _check_whole(n_max, "level cap n_max", 0, MAX_LEVEL))
     d = max(uw, default=1)
     # Row a gathers the transpose by assignment a's axis order; the
     # interleaving is the inverse transpose, which moves flat index s to idx[a, s].
@@ -427,8 +432,7 @@ def coproduct(xi: TensorSeries, k: int) -> MappingProxyType:
     {(l_1, ..., l_k): block}, the tuple (u_1, ..., u_k) of sector
     (|u_1|, ..., |u_k|) at the flat index of the concatenation u_1 ... u_k.
     """
-    if k < 1:
-        raise ValueError("arity must be >= 1")
+    _check_whole(k, "arity k", 1)
     sectors = _coproduct_sectors(xi.levels, k)
     for block in sectors.values():
         block.setflags(write=False)
@@ -469,6 +473,8 @@ def symmetrize(block, dim: int, k: int) -> np.ndarray:
     ``block`` may carry leading batch axes; the last axis must have size
     ``dim**k`` and is treated as the flattened k-tensor.
     """
+    _check_whole(dim, "dimension dim", 1)
+    _check_whole(k, "degree k", 0)
     a = np.asarray(block, dtype=float)
     if a.shape[-1] != dim**k:
         raise ValueError(f"last axis has {a.shape[-1]} entries, expected {dim**k}")

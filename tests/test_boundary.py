@@ -1,9 +1,18 @@
 """Library boundary table: one row per bad input a public constructor or
 check must reject with a clear message (the library twin of the CLI's
-config boundary fuzz)."""
+config boundary fuzz), and a sweep over the signatures of the public names:
+every parameter annotated ``int`` rejects a bool, a float and an integer out
+of range with a ValueError or IndexError that names it."""
+import inspect
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import roughpaths
+from roughpaths import controlled_path, lipschitz, rde_solver, rough_integral, rough_path, tensor_algebra
 from roughpaths.controlled_path import (
     ControlledPath,
     canonical_lift,
@@ -14,23 +23,46 @@ from roughpaths.controlled_path import (
 )
 from roughpaths.lipschitz import (
     LipFunction,
+    RemainderProbe,
     constant,
     expansion_identity_check,
+    from_config,
+    identity,
     linear,
     lip_norm_check,
     polynomial,
     remainder_regularity_probe,
     ridge,
+    taylor_remainder,
 )
-from roughpaths.rough_integral import Partition, convergence_rate_probe, dyadic_partition
+from roughpaths.rde_solver import PatchReport, SolverConfig, SolveReport, check_exponents
+from roughpaths.rough_integral import (
+    Partition,
+    convergence_rate_probe,
+    dyadic_partition,
+    removal_identity_check,
+    tail_constant,
+)
 from roughpaths.rough_path import (
     GeometricRoughPath,
     PiecewiseLinearPath,
     holder_norm,
     increment,
     lift_path,
+    restrict,
 )
-from roughpaths.tensor_algebra import TensorSeries, exp_segment, is_group_like
+from roughpaths.tensor_algebra import (
+    TensorSeries,
+    admissible_norm,
+    coproduct,
+    exp_segment,
+    index_word,
+    is_group_like,
+    level_words,
+    shuffle_product,
+    symmetrize,
+    word_index,
+)
 
 nan, inf = float("nan"), float("inf")
 
@@ -65,10 +97,13 @@ def no_eval(top, ys):
     return [np.zeros((ys.shape[0], 1, 1)) for _ in range(top + 1)]
 
 
-# A 9-point d=1, N=3 driver, its canonical lift and a linear field.
+# A 9-point d=1, N=3 driver, its canonical lift (an integrand too: its target
+# R^1 is L(R^1; R^1)), a linear field, a series and a partition of the grid.
 WALK = lift_path(PiecewiseLinearPath(np.linspace(0.0, 1.0, 9), np.sin(np.arange(9.0))[:, None]), 3)
 LIFT = canonical_lift(WALK)
 LINE = linear([[1.0]], n_levels=2)
+SERIES = TensorSeries.unit(2, 3)
+PART = Partition((0, 2, 5, 8))
 
 
 def expansion_check(r, k):
@@ -77,28 +112,28 @@ def expansion_check(r, k):
 
 CASES = {
     # Every series goes through the one TensorSeries constructor.
-    "series-unit-d5": (lambda: TensorSeries.unit(5, 2), ValueError, "dimension 5 outside"),
-    "series-word-d5": (lambda: TensorSeries.from_word((1,), 5, 2), ValueError, "dimension 5 outside"),
-    "series-unit-N0": (lambda: TensorSeries.unit(2, 0), ValueError, "level 0 outside"),
+    "series-unit-d5": (lambda: TensorSeries.unit(5, 2), ValueError, "dimension d 5 outside"),
+    "series-word-d5": (lambda: TensorSeries.from_word((1,), 5, 2), ValueError, "dimension d 5 outside"),
+    "series-unit-N0": (lambda: TensorSeries.unit(2, 0), ValueError, "level N 0 outside"),
     # The caps are checked before any block is built from d and N.
-    "series-unit-d-float": (lambda: TensorSeries.unit(2.5, 2), ValueError, "dimension 2.5 outside"),
-    "series-unit-N-float": (lambda: TensorSeries.unit(2, 2.5), ValueError, "level 2.5 outside"),
-    "series-unit-d-str": (lambda: TensorSeries.unit("2", 2), ValueError, "dimension '2' outside"),
+    "series-unit-d-float": (lambda: TensorSeries.unit(2.5, 2), ValueError, "dimension d 2.5 outside"),
+    "series-unit-N-float": (lambda: TensorSeries.unit(2, 2.5), ValueError, "level N 2.5 outside"),
+    "series-unit-d-str": (lambda: TensorSeries.unit("2", 2), ValueError, "dimension d '2' outside"),
     "series-word-d-float": (lambda: TensorSeries.from_word((0,), 2.5, 2), ValueError,
-                            "dimension 2.5 outside"),
+                            "dimension d 2.5 outside"),
     "series-nan-level": (lambda: TensorSeries(2, 2, [1, [nan, 1], [0] * 4]), ValueError,
                          "level 1 block has non-finite"),
     "exp-segment-nan": (lambda: exp_segment([nan, 1], 3), ValueError, "non-finite"),
     # Grid-sampled types: the caps, the grid and the level blocks.
-    "rough-d5": (lambda: rough(d=5), ValueError, "dimension 5 outside"),
-    "rough-N6": (lambda: rough(N=6), ValueError, "level 6 outside"),
+    "rough-d5": (lambda: rough(d=5), ValueError, "dimension d 5 outside"),
+    "rough-N6": (lambda: rough(N=6), ValueError, "level N 6 outside"),
     "controlled-decreasing-times": (lambda: controlled(times=(0.0, 1.0, 0.5)), ValueError,
                                     "strictly increasing"),
     "controlled-nan-time": (lambda: controlled(times=(0.0, nan, 1.0)), ValueError, "finite"),
-    "controlled-d5": (lambda: controlled(d=5), ValueError, "dimension 5 outside"),
-    "controlled-N-true": (lambda: controlled(N=True), ValueError, "level True outside"),
-    "controlled-dim-u-0": (lambda: controlled(dim_u=0), ValueError, "target dimension 0"),
-    "controlled-dim-u-float": (lambda: controlled(dim_u=1.0), ValueError, "target dimension 1.0"),
+    "controlled-d5": (lambda: controlled(d=5), ValueError, "dimension d 5 outside"),
+    "controlled-N-true": (lambda: controlled(N=True), ValueError, "level N True outside"),
+    "controlled-dim-u-0": (lambda: controlled(dim_u=0), ValueError, "target dimension dim_u 0"),
+    "controlled-dim-u-float": (lambda: controlled(dim_u=1.0), ValueError, "target dimension dim_u 1.0"),
     # Field constructors.
     "constant-nan": (lambda: constant([nan], 1, 2), ValueError, "constant value must be finite"),
     "linear-nan-matrix": (lambda: linear([[nan]]), ValueError, "linear matrix must be finite"),
@@ -118,17 +153,17 @@ CASES = {
     "constant-dim-in-0": (lambda: constant([1.0], 0, 1), ValueError, "dim_in 0 must be an integer"),
     # Field levels: one integer check in eval_levels, for every field.
     "lip-eval-level-bool": (lambda: LINE.eval(True, [[0.0]]), ValueError,
-                            "derivative level True outside 0..2"),
+                            "derivative level j True outside 0..2"),
     "lip-eval-level-float": (lambda: LINE.eval(1.0, [[0.0]]), ValueError,
-                             r"derivative level 1.0 outside 0..2"),
+                             r"derivative level j 1.0 outside 0..2"),
     "ridge-eval-level-float": (lambda: ridge_term().eval(1.0, [[0.0]]), ValueError,
-                               r"derivative level 1.0 outside 0..2"),
+                               r"derivative level j 1.0 outside 0..2"),
     "polynomial-eval-level-float": (lambda: polynomial(1, 1, {(2,): [1.0]}, 2).eval(1.0, [[0.0]]),
-                                    ValueError, r"derivative level 1.0 outside 0..2"),
+                                    ValueError, r"derivative level j 1.0 outside 0..2"),
     "lip-eval-level-negative": (lambda: LINE.eval(-1, [[0.0]]), ValueError,
-                                "derivative level -1 outside 0..2"),
+                                "derivative level j -1 outside 0..2"),
     "lip-eval-level-above": (lambda: LINE.eval_levels(3, [[0.0]]), ValueError,
-                             "derivative level 3 outside 0..2"),
+                             "derivative level top 3 outside 0..2"),
     "lip-eval-points-width": (lambda: LINE.eval(0, [[0.0, 1.0]]), ValueError,
                               r"points have shape \(1, 2\), expected \(P, 1\)"),
     "lip-evaluator-short": (lambda: LipFunction(1, 1, 2, lambda top, ys: no_eval(0, ys)).eval(2, [[0.0]]),
@@ -146,15 +181,15 @@ CASES = {
                                "sample_count True must be an integer >= 1"),
     # Levels and grid indices of the scans and probes: a bool or a float is
     # never read as an integer.
-    "series-level-bool": (lambda: TensorSeries.unit(2, 2).level(True), ValueError, "level True outside 0..2"),
+    "series-level-bool": (lambda: TensorSeries.unit(2, 2).level(True), ValueError, "level i True outside 0..2"),
     "holder-level-bool": (lambda: holder_norm(WALK, True, 0.3), ValueError, "level True outside 1..3"),
     "holder-level-float": (lambda: holder_norm(WALK, 1.0, 0.3), ValueError, "level 1.0 outside 1..3"),
     "level-holder-float": (lambda: level_holder_norm(LIFT, 1.0, 0.3), ValueError,
-                           "level 1.0 outside 0..2"),
+                           "level i 1.0 outside 0..2"),
     "remainder-rows-bool": (lambda: remainder_rows(LIFT, WALK, True, 0), ValueError,
-                            "level True outside 0..2"),
+                            "level i True outside 0..2"),
     "remainder-rows-float": (lambda: remainder_rows(LIFT, WALK, 1.0, 0), ValueError,
-                             "level 1.0 outside 0..2"),
+                             "level i 1.0 outside 0..2"),
     "restrict-path-bool": (lambda: restrict_path(LIFT, False, True), IndexError,
                            "grid index s_idx False outside 0..8"),
     "restrict-path-float": (lambda: restrict_path(LIFT, 0.5, 3), IndexError,
@@ -167,17 +202,60 @@ CASES = {
     "expansion-r-float": (lambda: expansion_check(1.0, 1), ValueError, "word length r 1.0 outside 1..2"),
     "expansion-k-float": (lambda: expansion_check(1, 2.0), ValueError, "arity k 2.0 outside 1..2"),
     "remainder-probe-bool": (lambda: remainder_regularity_probe(linear([[1.0]], n_levels=3), LIFT, WALK,
-                                                                True, 0.3), ValueError, "level True outside 0..2"),
+                                                                True, 0.3), ValueError, "level r True outside 0..2"),
     # The dyadic window.
     "dyadic-reversed": (lambda: dyadic_partition(8, 0, 2), ValueError, r"dyadic window \(8, 0\)"),
-    "dyadic-negative": (lambda: dyadic_partition(-4, 4, 1), ValueError, r"dyadic window \(-4, 4\)"),
-    "dyadic-float": (lambda: dyadic_partition(0.5, 4, 1), ValueError, r"dyadic window \(0.5, 4\)"),
+    "dyadic-negative": (lambda: dyadic_partition(-4, 4, 1), ValueError, "dyadic window s_idx -4 must be an integer >= 0"),
+    "dyadic-float": (lambda: dyadic_partition(0.5, 4, 1), ValueError, "dyadic window s_idx 0.5 must be an integer >= 0"),
     "rate-probe-no-depths": (lambda: rate_probe([]), ValueError, "depths must hold at least one"),
+    "rate-probe-past-end": (lambda: convergence_rate_probe(LIFT, WALK, 0, 9, [1]), IndexError,
+                            "grid index t_idx 9 outside 0..8"),
+    # Grid indices of the driver: one check, an IndexError naming the index.
+    "value-index-float": (lambda: WALK.value(1.5), IndexError, "grid index idx 1.5 outside 0..8"),
+    "increment-past-end": (lambda: increment(WALK, 0, 9), IndexError, "grid index t_idx 9 outside 0..8"),
+    "restrict-index-bool": (lambda: restrict(WALK, False, 4), IndexError,
+                            "grid index s_idx False outside 0..8"),
+    "remainder-rows-index-float": (lambda: remainder_rows(LIFT, WALK, 0, 1.0), IndexError,
+                                   "grid index s_idx 1.0 outside 0..8"),
+    "rough-integral-index-float": (lambda: rough_integral.rough_integral(LIFT, WALK, 0.5, 8),
+                                   IndexError, "grid index s_idx 0.5 outside 0..8"),
     # Partition indices are grid indices, never truncated.
     "partition-float-index": (lambda: Partition((0.5, 8.2)), ValueError,
-                              "partition index 0.5 is not an integer"),
+                              "partition index 0.5 must be an integer >= 0"),
     "partition-bool-index": (lambda: Partition((False, True)), ValueError,
-                             "partition index False is not an integer"),
+                             "partition index False must be an integer >= 0"),
+    "partition-negative-index": (lambda: Partition((-1, 2)), ValueError,
+                                 "partition index -1 must be an integer >= 0"),
+    "partition-remove-float": (lambda: PART.remove(1.0), ValueError, "interior point j 1.0 outside 1..2"),
+    "removal-j-bool": (lambda: removal_identity_check(LIFT, WALK, PART, True), ValueError,
+                       "interior point j True outside 1..2"),
+    # Levels, arities, degrees and counts: a bool or a float is never read as an integer.
+    "tail-constant-N-bool": (lambda: tail_constant(True, 0.6), ValueError, "level N True outside 1..5"),
+    "tail-constant-N-float": (lambda: tail_constant(2.5, 0.3), ValueError, "level N 2.5 outside 1..5"),
+    "shuffle-cap-float": (lambda: shuffle_product((1,), (2,), 2.5), ValueError,
+                          "level cap n_max 2.5 outside 0..5"),
+    "coproduct-arity-float": (lambda: coproduct(SERIES, 2.0), ValueError,
+                              "arity k 2.0 must be an integer >= 1"),
+    "coproduct-arity-bool": (lambda: coproduct(SERIES, True), ValueError,
+                             "arity k True must be an integer >= 1"),
+    "symmetrize-degree-float": (lambda: symmetrize(np.zeros(4), 2, 2.0), ValueError,
+                                "degree k 2.0 must be an integer >= 0"),
+    "symmetrize-degree-bool": (lambda: symmetrize(np.zeros(2), 2, True), ValueError,
+                               "degree k True must be an integer >= 0"),
+    "solver-budget-float": (lambda: SolverConfig(0.29, 1 / 3, max_picard_iters=2.5).validate(3),
+                            ValueError, "max_picard_iters 2.5 must be an integer >= 1"),
+    "solver-budget-zero": (lambda: SolverConfig(0.29, 1 / 3, max_patches=0).validate(3),
+                           ValueError, "max_patches 0 must be an integer >= 1"),
+    # Letters of a word: integers in 1..d, never a numpy index error.
+    "series-word-float-letter": (lambda: TensorSeries.from_word((1.0,), 2, 2), ValueError,
+                                 r"word \(1.0,\) letter 1.0 outside 1..2"),
+    "series-coeff-float-letter": (lambda: SERIES.coeff((1.5,)), ValueError,
+                                  r"word \(1.5,\) letter 1.5 outside 1..2"),
+    # Path shapes: one grid axis, at least one coordinate.
+    "path-times-2d": (lambda: PiecewiseLinearPath([[0.0], [1.0]], [[0.0], [1.0]]), ValueError,
+                      r"grid times must be a 1-D array, got shape \(2, 1\)"),
+    "path-no-coordinates": (lambda: PiecewiseLinearPath([0.0, 1.0], np.zeros((2, 0))), ValueError,
+                            r"points must be a \(P, d\) array with d >= 1, got shape \(2, 0\)"),
     # Tolerances.
     "group-like-nan-tol": (lambda: is_group_like(TensorSeries.unit(2, 3), nan), ValueError, "tol nan"),
     "group-like-negative-tol": (lambda: is_group_like(TensorSeries.unit(2, 3), -1.0), ValueError,
@@ -192,3 +270,145 @@ def test_library_boundary(build, error, message):
     with pytest.raises(error, match=message):
         build()
 
+
+# The signature sweep.  One valid call per public callable of the library
+# modules that has a parameter annotated ``int``: (target, valid arguments,
+# largest valid value per integer, where there is one).  A call replaces one
+# integer at a time with a bad value.  ``SolverConfig`` checks its budgets
+# in ``validate``, so its call validates.
+SWEEP = [
+    (word_index, {"word": (1, 2), "d": 2}, {"d": 4}),
+    (index_word, {"idx": 1, "r": 2, "d": 2}, {"idx": 3, "r": 5, "d": 4}),
+    (level_words, {"d": 2, "r": 2}, {"d": 4, "r": 5}),
+    (TensorSeries, {"d": 1, "N": 1, "levels": [[1.0], [0.0]]}, {"d": 4, "N": 5}),
+    (TensorSeries.unit, {"d": 2, "N": 2}, {"d": 4, "N": 5}),
+    (TensorSeries.from_word, {"word": (1,), "d": 2, "N": 2}, {"d": 4, "N": 5}),
+    (SERIES.level, {"i": 1}, {"i": 3}),
+    (SERIES.with_level, {"i": 1, "block": np.zeros(2)}, {"i": 3}),
+    (exp_segment, {"v": [1.0], "N": 2}, {"N": 5}),
+    (shuffle_product, {"u": (1,), "w": (2,), "n_max": 2}, {"n_max": 5}),
+    (coproduct, {"xi": SERIES, "k": 2}, {}),
+    (symmetrize, {"block": np.zeros(4), "dim": 2, "k": 2}, {}),
+    (admissible_norm, {"xi": SERIES, "i": 1}, {"i": 3}),
+    (GeometricRoughPath, {"times": [0.0, 1.0], "d": 1, "N": 2, "beta": 0.4, "levels": rough().levels},
+     {"d": 4, "N": 5}),
+    (WALK.value, {"idx": 1}, {"idx": 8}),
+    (lift_path, {"path": PiecewiseLinearPath([0.0, 1.0], [0.0, 1.0]), "N": 2}, {"N": 5}),
+    (increment, {"X": WALK, "s_idx": 0, "t_idx": 4}, {"s_idx": 8, "t_idx": 8}),
+    (restrict, {"X": WALK, "s_idx": 0, "t_idx": 4}, {"s_idx": 8, "t_idx": 8}),
+    (holder_norm, {"X": WALK, "level": 1, "beta": 0.3}, {"level": 3}),
+    (ControlledPath, {"times": LIFT.times, "d": 1, "N": 3, "dim_u": 1, "levels": LIFT.levels},
+     {"d": 4, "N": 5}),
+    (remainder_rows, {"Y": LIFT, "X": WALK, "i": 1, "s_idx": 0}, {"i": 2, "s_idx": 8}),
+    (level_holder_norm, {"Y": LIFT, "i": 1, "exponent": 0.3}, {"i": 2}),
+    (restrict_path, {"Y": LIFT, "s_idx": 0, "t_idx": 4}, {"s_idx": 8, "t_idx": 8}),
+    (LipFunction, {"dim_in": 1, "dim_out": 1, "n_levels": 1, "evaluator": no_eval}, {}),
+    (LINE.eval_levels, {"top": 1, "ys": [[0.0]]}, {"top": 2}),
+    (LINE.eval, {"j": 1, "ys": [[0.0]]}, {"j": 2}),
+    (LINE.eval_at, {"j": 1, "y": [0.0]}, {"j": 2}),
+    (constant, {"value": [1.0], "dim_in": 1, "n_levels": 1}, {}),
+    (linear, {"matrix": [[1.0]], "n_levels": 1}, {}),
+    (identity, {"dim": 1, "n_levels": 1}, {}),
+    (polynomial, {"dim_in": 1, "dim_out": 1, "coeffs": {(1,): [1.0]}, "n_levels": 1}, {}),
+    (ridge, {"dim_in": 1, "dim_out": 1, "terms": [{"coef": [1.0], "kind": "sin", "weight": [0.5]}],
+             "n_levels": 1}, {}),
+    (from_config, {"spec": {"kind": "linear", "matrix": [[1.0]]}, "n_levels": 1}, {}),
+    (taylor_remainder, {"F": LINE, "j": 1, "x": [0.0], "y": [1.0]}, {"j": 2}),
+    (lip_norm_check, {"F": LINE, "lo": 0.0, "hi": 1.0, "sample_count": 4}, {}),
+    (expansion_identity_check, {"y_blocks": [lvl[0] for lvl in LIFT.levels],
+                                "x_inc": increment(WALK, 0, 4), "r": 1, "k": 1}, {"r": 2, "k": 2}),
+    (remainder_regularity_probe, {"F": linear([[1.0]], n_levels=3), "Y": LIFT, "X": WALK, "r": 1,
+                                  "alpha": 0.3}, {"r": 2}),
+    (PART.remove, {"j": 1}, {"j": 2}),
+    (dyadic_partition, {"s_idx": 0, "t_idx": 8, "depth": 2}, {}),
+    (rough_integral.rough_integral, {"Z": LIFT, "X": WALK, "s_idx": 0, "t_idx": 8},
+     {"s_idx": 8, "t_idx": 8}),
+    (removal_identity_check, {"Z": LIFT, "X": WALK, "partition": PART, "j": 1}, {"j": 2}),
+    (convergence_rate_probe, {"Z": LIFT, "X": WALK, "s_idx": 0, "t_idx": 8, "depths": [1, 2]},
+     {"s_idx": 8, "t_idx": 8}),
+    (tail_constant, {"N": 3, "alpha": 0.5}, {"N": 5}),
+    (check_exponents, {"N": 3, "alpha": 0.29, "beta": 1 / 3}, {"N": 5}),
+    (SolverConfig, {"alpha": 0.29, "beta": 1 / 3, "max_picard_iters": 5, "max_patches": 5}, {}),
+    (SolverConfig(0.29, 1 / 3).validate, {"N": 3}, {"N": 5}),
+]
+# Result records: the library fills their counts in and reads none of them.
+RECORDS = {PatchReport, SolveReport, RemainderProbe}
+
+
+def sweep_call(target, args):
+    out = target(**args)
+    return out.validate(3) if isinstance(out, SolverConfig) else out
+
+
+def qualname(obj):
+    obj = getattr(obj, "__func__", obj)
+    return f"{obj.__module__}.{obj.__qualname__}"
+
+
+def integer_params(target):
+    return [p.name for p in inspect.signature(target).parameters.values() if p.annotation == "int"]
+
+
+def public_integer_callables():
+    """Every public function, class and public method of the library modules
+    and of ``roughpaths.__all__`` that has a parameter annotated ``int``."""
+    found = set()
+    modules = (tensor_algebra, rough_path, controlled_path, lipschitz, rough_integral, rde_solver)
+    names = [(m, n) for m in modules for n in vars(m)] + [(roughpaths, n) for n in roughpaths.__all__]
+    for module, name in names:
+        obj = getattr(module, name)
+        if (name.startswith("_") or not callable(obj) or obj in RECORDS
+                or (inspect.isclass(obj) and issubclass(obj, Exception))
+                or not getattr(obj, "__module__", "").startswith("roughpaths.")):
+            continue
+        candidates = [obj]
+        if inspect.isclass(obj):
+            candidates += [getattr(obj, attr) for attr in vars(obj)
+                           if not attr.startswith("_") and inspect.isroutine(getattr(obj, attr))]
+        found |= {qualname(c) for c in candidates if integer_params(c)}
+    return found
+
+
+def sweep_cases():
+    for target, args, tops in SWEEP:
+        for name in integer_params(target):
+            bad = [True, 1.5, 2.0, -1] + ([tops[name] + 1] if name in tops else [])
+            for value in bad:
+                yield pytest.param(target, args, name, value, id=f"{qualname(target)}-{name}-{value!r}")
+
+
+def assert_rejected(target, args, name, value):
+    with pytest.raises((ValueError, IndexError)) as info:
+        sweep_call(target, {**args, name: value})
+    assert re.search(rf"\b{name}\b", str(info.value)), (name, value, str(info.value))
+
+
+def test_sweep_covers_every_integer_parameter():
+    assert {qualname(target) for target, _, _ in SWEEP} == public_integer_callables()
+    for target, args, tops in SWEEP:
+        assert set(tops) <= set(integer_params(target)) <= set(args), qualname(target)
+
+
+@pytest.mark.parametrize("target, args", [(t, a) for t, a, _ in SWEEP],
+                         ids=[qualname(t) for t, _, _ in SWEEP])
+def test_sweep_valid_calls_run(target, args):
+    sweep_call(target, args)
+
+
+@pytest.mark.parametrize("target, args, name, value", list(sweep_cases()))
+def test_sweep_rejects_bad_integers(target, args, name, value):
+    assert_rejected(target, args, name, value)
+
+
+BAD_INTEGERS = st.one_of(
+    st.booleans(), st.floats(), st.floats().map(np.float64), st.integers(max_value=-1),
+    st.sampled_from([None, "2", np.bool_(True), np.float32(1.0)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sweep_rejects_drawn_bad_integers(data):
+    target, args, tops = data.draw(st.sampled_from(SWEEP))
+    name = data.draw(st.sampled_from(integer_params(target)))
+    above = [st.integers(min_value=tops[name] + 1)] if name in tops else []
+    assert_rejected(target, args, name, data.draw(st.one_of(BAD_INTEGERS, *above)))

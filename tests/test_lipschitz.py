@@ -159,6 +159,28 @@ def test_lip_norm_check_linear_and_sine():
     assert lip_norm_check(G, [-np.pi], [np.pi], declared=1e-3, sample_count=16).violated
 
 
+def test_lip_norm_check_calls_the_evaluator_twice():
+    # Every level at the sampled points x and at the points y comes from one
+    # call per point set, and the batched remainders agree with
+    # taylor_remainder taken one sample pair at a time.
+    G = ridge(2, 2, [{"coef": [1.0, 0.5], "kind": "sin", "weight": [0.5, -0.3], "phase": 0.2},
+                     {"coef": [0.3, -1.0], "kind": "exp", "weight": [0.2, 0.1]}], n_levels=4)
+    tops = []
+
+    def counting(top, ys):
+        tops.append(top)
+        return G.eval_levels(top, ys)
+
+    rep = lip_norm_check(LipFunction(2, 2, 4, counting), [-1, -1], [1, 1], sample_count=64)
+    assert tops == [4, 4]
+    rng = np.random.default_rng(0)
+    xs, ys = rng.uniform(-1, 1, (64, 2)), rng.uniform(-1, 1, (64, 2))
+    gaps = np.abs(ys - xs).sum(axis=1)
+    expected = [max(np.abs(taylor_remainder(G, j, x, y)).sum() / gap ** (5 - j)
+                    for x, y, gap in zip(xs, ys, gaps)) for j in range(5)]
+    assert rep.remainder_ratios == pytest.approx(expected, rel=1e-13)
+
+
 def test_compose_with_linear_field_maps_levels():
     rng = np.random.default_rng(2)
     X = random_driver(rng, 2, 3, 6)

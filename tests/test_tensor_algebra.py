@@ -70,13 +70,13 @@ def test_series_immutable():
 @pytest.mark.parametrize("d, N, i, block", [(1, 1, -1, [9.0]), (2, 2, 3, np.zeros(8))],
                          ids=["below-0", "above-N"])
 def test_with_level_rejects_level_outside_series(d, N, i, block):
-    with pytest.raises(ValueError, match=f"level {i} outside 0..{N}"):
+    with pytest.raises(ValueError, match=f"level i {i} outside 0..{N}"):
         TensorSeries.unit(d, N).with_level(i, block)
 
 
 @pytest.mark.parametrize("i", [-1, 3], ids=["below-0", "above-N"])
 def test_level_rejects_level_outside_series(i):
-    with pytest.raises(ValueError, match=f"level {i} outside 0..2"):
+    with pytest.raises(ValueError, match=f"level i {i} outside 0..2"):
         TensorSeries.unit(2, 2).level(i)
 
 
