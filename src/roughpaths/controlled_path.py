@@ -14,7 +14,12 @@ expansion map A^{i+b}_s.  The maps are built once per call for every start
 row and every level, after which the remainders of any block of (s, t) pairs
 are one einsum per level of those maps with the running signature, with no
 per-row increment.  The grid-pair scans of ``rough_path`` take every level of
-a seminorm in one scan, over tiles of bounded size.  Over one driver
+a seminorm in one scan, over tiles of bounded size.  Nothing here is cached:
+the expansion maps live for one call, and the plan of a remainder scan
+(:func:`_remainder_plan`: tiles, masks and gap powers, 8 bytes per level
+for each pair of its tiles, 262 KB at P = 129 and N = 3) is streamed by each scan
+unless the caller passes one it built for the grid, as a local solve does
+for the Picard residuals of one attempt.  Over one driver
 Y -> RY is linear, so the gap between two paths on the same driver is the
 seminorm of their difference; ``distance`` serves the gap between paths on
 two drivers.
@@ -32,8 +37,8 @@ import io
 
 import numpy as np
 
-from .rough_path import GeometricRoughPath, _check_beta, _grid_times, _scan_pairs
-from .tensor_algebra import _check_whole, _frozen_levels, _max_abs
+from .rough_path import GeometricRoughPath, _check_beta, _grid_times, _pair_plan, _scan_pairs
+from .tensor_algebra import _check_caps, _check_whole, _frozen_levels, _max_abs
 
 
 class NonFiniteLevelError(ValueError):
@@ -54,6 +59,7 @@ class ControlledPath:
     def __init__(self, times, d: int, N: int, dim_u: int, levels):
         times = _grid_times(times, 1)
         _check_whole(dim_u, "target dimension dim_u", 1)
+        _check_caps(d, N)  # before N - 1 is taken
         levels = _frozen_levels(d, N, levels, (times.size, dim_u), N - 1, NonFiniteLevelError)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "d", d)
@@ -173,22 +179,35 @@ def _remainder_width(Y: ControlledPath) -> int:
     return Y.dim_u * sum(Y.d**i for i in range(Y.N))
 
 
-def seminorm(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> float:
+def _remainder_plan(Y: ControlledPath, alpha: float):
+    """The :func:`_pair_plan` of a remainder scan of paths like Y at exponent
+    alpha: every level in one pass, level i at exponent (N - i) alpha."""
+    return _pair_plan(Y.times, _remainder_width(Y), [(Y.N - i) * alpha for i in range(Y.N)])
+
+
+def seminorm(Y: ControlledPath, X: GeometricRoughPath, alpha: float, *, plan=None) -> float:
     """Sum over levels of the grid-pair maxima of |RY^i| / (t-s)^((N-i) alpha),
-    for 1/(N+1) < alpha <= 1."""
-    return float(prefix_seminorms(Y, X, alpha)[-1])
+    for 1/(N+1) < alpha <= 1.  ``plan`` as in :func:`prefix_seminorms`."""
+    return float(prefix_seminorms(Y, X, alpha, plan=plan)[-1])
 
 
-def prefix_seminorms(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> np.ndarray:
+def prefix_seminorms(Y: ControlledPath, X: GeometricRoughPath, alpha: float, *,
+                     plan=None) -> np.ndarray:
     """The seminorm of every prefix of the grid, from one scan: entry j is the
     seminorm of Y on grid indices 0..j (0 at j = 0), and the last entry is
     :func:`seminorm`.  A remainder RY_{s,t} depends on s and t alone, so entry
     j is the seminorm of ``restrict_path(Y, 0, j)`` on the re-based driver up
-    to the roundoff of re-basing.  The entries do not decrease."""
+    to the roundoff of re-basing.  The entries do not decrease.
+
+    ``plan``, when given, is ``tuple(_remainder_plan(W, alpha))`` for a path W
+    on Y's grid with Y's target dimension: the grid-only work of the scan,
+    built once by a caller that scans many paths of one grid (each Picard
+    residual of a local attempt) and reused bit for bit.  Without it the scan
+    streams its own plan tile by tile."""
     _check_pair(Y, X)
     _check_alpha(alpha, Y.N)
-    ends = _scan_pairs(Y.times, _remainder_blocks(Y, X, range(Y.N)), _remainder_width(Y),
-                       [(Y.N - i) * alpha for i in range(Y.N)])
+    ends = _scan_pairs(_remainder_plan(Y, alpha) if plan is None else plan,
+                       _remainder_blocks(Y, X, range(Y.N)))
     return np.maximum.accumulate(ends, axis=1).sum(axis=0)
 
 
@@ -207,8 +226,7 @@ def distance(Ya: ControlledPath, Yb: ControlledPath,
     def block(rows, cols):
         return [np.subtract(a, b, out=a) for a, b in zip(rem_a(rows, cols), rem_b(rows, cols))]
 
-    return float(sum(_scan_pairs(Ya.times, block, _remainder_width(Ya),
-                                 [(Ya.N - i) * alpha for i in range(Ya.N)]).max(axis=1)))
+    return float(sum(_scan_pairs(_remainder_plan(Ya, alpha), block).max(axis=1)))
 
 
 def _initial_norm(Y: ControlledPath) -> float:
@@ -216,10 +234,10 @@ def _initial_norm(Y: ControlledPath) -> float:
     return sum(float(np.abs(Y.levels[i][0]).sum()) for i in range(Y.N))
 
 
-def triple_norm(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> float:
+def triple_norm(Y: ControlledPath, X: GeometricRoughPath, alpha: float, *, plan=None) -> float:
     """Banach norm at exponent alpha: controlled seminorm plus l1 norms of the
-    initial blocks."""
-    return seminorm(Y, X, alpha) + _initial_norm(Y)
+    initial blocks.  ``plan`` as in :func:`prefix_seminorms`."""
+    return seminorm(Y, X, alpha, plan=plan) + _initial_norm(Y)
 
 
 def level_holder_norm(Y: ControlledPath, i: int, exponent: float) -> float:
@@ -227,8 +245,8 @@ def level_holder_norm(Y: ControlledPath, i: int, exponent: float) -> float:
     _check_whole(i, "level i", 0, Y.N - 1)
     _check_beta(exponent)
     lvl = Y.levels[i].reshape(Y.n_points, -1)
-    return float(_scan_pairs(Y.times, lambda rows, cols: [lvl[None, cols] - lvl[rows, None]],
-                             lvl.shape[1], [exponent]).max())
+    return float(_scan_pairs(_pair_plan(Y.times, lvl.shape[1], [exponent]),
+                             lambda rows, cols: [lvl[None, cols] - lvl[rows, None]]).max())
 
 
 def zero_remainder_path(blocks, X: GeometricRoughPath) -> ControlledPath:

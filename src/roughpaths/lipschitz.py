@@ -41,7 +41,7 @@ from .controlled_path import (
     _fill_leading,
     _remainder_blocks,
 )
-from .rough_path import GeometricRoughPath, _scan_pairs
+from .rough_path import GeometricRoughPath, _pair_plan, _scan_pairs
 from .tensor_algebra import (
     TensorSeries,
     _add_assignments,
@@ -469,7 +469,7 @@ def remainder_regularity_probe(F: LipFunction, Y: ControlledPath, X: GeometricRo
     Z = compose(F, Y, X)
     rem = _remainder_blocks(Z, X, [r])
     # The one level's block, read at both exponents.
-    ends = _scan_pairs(Y.times, lambda rows, cols: 2 * rem(rows, cols), Z.dim_u * Z.d**r,
-                       [0.0, (Y.N - r) * alpha])
+    ends = _scan_pairs(_pair_plan(Y.times, Z.dim_u * Z.d**r, [0.0, (Y.N - r) * alpha]),
+                       lambda rows, cols: 2 * rem(rows, cols))
     worst_abs, worst_ratio = ends.max(axis=1).tolist()
     return RemainderProbe(level=r, max_remainder=worst_abs, max_ratio=worst_ratio)

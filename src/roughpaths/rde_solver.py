@@ -18,6 +18,7 @@ from .controlled_path import (
     ControlledPath,
     NonFiniteLevelError,
     _initial_norm,
+    _remainder_plan,
     concatenate,
     distance,
     path_sub,
@@ -162,6 +163,9 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
     except NonFiniteLevelError as err:
         raise SolveFailure(f"start path overflowed: {err}") from err
     Y = W if initial_guess is None else initial_guess
+    # Every residual scans the same grid at the same exponents: its tiles,
+    # masks and gap powers are built once here and dropped with the attempt.
+    plan = tuple(_remainder_plan(W, config.alpha))
     residuals: list = []
     for _ in range(config.max_picard_iters):
         try:
@@ -172,7 +176,7 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
         if not np.isfinite(peak) or peak > config.explosion_bound:
             raise SolveFailure(f"state norm {peak:.3e} breached the explosion guard "
                                f"{config.explosion_bound:.3e}")
-        res = triple_norm(path_sub(Y_new, Y), X_local, config.alpha)
+        res = triple_norm(path_sub(Y_new, Y), X_local, config.alpha, plan=plan)
         if not math.isfinite(res):
             raise SolveFailure(f"Picard residual {res} is not finite")
         residuals.append(res)

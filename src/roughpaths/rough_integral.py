@@ -119,6 +119,8 @@ def rough_integral(Z: ControlledPath, X: GeometricRoughPath,
     _check_pair(Z, X)
     s_idx = _check_whole(s_idx, "grid index s_idx", 0, X.n_points - 1, IndexError)
     t_idx = _check_whole(t_idx, "grid index t_idx", 0, X.n_points - 1, IndexError)
+    if s_idx > t_idx:
+        raise ValueError(f"rough_integral requires s_idx <= t_idx, got s_idx={s_idx}, t_idx={t_idx}")
     e, _ = _integrand_dims(Z)
     if s_idx == t_idx:
         return np.zeros(e), 0.0

@@ -2,9 +2,13 @@
 
 A lift stores the running signatures X_{t0,ti} on the driver grid, built
 level by level.  Work that depends on the driver alone is done once per
-driver and cached read-only on first use: the stacked inverses
-X_{t0,ti}^{-1}, one product level per inverse level, and the increments of
-the consecutive grid steps, which every Picard step integrates against.
+driver and cached read-only on first use, for the life of the driver: the
+stacked inverses X_{t0,ti}^{-1}, one product level per inverse level, and
+the increments of the consecutive grid steps, which every Picard step
+integrates against; each holds one (P, d**i) array per level i <= N.  A
+prefix restriction of a driver whose origin is exactly the unit (every
+lift's) holds views of its parent's rows, of these caches too once the
+parent has built them (:func:`restrict`).
 Every increment X_{s,t} = X_{t0,s}^{-1} (x) X_{t0,t} is one truncated
 product against the cached inverse stack, batched along the grid axis
 (:func:`_increments`).  Holder norms, distances and remainder bounds are grid
@@ -13,7 +17,11 @@ tiles of start rows and end points: each tile's pair block holds at most a
 fixed number of doubles (``_PAIR_BLOCK``), so the pairwise tensors are never
 materialized at once, and a pair's value does not depend on its tile.  The
 scan keeps the maximum per end point, so the maxima of every prefix of the
-grid come from the same pass.
+grid come from the same pass.  The grid-only work of a scan, its tiles,
+masks and gap powers, is its plan (:func:`_pair_plan`): a one-off scan
+streams it tile by tile, and a caller that scans one grid many times builds
+it once and passes it along (a local solve, for every Picard residual of the
+attempt).  No driver holds a plan.
 """
 from __future__ import annotations
 
@@ -239,14 +247,36 @@ def _increments(X: GeometricRoughPath, s, t, top: int) -> list:
                               [lvl[t] for lvl in X.levels[:top + 1]])
 
 
+def _unit_origin(X: GeometricRoughPath) -> bool:
+    """Whether X's origin row is exactly the unit (level 0 is 1, every higher
+    level 0), as every lift's is."""
+    return X.levels[0][0, 0] == 1.0 and not any(lvl[0].any() for lvl in X.levels[1:])
+
+
 def restrict(X: GeometricRoughPath, s_idx: int, t_idx: int) -> GeometricRoughPath:
-    """Sub-path on grid indices s_idx..t_idx, rebased so the start is the unit."""
+    """Sub-path on grid indices s_idx..t_idx, rebased so the start is the unit.
+
+    A prefix (s_idx = 0) of a driver whose origin row is exactly the unit
+    needs no rebasing: its levels are read-only views of the parent's rows,
+    and it shares the rows of whichever of the parent's inverse stack and
+    step increments the parent has built (else it builds its own on first
+    use).  Both are computed row by row, so these equal the rebased product
+    bit for bit.  Every other restriction is that product, one
+    :func:`_increments` call.
+    """
     s_idx = _check_whole(s_idx, "grid index s_idx", 0, X.n_points - 1, IndexError)
     t_idx = _check_whole(t_idx, "grid index t_idx", 0, X.n_points - 1, IndexError)
     if s_idx >= t_idx:
         raise ValueError("restrict requires s_idx < t_idx")
     rows = slice(s_idx, t_idx + 1)
-    return GeometricRoughPath(X.times[rows], X.d, X.N, X.beta, _increments(X, s_idx, rows, X.N))
+    if s_idx > 0 or not _unit_origin(X):
+        return GeometricRoughPath(X.times[rows], X.d, X.N, X.beta, _increments(X, s_idx, rows, X.N))
+    sub = GeometricRoughPath(X.times[rows], X.d, X.N, X.beta, [lvl[rows] for lvl in X.levels])
+    for slot, cut in (("_inverses", rows), ("_steps", slice(0, t_idx))):
+        cache = getattr(X, slot)
+        if cache is not None:
+            object.__setattr__(sub, slot, tuple(lvl[cut] for lvl in cache))
+    return sub
 
 
 def _pair_tiles(n: int, width: int):
@@ -271,29 +301,50 @@ def _pair_tiles(n: int, width: int):
         s0 = s1
 
 
-def _scan_pairs(times: np.ndarray, block_fn, width: int, exponents) -> np.ndarray:
-    """Max of l1-norm / gap**exponent over grid pairs s < t, per exponent and per end point.
+def _pair_plan(times: np.ndarray, width: int, exponents):
+    """The grid-only work of a grid-pair scan over ``times``, for pair blocks of
+    ``width`` doubles per pair and one Holder exponent per block.
 
-    ``block_fn(rows, cols)`` returns one block per exponent, each an (R, T, w)
-    array of pair entries for the start rows and end points of one tile of
-    :func:`_pair_tiles`; ``width`` is the doubles per pair of all the blocks
-    together, and pairs with t <= s are masked out.  So one pass scans every
-    level of a seminorm.  Returns a (len(exponents), P) array: entry [k, t] is
-    the maximum over start rows s < t (0 at t = 0).  Its row maxima are the
-    maxima over all pairs; its running maximum along t is the maximum over the
-    pairs of every prefix [t_0, t_j].  A NaN pair propagates to its end point.
+    Yields the shape (len(exponents), P) of the scan's result, then one tile
+    (rows, cols, drop, powers) per tile of :func:`_pair_tiles`: ``drop`` masks
+    the pairs t <= s of the tile's (R, T) block (None when it has none), and
+    ``powers`` stacks gap**exponent, one (R, T) block per exponent.  A masked
+    pair's gap is <= 0; it is raised to 1, which keeps its power finite and
+    silent.  A one-off scan streams its plan tile by tile; a caller that scans
+    one grid many times at one width and the same exponents builds the plan
+    once (``tuple(...)``), about 8 bytes per pair and exponent, and passes it
+    to every scan.
     """
-    ends = np.zeros((len(exponents), times.size))
+    yield len(exponents), times.size
     for rows, cols, keep in _pair_tiles(times.size, width):
         gaps = times[cols] - times[rows, None]
+        drop = None
         if keep is not ...:
             drop = ~keep
-            # A masked pair's gap is <= 0: a unit gap keeps its power finite and silent.
             gaps = np.maximum(gaps, drop)
-        ratios = np.empty((len(exponents),) + gaps.shape)
-        for k, (block, exp) in enumerate(zip(block_fn(rows, cols), exponents)):
-            np.divide(np.abs(block).sum(axis=-1), gaps**exp, out=ratios[k])
-        if keep is not ...:
+        yield rows, cols, drop, np.stack([gaps**exp for exp in exponents])
+
+
+def _scan_pairs(plan, block_fn) -> np.ndarray:
+    """Max of l1-norm / gap**exponent over grid pairs s < t, per exponent and per end point.
+
+    ``plan`` is a :func:`_pair_plan`, streamed or built once and reused.
+    ``block_fn(rows, cols)`` returns one block per exponent, each an (R, T, w)
+    array of pair entries for the start rows and end points of one tile;
+    pairs with t <= s are masked out.  So one pass scans every level of a
+    seminorm.  Returns a (len(exponents), P) array: entry [k, t] is the
+    maximum over start rows s < t (0 at t = 0).  Its row maxima are the
+    maxima over all pairs; its running maximum along t is the maximum over the
+    pairs of every prefix [t_0, t_j].  A NaN pair propagates to its end point.
+    The scan keeps no pairwise array past its tile.
+    """
+    plan = iter(plan)
+    ends = np.zeros(next(plan))
+    for rows, cols, drop, powers in plan:
+        ratios = np.empty(powers.shape)
+        for ratio, block, power in zip(ratios, block_fn(rows, cols), powers):
+            np.divide(np.abs(block).sum(axis=-1), power, out=ratio)
+        if drop is not None:
             np.copyto(ratios, -np.inf, where=drop)
         tile = ends[:, cols]
         np.maximum(tile, ratios.max(axis=1), out=tile)
@@ -304,8 +355,8 @@ def holder_norm(X: GeometricRoughPath, level: int, beta: float) -> float:
     """Grid maximum of |X^level_{s,t}| / (t-s)^(level*beta) over all pairs s < t."""
     _check_whole(level, "level", 1, X.N)
     _check_beta(beta)
-    return float(_scan_pairs(X.times, lambda s, t: [_increments(X, (s, None), (None, t), level)[level]],
-                             X.d**level, [level * beta]).max())
+    return float(_scan_pairs(_pair_plan(X.times, X.d**level, [level * beta]),
+                             lambda s, t: [_increments(X, (s, None), (None, t), level)[level]]).max())
 
 
 def holder_distance(Xa: GeometricRoughPath, Xb: GeometricRoughPath, beta: float) -> float:
@@ -320,7 +371,7 @@ def holder_distance(Xa: GeometricRoughPath, Xb: GeometricRoughPath, beta: float)
         return lambda s, t: [_increments(Xa, (s, None), (None, t), i)[i]
                              - _increments(Xb, (s, None), (None, t), i)[i]]
 
-    return sum(float(_scan_pairs(Xa.times, block(i), Xa.d**i, [i * beta]).max())
+    return sum(float(_scan_pairs(_pair_plan(Xa.times, Xa.d**i, [i * beta]), block(i)).max())
                for i in range(1, Xa.N + 1))
 
 

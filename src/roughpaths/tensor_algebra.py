@@ -431,8 +431,10 @@ def coproduct(xi: TensorSeries, k: int) -> MappingProxyType:
     Returns the read-only sectors of :func:`_coproduct_sectors`,
     {(l_1, ..., l_k): block}, the tuple (u_1, ..., u_k) of sector
     (|u_1|, ..., |u_k|) at the flat index of the concatenation u_1 ... u_k.
+    The arity k is an integer in 1..MAX_LEVEL + 1: a word has at most N
+    letters, so a larger k only adds empty slots, while the work grows as k**N.
     """
-    _check_whole(k, "arity k", 1)
+    _check_whole(k, "arity k", 1, MAX_LEVEL + 1)
     sectors = _coproduct_sectors(xi.levels, k)
     for block in sectors.values():
         block.setflags(write=False)

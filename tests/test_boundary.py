@@ -132,6 +132,8 @@ CASES = {
     "controlled-nan-time": (lambda: controlled(times=(0.0, nan, 1.0)), ValueError, "finite"),
     "controlled-d5": (lambda: controlled(d=5), ValueError, "dimension d 5 outside"),
     "controlled-N-true": (lambda: controlled(N=True), ValueError, "level N True outside"),
+    "controlled-N-none": (lambda: ControlledPath((0.0, 1.0), 1, None, 1, []), ValueError,
+                          "level N None outside"),
     "controlled-dim-u-0": (lambda: controlled(dim_u=0), ValueError, "target dimension dim_u 0"),
     "controlled-dim-u-float": (lambda: controlled(dim_u=1.0), ValueError, "target dimension dim_u 1.0"),
     # Field constructors.
@@ -219,6 +221,8 @@ CASES = {
                                    "grid index s_idx 1.0 outside 0..8"),
     "rough-integral-index-float": (lambda: rough_integral.rough_integral(LIFT, WALK, 0.5, 8),
                                    IndexError, "grid index s_idx 0.5 outside 0..8"),
+    "rough-integral-reversed": (lambda: rough_integral.rough_integral(LIFT, WALK, 5, 2), ValueError,
+                                "rough_integral requires s_idx <= t_idx, got s_idx=5, t_idx=2"),
     # Partition indices are grid indices, never truncated.
     "partition-float-index": (lambda: Partition((0.5, 8.2)), ValueError,
                               "partition index 0.5 must be an integer >= 0"),
@@ -234,10 +238,10 @@ CASES = {
     "tail-constant-N-float": (lambda: tail_constant(2.5, 0.3), ValueError, "level N 2.5 outside 1..5"),
     "shuffle-cap-float": (lambda: shuffle_product((1,), (2,), 2.5), ValueError,
                           "level cap n_max 2.5 outside 0..5"),
-    "coproduct-arity-float": (lambda: coproduct(SERIES, 2.0), ValueError,
-                              "arity k 2.0 must be an integer >= 1"),
-    "coproduct-arity-bool": (lambda: coproduct(SERIES, True), ValueError,
-                             "arity k True must be an integer >= 1"),
+    "coproduct-arity-float": (lambda: coproduct(SERIES, 2.0), ValueError, "arity k 2.0 outside 1..6"),
+    "coproduct-arity-bool": (lambda: coproduct(SERIES, True), ValueError, "arity k True outside 1..6"),
+    # The arity has a top, MAX_LEVEL + 1: a larger arity only adds empty slots.
+    "coproduct-arity-7": (lambda: coproduct(SERIES, 7), ValueError, "arity k 7 outside 1..6"),
     "symmetrize-degree-float": (lambda: symmetrize(np.zeros(4), 2, 2.0), ValueError,
                                 "degree k 2.0 must be an integer >= 0"),
     "symmetrize-degree-bool": (lambda: symmetrize(np.zeros(2), 2, True), ValueError,
@@ -287,7 +291,7 @@ SWEEP = [
     (SERIES.with_level, {"i": 1, "block": np.zeros(2)}, {"i": 3}),
     (exp_segment, {"v": [1.0], "N": 2}, {"N": 5}),
     (shuffle_product, {"u": (1,), "w": (2,), "n_max": 2}, {"n_max": 5}),
-    (coproduct, {"xi": SERIES, "k": 2}, {}),
+    (coproduct, {"xi": SERIES, "k": 2}, {"k": 6}),
     (symmetrize, {"block": np.zeros(4), "dim": 2, "k": 2}, {}),
     (admissible_norm, {"xi": SERIES, "i": 1}, {"i": 3}),
     (GeometricRoughPath, {"times": [0.0, 1.0], "d": 1, "N": 2, "beta": 0.4, "levels": rough().levels},

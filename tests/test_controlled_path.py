@@ -18,7 +18,7 @@ from roughpaths.controlled_path import (
     zero_remainder_path,
 )
 from roughpaths import rough_path
-from roughpaths.controlled_path import NonFiniteLevelError, _remainder_blocks, _remainder_width
+from roughpaths.controlled_path import NonFiniteLevelError, _remainder_blocks, _remainder_plan, _remainder_width
 from roughpaths.lipschitz import linear, remainder_regularity_probe
 from roughpaths.oracle import distance_reference, seminorm_reference
 from roughpaths.rough_path import (
@@ -141,23 +141,31 @@ def test_large_amplitude_walk_matches_reference():
 def test_scans_do_not_depend_on_tiling(monkeypatch):
     # One pair per tile (so one start row per block), then the whole grid in
     # one tile: every pair is summed in the same order, so the maxima agree
-    # bit for bit with the default budget.
+    # bit for bit with the default budget.  A plan built once and reused
+    # across scans of several paths on one grid gives the streamed values.
     rng = np.random.default_rng(43)
     cases = []
     for d, N, e in ((1, 3, 1), (2, 4, 2), (3, 5, 1), (4, 3, 2)):
         X, Xb = walk_driver(rng, d, N, 19), walk_driver(rng, d, N, 19)
-        cases.append((X, Xb, random_controlled(rng, X, e), random_controlled(rng, Xb, e)))
+        cases.append((X, Xb, random_controlled(rng, X, e), random_controlled(rng, Xb, e),
+                      random_controlled(rng, X, e)))
 
     def scans():
-        return [(seminorm(Ya, Xa, 0.3), distance(Ya, Yb, Xa, Xb, 0.3), distance(Ya, Ya, Xa, Xa, 0.3),
-                 [holder_norm(Xa, level, 0.3) for level in range(1, Xa.N + 1)],
-                 group_like_deviation(Xa),
-                 # The maximum of every level per end point, and the prefix seminorms.
-                 rough_path._scan_pairs(Xa.times, _remainder_blocks(Ya, Xa, range(Ya.N)),
-                                        _remainder_width(Ya), [(Ya.N - i) * 0.3 for i in range(Ya.N)]
-                                        ).tolist(),
-                 prefix_seminorms(Ya, Xa, 0.3).tolist())
-                for Xa, Xb, Ya, Yb in cases]
+        out = []
+        for Xa, Xb, Ya, Yb, Yc in cases:
+            plan = tuple(_remainder_plan(Ya, 0.3))
+            streamed = [prefix_seminorms(Y, Xa, 0.3).tolist() for Y in (Ya, Yc, Ya)]
+            reused = [prefix_seminorms(Y, Xa, 0.3, plan=plan).tolist() for Y in (Ya, Yc, Ya)]
+            assert reused == streamed
+            assert seminorm(Yc, Xa, 0.3, plan=plan) == seminorm(Yc, Xa, 0.3)
+            assert triple_norm(Yc, Xa, 0.3, plan=plan) == triple_norm(Yc, Xa, 0.3)
+            out.append((seminorm(Ya, Xa, 0.3), distance(Ya, Yb, Xa, Xb, 0.3), distance(Ya, Ya, Xa, Xa, 0.3),
+                        [holder_norm(Xa, level, 0.3) for level in range(1, Xa.N + 1)],
+                        group_like_deviation(Xa),
+                        # The maximum of every level per end point, and the prefix seminorms.
+                        rough_path._scan_pairs(plan, _remainder_blocks(Ya, Xa, range(Ya.N))).tolist(),
+                        streamed))
+        return out
 
     default = scans()
     for budget in (1, 10**9):
@@ -165,7 +173,7 @@ def test_scans_do_not_depend_on_tiling(monkeypatch):
         assert scans() == default
     # The maxima hide last-bit changes away from the maximizing pair, so
     # compare every pair's remainder too: one start row against the grid.
-    for Xa, _, Ya, _ in cases:
+    for Xa, _, Ya, _, _ in cases:
         P = Xa.n_points
         every = _remainder_blocks(Ya, Xa, range(Ya.N))
         every_whole = every(slice(0, P - 1), slice(1, P))
@@ -219,8 +227,8 @@ def test_scan_keeps_a_nan_pair(monkeypatch):
                    (1.0, 3.0, 2.0)):
         pairs = dict(zip(((0, 1), (0, 2), (1, 2)), values))
         ends = rough_path._scan_pairs(
-            np.arange(3.0), lambda rows, cols: [np.full((1, 1, 1), pairs[rows.start, cols.start])],
-            1, [0.0])
+            rough_path._pair_plan(np.arange(3.0), 1, [0.0]),
+            lambda rows, cols: [np.full((1, 1, 1), pairs[rows.start, cols.start])])
         assert np.isnan(ends.max()) if np.isnan(values).any() else ends.max(axis=1).tolist() == [3.0]
         # Each end point keeps the maximum over its own start rows, NaN included.
         expect = [0.0, pairs[0, 1], np.max([pairs[0, 2], pairs[1, 2]])]
@@ -242,18 +250,34 @@ def test_path_arithmetic_rejects_other_depth_or_dimension():
 
 def test_pair_tiles_stay_within_budget():
     # Pure arithmetic on the tile plan at the caps corner d=4, N=5, e=4,
-    # P=65: every remainder and increment width, no block allocated.
+    # P=65: every remainder and increment width, no pair block allocated.
+    # The scan plan's gap powers, one (R, T) block per exponent, stay within
+    # the budget too, for one level and for every level of a seminorm.
     P, d, N, e = 65, 4, 5, 4
-    widths = [e * d**i for i in range(N)] + [d**level for level in range(1, N + 1)]
+    times = np.cumsum(np.random.default_rng(44).uniform(0.5, 1.5, P))
+    scans = ([(e * d**i, [0.3]) for i in range(N)] + [(d**level, [0.3]) for level in range(1, N + 1)]
+             + [(e * sum(d**i for i in range(N)), [(N - i) * 0.3 for i in range(N)])])
     everything = {(s, t) for s in range(P) for t in range(s + 1, P)}
-    for width in widths:
+    for width, exponents in scans:
         seen = []
-        for rows, cols, keep in rough_path._pair_tiles(P, width):
+        tiles = list(rough_path._pair_tiles(P, width))
+        plan = list(rough_path._pair_plan(times, width, exponents))
+        assert plan[0] == (len(exponents), P) and len(plan) == len(tiles) + 1
+        for (rows, cols, keep), (rows_p, cols_p, drop, powers) in zip(tiles, plan[1:]):
             assert (rows.stop - rows.start) * (cols.stop - cols.start) * width <= rough_path._PAIR_BLOCK
             later = np.arange(cols.start, cols.stop) > np.arange(rows.start, rows.stop)[:, None]
             assert later[keep].all() and later[keep].size == later.sum()
             seen += [(s, t) for s in range(rows.start, rows.stop)
                      for t in range(cols.start, cols.stop) if t > s]
+            # The plan's tile: the same pairs, masked pairs raised to 1.
+            assert (rows_p, cols_p) == (rows, cols)
+            assert powers.shape == (len(exponents),) + later.shape
+            assert powers.size <= rough_path._PAIR_BLOCK
+            np.testing.assert_array_equal(later, True if drop is None else ~drop)
+            gaps = times[cols] - times[rows, None]
+            for power, exp in zip(powers, exponents):
+                assert (power[~later] == 1.0).all()
+                np.testing.assert_array_equal(power[later], gaps[later]**exp)
         assert len(seen) == len(everything) and set(seen) == everything
 
 

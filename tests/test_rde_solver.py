@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roughpaths import rde_solver, rough_integral, rough_path, tensor_algebra
+from roughpaths import controlled_path, rde_solver, rough_integral, rough_path, tensor_algebra
 from roughpaths.controlled_path import (
     ControlledPath,
     distance,
@@ -266,7 +266,7 @@ def test_non_finite_residual_is_a_solve_failure(monkeypatch):
     # A NaN residual compares false with every bound, so without the check the
     # loop would run to max_picard_iters and report a contraction failure.
     X, _ = line_driver(n=16)
-    monkeypatch.setattr(rde_solver, "triple_norm", lambda *args: float("nan"))
+    monkeypatch.setattr(rde_solver, "triple_norm", lambda *args, **kwargs: float("nan"))
     with pytest.raises(SolveFailure, match="residual nan is not finite"):
         solve_local(scalar_identity_field(), X, [1.0], default_config())
 
@@ -324,6 +324,42 @@ def test_readme_line_solve_counts():
     assert [p.iterations for p in report.patches] == [10, 10, 10, 10, 6]
     assert [p.t_end for p in report.patches] == [0.25, 0.5, 0.75, 0.98046875, 1.0]
     assert np.max(np.abs(Y.path_values()[:, 0] - np.exp(X.times))) < 1e-8
+
+
+def test_one_scan_plan_per_local_attempt(monkeypatch):
+    # The README solve again: each local attempt builds the plan of its
+    # residual scans (tiles, masks, gap powers) once, and every Picard
+    # residual of the attempt scans with it; every other scan streams a plan
+    # of its own.  The caller's driver holds only its level caches after.
+    X, _ = line_driver(n=512)
+    attempts, builds, scans = [], [], []
+
+    def counted_local(*args, **kwargs):
+        attempts.append(args[1].n_points)
+        return real_local(*args, **kwargs)
+
+    def counted_plan(*args):
+        builds.append(args[0].size)
+        return real_plan(*args)
+
+    def counted_scan(plan, block_fn):
+        scans.append(plan if isinstance(plan, tuple) else None)
+        return real_scan(plan, block_fn)
+
+    real_local, real_plan, real_scan = solve_local, controlled_path._pair_plan, controlled_path._scan_pairs
+    monkeypatch.setattr(rde_solver, "solve_local", counted_local)
+    monkeypatch.setattr(controlled_path, "_pair_plan", counted_plan)
+    monkeypatch.setattr(controlled_path, "_scan_pairs", counted_scan)
+    _, report = solve(scalar_identity_field(), X, [1.0], 1.0, default_config())
+    reused = [plan for plan in scans if plan is not None]
+    assert len(attempts) == 5 and len(reused) == sum(p.iterations for p in report.patches) == 46
+    assert len({id(plan) for plan in reused}) == len(attempts)
+    assert len(builds) == len(attempts) + scans.count(None)
+    assert sorted({plan[0][1] for plan in reused}) == sorted(set(attempts))
+    monkeypatch.undo()
+    assert set(X.__slots__) == {"times", "d", "N", "beta", "levels", "_inverses", "_steps"}
+    for cache, rows in ((X._inverses, X.n_points), (X._steps, X.n_points - 1)):
+        assert [lvl.shape for lvl in cache] == [(rows, X.d**r) for r in range(X.N + 1)]
 
 
 def test_non_contraction_shrinks_tau():
