@@ -15,11 +15,11 @@ row and every level, after which the remainders of any block of (s, t) pairs
 are one einsum per level of those maps with the running signature, with no
 per-row increment.  The grid-pair scans of ``rough_path`` take every level of
 a seminorm in one scan, over tiles of bounded size.  Nothing here is cached:
-the expansion maps live for one call, and the plan of a remainder scan
-(:func:`_remainder_plan`: tiles, masks and gap powers, 8 bytes per level
-for each pair of its tiles, 262 KB at P = 129 and N = 3) is streamed by each scan
-unless the caller passes one it built for the grid, as a local solve does
-for the Picard residuals of one attempt.  Over one driver
+the expansion maps live for one call, and every public scan streams the plan
+of its tiles, masks and gap powers (:func:`_remainder_plan`).  A local solve
+scans each Picard residual through :func:`_seminorm_scan` with one plan
+built per attempt, when it fits ``rough_path._shared_plan``'s budget (262 KB
+at P = 129 and N = 3), and drops it with the attempt.  Over one driver
 Y -> RY is linear, so the gap between two paths on the same driver is the
 seminorm of their difference; ``distance`` serves the gap between paths on
 two drivers.
@@ -37,7 +37,7 @@ import io
 
 import numpy as np
 
-from .rough_path import GeometricRoughPath, _check_beta, _grid_times, _pair_plan, _scan_pairs
+from .rough_path import GeometricRoughPath, _check_beta, _grid_times, _pair_plan, _scan_pairs, _shared_plan
 from .tensor_algebra import _check_caps, _check_whole, _frozen_levels, _max_abs
 
 
@@ -179,31 +179,35 @@ def _remainder_width(Y: ControlledPath) -> int:
     return Y.dim_u * sum(Y.d**i for i in range(Y.N))
 
 
-def _remainder_plan(Y: ControlledPath, alpha: float):
+def _remainder_plan(Y: ControlledPath, alpha: float, shared: bool = False):
     """The :func:`_pair_plan` of a remainder scan of paths like Y at exponent
-    alpha: every level in one pass, level i at exponent (N - i) alpha."""
-    return _pair_plan(Y.times, _remainder_width(Y), [(Y.N - i) * alpha for i in range(Y.N)])
+    alpha: every level in one pass, level i at exponent (N - i) alpha.  With
+    ``shared``, that plan built once for many scans, or None when it exceeds
+    the budget of :func:`_shared_plan`."""
+    build = _shared_plan if shared else _pair_plan
+    return build(Y.times, _remainder_width(Y), [(Y.N - i) * alpha for i in range(Y.N)])
 
 
-def seminorm(Y: ControlledPath, X: GeometricRoughPath, alpha: float, *, plan=None) -> float:
+def seminorm(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> float:
     """Sum over levels of the grid-pair maxima of |RY^i| / (t-s)^((N-i) alpha),
-    for 1/(N+1) < alpha <= 1.  ``plan`` as in :func:`prefix_seminorms`."""
-    return float(prefix_seminorms(Y, X, alpha, plan=plan)[-1])
+    for 1/(N+1) < alpha <= 1."""
+    return float(prefix_seminorms(Y, X, alpha)[-1])
 
 
-def prefix_seminorms(Y: ControlledPath, X: GeometricRoughPath, alpha: float, *,
-                     plan=None) -> np.ndarray:
+def prefix_seminorms(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> np.ndarray:
     """The seminorm of every prefix of the grid, from one scan: entry j is the
     seminorm of Y on grid indices 0..j (0 at j = 0), and the last entry is
     :func:`seminorm`.  A remainder RY_{s,t} depends on s and t alone, so entry
     j is the seminorm of ``restrict_path(Y, 0, j)`` on the re-based driver up
-    to the roundoff of re-basing.  The entries do not decrease.
+    to the roundoff of re-basing.  The entries do not decrease."""
+    return _seminorm_scan(Y, X, alpha, None)
 
-    ``plan``, when given, is ``tuple(_remainder_plan(W, alpha))`` for a path W
-    on Y's grid with Y's target dimension: the grid-only work of the scan,
-    built once by a caller that scans many paths of one grid (each Picard
-    residual of a local attempt) and reused bit for bit.  Without it the scan
-    streams its own plan tile by tile."""
+
+def _seminorm_scan(Y: ControlledPath, X: GeometricRoughPath, alpha: float, plan) -> np.ndarray:
+    """:func:`prefix_seminorms` over ``plan``: ``_remainder_plan(W, alpha,
+    shared=True)`` of a path W on Y's grid with Y's target dimension, which a
+    caller scanning many paths of one grid builds once, or None to stream
+    one.  Both give the same values bit for bit."""
     _check_pair(Y, X)
     _check_alpha(alpha, Y.N)
     ends = _scan_pairs(_remainder_plan(Y, alpha) if plan is None else plan,
@@ -234,10 +238,10 @@ def _initial_norm(Y: ControlledPath) -> float:
     return sum(float(np.abs(Y.levels[i][0]).sum()) for i in range(Y.N))
 
 
-def triple_norm(Y: ControlledPath, X: GeometricRoughPath, alpha: float, *, plan=None) -> float:
+def triple_norm(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> float:
     """Banach norm at exponent alpha: controlled seminorm plus l1 norms of the
-    initial blocks.  ``plan`` as in :func:`prefix_seminorms`."""
-    return seminorm(Y, X, alpha, plan=plan) + _initial_norm(Y)
+    initial blocks."""
+    return seminorm(Y, X, alpha) + _initial_norm(Y)
 
 
 def level_holder_norm(Y: ControlledPath, i: int, exponent: float) -> float:

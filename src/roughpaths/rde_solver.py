@@ -19,13 +19,13 @@ from .controlled_path import (
     NonFiniteLevelError,
     _initial_norm,
     _remainder_plan,
+    _seminorm_scan,
     concatenate,
     distance,
     path_sub,
     prefix_seminorms,
     restrict_path,
     seminorm,
-    triple_norm,
     zero_remainder_path,
 )
 from .lipschitz import LipFunction, _composed_level, compose
@@ -164,8 +164,10 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
         raise SolveFailure(f"start path overflowed: {err}") from err
     Y = W if initial_guess is None else initial_guess
     # Every residual scans the same grid at the same exponents: its tiles,
-    # masks and gap powers are built once here and dropped with the attempt.
-    plan = tuple(_remainder_plan(W, config.alpha))
+    # masks and gap powers are built once here, when they fit the budget of
+    # rough_path._shared_plan (else each scan streams them), and dropped with
+    # the attempt.
+    plan = _remainder_plan(W, config.alpha, shared=True)
     residuals: list = []
     for _ in range(config.max_picard_iters):
         try:
@@ -176,7 +178,9 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
         if not np.isfinite(peak) or peak > config.explosion_bound:
             raise SolveFailure(f"state norm {peak:.3e} breached the explosion guard "
                                f"{config.explosion_bound:.3e}")
-        res = triple_norm(path_sub(Y_new, Y), X_local, config.alpha, plan=plan)
+        step = path_sub(Y_new, Y)
+        # triple_norm(step, X_local, alpha), over the attempt's plan.
+        res = float(_seminorm_scan(step, X_local, config.alpha, plan)[-1]) + _initial_norm(step)
         if not math.isfinite(res):
             raise SolveFailure(f"Picard residual {res} is not finite")
         residuals.append(res)

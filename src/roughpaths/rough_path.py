@@ -5,23 +5,22 @@ level by level.  Work that depends on the driver alone is done once per
 driver and cached read-only on first use, for the life of the driver: the
 stacked inverses X_{t0,ti}^{-1}, one product level per inverse level, and
 the increments of the consecutive grid steps, which every Picard step
-integrates against; each holds one (P, d**i) array per level i <= N.  A
-prefix restriction of a driver whose origin is exactly the unit (every
-lift's) holds views of its parent's rows, of these caches too once the
-parent has built them (:func:`restrict`).
+integrates against; each holds one (P, d**i) array per level i <= N.
 Every increment X_{s,t} = X_{t0,s}^{-1} (x) X_{t0,t} is one truncated
 product against the cached inverse stack, batched along the grid axis
 (:func:`_increments`).  Holder norms, distances and remainder bounds are grid
 maxima over all O(M^2) pairs, taken by one scan (:func:`_scan_pairs`) over
 tiles of start rows and end points: each tile's pair block holds at most a
-fixed number of doubles (``_PAIR_BLOCK``), so the pairwise tensors are never
+fixed number of doubles (``_PAIR_BLOCK``), so the pair values are never
 materialized at once, and a pair's value does not depend on its tile.  The
 scan keeps the maximum per end point, so the maxima of every prefix of the
 grid come from the same pass.  The grid-only work of a scan, its tiles,
-masks and gap powers, is its plan (:func:`_pair_plan`): a one-off scan
-streams it tile by tile, and a caller that scans one grid many times builds
-it once and passes it along (a local solve, for every Picard residual of the
-attempt).  No driver holds a plan.
+masks and gap powers, is its plan (:func:`_pair_plan`): a scan streams it
+tile by tile, and a caller that scans one grid many times may build it once
+(:func:`_shared_plan`, a local solve for the Picard residuals of one
+attempt) when its gap powers fit in ``_PLAN_BLOCKS`` pair blocks, 2 MB
+whatever the grid; a larger plan is streamed by every scan.  No driver
+holds a plan.
 """
 from __future__ import annotations
 
@@ -41,6 +40,11 @@ from .tensor_algebra import _segment_levels, _truncated_product
 # 2048 and ran as fast as 32768 within run-to-run noise (2048 ran 1.7x
 # slower); 32768 added 0.5 MB and the whole grid in one block 13 MB.
 _PAIR_BLOCK = 8192
+# A plan built once for many scans (_shared_plan) holds at most this many pair
+# blocks of gap powers, 2 MB; a larger one is streamed by each scan.  The
+# README solve's local drivers (P = 129, N = 3) pass the bound that
+# _shared_plan checks, len(exponents) * P**2 = 6.1 blocks, and hold 3.8.
+_PLAN_BLOCKS = 32
 
 
 def _grid_times(times, least: int) -> np.ndarray:
@@ -247,36 +251,14 @@ def _increments(X: GeometricRoughPath, s, t, top: int) -> list:
                               [lvl[t] for lvl in X.levels[:top + 1]])
 
 
-def _unit_origin(X: GeometricRoughPath) -> bool:
-    """Whether X's origin row is exactly the unit (level 0 is 1, every higher
-    level 0), as every lift's is."""
-    return X.levels[0][0, 0] == 1.0 and not any(lvl[0].any() for lvl in X.levels[1:])
-
-
 def restrict(X: GeometricRoughPath, s_idx: int, t_idx: int) -> GeometricRoughPath:
-    """Sub-path on grid indices s_idx..t_idx, rebased so the start is the unit.
-
-    A prefix (s_idx = 0) of a driver whose origin row is exactly the unit
-    needs no rebasing: its levels are read-only views of the parent's rows,
-    and it shares the rows of whichever of the parent's inverse stack and
-    step increments the parent has built (else it builds its own on first
-    use).  Both are computed row by row, so these equal the rebased product
-    bit for bit.  Every other restriction is that product, one
-    :func:`_increments` call.
-    """
+    """Sub-path on grid indices s_idx..t_idx, rebased so the start is the unit."""
     s_idx = _check_whole(s_idx, "grid index s_idx", 0, X.n_points - 1, IndexError)
     t_idx = _check_whole(t_idx, "grid index t_idx", 0, X.n_points - 1, IndexError)
     if s_idx >= t_idx:
         raise ValueError("restrict requires s_idx < t_idx")
     rows = slice(s_idx, t_idx + 1)
-    if s_idx > 0 or not _unit_origin(X):
-        return GeometricRoughPath(X.times[rows], X.d, X.N, X.beta, _increments(X, s_idx, rows, X.N))
-    sub = GeometricRoughPath(X.times[rows], X.d, X.N, X.beta, [lvl[rows] for lvl in X.levels])
-    for slot, cut in (("_inverses", rows), ("_steps", slice(0, t_idx))):
-        cache = getattr(X, slot)
-        if cache is not None:
-            object.__setattr__(sub, slot, tuple(lvl[cut] for lvl in cache))
-    return sub
+    return GeometricRoughPath(X.times[rows], X.d, X.N, X.beta, _increments(X, s_idx, rows, X.N))
 
 
 def _pair_tiles(n: int, width: int):
@@ -310,10 +292,8 @@ def _pair_plan(times: np.ndarray, width: int, exponents):
     the pairs t <= s of the tile's (R, T) block (None when it has none), and
     ``powers`` stacks gap**exponent, one (R, T) block per exponent.  A masked
     pair's gap is <= 0; it is raised to 1, which keeps its power finite and
-    silent.  A one-off scan streams its plan tile by tile; a caller that scans
-    one grid many times at one width and the same exponents builds the plan
-    once (``tuple(...)``), about 8 bytes per pair and exponent, and passes it
-    to every scan.
+    silent.  A scan streams its plan tile by tile unless its caller passes one
+    built by :func:`_shared_plan`.
     """
     yield len(exponents), times.size
     for rows, cols, keep in _pair_tiles(times.size, width):
@@ -325,10 +305,26 @@ def _pair_plan(times: np.ndarray, width: int, exponents):
         yield rows, cols, drop, np.stack([gaps**exp for exp in exponents])
 
 
+def _shared_plan(times: np.ndarray, width: int, exponents):
+    """The :func:`_pair_plan` built once (a tuple), for a caller that scans many
+    blocks on one grid at one width and the same exponents; None, so that
+    every scan streams its own, when its gap powers could exceed
+    ``_PLAN_BLOCKS`` pair blocks.
+
+    The tiles of a chunk of R start rows span at most R * P pairs and the
+    chunks cover the P - 1 start rows once, so len(exponents) * P**2 bounds
+    the doubles of its powers; the check needs no tile.  The caller drops the
+    plan when it is done with the grid.
+    """
+    if len(exponents) * times.size**2 > _PLAN_BLOCKS * _PAIR_BLOCK:
+        return None
+    return tuple(_pair_plan(times, width, exponents))
+
+
 def _scan_pairs(plan, block_fn) -> np.ndarray:
     """Max of l1-norm / gap**exponent over grid pairs s < t, per exponent and per end point.
 
-    ``plan`` is a :func:`_pair_plan`, streamed or built once and reused.
+    ``plan`` is a :func:`_pair_plan`, streamed, or built by :func:`_shared_plan`.
     ``block_fn(rows, cols)`` returns one block per exponent, each an (R, T, w)
     array of pair entries for the start rows and end points of one tile;
     pairs with t <= s are masked out.  So one pass scans every level of a

@@ -18,7 +18,13 @@ from roughpaths.controlled_path import (
     zero_remainder_path,
 )
 from roughpaths import rough_path
-from roughpaths.controlled_path import NonFiniteLevelError, _remainder_blocks, _remainder_plan, _remainder_width
+from roughpaths.controlled_path import (
+    NonFiniteLevelError,
+    _remainder_blocks,
+    _remainder_plan,
+    _remainder_width,
+    _seminorm_scan,
+)
 from roughpaths.lipschitz import linear, remainder_regularity_probe
 from roughpaths.oracle import distance_reference, seminorm_reference
 from roughpaths.rough_path import (
@@ -155,10 +161,10 @@ def test_scans_do_not_depend_on_tiling(monkeypatch):
         for Xa, Xb, Ya, Yb, Yc in cases:
             plan = tuple(_remainder_plan(Ya, 0.3))
             streamed = [prefix_seminorms(Y, Xa, 0.3).tolist() for Y in (Ya, Yc, Ya)]
-            reused = [prefix_seminorms(Y, Xa, 0.3, plan=plan).tolist() for Y in (Ya, Yc, Ya)]
-            assert reused == streamed
-            assert seminorm(Yc, Xa, 0.3, plan=plan) == seminorm(Yc, Xa, 0.3)
-            assert triple_norm(Yc, Xa, 0.3, plan=plan) == triple_norm(Yc, Xa, 0.3)
+            assert [_seminorm_scan(Y, Xa, 0.3, plan).tolist() for Y in (Ya, Yc, Ya)] == streamed
+            shared = _remainder_plan(Yc, 0.3, shared=True)
+            if shared is not None:
+                assert [_seminorm_scan(Y, Xa, 0.3, shared).tolist() for Y in (Ya, Yc, Ya)] == streamed
             out.append((seminorm(Ya, Xa, 0.3), distance(Ya, Yb, Xa, Xb, 0.3), distance(Ya, Ya, Xa, Xa, 0.3),
                         [holder_norm(Xa, level, 0.3) for level in range(1, Xa.N + 1)],
                         group_like_deviation(Xa),
@@ -279,6 +285,37 @@ def test_pair_tiles_stay_within_budget():
                 assert (power[~later] == 1.0).all()
                 np.testing.assert_array_equal(power[later], gaps[later]**exp)
         assert len(seen) == len(everything) and set(seen) == everything
+
+
+def test_shared_plan_stays_within_budget(monkeypatch):
+    # A plan built once for many scans holds at most _PLAN_BLOCKS pair blocks
+    # of gap powers, whatever the grid; past that every scan streams its own.
+    # The bound reads P and the exponents alone, so a large grid makes no tile.
+    budget = rough_path._PLAN_BLOCKS * rough_path._PAIR_BLOCK
+    for N in range(1, 6):
+        exponents = [(N - i) * 0.3 for i in range(N)]
+        for P in (2, 17, 65, 129, 257, 513):
+            times = np.linspace(0.0, 1.0, P)
+            shared = rough_path._shared_plan(times, 4 * N, exponents)
+            assert (shared is None) == (N * P**2 > budget)
+            if shared is not None:
+                assert sum(powers.size for *_, powers in shared[1:]) <= budget
+                assert sum(powers.nbytes + (0 if drop is None else drop.nbytes)
+                           for *_, drop, powers in shared[1:]) <= 9 * budget
+                streamed = list(rough_path._pair_plan(times, 4 * N, exponents))
+                assert shared[0] == streamed[0] and len(shared) == len(streamed)
+                for mine, theirs in zip(shared[1:], streamed[1:]):
+                    assert mine[:2] == theirs[:2]
+                    np.testing.assert_array_equal(mine[3], theirs[3])
+    # The README solve's local drivers (P = 129, N = 3) share one plan.
+    assert rough_path._shared_plan(np.linspace(0.0, 1.0, 129), 3, [0.9, 0.6, 0.3]) is not None
+
+    def no_tiles(*args):
+        raise AssertionError("a plan over budget must not be built")
+
+    monkeypatch.setattr(rough_path, "_pair_tiles", no_tiles)
+    for P in (4097, 8193, 10**6):
+        assert rough_path._shared_plan(np.linspace(0.0, 1.0, P), 3, [0.9, 0.6, 0.3]) is None
 
 
 def test_canonical_lift_remainders_vanish():

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -266,7 +268,7 @@ def test_non_finite_residual_is_a_solve_failure(monkeypatch):
     # A NaN residual compares false with every bound, so without the check the
     # loop would run to max_picard_iters and report a contraction failure.
     X, _ = line_driver(n=16)
-    monkeypatch.setattr(rde_solver, "triple_norm", lambda *args, **kwargs: float("nan"))
+    monkeypatch.setattr(rde_solver, "_seminorm_scan", lambda *args: np.array([0.0, float("nan")]))
     with pytest.raises(SolveFailure, match="residual nan is not finite"):
         solve_local(scalar_identity_field(), X, [1.0], default_config())
 
@@ -330,36 +332,48 @@ def test_one_scan_plan_per_local_attempt(monkeypatch):
     # The README solve again: each local attempt builds the plan of its
     # residual scans (tiles, masks, gap powers) once, and every Picard
     # residual of the attempt scans with it; every other scan streams a plan
-    # of its own.  The caller's driver holds only its level caches after.
+    # of its own.  Nothing else holds a plan after the solve: not the
+    # caller's driver, whose caches are its per-level arrays, nor the report.
     X, _ = line_driver(n=512)
-    attempts, builds, scans = [], [], []
+    attempts, plans, scans = [], [], []
 
     def counted_local(*args, **kwargs):
         attempts.append(args[1].n_points)
         return real_local(*args, **kwargs)
 
-    def counted_plan(*args):
-        builds.append(args[0].size)
-        return real_plan(*args)
+    def counted_shared(*args):
+        plans.append(real_shared(*args))
+        return plans[-1]
 
     def counted_scan(plan, block_fn):
-        scans.append(plan if isinstance(plan, tuple) else None)
+        scans.append(id(plan) if isinstance(plan, tuple) else None)
         return real_scan(plan, block_fn)
 
-    real_local, real_plan, real_scan = solve_local, controlled_path._pair_plan, controlled_path._scan_pairs
+    real_local, real_shared, real_scan = solve_local, controlled_path._shared_plan, controlled_path._scan_pairs
     monkeypatch.setattr(rde_solver, "solve_local", counted_local)
-    monkeypatch.setattr(controlled_path, "_pair_plan", counted_plan)
+    monkeypatch.setattr(controlled_path, "_shared_plan", counted_shared)
     monkeypatch.setattr(controlled_path, "_scan_pairs", counted_scan)
-    _, report = solve(scalar_identity_field(), X, [1.0], 1.0, default_config())
-    reused = [plan for plan in scans if plan is not None]
-    assert len(attempts) == 5 and len(reused) == sum(p.iterations for p in report.patches) == 46
-    assert len({id(plan) for plan in reused}) == len(attempts)
-    assert len(builds) == len(attempts) + scans.count(None)
-    assert sorted({plan[0][1] for plan in reused}) == sorted(set(attempts))
+    Y, report = solve(scalar_identity_field(), X, [1.0], 1.0, default_config())
     monkeypatch.undo()
-    assert set(X.__slots__) == {"times", "d", "N", "beta", "levels", "_inverses", "_steps"}
+    reused = [plan for plan in scans if plan is not None]
+    total = len(scans)
+    assert len(attempts) == len(plans) == 5 and None not in plans
+    assert len(reused) == sum(p.iterations for p in report.patches) == 46
+    assert set(reused) == {id(plan) for plan in plans}
+    assert [plan[0][1] for plan in plans] == attempts
+    for plan in plans:
+        assert gc.get_referrers(plan) == [plans]
     for cache, rows in ((X._inverses, X.n_points), (X._steps, X.n_points - 1)):
         assert [lvl.shape for lvl in cache] == [(rows, X.d**r) for r in range(X.N + 1)]
+
+    # Past the budget every residual streams its plan, with the same bytes.
+    monkeypatch.setattr(rough_path, "_PLAN_BLOCKS", 0)
+    monkeypatch.setattr(controlled_path, "_scan_pairs", counted_scan)
+    scans.clear()
+    Y_streamed, streamed = solve(scalar_identity_field(), X, [1.0], 1.0, default_config())
+    assert len(scans) == total and set(scans) == {None}
+    assert [lvl.tobytes() for lvl in Y_streamed.levels] == [lvl.tobytes() for lvl in Y.levels]
+    assert [p.residuals for p in streamed.patches] == [p.residuals for p in report.patches]
 
 
 def test_non_contraction_shrinks_tau():

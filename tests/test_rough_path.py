@@ -325,70 +325,6 @@ def test_step_increments_are_cached_read_only():
         steps[2][0, 0] = 1.0
 
 
-def product_restriction(X, t):
-    """restrict(X, 0, t) by the rebasing product, on a driver of its own."""
-    rows = slice(0, t + 1)
-    return GeometricRoughPath(X.times[rows], X.d, X.N, X.beta, _increments(X, 0, rows, X.N))
-
-
-def same_bytes(a, b):
-    return [lvl.shape for lvl in a] == [lvl.shape for lvl in b] and \
-        [lvl.tobytes() for lvl in a] == [lvl.tobytes() for lvl in b]
-
-
-def test_prefix_restrictions_are_views_of_the_parent():
-    # A lift's origin row is exactly the unit: restrict(X, 0, t) reads the
-    # parent's level rows, and the rows of the parent's inverse stack and step
-    # increments once the parent has built them.  Both are built row by row,
-    # so every array equals the rebasing product on a fresh lift bit for bit,
-    # over d <= 4 and N <= 5, with the parent's caches cold or warm.
-    rng = np.random.default_rng(51)
-    for d in range(1, 5):
-        for N in range(1, 6):
-            path = random_path(rng, d, 8)
-            for warm in (False, True):
-                X = lift_path(path, N)
-                if warm:
-                    X._inverse_stack(), X._step_increments()
-                for t in (1, 5, 8):
-                    sub, want = restrict(X, 0, t), product_restriction(lift_path(path, N), t)
-                    assert np.array_equal(sub.times, want.times) and sub.beta == want.beta
-                    assert same_bytes(sub.levels, want.levels), (d, N, t)
-                    assert all(np.shares_memory(a, b) for a, b in zip(sub.levels, X.levels))
-                    shared = [(sub._inverses, X._inverses), (sub._steps, X._steps)]
-                    assert all((mine is not None) == warm for mine, _ in shared)
-                    if warm:
-                        assert all(np.shares_memory(a, b) for mine, theirs in shared
-                                   for a, b in zip(mine, theirs))
-                    assert same_bytes(sub._inverse_stack(), want._inverse_stack()), (d, N, t, warm)
-                    assert same_bytes(sub._step_increments(), want._step_increments()), (d, N, t, warm)
-                    # The views are read-only, like every driver array.
-                    for arrays in (sub.levels, sub._inverse_stack(), sub._step_increments()):
-                        for arr in arrays:
-                            with pytest.raises(ValueError):
-                                arr[(0,) * arr.ndim] = 1.0
-                # The parent's arrays stay as they were.
-                assert same_bytes(X.levels, lift_path(path, N).levels)
-
-
-def test_prefix_restriction_of_a_non_unit_origin_rebases():
-    # An origin row that is not exactly the unit takes the rebasing product:
-    # a restricted driver whose origin carries roundoff, and a raw driver
-    # whose level 1 starts away from 0.
-    rng = np.random.default_rng(52)
-    X = lift_path(random_path(rng, 2, 8), 3)
-    inner = restrict(X, 2, 8)
-    assert any(lvl[0].any() for lvl in inner.levels[1:])
-    shifted = GeometricRoughPath(X.times, 2, 3, X.beta,
-                                 [X.levels[0], X.levels[1] + [0.5, -0.25]] + list(X.levels[2:]))
-    for parent in (inner, shifted):
-        for t in (1, 3, parent.n_points - 1):
-            sub, want = restrict(parent, 0, t), product_restriction(parent, t)
-            assert same_bytes(sub.levels, want.levels)
-            assert not any(np.shares_memory(a, b) for a, b in zip(sub.levels, parent.levels))
-    assert np.abs(restrict(shifted, 0, 4).levels[1][0]).max() == 0.0
-
-
 def test_pair_scans_match_chained_oracle():
     # Every prefix of the driver, so the maxima sit at different grid pairs.
     rng = np.random.default_rng(9)
