@@ -14,12 +14,20 @@ expansion map A^{i+b}_s.  The maps are built once per call for every start
 row and every level, after which the remainders of any block of (s, t) pairs
 are one einsum per level of those maps with the running signature, with no
 per-row increment.  The grid-pair scans of ``rough_path`` take every level of
-a seminorm in one scan, over tiles of bounded size.  Nothing here is cached:
-the expansion maps live for one call, and every public scan streams the plan
-of its tiles, masks and gap powers (:func:`_remainder_plan`).  A local solve
-scans each Picard residual through :func:`_seminorm_scan` with one plan
-built per attempt, when it fits ``rough_path._shared_plan``'s budget (262 KB
-at P = 129 and N = 3), and drops it with the attempt.  Over one driver
+a seminorm in one scan, over tiles of bounded size.
+
+The kernels read level lists, not containers: :func:`_remainder_blocks` and
+:func:`_seminorm_scan` take the levels of a path, or the level differences
+of two paths that are never built as one, and the public functions pass
+``Y.levels`` after their checks.  Nothing here is cached: the expansion maps
+live for one call, and every public scan streams the plan of its tiles,
+masks and gap powers (:func:`_remainder_plan`).  Two kinds of scan share a
+plan.  A local solve scans each Picard residual and its ball distance
+through :func:`_seminorm_scan` with one plan built per attempt, when it fits
+``rough_path._shared_plan``'s budget (262 KB at P = 129 and N = 3), and
+drops it with the attempt.  The closing pass of a solve takes the seminorms
+of the solution and of its Picard residual from one streamed scan
+(:func:`_seminorms`), each tile's gap powers serving both.  Over one driver
 Y -> RY is linear, so the gap between two paths on the same driver is the
 seminorm of their difference; ``distance`` serves the gap between paths on
 two drivers.
@@ -123,9 +131,10 @@ def _fill_leading(block: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("...ejk,...j->...ek", cube, x)
 
 
-def _remainder_blocks(Y: ControlledPath, X: GeometricRoughPath, levels):
-    """RY^i for every level i in ``levels`` by Chen's relation, as a pair-block
-    function for ``_scan_pairs``.
+def _remainder_blocks(y_levels, X: GeometricRoughPath, levels):
+    """RY^i for every level i in ``levels`` of the level list ``y_levels`` on X
+    (level i of shape (P, e, d**i), P and (d, N) those of X) by Chen's
+    relation, as a pair-block function for ``_scan_pairs``.
 
     Builds the expansion maps A^m_s = sum_c Y^{m+c}_s((X_{0,s}^{-1})^c (x) .)
     once for every grid row s and m >= min(levels), from the cached inverse
@@ -138,19 +147,19 @@ def _remainder_blocks(Y: ControlledPath, X: GeometricRoughPath, levels):
     one fixed order per pair, never a BLAS product, whose rounding follows the
     matrix shape: a pair's value does not depend on the block it is in.
     """
-    P, e, d, N = Y.n_points, Y.dim_u, Y.d, Y.N
+    (P, e, _), d, N = y_levels[0].shape, X.d, X.N
     inv = X._inverse_stack()
     expansions = {}
     for m in range(min(levels), N):
-        acc = Y.levels[m]
+        acc = y_levels[m]
         for c in range(1, N - m):
-            acc = acc + _fill_leading(Y.levels[m + c], inv[c])
+            acc = acc + _fill_leading(y_levels[m + c], inv[c])
         expansions[m] = acc
     # Driver words X^b_{0,t}, b = 0..N-1, one row each; level i reads the leading rows.
     words = np.concatenate([lvl.T for lvl in X.levels[:N]])
     values, maps = [], []
     for i in levels:
-        values.append(Y.levels[i].reshape(P, e * d**i))
+        values.append(y_levels[i].reshape(P, e * d**i))
         maps.append(np.concatenate(
             [expansions[i + b].reshape(P, e, d**b, d**i).swapaxes(1, 2).reshape(P, d**b, e * d**i)
              for b in range(N - i)], axis=1))
@@ -170,22 +179,19 @@ def remainder_rows(Y: ControlledPath, X: GeometricRoughPath, i: int, s_idx: int)
     _check_pair(Y, X)
     _check_whole(i, "level i", 0, Y.N - 1)
     s_idx = _check_whole(s_idx, "grid index s_idx", 0, X.n_points - 1, IndexError)
-    rows = _remainder_blocks(Y, X, [i])(slice(s_idx, s_idx + 1), slice(s_idx, Y.n_points))[0]
+    rows = _remainder_blocks(Y.levels, X, [i])(slice(s_idx, s_idx + 1), slice(s_idx, Y.n_points))[0]
     return rows.reshape(-1, Y.dim_u, Y.d**i)
 
 
-def _remainder_width(Y: ControlledPath) -> int:
-    """Doubles per grid pair of the remainders of every level."""
-    return Y.dim_u * sum(Y.d**i for i in range(Y.N))
-
-
-def _remainder_plan(Y: ControlledPath, alpha: float, shared: bool = False):
-    """The :func:`_pair_plan` of a remainder scan of paths like Y at exponent
-    alpha: every level in one pass, level i at exponent (N - i) alpha.  With
-    ``shared``, that plan built once for many scans, or None when it exceeds
-    the budget of :func:`_shared_plan`."""
+def _remainder_plan(X: GeometricRoughPath, dim_u: int, alpha: float, shared: bool = False):
+    """The :func:`_pair_plan` of a remainder scan on X's grid at exponent
+    alpha: every level in one pass, level i at exponent (N - i) alpha, for
+    paths whose target dimensions sum to ``dim_u`` (a tile holds every level
+    of every path it scans).  With ``shared``, that plan built once for many
+    scans, or None when it exceeds the budget of :func:`_shared_plan`."""
     build = _shared_plan if shared else _pair_plan
-    return build(Y.times, _remainder_width(Y), [(Y.N - i) * alpha for i in range(Y.N)])
+    width = dim_u * sum(X.d**i for i in range(X.N))
+    return build(X.times, width, [(X.N - i) * alpha for i in range(X.N)])
 
 
 def seminorm(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> float:
@@ -200,19 +206,41 @@ def prefix_seminorms(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> 
     :func:`seminorm`.  A remainder RY_{s,t} depends on s and t alone, so entry
     j is the seminorm of ``restrict_path(Y, 0, j)`` on the re-based driver up
     to the roundoff of re-basing.  The entries do not decrease."""
-    return _seminorm_scan(Y, X, alpha, None)
-
-
-def _seminorm_scan(Y: ControlledPath, X: GeometricRoughPath, alpha: float, plan) -> np.ndarray:
-    """:func:`prefix_seminorms` over ``plan``: ``_remainder_plan(W, alpha,
-    shared=True)`` of a path W on Y's grid with Y's target dimension, which a
-    caller scanning many paths of one grid builds once, or None to stream
-    one.  Both give the same values bit for bit."""
     _check_pair(Y, X)
     _check_alpha(alpha, Y.N)
-    ends = _scan_pairs(_remainder_plan(Y, alpha) if plan is None else plan,
-                       _remainder_blocks(Y, X, range(Y.N)))
+    return _seminorm_scan(Y.levels, X, alpha, None)
+
+
+def _prefix_sums(ends: np.ndarray) -> np.ndarray:
+    """Prefix seminorms from the per-level maxima per end point of a scan."""
     return np.maximum.accumulate(ends, axis=1).sum(axis=0)
+
+
+def _seminorm_scan(y_levels, X: GeometricRoughPath, alpha: float, plan) -> np.ndarray:
+    """:func:`prefix_seminorms` of the level list ``y_levels`` on X, unchecked,
+    over ``plan``: ``_remainder_plan(X, e, alpha, shared=True)`` for the
+    target dimension e of ``y_levels``, which a caller scanning many level
+    lists on one grid builds once, or None to stream one.  Both give the same
+    values bit for bit."""
+    if plan is None:
+        plan = _remainder_plan(X, y_levels[0].shape[1], alpha)
+    return _prefix_sums(_scan_pairs(plan, _remainder_blocks(y_levels, X, range(X.N))))
+
+
+def _seminorms(level_lists, X: GeometricRoughPath, alpha: float) -> list:
+    """The seminorm of each level list on X, unchecked, from one streamed
+    scan: each tile's gap powers are computed once and serve every list, and
+    a tile's blocks of all lists together stay within ``_PAIR_BLOCK``
+    doubles.  Each value equals that of :func:`_seminorm_scan` bit for bit."""
+    N = X.N
+    plan = _remainder_plan(X, sum(levels[0].shape[1] for levels in level_lists), alpha)
+    remainders = [_remainder_blocks(levels, X, range(N)) for levels in level_lists]
+
+    def blocks(rows, cols):
+        return [block for rem in remainders for block in rem(rows, cols)]
+
+    ends = _scan_pairs(plan, blocks, paths=len(level_lists))
+    return [float(_prefix_sums(ends[k * N:(k + 1) * N])[-1]) for k in range(len(level_lists))]
 
 
 def distance(Ya: ControlledPath, Yb: ControlledPath,
@@ -225,23 +253,24 @@ def distance(Ya: ControlledPath, Yb: ControlledPath,
     if Ya.dim_u != Yb.dim_u:
         raise ValueError("controlled paths must share the target dimension")
     _check_alpha(alpha, Ya.N)
-    rem_a, rem_b = _remainder_blocks(Ya, Xa, range(Ya.N)), _remainder_blocks(Yb, Xb, range(Ya.N))
+    rem_a = _remainder_blocks(Ya.levels, Xa, range(Ya.N))
+    rem_b = _remainder_blocks(Yb.levels, Xb, range(Ya.N))
 
     def block(rows, cols):
         return [np.subtract(a, b, out=a) for a, b in zip(rem_a(rows, cols), rem_b(rows, cols))]
 
-    return float(sum(_scan_pairs(_remainder_plan(Ya, alpha), block).max(axis=1)))
+    return float(sum(_scan_pairs(_remainder_plan(Xa, Ya.dim_u, alpha), block).max(axis=1)))
 
 
-def _initial_norm(Y: ControlledPath) -> float:
-    """Sum of the l1 norms of the initial blocks Y^i_{t0}."""
-    return sum(float(np.abs(Y.levels[i][0]).sum()) for i in range(Y.N))
+def _initial_norm(y_levels) -> float:
+    """Sum of the l1 norms of the initial blocks Y^i_{t0} of a level list."""
+    return sum(float(np.abs(level[0]).sum()) for level in y_levels)
 
 
 def triple_norm(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> float:
     """Banach norm at exponent alpha: controlled seminorm plus l1 norms of the
     initial blocks."""
-    return seminorm(Y, X, alpha) + _initial_norm(Y)
+    return seminorm(Y, X, alpha) + _initial_norm(Y.levels)
 
 
 def level_holder_norm(Y: ControlledPath, i: int, exponent: float) -> float:

@@ -336,7 +336,7 @@ def _composed_level(f_blocks, y_levels, r: int) -> np.ndarray:
     for sizes, idx in _set_partition_gathers(r, d).items():
         t, width = f_blocks[len(sizes)], 1
         for l in reversed(sizes):
-            t = np.swapaxes(y_levels[l], 1, 2)[:, None] @ t.reshape(P, -1, e, width)
+            t = y_levels[l].swapaxes(1, 2)[:, None] @ t.reshape(P, -1, e, width)
             width *= d**l
         _add_assignments(acc, np.ascontiguousarray(t.reshape(P * u, d**r).T), idx)
     return np.ascontiguousarray(acc.T).reshape(P, u, d**r)
@@ -353,14 +353,26 @@ def compose(F: LipFunction, Y: ControlledPath, X: GeometricRoughPath) -> Control
     block-size profile, then one tiled gather over its set partitions.  The
     levels F^0..F^{N-1} at the grid points come from one evaluator call.
     """
+    _check_compose(F, Y, X)
+    return ControlledPath(Y.times, Y.d, Y.N, F.dim_out, _compose_levels(F, Y.levels))
+
+
+def _check_compose(F: LipFunction, Y: ControlledPath, X: GeometricRoughPath) -> None:
+    """The checks of :func:`compose`: F maps Y's target, has levels 0..N, and Y
+    lives on X."""
     if F.dim_in != Y.dim_u:
         raise ValueError(f"field expects W=R^{F.dim_in}, path has target R^{Y.dim_u}")
     if F.n_levels < Y.N:
         raise ValueError(f"field has levels 0..{F.n_levels}, need at least 0..{Y.N}")
     _check_pair(Y, X)
-    f_blocks = F.eval_levels(Y.N - 1, Y.path_values())
-    z_levels = [f_blocks[0]] + [_composed_level(f_blocks, Y.levels, r) for r in range(1, Y.N)]
-    return ControlledPath(Y.times, Y.d, Y.N, F.dim_out, z_levels)
+
+
+def _compose_levels(F: LipFunction, y_levels) -> list:
+    """The levels of :func:`compose` of the level list ``y_levels``, unchecked:
+    level i of shape (P, dim_out, d**i)."""
+    f_blocks = F.eval_levels(len(y_levels) - 1, y_levels[0][:, :, 0])
+    return [np.asarray(f_blocks[0], dtype=float)] + [
+        _composed_level(f_blocks, y_levels, r) for r in range(1, len(y_levels))]
 
 
 def _slot_maps(y_blocks, x_inc: TensorSeries) -> dict:
@@ -376,7 +388,7 @@ def _contract_slots(block, mats) -> np.ndarray:
     blocks in the same slot order."""
     words = len(block)
     for mat in mats:
-        block = np.swapaxes(mat @ block.reshape(words, mat.shape[1], -1), 1, 2)
+        block = (mat @ block.reshape(words, mat.shape[1], -1)).swapaxes(1, 2)
         block = block.reshape(words, -1)
     return block
 
@@ -467,7 +479,7 @@ def remainder_regularity_probe(F: LipFunction, Y: ControlledPath, X: GeometricRo
     _check_whole(r, "level r", 0, Y.N - 1)
     _check_alpha(alpha, Y.N)
     Z = compose(F, Y, X)
-    rem = _remainder_blocks(Z, X, [r])
+    rem = _remainder_blocks(Z.levels, X, [r])
     # The one level's block, read at both exponents.
     ends = _scan_pairs(_pair_plan(Y.times, Z.dim_u * Z.d**r, [0.0, (Y.N - r) * alpha]),
                        lambda rows, cols: 2 * rem(rows, cols))

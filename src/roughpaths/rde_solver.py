@@ -4,12 +4,16 @@ One Picard step composes the field with the current iterate and integrates
 the result; a local solve iterates from the canonical zero-remainder start
 path and returns its outcome, and a patching loop with adaptive interval
 length keeps the fixed points that lie in the unit ball around their start
-path and extends them to the full horizon.
+path and extends them to the full horizon.  The loop runs on level lists:
+a Picard step builds one controlled path, the iterate, and the residuals,
+the ball distance and the closing seminorms are scanned from level lists
+and level differences.
 """
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -20,16 +24,14 @@ from .controlled_path import (
     _initial_norm,
     _remainder_plan,
     _seminorm_scan,
+    _seminorms,
     concatenate,
     distance,
-    path_sub,
-    prefix_seminorms,
     restrict_path,
-    seminorm,
     zero_remainder_path,
 )
-from .lipschitz import LipFunction, _composed_level, compose
-from .rough_integral import _operator_slot_last, integral_controlled
+from .lipschitz import LipFunction, _check_compose, _compose_levels, _composed_level, compose
+from .rough_integral import _integral_levels, _integrand_dims, _operator_slot_last
 from .rough_path import GeometricRoughPath, holder_distance, restrict
 from .tensor_algebra import MAX_LEVEL, _check_whole, _max_abs
 
@@ -132,21 +134,45 @@ def canonical_initial_path(y0, F: LipFunction, X: GeometricRoughPath) -> Control
 
 
 def picard_step(Y: ControlledPath, F: LipFunction, X: GeometricRoughPath, y0) -> ControlledPath:
-    """One application of the solution map: integrate the composed field."""
-    # Overflow is caught by the controlled paths' finiteness check.
+    """One application of the solution map: integrate the composed field.
+
+    Equal bit for bit to ``integral_controlled(compose(F, Y, X), X,
+    offset=y0)``, with the checks of both, but the composed field Z stays a
+    level list: the iterate is the one controlled path built.  A non-finite
+    Z raises :class:`NonFiniteLevelError` as its own construction would.
+    """
+    _check_compose(F, Y, X)
+    e, _ = _integrand_dims(F.dim_out, X.d)
+    # Overflow is caught by the finiteness checks below and of the iterate.
     with np.errstate(over="ignore", invalid="ignore"):
-        return integral_controlled(compose(F, Y, X), X, offset=np.asarray(y0, dtype=float))
+        z_levels = _compose_levels(F, Y.levels)
+        # The one entry of Z that reaches no entry of the iterate.
+        if not np.isfinite(z_levels[-1][-1]).all():
+            raise NonFiniteLevelError(f"level {X.N - 1} block of the composed field has "
+                                      "non-finite entries")
+        levels = _integral_levels(z_levels, X, np.asarray(y0, dtype=float))
+    return ControlledPath(X.times, X.d, X.N, e, levels)
 
 
 @dataclass
 class LocalSolve:
     """One local attempt: the last iterate, the start path (the centre of the
     unit ball), the residual of each Picard step, and the outcome:
-    ``"converged"``, ``"diverged"`` or ``"stalled"`` past the iteration budget."""
+    ``"converged"``, ``"diverged"`` or ``"stalled"`` past the iteration budget.
+    It keeps the attempt's prefix-seminorm scan, which holds the attempt's
+    scan plan, for the ball distance (:func:`_in_ball_steps`)."""
     path: ControlledPath
     start: ControlledPath
     residuals: list
     outcome: str
+    _scan: Callable | None = field(default=None, repr=False, compare=False)
+
+
+def _difference(Ya: ControlledPath, Yb: ControlledPath) -> list:
+    """The levels of Ya - Yb, a level list: an overflow is left to the caller's
+    finiteness check of what it computes from them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [a - b for a, b in zip(Ya.levels, Yb.levels)]
 
 
 def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverConfig,
@@ -154,8 +180,11 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
     """Iterate the solution map on one interval until the successive-iterate
     norm drops below the contraction tolerance, and return the attempt.
 
-    Raises :class:`SolveFailure` when the start path or an iterate overflows
-    or breaches the explosion guard, or a residual is not finite.
+    Each Picard step builds one controlled path, the iterate; its residual,
+    the triple norm of the difference to the previous iterate, is scanned
+    from the level differences.  Raises :class:`SolveFailure` when the start
+    path or an iterate overflows or breaches the explosion guard, or a
+    residual is not finite.
     """
     y0 = np.asarray(y0, dtype=float).ravel()
     try:
@@ -163,11 +192,18 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
     except NonFiniteLevelError as err:
         raise SolveFailure(f"start path overflowed: {err}") from err
     Y = W if initial_guess is None else initial_guess
-    # Every residual scans the same grid at the same exponents: its tiles,
-    # masks and gap powers are built once here, when they fit the budget of
-    # rough_path._shared_plan (else each scan streams them), and dropped with
-    # the attempt.
-    plan = _remainder_plan(W, config.alpha, shared=True)
+    # Every residual and the ball distance scan the same grid at the same
+    # exponents: their tiles, masks and gap powers are built once here, when
+    # they fit the budget of rough_path._shared_plan (else each scan streams
+    # them), and dropped with the attempt.
+    alpha = config.alpha
+    plan = _remainder_plan(X_local, W.dim_u, alpha, shared=True)
+
+    def scan(levels):
+        # Overflow shows as a non-finite value, which the caller checks.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _seminorm_scan(levels, X_local, alpha, plan)
+
     residuals: list = []
     for _ in range(config.max_picard_iters):
         try:
@@ -178,26 +214,30 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
         if not np.isfinite(peak) or peak > config.explosion_bound:
             raise SolveFailure(f"state norm {peak:.3e} breached the explosion guard "
                                f"{config.explosion_bound:.3e}")
-        step = path_sub(Y_new, Y)
-        # triple_norm(step, X_local, alpha), over the attempt's plan.
-        res = float(_seminorm_scan(step, X_local, config.alpha, plan)[-1]) + _initial_norm(step)
+        step = _difference(Y_new, Y)
+        # triple_norm(path_sub(Y_new, Y), X_local, alpha), over the attempt's plan.
+        res = float(scan(step)[-1]) + _initial_norm(step)
         if not math.isfinite(res):
             raise SolveFailure(f"Picard residual {res} is not finite")
         residuals.append(res)
         Y = Y_new
         if res <= config.contraction_tol:
-            return LocalSolve(Y, W, residuals, "converged")
+            return LocalSolve(Y, W, residuals, "converged", scan)
         if len(residuals) >= 3 and residuals[-1] > residuals[-2] > residuals[-3] \
                 and residuals[-1] > 10.0 * residuals[0]:
-            return LocalSolve(Y, W, residuals, "diverged")
-    return LocalSolve(Y, W, residuals, "stalled")
+            return LocalSolve(Y, W, residuals, "diverged", scan)
+    return LocalSolve(Y, W, residuals, "stalled", scan)
 
 
-def _in_ball_steps(local: LocalSolve, X_local: GeometricRoughPath, alpha: float) -> int:
+def _in_ball_steps(local: LocalSolve) -> int:
     """Grid steps of the longest prefix of the attempt inside the unit ball
     around its start path (0 when none is), from the ball distance of every
-    prefix, which one scan gives and which is non-decreasing in the end point."""
-    ball = prefix_seminorms(path_sub(local.path, local.start), X_local, alpha)
+    prefix, which one scan over the attempt's plan gives and which is
+    non-decreasing in the end point.  A non-finite ball distance of the whole
+    attempt raises :class:`SolveFailure`."""
+    ball = local._scan(_difference(local.path, local.start))
+    if not math.isfinite(ball[-1]):
+        raise SolveFailure(f"ball distance {ball[-1]} is not finite")
     return int(np.count_nonzero(ball <= _BALL_RADIUS)) - 1
 
 
@@ -228,7 +268,15 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
     fails the solve.  When no fixed point on one grid step is in the ball,
     the solve reports a ball exit, stops checking the ball (residual-only
     mode) and restarts at ``tau_init``.  Patches join at shared grid points,
-    the junction keeping the left end values.
+    the junction keeping the left end values.  One closing pass on the
+    horizon's driver gives the report's solution seminorm and global
+    residual, the seminorm of the solution minus its Picard image.
+
+    Raises :class:`SolveFailure`, with the partial solution and the report
+    attached, when a local solve does (see :func:`solve_local`), when the
+    patch budget runs out or one grid step does not contract, when the
+    Picard image of the solution overflows, or when a ball distance or a
+    closing seminorm is not finite.
     """
     config.validate(X.N)
     start = time.perf_counter()
@@ -256,7 +304,7 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
             steps = idx1 - idx0
             in_ball = 0
             if local.outcome == "converged":
-                in_ball = _in_ball_steps(local, X_loc, config.alpha) if check_ball else steps
+                in_ball = _in_ball_steps(local) if check_ball else steps
             if in_ball == 0 and steps > 1:
                 tau *= config.tau_shrink
                 continue
@@ -299,16 +347,21 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
             tau = tau_next
 
         X_T = _up_to(X, idx_T)
-        report.solution_seminorm = seminorm(solution, X_T, config.alpha)
-        report.solution_norm = report.solution_seminorm + _initial_norm(solution)
         try:
             image = picard_step(solution, F, X_T, y0)
         except NonFiniteLevelError as err:
             raise SolveFailure(f"Picard image of the solution overflowed: {err}") from err
+        # The seminorms of the solution and of solution - image, one streamed scan.
+        with np.errstate(over="ignore", invalid="ignore"):
+            closing = _seminorms([solution.levels, _difference(solution, image)], X_T, config.alpha)
+        report.solution_seminorm, report.global_residual = closing
+        report.solution_norm = report.solution_seminorm + _initial_norm(solution.levels)
+        for name, value in zip(("solution seminorm", "global residual"), closing):
+            if not math.isfinite(value):
+                raise SolveFailure(f"{name} {value} is not finite")
     except SolveFailure as err:
         err.partial, err.report = solution, report
         raise
-    report.global_residual = seminorm(path_sub(solution, image), X_T, config.alpha)
     report.wall_time_s = time.perf_counter() - start
     report.success = True
     return solution, report

@@ -63,10 +63,11 @@ def dyadic_partition(s_idx: int, t_idx: int, depth: int) -> Partition:
     return Partition(tuple(dict.fromkeys(raw.tolist())))
 
 
-def _integrand_dims(Z: ControlledPath) -> tuple[int, int]:
-    if Z.dim_u % Z.d != 0:
+def _integrand_dims(dim_u: int, d: int) -> tuple[int, int]:
+    """(e, d) for an integrand of target dimension dim_u = e * d, maps V -> U = R^e."""
+    if dim_u % d != 0:
         raise ValueError("integrand target must be L(V;U): dim_u divisible by d")
-    return Z.dim_u // Z.d, Z.d
+    return dim_u // d, d
 
 
 def _operator_slot_last(block: np.ndarray, d: int) -> np.ndarray:
@@ -76,7 +77,7 @@ def _operator_slot_last(block: np.ndarray, d: int) -> np.ndarray:
     result has shape (..., e, d**(r+1)), the operator slot v last.
     """
     lead, e, m = block.shape[:-2], block.shape[-2] // d, block.shape[-1]
-    return np.swapaxes(block.reshape(lead + (e, d, m)), -1, -2).reshape(lead + (e, d * m))
+    return block.reshape(lead + (e, d, m)).swapaxes(-1, -2).reshape(lead + (e, d * m))
 
 
 def _interval_terms(blocks, inc) -> np.ndarray:
@@ -103,7 +104,7 @@ def compensated_sum(Z: ControlledPath, X: GeometricRoughPath, partition: Partiti
     if idx[-1] >= X.n_points:
         raise ValueError("partition leaves the driver grid")
     _check_pair(Z, X)
-    _, d = _integrand_dims(Z)
+    _, d = _integrand_dims(Z.dim_u, Z.d)
     a, b = np.asarray(idx[:-1]), np.asarray(idx[1:])
     terms = _interval_terms([_operator_slot_last(z[a], d) for z in Z.levels], _increments(X, a, b, X.N))
     return np.cumsum(terms.reshape(-1, terms.shape[-1]), axis=0)[-1]
@@ -121,7 +122,7 @@ def rough_integral(Z: ControlledPath, X: GeometricRoughPath,
     t_idx = _check_whole(t_idx, "grid index t_idx", 0, X.n_points - 1, IndexError)
     if s_idx > t_idx:
         raise ValueError(f"rough_integral requires s_idx <= t_idx, got s_idx={s_idx}, t_idx={t_idx}")
-    e, _ = _integrand_dims(Z)
+    e, _ = _integrand_dims(Z.dim_u, Z.d)
     if s_idx == t_idx:
         return np.zeros(e), 0.0
     finest = compensated_sum(Z, X, Partition(tuple(range(s_idx, t_idx + 1))))
@@ -136,17 +137,27 @@ def integral_controlled(Z: ControlledPath, X: GeometricRoughPath,
                         offset=None) -> ControlledPath:
     """The indefinite integral as a controlled path: running level 0, and the
     integrand's levels shifted up by one with the operator slot re-absorbed."""
-    e, d = _integrand_dims(Z)
+    e, _ = _integrand_dims(Z.dim_u, Z.d)
     _check_pair(Z, X)
+    return ControlledPath(X.times, X.d, X.N, e, _integral_levels(Z.levels, X, offset))
+
+
+def _integral_levels(z_levels, X: GeometricRoughPath, offset) -> list:
+    """The levels of :func:`integral_controlled` of the integrand level list
+    ``z_levels`` on X, unchecked: level i of shape (P, e, d**i).
+
+    Every entry of the integrand reaches the integral, in a level or in a
+    step term of level 0, except level N - 1 at the last grid point.
+    """
     # Each integrand level with its operator slot last, once: the step terms
     # read it at the step starts, and it is the integral's next level up.
-    shifted = [_operator_slot_last(z, d) for z in Z.levels]
-    level0 = np.zeros((X.n_points, e))
+    shifted = [_operator_slot_last(z, X.d) for z in z_levels]
+    level0 = np.zeros(shifted[0].shape[:2])
     per_step = _interval_terms([z[:-1] for z in shifted], X._step_increments()).sum(axis=1)
     np.cumsum(per_step, axis=0, out=level0[1:])
     if offset is not None:
         level0 = level0 + np.asarray(offset, dtype=float).ravel()[None, :]
-    return ControlledPath(X.times, X.d, X.N, e, [level0[:, :, None]] + shifted[:-1])
+    return [level0[:, :, None]] + shifted[:-1]
 
 
 def removal_identity_check(Z: ControlledPath, X: GeometricRoughPath,
@@ -157,10 +168,10 @@ def removal_identity_check(Z: ControlledPath, X: GeometricRoughPath,
     every level from one pass, paired with X^k_{b,c} by the per-interval kernel."""
     coarse = partition.remove(j)
     idx = partition.indices
-    _, d = _integrand_dims(Z)
+    _, d = _integrand_dims(Z.dim_u, Z.d)
     lhs = compensated_sum(Z, X, partition) - compensated_sum(Z, X, coarse)
     a, b, c = idx[j - 1], idx[j], idx[j + 1]
-    rem = _remainder_blocks(Z, X, range(Z.N))(slice(a, a + 1), slice(b, b + 1))
+    rem = _remainder_blocks(Z.levels, X, range(Z.N))(slice(a, a + 1), slice(b, b + 1))
     blocks = [_operator_slot_last(r.reshape(1, Z.dim_u, -1), d) for r in rem]
     rhs = np.cumsum(_interval_terms(blocks, _increments(X, [b], [c], X.N))[0], axis=0)[-1]
     return float(np.max(np.abs(lhs - rhs)))

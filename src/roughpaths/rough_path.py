@@ -17,10 +17,11 @@ scan keeps the maximum per end point, so the maxima of every prefix of the
 grid come from the same pass.  The grid-only work of a scan, its tiles,
 masks and gap powers, is its plan (:func:`_pair_plan`): a scan streams it
 tile by tile, and a caller that scans one grid many times may build it once
-(:func:`_shared_plan`, a local solve for the Picard residuals of one
-attempt) when its gap powers fit in ``_PLAN_BLOCKS`` pair blocks, 2 MB
-whatever the grid; a larger plan is streamed by every scan.  No driver
-holds a plan.
+(:func:`_shared_plan`, a local solve for the Picard residuals and the ball
+distance of one attempt) when its gap powers fit in ``_PLAN_BLOCKS`` pair
+blocks, 2 MB whatever the grid; a larger plan is streamed by every scan.
+One scan may also serve several paths, each tile's gap powers computed once
+for all of them.  No driver holds a plan.
 """
 from __future__ import annotations
 
@@ -321,7 +322,7 @@ def _shared_plan(times: np.ndarray, width: int, exponents):
     return tuple(_pair_plan(times, width, exponents))
 
 
-def _scan_pairs(plan, block_fn) -> np.ndarray:
+def _scan_pairs(plan, block_fn, paths: int = 1) -> np.ndarray:
     """Max of l1-norm / gap**exponent over grid pairs s < t, per exponent and per end point.
 
     ``plan`` is a :func:`_pair_plan`, streamed, or built by :func:`_shared_plan`.
@@ -333,13 +334,20 @@ def _scan_pairs(plan, block_fn) -> np.ndarray:
     maxima over all pairs; its running maximum along t is the maximum over the
     pairs of every prefix [t_0, t_j].  A NaN pair propagates to its end point.
     The scan keeps no pairwise array past its tile.
+
+    With ``paths`` > 1, one pass scans that many paths over one plan:
+    ``block_fn`` returns the blocks of every exponent for path 0, then for
+    path 1, and so on, each tile's gap powers serve them all, and the result
+    stacks one (len(exponents), P) array per path.  Its plan's width counts
+    the entries of all paths.
     """
     plan = iter(plan)
-    ends = np.zeros(next(plan))
+    n_exp, P = next(plan)
+    ends = np.zeros((paths * n_exp, P))
     for rows, cols, drop, powers in plan:
-        ratios = np.empty(powers.shape)
-        for ratio, block, power in zip(ratios, block_fn(rows, cols), powers):
-            np.divide(np.abs(block).sum(axis=-1), power, out=ratio)
+        ratios = np.empty((paths * n_exp,) + powers.shape[1:])
+        for k, (ratio, block) in enumerate(zip(ratios, block_fn(rows, cols))):
+            np.divide(np.abs(block).sum(axis=-1), powers[k % n_exp], out=ratio)
         if drop is not None:
             np.copyto(ratios, -np.inf, where=drop)
         tile = ends[:, cols]

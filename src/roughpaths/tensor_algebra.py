@@ -198,10 +198,13 @@ def _product_level(a, b, r: int) -> np.ndarray:
     """Level r of the product of level lists, broadcast over leading axes: the sum of
     a^i (x) b^(r-i) over the levels i <= r that ``a`` holds, each with trailing axis
     d**i, added up in ascending i so that batched and single products agree bit for bit.
+    The leading shape is that of the first term, a^0 (x) b^r.
     """
-    lead = np.broadcast_shapes(a[0].shape[:-1], b[0].shape[:-1])
+    term = a[0][..., :, None] * b[r][..., None, :]
+    lead = term.shape[:-2]
     acc = np.zeros(lead + (b[r].shape[-1],))
-    for i in range(min(r + 1, len(a))):
+    acc += term.reshape(lead + (-1,))
+    for i in range(1, min(r + 1, len(a))):
         acc += (a[i][..., :, None] * b[r - i][..., None, :]).reshape(lead + (-1,))
     return acc
 
@@ -376,7 +379,7 @@ def _add_assignments(acc, src, idx) -> None:
             buf = np.empty((n,) + out.shape)
             buf[0] = out
             # Indices are in range; "clip" spares the buffered copy "raise" makes.
-            np.take(part, idx[:, c:c + cols], axis=0, out=buf[1:], mode="clip")
+            part.take(idx[:, c:c + cols], axis=0, out=buf[1:], mode="clip")
             if out.size > 1:
                 np.add.reduce(buf, axis=0, out=out)
             else:  # numpy sums a lone run pairwise, not in order

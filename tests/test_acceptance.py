@@ -294,7 +294,7 @@ def test_c09_fixed_point_uniqueness_patching():
                               for _ in range(3)])
     other = solve_local(F, X_loc, [1.0], cfg, initial_guess=cp.path_add(W, pert))
     assert base.outcome == other.outcome == "converged"
-    assert _in_ball_steps(base, X_loc, cfg.alpha) == _in_ball_steps(other, X_loc, cfg.alpha) == 32
+    assert _in_ball_steps(base) == _in_ball_steps(other) == 32
     guess_gap = cp.distance(base.path, other.path, X_loc, X_loc, cfg.alpha)
 
     # Split-horizon vs full-horizon.

@@ -17,13 +17,13 @@ from roughpaths.controlled_path import (
     triple_norm,
     zero_remainder_path,
 )
-from roughpaths import rough_path
+from roughpaths import controlled_path, rough_path
 from roughpaths.controlled_path import (
     NonFiniteLevelError,
     _remainder_blocks,
     _remainder_plan,
-    _remainder_width,
     _seminorm_scan,
+    _seminorms,
 )
 from roughpaths.lipschitz import linear, remainder_regularity_probe
 from roughpaths.oracle import distance_reference, seminorm_reference
@@ -159,17 +159,19 @@ def test_scans_do_not_depend_on_tiling(monkeypatch):
     def scans():
         out = []
         for Xa, Xb, Ya, Yb, Yc in cases:
-            plan = tuple(_remainder_plan(Ya, 0.3))
+            plan = tuple(_remainder_plan(Xa, Ya.dim_u, 0.3))
             streamed = [prefix_seminorms(Y, Xa, 0.3).tolist() for Y in (Ya, Yc, Ya)]
-            assert [_seminorm_scan(Y, Xa, 0.3, plan).tolist() for Y in (Ya, Yc, Ya)] == streamed
-            shared = _remainder_plan(Yc, 0.3, shared=True)
+            assert [_seminorm_scan(Y.levels, Xa, 0.3, plan).tolist() for Y in (Ya, Yc, Ya)] == streamed
+            shared = _remainder_plan(Xa, Yc.dim_u, 0.3, shared=True)
             if shared is not None:
-                assert [_seminorm_scan(Y, Xa, 0.3, shared).tolist() for Y in (Ya, Yc, Ya)] == streamed
+                assert [_seminorm_scan(Y.levels, Xa, 0.3, shared).tolist() for Y in (Ya, Yc, Ya)] == streamed
+            # One scan of several level lists gives each one's seminorm.
+            assert _seminorms([Ya.levels, Yc.levels, Ya.levels], Xa, 0.3) == [s[-1] for s in streamed]
             out.append((seminorm(Ya, Xa, 0.3), distance(Ya, Yb, Xa, Xb, 0.3), distance(Ya, Ya, Xa, Xa, 0.3),
                         [holder_norm(Xa, level, 0.3) for level in range(1, Xa.N + 1)],
                         group_like_deviation(Xa),
                         # The maximum of every level per end point, and the prefix seminorms.
-                        rough_path._scan_pairs(plan, _remainder_blocks(Ya, Xa, range(Ya.N))).tolist(),
+                        rough_path._scan_pairs(plan, _remainder_blocks(Ya.levels, Xa, range(Ya.N))).tolist(),
                         streamed))
         return out
 
@@ -181,10 +183,10 @@ def test_scans_do_not_depend_on_tiling(monkeypatch):
     # compare every pair's remainder too: one start row against the grid.
     for Xa, _, Ya, _, _ in cases:
         P = Xa.n_points
-        every = _remainder_blocks(Ya, Xa, range(Ya.N))
+        every = _remainder_blocks(Ya.levels, Xa, range(Ya.N))
         every_whole = every(slice(0, P - 1), slice(1, P))
         for i in range(Ya.N):
-            block = _remainder_blocks(Ya, Xa, [i])
+            block = _remainder_blocks(Ya.levels, Xa, [i])
             whole = block(slice(0, P - 1), slice(1, P))[0]
             for s in range(P - 1):
                 assert np.array_equal(block(slice(s, s + 1), slice(s + 1, P))[0][0], whole[s, s:])
@@ -239,6 +241,54 @@ def test_scan_keeps_a_nan_pair(monkeypatch):
         # Each end point keeps the maximum over its own start rows, NaN included.
         expect = [0.0, pairs[0, 1], np.max([pairs[0, 2], pairs[1, 2]])]
         np.testing.assert_array_equal(ends, [expect])
+
+
+def test_one_scan_of_several_paths_matches_separate_scans(monkeypatch):
+    # The closing pass of a solve: one streamed scan gives the seminorm of a
+    # path and of its difference to another, bit for bit those of two
+    # seminorm calls, over every d <= 4, N <= 5 and both target dimensions.
+    # Every tile's blocks, both paths together, stay within _PAIR_BLOCK.
+    rng = np.random.default_rng(47)
+    real_scan = controlled_path._scan_pairs
+    widths = []
+
+    def bounded_scan(plan, block_fn, paths=1):
+        def measured(rows, cols):
+            blocks = block_fn(rows, cols)
+            widths.append(sum(block.size for block in blocks))
+            return blocks
+
+        return real_scan(plan, measured, paths)
+
+    monkeypatch.setattr(controlled_path, "_scan_pairs", bounded_scan)
+    for budget in (rough_path._PAIR_BLOCK, 64):
+        monkeypatch.setattr(rough_path, "_PAIR_BLOCK", budget)
+        for d in range(1, 5):
+            for N in range(1, 6):
+                X = walk_driver(rng, d, N, 9 if d**N > 64 else 17)
+                alpha = 0.5 * (1.0 / (N + 1) + 1.0 / N)
+                for e in (1, 2):
+                    Y, W = random_controlled(rng, X, e), random_controlled(rng, X, e)
+                    gap = path_sub(Y, W)
+                    want = [seminorm(Y, X, alpha), seminorm(gap, X, alpha)]
+                    widths.clear()
+                    got = _seminorms([Y.levels, gap.levels], X, alpha)
+                    assert np.array(got).tobytes() == np.array(want).tobytes(), (d, N, e)
+                    assert widths and max(widths) <= max(budget, 2 * e * sum(d**i for i in range(N)))
+
+
+def test_one_scan_of_several_paths_keeps_a_nan_to_its_path():
+    # A NaN pair in one path of the shared scan reaches that path's value
+    # only, in either position; the other path keeps its own seminorm.
+    rng = np.random.default_rng(48)
+    X = walk_driver(rng, 2, 3, 17)
+    Y, W = random_controlled(rng, X, 2), random_controlled(rng, X, 2)
+    broken = [level.copy() for level in W.levels]
+    broken[1][7, 1, 0] = np.nan
+    first = _seminorms([broken, Y.levels], X, 0.3)
+    second = _seminorms([Y.levels, broken], X, 0.3)
+    assert np.isnan(first[0]) and np.isnan(second[1])
+    assert first[1] == second[0] == seminorm(Y, X, 0.3)
 
 
 def test_path_arithmetic_rejects_other_depth_or_dimension():

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from roughpaths import controlled_path, rde_solver, rough_integral, rough_path, tensor_algebra
 from roughpaths.controlled_path import (
     ControlledPath,
+    NonFiniteLevelError,
     distance,
     path_add,
     path_sub,
@@ -14,8 +16,9 @@ from roughpaths.controlled_path import (
     seminorm,
     triple_norm,
 )
-from roughpaths.lipschitz import constant, linear, polynomial, ridge
+from roughpaths.lipschitz import compose, constant, linear, polynomial, ridge
 from roughpaths.oracle import ode_rk4
+from roughpaths.rough_integral import integral_controlled
 from roughpaths.rde_solver import (
     ContinuityProbe,
     SolveFailure,
@@ -113,7 +116,7 @@ def test_solve_local_zero_field_single_iteration():
     F = constant(np.zeros(1), 1, n_levels=3)
     local = solve_local(F, X, [5.0], default_config())
     assert (local.outcome, len(local.residuals)) == ("converged", 1)
-    assert _in_ball_steps(local, X, default_config().alpha) == 16
+    assert _in_ball_steps(local) == 16
     assert np.allclose(local.path.path_values(), 5.0)
     start = canonical_initial_path([5.0], F, X)
     assert all(np.array_equal(a, b) for a, b in zip(local.start.levels, start.levels))
@@ -125,7 +128,7 @@ def test_solve_local_exponential_on_quarter_interval():
     X_loc = restrict(X, 0, idx)
     local = solve_local(scalar_identity_field(), X_loc, [1.0], default_config())
     assert local.outcome == "converged"
-    assert _in_ball_steps(local, X_loc, default_config().alpha) == idx
+    assert _in_ball_steps(local) == idx
     got = local.path.path_values()[:, 0]
     assert np.max(np.abs(got - np.exp(times[: idx + 1]))) < 1e-8
     # Residuals decay geometrically once contraction kicks in.
@@ -201,7 +204,7 @@ def test_uniqueness_from_different_initial_guesses():
                            for _ in range(3)])
     other = solve_local(F, X_loc, [1.0], cfg, initial_guess=path_add(W, pert))
     assert base.outcome == other.outcome == "converged"
-    assert _in_ball_steps(base, X_loc, cfg.alpha) == _in_ball_steps(other, X_loc, cfg.alpha) == idx
+    assert _in_ball_steps(base) == _in_ball_steps(other) == idx
     assert distance(base.path, other.path, X_loc, X_loc, cfg.alpha) <= 10 * cfg.contraction_tol
 
 
@@ -273,6 +276,156 @@ def test_non_finite_residual_is_a_solve_failure(monkeypatch):
         solve_local(scalar_identity_field(), X, [1.0], default_config())
 
 
+def test_overflowing_picard_difference_is_a_solve_failure():
+    # On a constant driver the iterate's level 1 is the field's value,
+    # 1.7e308, and the guess's is -1.7e308: their difference overflows, and
+    # the residual reports it.
+    times = np.linspace(0.0, 1.0, 9)
+    X = lift_path(PiecewiseLinearPath(times, np.zeros((9, 1))), 2)
+    guess = ControlledPath(X.times, 1, 2, 1, [np.zeros((9, 1, 1)), np.full((9, 1, 1), -1.7e308)])
+    cfg = SolverConfig(alpha=0.4, beta=0.45)
+    with pytest.raises(SolveFailure, match=r"Picard residual \S+ is not finite"):
+        solve_local(constant([1.7e308], 1, 2), X, [0.0], cfg, initial_guess=guess)
+
+
+def test_overflowing_ball_and_closing_differences_are_solve_failures(monkeypatch):
+    # The same field and driver: the start path and the fixed point agree,
+    # with level 1 at 1.7e308.  A start path, or a Picard image of the
+    # solution, at -1.7e308 makes the ball distance, or the global residual,
+    # overflow; both end as solve failures, the latter with the report.
+    times = np.linspace(0.0, 1.0, 9)
+    X = lift_path(PiecewiseLinearPath(times, np.zeros((9, 1))), 2)
+    F, cfg = constant([1.7e308], 1, 2), SolverConfig(alpha=0.4, beta=0.45)
+    local = solve_local(F, X, [0.0], cfg)
+    assert local.outcome == "converged" and _in_ball_steps(local) == 8
+    flipped = ControlledPath(X.times, 1, 2, 1, [np.zeros((9, 1, 1)), np.full((9, 1, 1), -1.7e308)])
+    with pytest.raises(SolveFailure, match=r"ball distance \S+ is not finite"):
+        _in_ball_steps(dataclasses.replace(local, start=flipped))
+
+    real_step = rde_solver.picard_step
+    monkeypatch.setattr(rde_solver, "picard_step",
+                        lambda Y, F, X_arg, y0: flipped if X_arg is X else real_step(Y, F, X_arg, y0))
+    with pytest.raises(SolveFailure, match="global residual nan is not finite") as info:
+        solve(F, X, [0.0], 1.0, cfg)
+    assert info.value.partial is not None and info.value.report.n_patches >= 1
+
+
+def sweep_fields(rng, e, d, N):
+    """A ridge, a linear, a polynomial and a constant field from R^e to
+    L(R^d; R^e); the constant one holds a -0.0, which reaches level 1 of a
+    Picard iterate."""
+    out = e * d
+    return [
+        constant([-0.0] + list(rng.standard_normal(out - 1)), e, N),
+        ridge(e, out, [{"coef": list(0.3 * rng.standard_normal(out)), "kind": kind,
+                        "weight": list(0.3 * rng.standard_normal(e)), "phase": 0.3}
+                       for kind in ("sin", "exp")], n_levels=N),
+        linear(0.3 * rng.standard_normal((out, e)), rng.standard_normal(out), n_levels=N),
+        polynomial(e, out, [((2,) + (0,) * (e - 1), list(0.3 * rng.standard_normal(out))),
+                            ((1,) * e, list(0.3 * rng.standard_normal(out)))], n_levels=N),
+    ]
+
+
+def sweep_cases():
+    """(X, Y, y0, F, alpha) over every d <= 4, N <= 5, dim_u in {1, 2} and the
+    four field kinds, on six-point walks."""
+    rng = np.random.default_rng(91)
+    for d in range(1, 5):
+        for N in range(1, 6):
+            times = np.linspace(0.0, 1.0, 6)
+            X = lift_path(PiecewiseLinearPath(times, np.cumsum(0.2 * rng.standard_normal((6, d)), 0)), N)
+            for e in (1, 2):
+                levels = [0.5 * rng.standard_normal((6, e, d**i)) for i in range(N)]
+                Y = ControlledPath(times, d, N, e, levels)
+                for F in sweep_fields(rng, e, d, N):
+                    yield X, Y, rng.standard_normal(e), F, 0.5 * (1.0 / (N + 1) + 1.0 / N)
+
+
+def level_bytes(Y):
+    return [level.tobytes() for level in Y.levels]
+
+
+def test_picard_step_matches_compose_then_integrate():
+    # The fused step builds only the iterate; its levels are those of the
+    # two public calls, byte for byte, the constant field's -0.0 included.
+    for X, Y, y0, F, _ in sweep_cases():
+        want = integral_controlled(compose(F, Y, X), X, offset=y0)
+        assert level_bytes(picard_step(Y, F, X, y0)) == level_bytes(want), (X.d, X.N, Y.dim_u, F.label)
+
+
+def test_picard_step_raises_on_a_non_finite_composed_field():
+    # At the last grid point exp(700) is finite and exp(700) * 1e10 is not:
+    # only the composed field's top level there overflows, the one entry
+    # that reaches no entry of the iterate, and it is checked alone.
+    times = np.linspace(0.0, 1.0, 5)
+    X = lift_path(PiecewiseLinearPath(times, times[:, None]), 2)
+    F = ridge(1, 1, [{"coef": [1.0], "kind": "exp", "weight": [1.0]}], n_levels=2)
+    values, slopes = np.zeros((5, 1, 1)), np.zeros((5, 1, 1))
+    values[-1], slopes[-1] = 700.0, 1e10
+    Y = ControlledPath(times, 1, 2, 1, [values, slopes])
+    with pytest.raises(NonFiniteLevelError):
+        with np.errstate(over="ignore", invalid="ignore"):
+            compose(F, Y, X)
+    with pytest.raises(NonFiniteLevelError, match="composed field"):
+        picard_step(Y, F, X, [0.0])
+
+
+def test_residuals_are_triple_norms_of_the_differences():
+    # The residual scanned from the level differences over the attempt's
+    # plan equals the triple norm of the difference path, bit for bit.
+    for X, _, y0, F, alpha in sweep_cases():
+        cfg = SolverConfig(alpha=alpha, beta=1.0 / X.N, max_picard_iters=3, contraction_tol=1e-300)
+        local = solve_local(F, X, y0, cfg)
+        Y = canonical_initial_path(y0, F, X)
+        for res in local.residuals:
+            Y_new = picard_step(Y, F, X, y0)
+            want = triple_norm(path_sub(Y_new, Y), X, alpha)
+            assert np.float64(res).tobytes() == np.float64(want).tobytes(), (X.d, X.N, F.label)
+            Y = Y_new
+        assert level_bytes(local.path) == level_bytes(Y)
+
+
+def test_closing_pass_matches_two_seminorms():
+    # The report's solution seminorm and global residual, from one scan,
+    # against the two seminorm calls on the horizon's driver.
+    cases = [(line_driver(n=128)[0], scalar_identity_field(), [1.0], default_config(), 1.0)]
+    N, alpha, beta = ROUGH_CELLS[1]
+    cfg = SolverConfig(alpha=alpha, beta=beta, tau_init=0.25, contraction_tol=1e-12)
+    X = lift_path(weierstrass_path(n=24, octaves=6, amp=0.2, seed=7), N, beta)
+    cases.append((X, ridge_field(N), [0.3], cfg, 0.75))
+    for X, F, y0, cfg, horizon in cases:
+        Y, report = solve(F, X, y0, horizon, cfg)
+        X_T = restrict(X, 0, Y.n_points - 1) if Y.n_points < X.n_points else X
+        image = picard_step(Y, F, X_T, y0)
+        assert report.solution_seminorm == seminorm(Y, X_T, cfg.alpha)
+        assert report.global_residual == seminorm(path_sub(Y, image), X_T, cfg.alpha)
+
+
+def test_one_controlled_path_per_picard_step(monkeypatch):
+    # Inside a local solve the start path and each iterate are the only
+    # controlled paths built: the composed field, the differences and the
+    # ball distance stay level lists.
+    built = []
+    real_init = ControlledPath.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(ControlledPath, "__init__", counted)
+    for X, F, y0 in ((restrict(line_driver(n=64)[0], 0, 16), scalar_identity_field(), [1.0]),
+                     (lift_path(PiecewiseLinearPath(np.linspace(0.0, 0.25, 9),
+                                                    np.cumsum(np.full((9, 3), 0.05), 0)), 5),
+                      ridge(1, 3, [{"coef": [1.0, 0.5, -0.5], "kind": "sin", "weight": [0.5]}], 5),
+                      [0.2])):
+        built.clear()
+        local = solve_local(F, X, y0, SolverConfig(alpha=0.5 * (1 / (X.N + 1) + 1 / X.N), beta=1 / X.N))
+        assert local.outcome == "converged" and len(local.residuals) > 1
+        assert len(built) == 1 + len(local.residuals)
+        _in_ball_steps(local)
+        assert len(built) == 1 + len(local.residuals)
+
+
 def test_patch_budget_exhausted_keeps_the_accepted_patch():
     X, _ = line_driver(n=32)
     with pytest.raises(SolveFailure, match="patch budget exhausted") as info:
@@ -329,11 +482,12 @@ def test_readme_line_solve_counts():
 
 
 def test_one_scan_plan_per_local_attempt(monkeypatch):
-    # The README solve again: each local attempt builds the plan of its
-    # residual scans (tiles, masks, gap powers) once, and every Picard
-    # residual of the attempt scans with it; every other scan streams a plan
-    # of its own.  Nothing else holds a plan after the solve: not the
-    # caller's driver, whose caches are its per-level arrays, nor the report.
+    # The README solve again: each local attempt builds the plan of its scans
+    # (tiles, masks, gap powers) once, and every Picard residual of the
+    # attempt and its ball distance scan with it.  The closing pass streams
+    # one plan for the two seminorms on the horizon's driver.  Nothing else
+    # holds a plan after the solve: not the caller's driver, whose caches are
+    # its per-level arrays, nor the report.
     X, _ = line_driver(n=512)
     attempts, plans, scans = [], [], []
 
@@ -345,9 +499,9 @@ def test_one_scan_plan_per_local_attempt(monkeypatch):
         plans.append(real_shared(*args))
         return plans[-1]
 
-    def counted_scan(plan, block_fn):
-        scans.append(id(plan) if isinstance(plan, tuple) else None)
-        return real_scan(plan, block_fn)
+    def counted_scan(plan, block_fn, paths=1):
+        scans.append((id(plan) if isinstance(plan, tuple) else None, paths))
+        return real_scan(plan, block_fn, paths)
 
     real_local, real_shared, real_scan = solve_local, controlled_path._shared_plan, controlled_path._scan_pairs
     monkeypatch.setattr(rde_solver, "solve_local", counted_local)
@@ -355,25 +509,29 @@ def test_one_scan_plan_per_local_attempt(monkeypatch):
     monkeypatch.setattr(controlled_path, "_scan_pairs", counted_scan)
     Y, report = solve(scalar_identity_field(), X, [1.0], 1.0, default_config())
     monkeypatch.undo()
-    reused = [plan for plan in scans if plan is not None]
+    reused = [plan for plan, _ in scans if plan is not None]
     total = len(scans)
     assert len(attempts) == len(plans) == 5 and None not in plans
-    assert len(reused) == sum(p.iterations for p in report.patches) == 46
+    # 46 residual scans and one ball scan per attempt.
+    assert sum(p.iterations for p in report.patches) == 46 and len(reused) == 46 + 5
     assert set(reused) == {id(plan) for plan in plans}
     assert [plan[0][1] for plan in plans] == attempts
+    assert [scan for scan in scans if scan[0] is None] == [(None, 2)] and scans[-1] == (None, 2)
     for plan in plans:
         assert gc.get_referrers(plan) == [plans]
     for cache, rows in ((X._inverses, X.n_points), (X._steps, X.n_points - 1)):
         assert [lvl.shape for lvl in cache] == [(rows, X.d**r) for r in range(X.N + 1)]
 
-    # Past the budget every residual streams its plan, with the same bytes.
+    # Past the budget every scan streams its plan, with the same bytes.
     monkeypatch.setattr(rough_path, "_PLAN_BLOCKS", 0)
     monkeypatch.setattr(controlled_path, "_scan_pairs", counted_scan)
     scans.clear()
     Y_streamed, streamed = solve(scalar_identity_field(), X, [1.0], 1.0, default_config())
-    assert len(scans) == total and set(scans) == {None}
+    assert len(scans) == total and {plan for plan, _ in scans} == {None}
     assert [lvl.tobytes() for lvl in Y_streamed.levels] == [lvl.tobytes() for lvl in Y.levels]
     assert [p.residuals for p in streamed.patches] == [p.residuals for p in report.patches]
+    streamed.wall_time_s = report.wall_time_s
+    assert streamed == report
 
 
 def test_non_contraction_shrinks_tau():
@@ -460,11 +618,11 @@ def test_accepted_prefix_matches_fresh_solve(N, alpha, beta):
     X = lift_path(weierstrass_path(n=24, octaves=6, amp=0.2, seed=7), N, beta)
     local = solve_local(F, restrict(X, 0, 6), [0.3], cfg)
     assert local.outcome == "converged"
-    j = _in_ball_steps(local, restrict(X, 0, 6), alpha)
+    j = _in_ball_steps(local)
     assert 1 <= j < 6
     prefix = restrict_path(local.path, 0, j)
     fresh = solve_local(F, restrict(X, 0, j), [0.3], cfg)
-    assert fresh.outcome == "converged" and _in_ball_steps(fresh, restrict(X, 0, j), alpha) == j
+    assert fresh.outcome == "converged" and _in_ball_steps(fresh) == j
     assert triple_norm(path_sub(prefix, fresh.path), restrict(X, 0, j), alpha) <= cfg.contraction_tol
     Y, report = solve(F, X, [0.3], 1.0, cfg)
     first = report.patches[0]

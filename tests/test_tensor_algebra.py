@@ -16,6 +16,7 @@ from roughpaths.tensor_algebra import (
     _basis_sectors,
     _coproduct_sectors,
     _max_abs,
+    _product_level,
     _set_partition_axes,
     _set_partition_gathers,
     admissible_norm,
@@ -508,3 +509,37 @@ def test_admissible_norm_axioms():
         perm = vw.reshape(3, 3).T.ravel()
         xi_p = TensorSeries(3, 2, [[0.0], np.zeros(3), perm])
         assert admissible_norm(xi_p, 2) == pytest.approx(admissible_norm(xi, 2))
+
+
+def _product_level_broadcast(a, b, r):
+    # The product level with its leading shape from np.broadcast_shapes of the
+    # operands' level 0, the kernel's earlier form.
+    lead = np.broadcast_shapes(a[0].shape[:-1], b[0].shape[:-1])
+    acc = np.zeros(lead + (b[r].shape[-1],))
+    for i in range(min(r + 1, len(a))):
+        acc += (a[i][..., :, None] * b[r - i][..., None, :]).reshape(lead + (-1,))
+    return acc
+
+
+def test_product_level_takes_its_shape_from_the_first_term():
+    # Batched x single, single x batched, two batches broadcast against each
+    # other, and shorter left factors: the bytes of the earlier form, whose
+    # zero start turns a -0.0 product into 0.0 (a lone level-0 left factor
+    # against a -0.0 entry).
+    rng = np.random.default_rng(81)
+
+    def levels(lead, d, N):
+        out = [np.ones(lead + (1,))] + [rng.standard_normal(lead + (d**i,)) for i in range(1, N + 1)]
+        out[1][..., 0] = 0.0
+        out[-1][..., -1] = -0.0
+        return out
+
+    for d in range(1, 5):
+        for N in range(1, 6):
+            single, batched = levels((), d, N), levels((5,), d, N)
+            rows, cols = levels((3, 1), d, N), levels((1, 4), d, N)
+            for a, b in ((batched, single), (single, batched), (batched, batched),
+                         (single, single), (rows, cols), (batched[:2], single), (single[:1], batched)):
+                for r in range(N + 1):
+                    got, want = _product_level(a, b, r), _product_level_broadcast(a, b, r)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (d, N, r)
