@@ -17,20 +17,18 @@ per-row increment.  The grid-pair scans of ``rough_path`` take every level of
 a seminorm in one scan, over tiles of bounded size.
 
 The kernels read level lists, not containers: :func:`_remainder_blocks` and
-:func:`_seminorm_scan` take the levels of a path, or the level differences
-of two paths that are never built as one, and the public functions pass
-``Y.levels`` after their checks.  Nothing here is cached: the expansion maps
-live for one call, and every public scan streams the plan of its tiles,
-masks and gap powers (:func:`_remainder_plan`).  Two kinds of scan share a
-plan.  A local solve scans each Picard residual and its ball distance
-through :func:`_seminorm_scan` with one plan built per attempt, when it fits
-``rough_path._shared_plan``'s budget (262 KB at P = 129 and N = 3), and
-drops it with the attempt.  The closing pass of a solve takes the seminorms
-of the solution and of its Picard residual from one streamed scan
-(:func:`_seminorms`), each tile's gap powers serving both.  Over one driver
-Y -> RY is linear, so the gap between two paths on the same driver is the
-seminorm of their difference; ``distance`` serves the gap between paths on
-two drivers.
+the one seminorm kernel :func:`_prefix_seminorms` take the levels of a path,
+or the level differences of two paths never built as one, and the public
+functions pass ``Y.levels`` after their checks.  One call of
+:func:`_prefix_seminorms` scans one or more level lists over one plan
+(:func:`_remainder_plan`), each tile's gap powers serving them all, and
+gives each list's seminorm of every prefix of the grid.  Nothing here is
+cached: the expansion maps live for one call, and a plan as long as its
+caller holds it (a local solve: one attempt).  A plan keeps its tiles when
+they fit 2 MB (262 KB at P = 129 and N = 3) and rebuilds them on every scan
+otherwise.  Over one driver Y -> RY is linear, so the gap between two paths
+on the same driver is the seminorm of their difference; ``distance`` serves
+the gap between paths on two drivers.
 
 Every pairing of a controlled level with a driver tensor in its leading
 slots, Y^{i+j}_s(X^j_{s,t} (x) .), is one contraction, :func:`_fill_leading`,
@@ -45,7 +43,7 @@ import io
 
 import numpy as np
 
-from .rough_path import GeometricRoughPath, _check_beta, _grid_times, _pair_plan, _scan_pairs, _shared_plan
+from .rough_path import GeometricRoughPath, _check_beta, _grid_times, _pair_plan, _scan_pairs
 from .tensor_algebra import _check_caps, _check_whole, _frozen_levels, _max_abs
 
 
@@ -183,15 +181,13 @@ def remainder_rows(Y: ControlledPath, X: GeometricRoughPath, i: int, s_idx: int)
     return rows.reshape(-1, Y.dim_u, Y.d**i)
 
 
-def _remainder_plan(X: GeometricRoughPath, dim_u: int, alpha: float, shared: bool = False):
+def _remainder_plan(X: GeometricRoughPath, dim_u: int, alpha: float):
     """The :func:`_pair_plan` of a remainder scan on X's grid at exponent
     alpha: every level in one pass, level i at exponent (N - i) alpha, for
     paths whose target dimensions sum to ``dim_u`` (a tile holds every level
-    of every path it scans).  With ``shared``, that plan built once for many
-    scans, or None when it exceeds the budget of :func:`_shared_plan`."""
-    build = _shared_plan if shared else _pair_plan
+    of every path it scans)."""
     width = dim_u * sum(X.d**i for i in range(X.N))
-    return build(X.times, width, [(X.N - i) * alpha for i in range(X.N)])
+    return _pair_plan(X.times, width, [(X.N - i) * alpha for i in range(X.N)])
 
 
 def seminorm(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> float:
@@ -208,39 +204,23 @@ def prefix_seminorms(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> 
     to the roundoff of re-basing.  The entries do not decrease."""
     _check_pair(Y, X)
     _check_alpha(alpha, Y.N)
-    return _seminorm_scan(Y.levels, X, alpha, None)
+    return _prefix_seminorms([Y.levels], X, _remainder_plan(X, Y.dim_u, alpha))[0]
 
 
-def _prefix_sums(ends: np.ndarray) -> np.ndarray:
-    """Prefix seminorms from the per-level maxima per end point of a scan."""
-    return np.maximum.accumulate(ends, axis=1).sum(axis=0)
-
-
-def _seminorm_scan(y_levels, X: GeometricRoughPath, alpha: float, plan) -> np.ndarray:
-    """:func:`prefix_seminorms` of the level list ``y_levels`` on X, unchecked,
-    over ``plan``: ``_remainder_plan(X, e, alpha, shared=True)`` for the
-    target dimension e of ``y_levels``, which a caller scanning many level
-    lists on one grid builds once, or None to stream one.  Both give the same
-    values bit for bit."""
-    if plan is None:
-        plan = _remainder_plan(X, y_levels[0].shape[1], alpha)
-    return _prefix_sums(_scan_pairs(plan, _remainder_blocks(y_levels, X, range(X.N))))
-
-
-def _seminorms(level_lists, X: GeometricRoughPath, alpha: float) -> list:
-    """The seminorm of each level list on X, unchecked, from one streamed
-    scan: each tile's gap powers are computed once and serve every list, and
-    a tile's blocks of all lists together stay within ``_PAIR_BLOCK``
-    doubles.  Each value equals that of :func:`_seminorm_scan` bit for bit."""
-    N = X.N
-    plan = _remainder_plan(X, sum(levels[0].shape[1] for levels in level_lists), alpha)
-    remainders = [_remainder_blocks(levels, X, range(N)) for levels in level_lists]
+def _prefix_seminorms(level_lists, X: GeometricRoughPath, plan) -> np.ndarray:
+    """:func:`prefix_seminorms` of each level list on X, unchecked, from one
+    scan over ``plan``, a :func:`_remainder_plan` on X for the sum of their
+    target dimensions: a (len(level_lists), P) array.  Each tile's gap powers
+    serve every list, and a tile's blocks of all lists together stay within
+    ``_PAIR_BLOCK`` doubles.  A row does not depend on the other lists or on
+    the tiling, bit for bit."""
+    remainders = [_remainder_blocks(levels, X, range(X.N)) for levels in level_lists]
 
     def blocks(rows, cols):
         return [block for rem in remainders for block in rem(rows, cols)]
 
     ends = _scan_pairs(plan, blocks, paths=len(level_lists))
-    return [float(_prefix_sums(ends[k * N:(k + 1) * N])[-1]) for k in range(len(level_lists))]
+    return np.maximum.accumulate(ends, axis=1).reshape(len(level_lists), X.N, -1).sum(axis=1)
 
 
 def distance(Ya: ControlledPath, Yb: ControlledPath,
@@ -292,8 +272,13 @@ def zero_remainder_path(blocks, X: GeometricRoughPath) -> ControlledPath:
     blocks = [np.asarray(b, dtype=float) for b in blocks]
     if len(blocks) != X.N:
         raise ValueError(f"expected {X.N} start blocks")
-    e = blocks[0].shape[0]
     n, d = X.n_points, X.d
+    e = blocks[0].shape[0] if blocks[0].ndim else 1
+    for i, block in enumerate(blocks):
+        if block.shape != (e, d**i):
+            raise ValueError(f"start block {i} must have shape ({e}, {d**i}), got {block.shape}")
+        if not np.isfinite(block).all():
+            raise NonFiniteLevelError(f"start block {i} has non-finite entries")
     levels = []
     for i in range(X.N):
         arr = np.zeros((n, e, d**i))
@@ -331,6 +316,8 @@ def path_sub(Ya: ControlledPath, Yb: ControlledPath) -> ControlledPath:
 
 
 def path_scale(Y: ControlledPath, c: float) -> ControlledPath:
+    if not np.isfinite(c):
+        raise ValueError(f"scale factor c {c!r} must be finite")
     return Y.replace_levels([c * a for a in Y.levels])
 
 

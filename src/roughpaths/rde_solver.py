@@ -7,7 +7,7 @@ length keeps the fixed points that lie in the unit ball around their start
 path and extends them to the full horizon.  The loop runs on level lists:
 a Picard step builds one controlled path, the iterate, and the residuals,
 the ball distance and the closing seminorms are scanned from level lists
-and level differences.
+and level differences by one kernel, ``controlled_path._prefix_seminorms``.
 """
 from __future__ import annotations
 
@@ -22,16 +22,15 @@ from .controlled_path import (
     ControlledPath,
     NonFiniteLevelError,
     _initial_norm,
+    _prefix_seminorms,
     _remainder_plan,
-    _seminorm_scan,
-    _seminorms,
     concatenate,
     distance,
     restrict_path,
     zero_remainder_path,
 )
 from .lipschitz import LipFunction, _check_compose, _compose_levels, _composed_level, compose
-from .rough_integral import _integral_levels, _integrand_dims, _operator_slot_last
+from .rough_integral import _check_offset, _integral_levels, _integrand_dims, _operator_slot_last
 from .rough_path import GeometricRoughPath, holder_distance, restrict
 from .tensor_algebra import MAX_LEVEL, _check_whole, _max_abs
 
@@ -143,6 +142,7 @@ def picard_step(Y: ControlledPath, F: LipFunction, X: GeometricRoughPath, y0) ->
     """
     _check_compose(F, Y, X)
     e, _ = _integrand_dims(F.dim_out, X.d)
+    y0 = _check_offset(y0, e, "y0")
     # Overflow is caught by the finiteness checks below and of the iterate.
     with np.errstate(over="ignore", invalid="ignore"):
         z_levels = _compose_levels(F, Y.levels)
@@ -150,7 +150,7 @@ def picard_step(Y: ControlledPath, F: LipFunction, X: GeometricRoughPath, y0) ->
         if not np.isfinite(z_levels[-1][-1]).all():
             raise NonFiniteLevelError(f"level {X.N - 1} block of the composed field has "
                                       "non-finite entries")
-        levels = _integral_levels(z_levels, X, np.asarray(y0, dtype=float))
+        levels = _integral_levels(z_levels, X, y0)
     return ControlledPath(X.times, X.d, X.N, e, levels)
 
 
@@ -186,23 +186,18 @@ def solve_local(F: LipFunction, X_local: GeometricRoughPath, y0, config: SolverC
     path or an iterate overflows or breaches the explosion guard, or a
     residual is not finite.
     """
-    y0 = np.asarray(y0, dtype=float).ravel()
     try:
         W = canonical_initial_path(y0, F, X_local)
     except NonFiniteLevelError as err:
         raise SolveFailure(f"start path overflowed: {err}") from err
     Y = W if initial_guess is None else initial_guess
-    # Every residual and the ball distance scan the same grid at the same
-    # exponents: their tiles, masks and gap powers are built once here, when
-    # they fit the budget of rough_path._shared_plan (else each scan streams
-    # them), and dropped with the attempt.
-    alpha = config.alpha
-    plan = _remainder_plan(X_local, W.dim_u, alpha, shared=True)
+    # Every residual and the ball distance scan one plan, dropped with the attempt.
+    plan = _remainder_plan(X_local, W.dim_u, config.alpha)
 
     def scan(levels):
         # Overflow shows as a non-finite value, which the caller checks.
         with np.errstate(over="ignore", invalid="ignore"):
-            return _seminorm_scan(levels, X_local, alpha, plan)
+            return _prefix_seminorms([levels], X_local, plan)[0]
 
     residuals: list = []
     for _ in range(config.max_picard_iters):
@@ -242,6 +237,8 @@ def _in_ball_steps(local: LocalSolve) -> int:
 
 
 def grid_index(times, t: float, tol: float = 1e-9) -> int:
+    if not tol >= 0:  # also rejects NaN
+        raise ValueError(f"tol {tol!r} must be a number >= 0")
     idx = int(np.argmin(np.abs(np.asarray(times) - t)))
     if not abs(times[idx] - t) <= tol:  # also rejects NaN, whose argmin is 0
         raise ValueError(f"time {t} is not grid-representable (nearest {times[idx]})")
@@ -351,10 +348,11 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
             image = picard_step(solution, F, X_T, y0)
         except NonFiniteLevelError as err:
             raise SolveFailure(f"Picard image of the solution overflowed: {err}") from err
-        # The seminorms of the solution and of solution - image, one streamed scan.
+        # The seminorms of the solution and of solution - image, from one scan.
+        plan = _remainder_plan(X_T, 2 * solution.dim_u, config.alpha)
         with np.errstate(over="ignore", invalid="ignore"):
-            closing = _seminorms([solution.levels, _difference(solution, image)], X_T, config.alpha)
-        report.solution_seminorm, report.global_residual = closing
+            closing = _prefix_seminorms([solution.levels, _difference(solution, image)], X_T, plan)[:, -1]
+        report.solution_seminorm, report.global_residual = closing.tolist()
         report.solution_norm = report.solution_seminorm + _initial_norm(solution.levels)
         for name, value in zip(("solution seminorm", "global residual"), closing):
             if not math.isfinite(value):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled_path import ControlledPath, _check_pair, _fill_leading, _remainder_blocks
+from .controlled_path import ControlledPath, _check_alpha, _check_pair, _fill_leading, _remainder_blocks
 from .rough_path import GeometricRoughPath, _increments
 from .tensor_algebra import MAX_LEVEL, _check_whole
 
@@ -139,12 +139,22 @@ def integral_controlled(Z: ControlledPath, X: GeometricRoughPath,
     integrand's levels shifted up by one with the operator slot re-absorbed."""
     e, _ = _integrand_dims(Z.dim_u, Z.d)
     _check_pair(Z, X)
+    if offset is not None:
+        offset = _check_offset(offset, e, "offset")
     return ControlledPath(X.times, X.d, X.N, e, _integral_levels(Z.levels, X, offset))
+
+
+def _check_offset(value, e: int, name: str) -> np.ndarray:
+    """A start value in U = R^e: ``value`` flattened, e finite entries."""
+    value = np.asarray(value, dtype=float).ravel()
+    if value.size != e or not np.isfinite(value).all():
+        raise ValueError(f"{name} must hold e = {e} finite values, e the target dimension, got {value.size}")
+    return value
 
 
 def _integral_levels(z_levels, X: GeometricRoughPath, offset) -> list:
     """The levels of :func:`integral_controlled` of the integrand level list
-    ``z_levels`` on X, unchecked: level i of shape (P, e, d**i).
+    ``z_levels`` on X from a checked ``offset``: level i of shape (P, e, d**i).
 
     Every entry of the integrand reaches the integral, in a level or in a
     step term of level 0, except level N - 1 at the last grid point.
@@ -156,7 +166,7 @@ def _integral_levels(z_levels, X: GeometricRoughPath, offset) -> list:
     per_step = _interval_terms([z[:-1] for z in shifted], X._step_increments()).sum(axis=1)
     np.cumsum(per_step, axis=0, out=level0[1:])
     if offset is not None:
-        level0 = level0 + np.asarray(offset, dtype=float).ravel()[None, :]
+        level0 = level0 + offset[None, :]
     return [level0[:, :, None]] + shifted[:-1]
 
 
@@ -253,7 +263,8 @@ def tail_constant(N: int, alpha: float) -> float:
     :func:`_hurwitz_zeta2`; direct summation cannot reach the needed accuracy
     for exponents close to 1.  Diverges unless (N+1) alpha > 1.
     """
-    p = (_check_whole(N, "level N", 1, MAX_LEVEL) + 1) * alpha
-    if not p > 1.0:  # also rejects NaN
+    _check_alpha(alpha, _check_whole(N, "level N", 1, MAX_LEVEL))
+    p = (N + 1) * alpha
+    if not p > 1.0:  # (N+1) alpha can round to 1 at the open end, as at N = 2 and 5
         raise ValueError(f"(N+1)*alpha = {p} must exceed 1 for the tail to converge")
     return float(2.0**p * _hurwitz_zeta2(p))

@@ -15,13 +15,12 @@ fixed number of doubles (``_PAIR_BLOCK``), so the pair values are never
 materialized at once, and a pair's value does not depend on its tile.  The
 scan keeps the maximum per end point, so the maxima of every prefix of the
 grid come from the same pass.  The grid-only work of a scan, its tiles,
-masks and gap powers, is its plan (:func:`_pair_plan`): a scan streams it
-tile by tile, and a caller that scans one grid many times may build it once
-(:func:`_shared_plan`, a local solve for the Picard residuals and the ball
-distance of one attempt) when its gap powers fit in ``_PLAN_BLOCKS`` pair
-blocks, 2 MB whatever the grid; a larger plan is streamed by every scan.
-One scan may also serve several paths, each tile's gap powers computed once
-for all of them.  No driver holds a plan.
+masks and gap powers, is its plan (:func:`_pair_plan`), which any number of
+scans on one grid may read.  One rule decides what a plan holds: its tiles
+are kept when their gap powers fit in ``_PLAN_BLOCKS`` pair blocks, 2 MB
+whatever the grid, and rebuilt tile by tile on every pass otherwise.  One
+scan may also serve several paths, each tile's gap powers computed once for
+all of them.  No driver holds a plan.
 """
 from __future__ import annotations
 
@@ -41,10 +40,10 @@ from .tensor_algebra import _segment_levels, _truncated_product
 # 2048 and ran as fast as 32768 within run-to-run noise (2048 ran 1.7x
 # slower); 32768 added 0.5 MB and the whole grid in one block 13 MB.
 _PAIR_BLOCK = 8192
-# A plan built once for many scans (_shared_plan) holds at most this many pair
-# blocks of gap powers, 2 MB; a larger one is streamed by each scan.  The
-# README solve's local drivers (P = 129, N = 3) pass the bound that
-# _shared_plan checks, len(exponents) * P**2 = 6.1 blocks, and hold 3.8.
+# A plan (_pair_plan) keeps its tiles when its gap powers fit in this many
+# pair blocks, 2 MB, and rebuilds them on every pass otherwise.  The README
+# solve's local drivers (P = 129, N = 3) pass the bound, len(exponents) * P**2
+# = 6.1 blocks, and hold 3.8; its closing scan at P = 513 is rebuilt.
 _PLAN_BLOCKS = 32
 
 
@@ -286,54 +285,58 @@ def _pair_tiles(n: int, width: int):
 
 def _pair_plan(times: np.ndarray, width: int, exponents):
     """The grid-only work of a grid-pair scan over ``times``, for pair blocks of
-    ``width`` doubles per pair and one Holder exponent per block.
+    ``width`` doubles per pair and one Holder exponent per block, which any
+    number of scans may read.
 
-    Yields the shape (len(exponents), P) of the scan's result, then one tile
-    (rows, cols, drop, powers) per tile of :func:`_pair_tiles`: ``drop`` masks
-    the pairs t <= s of the tile's (R, T) block (None when it has none), and
-    ``powers`` stacks gap**exponent, one (R, T) block per exponent.  A masked
-    pair's gap is <= 0; it is raised to 1, which keeps its power finite and
-    silent.  A scan streams its plan tile by tile unless its caller passes one
-    built by :func:`_shared_plan`.
+    A pass yields the shape (len(exponents), P) of the scan's result, then one
+    tile (rows, cols, drop, powers) per tile of :func:`_pair_tiles`: ``drop``
+    masks the pairs t <= s of the tile's (R, T) block (None when it has none),
+    and ``powers`` stacks gap**exponent, one (R, T) block per exponent.  A
+    masked pair's gap is <= 0; it is raised to 1, which keeps its power finite
+    and silent.  The chunks of R start rows span at most R * P pairs each and
+    cover the P - 1 start rows once, so len(exponents) * P**2 bounds the
+    doubles of the powers: within ``_PLAN_BLOCKS`` pair blocks the tiles are
+    built here and kept (a tuple), past it every pass rebuilds them one by one.
     """
-    yield len(exponents), times.size
-    for rows, cols, keep in _pair_tiles(times.size, width):
-        gaps = times[cols] - times[rows, None]
-        drop = None
-        if keep is not ...:
-            drop = ~keep
-            gaps = np.maximum(gaps, drop)
-        yield rows, cols, drop, np.stack([gaps**exp for exp in exponents])
+    def tiles():
+        yield len(exponents), times.size
+        for rows, cols, keep in _pair_tiles(times.size, width):
+            gaps = times[cols] - times[rows, None]
+            drop = None
+            if keep is not ...:
+                drop = ~keep
+                gaps = np.maximum(gaps, drop)
+            yield rows, cols, drop, np.stack([gaps**exp for exp in exponents])
+
+    if len(exponents) * times.size**2 <= _PLAN_BLOCKS * _PAIR_BLOCK:
+        return tuple(tiles())
+    return _Rebuilt(tiles)
 
 
-def _shared_plan(times: np.ndarray, width: int, exponents):
-    """The :func:`_pair_plan` built once (a tuple), for a caller that scans many
-    blocks on one grid at one width and the same exponents; None, so that
-    every scan streams its own, when its gap powers could exceed
-    ``_PLAN_BLOCKS`` pair blocks.
+class _Rebuilt:
+    """A plan past the budget: each pass over it builds its tiles afresh."""
 
-    The tiles of a chunk of R start rows span at most R * P pairs and the
-    chunks cover the P - 1 start rows once, so len(exponents) * P**2 bounds
-    the doubles of its powers; the check needs no tile.  The caller drops the
-    plan when it is done with the grid.
-    """
-    if len(exponents) * times.size**2 > _PLAN_BLOCKS * _PAIR_BLOCK:
-        return None
-    return tuple(_pair_plan(times, width, exponents))
+    __slots__ = ("_tiles",)
+
+    def __init__(self, tiles):
+        self._tiles = tiles
+
+    def __iter__(self):
+        return self._tiles()
 
 
 def _scan_pairs(plan, block_fn, paths: int = 1) -> np.ndarray:
     """Max of l1-norm / gap**exponent over grid pairs s < t, per exponent and per end point.
 
-    ``plan`` is a :func:`_pair_plan`, streamed, or built by :func:`_shared_plan`.
-    ``block_fn(rows, cols)`` returns one block per exponent, each an (R, T, w)
-    array of pair entries for the start rows and end points of one tile;
-    pairs with t <= s are masked out.  So one pass scans every level of a
-    seminorm.  Returns a (len(exponents), P) array: entry [k, t] is the
-    maximum over start rows s < t (0 at t = 0).  Its row maxima are the
-    maxima over all pairs; its running maximum along t is the maximum over the
-    pairs of every prefix [t_0, t_j].  A NaN pair propagates to its end point.
-    The scan keeps no pairwise array past its tile.
+    ``plan`` is a :func:`_pair_plan` of the grid.  ``block_fn(rows, cols)``
+    returns one block per exponent, each an (R, T, w) array of pair entries
+    for the start rows and end points of one tile; pairs with t <= s are
+    masked out.  So one pass scans every level of a seminorm.  Returns a
+    (len(exponents), P) array: entry [k, t] is the maximum over start rows
+    s < t (0 at t = 0).  Its row maxima are the maxima over all pairs; its
+    running maximum along t is the maximum over the pairs of every prefix
+    [t_0, t_j].  A NaN pair propagates to its end point.  The scan keeps no
+    pairwise array past its tile.
 
     With ``paths`` > 1, one pass scans that many paths over one plan:
     ``block_fn`` returns the blocks of every exponent for path 0, then for

@@ -18,8 +18,10 @@ from roughpaths.controlled_path import (
     canonical_lift,
     concatenate,
     level_holder_norm,
+    path_scale,
     remainder_rows,
     restrict_path,
+    zero_remainder_path,
 )
 from roughpaths.lipschitz import (
     LipFunction,
@@ -35,11 +37,12 @@ from roughpaths.lipschitz import (
     ridge,
     taylor_remainder,
 )
-from roughpaths.rde_solver import PatchReport, SolverConfig, SolveReport, check_exponents
+from roughpaths.rde_solver import PatchReport, SolverConfig, SolveReport, check_exponents, grid_index, picard_step
 from roughpaths.rough_integral import (
     Partition,
     convergence_rate_probe,
     dyadic_partition,
+    integral_controlled,
     removal_identity_check,
     tail_constant,
 )
@@ -104,6 +107,10 @@ LIFT = canonical_lift(WALK)
 LINE = linear([[1.0]], n_levels=2)
 SERIES = TensorSeries.unit(2, 3)
 PART = Partition((0, 2, 5, 8))
+# A path in R^2 on the same driver, an integrand too (L(R^1; R^2) is R^2), and
+# a linear field on R^2: the target dimension e is 2.
+PAIR = zero_remainder_path([np.ones((2, 1)), np.zeros((2, 1)), np.zeros((2, 1))], WALK)
+PLANE = linear(np.eye(2), n_levels=3)
 
 
 def expansion_check(r, k):
@@ -236,6 +243,33 @@ CASES = {
     # Levels, arities, degrees and counts: a bool or a float is never read as an integer.
     "tail-constant-N-bool": (lambda: tail_constant(True, 0.6), ValueError, "level N True outside 1..5"),
     "tail-constant-N-float": (lambda: tail_constant(2.5, 0.3), ValueError, "level N 2.5 outside 1..5"),
+    # The exponent of the tail: the window of the remainder exponents.
+    "tail-constant-alpha-inf": (lambda: tail_constant(3, inf), ValueError, r"alpha inf outside \(1/4, 1\]"),
+    "tail-constant-alpha-300": (lambda: tail_constant(3, 300.0), ValueError,
+                                r"alpha 300.0 outside \(1/4, 1\]"),
+    # Start values in U = R^e: e finite entries, never broadcast.
+    "picard-y0-short": (lambda: picard_step(PAIR, PLANE, WALK, [5.0]), ValueError,
+                        "y0 must hold e = 2 finite values, e the target dimension, got 1"),
+    "picard-y0-long": (lambda: picard_step(PAIR, PLANE, WALK, [1.0, 2.0, 3.0]), ValueError,
+                       "y0 must hold e = 2 finite values, e the target dimension, got 3"),
+    "picard-y0-nan": (lambda: picard_step(PAIR, PLANE, WALK, [nan, 0.0]), ValueError,
+                      "y0 must hold e = 2 finite values"),
+    "integral-offset-short": (lambda: integral_controlled(PAIR, WALK, [5.0]), ValueError,
+                              "offset must hold e = 2 finite values, e the target dimension, got 1"),
+    "integral-offset-long": (lambda: integral_controlled(PAIR, WALK, [1.0, 2.0, 3.0]), ValueError,
+                             "offset must hold e = 2 finite values, e the target dimension, got 3"),
+    "integral-offset-inf": (lambda: integral_controlled(PAIR, WALK, [inf, 0.0]), ValueError,
+                            "offset must hold e = 2 finite values"),
+    # Start blocks of the zero-remainder path: block i is a finite (e, d**i) map.
+    "zero-remainder-block-shape": (lambda: zero_remainder_path([np.zeros((2, 1)), np.zeros((3, 1)),
+                                                                np.zeros((2, 1))], WALK),
+                                   ValueError, r"start block 1 must have shape \(2, 1\), got \(3, 1\)"),
+    "zero-remainder-block-nan": (lambda: zero_remainder_path([np.zeros((2, 1)), np.full((2, 1), nan),
+                                                              np.zeros((2, 1))], WALK),
+                                 controlled_path.NonFiniteLevelError, "start block 1 has non-finite entries"),
+    # Scale factors.
+    "path-scale-inf": (lambda: path_scale(LIFT, inf), ValueError, "scale factor c inf must be finite"),
+    "path-scale-nan": (lambda: path_scale(LIFT, nan), ValueError, "scale factor c nan must be finite"),
     "shuffle-cap-float": (lambda: shuffle_product((1,), (2,), 2.5), ValueError,
                           "level cap n_max 2.5 outside 0..5"),
     "coproduct-arity-float": (lambda: coproduct(SERIES, 2.0), ValueError, "arity k 2.0 outside 1..6"),
@@ -266,6 +300,9 @@ CASES = {
                                 "tol -1.0"),
     "concatenate-nan-tol": (lambda: concatenate_with(nan), ValueError, "tol nan"),
     "concatenate-negative-tol": (lambda: concatenate_with(-1e-10), ValueError, "tol -1e-10"),
+    "grid-index-nan-tol": (lambda: grid_index(WALK.times, 0.5, nan), ValueError, "tol nan must be a number >= 0"),
+    "grid-index-negative-tol": (lambda: grid_index(WALK.times, 0.5, -1e-9), ValueError,
+                                "tol -1e-09 must be a number >= 0"),
 }
 
 

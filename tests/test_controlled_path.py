@@ -20,10 +20,9 @@ from roughpaths.controlled_path import (
 from roughpaths import controlled_path, rough_path
 from roughpaths.controlled_path import (
     NonFiniteLevelError,
+    _prefix_seminorms,
     _remainder_blocks,
     _remainder_plan,
-    _seminorm_scan,
-    _seminorms,
 )
 from roughpaths.lipschitz import linear, remainder_regularity_probe
 from roughpaths.oracle import distance_reference, seminorm_reference
@@ -147,8 +146,9 @@ def test_large_amplitude_walk_matches_reference():
 def test_scans_do_not_depend_on_tiling(monkeypatch):
     # One pair per tile (so one start row per block), then the whole grid in
     # one tile: every pair is summed in the same order, so the maxima agree
-    # bit for bit with the default budget.  A plan built once and reused
-    # across scans of several paths on one grid gives the streamed values.
+    # bit for bit with the default budget.  One plan, kept or rebuilt on
+    # every pass, reused across scans of several paths on one grid gives the
+    # values of separate scans, and so does one scan of all the paths.
     rng = np.random.default_rng(43)
     cases = []
     for d, N, e in ((1, 3, 1), (2, 4, 2), (3, 5, 1), (4, 3, 2)):
@@ -159,14 +159,17 @@ def test_scans_do_not_depend_on_tiling(monkeypatch):
     def scans():
         out = []
         for Xa, Xb, Ya, Yb, Yc in cases:
-            plan = tuple(_remainder_plan(Xa, Ya.dim_u, 0.3))
+            plan = _remainder_plan(Xa, Ya.dim_u, 0.3)
+            with monkeypatch.context() as patched:
+                patched.setattr(rough_path, "_PLAN_BLOCKS", 0)
+                rebuilt = _remainder_plan(Xa, Ya.dim_u, 0.3)
+            assert not isinstance(rebuilt, tuple)
             streamed = [prefix_seminorms(Y, Xa, 0.3).tolist() for Y in (Ya, Yc, Ya)]
-            assert [_seminorm_scan(Y.levels, Xa, 0.3, plan).tolist() for Y in (Ya, Yc, Ya)] == streamed
-            shared = _remainder_plan(Xa, Yc.dim_u, 0.3, shared=True)
-            if shared is not None:
-                assert [_seminorm_scan(Y.levels, Xa, 0.3, shared).tolist() for Y in (Ya, Yc, Ya)] == streamed
-            # One scan of several level lists gives each one's seminorm.
-            assert _seminorms([Ya.levels, Yc.levels, Ya.levels], Xa, 0.3) == [s[-1] for s in streamed]
+            for reused in (plan, rebuilt):
+                assert [_prefix_seminorms([Y.levels], Xa, reused)[0].tolist() for Y in (Ya, Yc, Ya)] == streamed
+            # One scan of several level lists gives each one's prefix seminorms.
+            together = _remainder_plan(Xa, 3 * Ya.dim_u, 0.3)
+            assert _prefix_seminorms([Ya.levels, Yc.levels, Ya.levels], Xa, together).tolist() == streamed
             out.append((seminorm(Ya, Xa, 0.3), distance(Ya, Yb, Xa, Xb, 0.3), distance(Ya, Ya, Xa, Xa, 0.3),
                         [holder_norm(Xa, level, 0.3) for level in range(1, Xa.N + 1)],
                         group_like_deviation(Xa),
@@ -244,10 +247,11 @@ def test_scan_keeps_a_nan_pair(monkeypatch):
 
 
 def test_one_scan_of_several_paths_matches_separate_scans(monkeypatch):
-    # The closing pass of a solve: one streamed scan gives the seminorm of a
+    # The closing pass of a solve: one scan gives the prefix seminorms of a
     # path and of its difference to another, bit for bit those of two
-    # seminorm calls, over every d <= 4, N <= 5 and both target dimensions.
-    # Every tile's blocks, both paths together, stay within _PAIR_BLOCK.
+    # prefix_seminorms calls, over every d <= 4, N <= 5 and both target
+    # dimensions.  Every tile's blocks, both paths together, stay within
+    # _PAIR_BLOCK.
     rng = np.random.default_rng(47)
     real_scan = controlled_path._scan_pairs
     widths = []
@@ -270,10 +274,11 @@ def test_one_scan_of_several_paths_matches_separate_scans(monkeypatch):
                 for e in (1, 2):
                     Y, W = random_controlled(rng, X, e), random_controlled(rng, X, e)
                     gap = path_sub(Y, W)
-                    want = [seminorm(Y, X, alpha), seminorm(gap, X, alpha)]
+                    want = [prefix_seminorms(Y, X, alpha), prefix_seminorms(gap, X, alpha)]
+                    assert [row[-1] for row in want] == [seminorm(Y, X, alpha), seminorm(gap, X, alpha)]
                     widths.clear()
-                    got = _seminorms([Y.levels, gap.levels], X, alpha)
-                    assert np.array(got).tobytes() == np.array(want).tobytes(), (d, N, e)
+                    got = _prefix_seminorms([Y.levels, gap.levels], X, _remainder_plan(X, 2 * e, alpha))
+                    assert got.tobytes() == np.array(want).tobytes(), (d, N, e)
                     assert widths and max(widths) <= max(budget, 2 * e * sum(d**i for i in range(N)))
 
 
@@ -285,8 +290,9 @@ def test_one_scan_of_several_paths_keeps_a_nan_to_its_path():
     Y, W = random_controlled(rng, X, 2), random_controlled(rng, X, 2)
     broken = [level.copy() for level in W.levels]
     broken[1][7, 1, 0] = np.nan
-    first = _seminorms([broken, Y.levels], X, 0.3)
-    second = _seminorms([Y.levels, broken], X, 0.3)
+    plan = _remainder_plan(X, 4, 0.3)
+    first = _prefix_seminorms([broken, Y.levels], X, plan)[:, -1]
+    second = _prefix_seminorms([Y.levels, broken], X, plan)[:, -1]
     assert np.isnan(first[0]) and np.isnan(second[1])
     assert first[1] == second[0] == seminorm(Y, X, 0.3)
 
@@ -337,35 +343,63 @@ def test_pair_tiles_stay_within_budget():
         assert len(seen) == len(everything) and set(seen) == everything
 
 
-def test_shared_plan_stays_within_budget(monkeypatch):
-    # A plan built once for many scans holds at most _PLAN_BLOCKS pair blocks
-    # of gap powers, whatever the grid; past that every scan streams its own.
-    # The bound reads P and the exponents alone, so a large grid makes no tile.
+def test_plan_is_kept_only_within_budget(monkeypatch):
+    # A plan keeps its tiles only when its gap powers fit _PLAN_BLOCKS pair
+    # blocks, whatever the grid; past that it rebuilds them on every pass.
+    # Kept or rebuilt, every pass gives the same tiles.  The bound reads P
+    # and the exponents alone, so a large grid makes no tile before a pass.
     budget = rough_path._PLAN_BLOCKS * rough_path._PAIR_BLOCK
     for N in range(1, 6):
         exponents = [(N - i) * 0.3 for i in range(N)]
         for P in (2, 17, 65, 129, 257, 513):
             times = np.linspace(0.0, 1.0, P)
-            shared = rough_path._shared_plan(times, 4 * N, exponents)
-            assert (shared is None) == (N * P**2 > budget)
-            if shared is not None:
-                assert sum(powers.size for *_, powers in shared[1:]) <= budget
+            plan = rough_path._pair_plan(times, 4 * N, exponents)
+            assert isinstance(plan, tuple) == (N * P**2 <= budget)
+            if isinstance(plan, tuple):
+                assert sum(powers.size for *_, powers in plan[1:]) <= budget
                 assert sum(powers.nbytes + (0 if drop is None else drop.nbytes)
-                           for *_, drop, powers in shared[1:]) <= 9 * budget
-                streamed = list(rough_path._pair_plan(times, 4 * N, exponents))
-                assert shared[0] == streamed[0] and len(shared) == len(streamed)
-                for mine, theirs in zip(shared[1:], streamed[1:]):
+                           for *_, drop, powers in plan[1:]) <= 9 * budget
+            with monkeypatch.context() as patched:
+                patched.setattr(rough_path, "_PLAN_BLOCKS", 0)
+                rebuilt = rough_path._pair_plan(times, 4 * N, exponents)
+            assert not isinstance(rebuilt, tuple)
+            first = list(plan)
+            for other in (list(plan), list(rebuilt), list(rebuilt)):
+                assert other[0] == first[0] == (N, P) and len(other) == len(first)
+                for mine, theirs in zip(first[1:], other[1:]):
                     assert mine[:2] == theirs[:2]
+                    np.testing.assert_array_equal(mine[2], theirs[2])
                     np.testing.assert_array_equal(mine[3], theirs[3])
-    # The README solve's local drivers (P = 129, N = 3) share one plan.
-    assert rough_path._shared_plan(np.linspace(0.0, 1.0, 129), 3, [0.9, 0.6, 0.3]) is not None
+    # The README solve's local drivers (P = 129, N = 3) keep their plans.
+    assert isinstance(rough_path._pair_plan(np.linspace(0.0, 1.0, 129), 3, [0.9, 0.6, 0.3]), tuple)
 
     def no_tiles(*args):
-        raise AssertionError("a plan over budget must not be built")
+        raise AssertionError("no tile may be built before a pass")
 
     monkeypatch.setattr(rough_path, "_pair_tiles", no_tiles)
     for P in (4097, 8193, 10**6):
-        assert rough_path._shared_plan(np.linspace(0.0, 1.0, P), 3, [0.9, 0.6, 0.3]) is None
+        plan = rough_path._pair_plan(np.linspace(0.0, 1.0, P), 3, [0.9, 0.6, 0.3])
+        assert not isinstance(plan, tuple)
+        passes = iter(plan)
+        assert next(passes) == (3, P)
+        with pytest.raises(AssertionError, match="no tile"):
+            next(passes)
+
+
+def test_one_plan_past_the_budget_serves_every_scan_of_an_attempt(monkeypatch):
+    # A local attempt whose grid is past the budget scans its residuals and
+    # its ball distance over one plan that rebuilds its tiles on every pass:
+    # each pass gives the bytes of the same scan over a kept plan.
+    rng = np.random.default_rng(49)
+    X = walk_driver(rng, 2, 3, 17)
+    paths = [random_controlled(rng, X, 2).levels for _ in range(3)]
+    kept = _remainder_plan(X, 2, 0.3)
+    monkeypatch.setattr(rough_path, "_PLAN_BLOCKS", 0)
+    rebuilt = _remainder_plan(X, 2, 0.3)
+    assert isinstance(kept, tuple) and not isinstance(rebuilt, tuple)
+    for levels in paths + paths:
+        assert (_prefix_seminorms([levels], X, rebuilt).tobytes()
+                == _prefix_seminorms([levels], X, kept).tobytes())
 
 
 def test_canonical_lift_remainders_vanish():

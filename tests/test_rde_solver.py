@@ -271,7 +271,7 @@ def test_non_finite_residual_is_a_solve_failure(monkeypatch):
     # A NaN residual compares false with every bound, so without the check the
     # loop would run to max_picard_iters and report a contraction failure.
     X, _ = line_driver(n=16)
-    monkeypatch.setattr(rde_solver, "_seminorm_scan", lambda *args: np.array([0.0, float("nan")]))
+    monkeypatch.setattr(rde_solver, "_prefix_seminorms", lambda *args: np.array([[0.0, float("nan")]]))
     with pytest.raises(SolveFailure, match="residual nan is not finite"):
         solve_local(scalar_identity_field(), X, [1.0], default_config())
 
@@ -483,11 +483,12 @@ def test_readme_line_solve_counts():
 
 def test_one_scan_plan_per_local_attempt(monkeypatch):
     # The README solve again: each local attempt builds the plan of its scans
-    # (tiles, masks, gap powers) once, and every Picard residual of the
-    # attempt and its ball distance scan with it.  The closing pass streams
-    # one plan for the two seminorms on the horizon's driver.  Nothing else
-    # holds a plan after the solve: not the caller's driver, whose caches are
-    # its per-level arrays, nor the report.
+    # (tiles, masks, gap powers) once, kept since it fits the budget, and
+    # every Picard residual of the attempt and its ball distance scan with
+    # it.  The closing pass scans the two seminorms on the horizon's driver
+    # over one plan, past the budget at P = 513, so rebuilt by its one pass.
+    # Nothing else holds a plan after the solve: not the caller's driver,
+    # whose caches are its per-level arrays, nor the report.
     X, _ = line_driver(n=512)
     attempts, plans, scans = [], [], []
 
@@ -495,34 +496,36 @@ def test_one_scan_plan_per_local_attempt(monkeypatch):
         attempts.append(args[1].n_points)
         return real_local(*args, **kwargs)
 
-    def counted_shared(*args):
-        plans.append(real_shared(*args))
+    def counted_plan(*args):
+        plans.append(real_plan(*args))
         return plans[-1]
 
     def counted_scan(plan, block_fn, paths=1):
         scans.append((id(plan) if isinstance(plan, tuple) else None, paths))
         return real_scan(plan, block_fn, paths)
 
-    real_local, real_shared, real_scan = solve_local, controlled_path._shared_plan, controlled_path._scan_pairs
+    real_local, real_plan, real_scan = solve_local, rde_solver._remainder_plan, controlled_path._scan_pairs
     monkeypatch.setattr(rde_solver, "solve_local", counted_local)
-    monkeypatch.setattr(controlled_path, "_shared_plan", counted_shared)
+    monkeypatch.setattr(rde_solver, "_remainder_plan", counted_plan)
     monkeypatch.setattr(controlled_path, "_scan_pairs", counted_scan)
     Y, report = solve(scalar_identity_field(), X, [1.0], 1.0, default_config())
     monkeypatch.undo()
     reused = [plan for plan, _ in scans if plan is not None]
     total = len(scans)
-    assert len(attempts) == len(plans) == 5 and None not in plans
+    # One plan per attempt, kept, then the closing pass's.
+    assert len(attempts) == 5 and [isinstance(plan, tuple) for plan in plans] == [True] * 5 + [False]
     # 46 residual scans and one ball scan per attempt.
     assert sum(p.iterations for p in report.patches) == 46 and len(reused) == 46 + 5
-    assert set(reused) == {id(plan) for plan in plans}
-    assert [plan[0][1] for plan in plans] == attempts
+    assert set(reused) == {id(plan) for plan in plans[:-1]}
+    assert [plan[0][1] for plan in plans[:-1]] == attempts
     assert [scan for scan in scans if scan[0] is None] == [(None, 2)] and scans[-1] == (None, 2)
+    assert next(iter(plans[-1])) == (3, 513)
     for plan in plans:
         assert gc.get_referrers(plan) == [plans]
     for cache, rows in ((X._inverses, X.n_points), (X._steps, X.n_points - 1)):
         assert [lvl.shape for lvl in cache] == [(rows, X.d**r) for r in range(X.N + 1)]
 
-    # Past the budget every scan streams its plan, with the same bytes.
+    # Past the budget every plan is rebuilt by each scan, with the same bytes.
     monkeypatch.setattr(rough_path, "_PLAN_BLOCKS", 0)
     monkeypatch.setattr(controlled_path, "_scan_pairs", counted_scan)
     scans.clear()
