@@ -40,11 +40,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 
-from .rough_path import GeometricRoughPath, _check_beta, _grid_times, _pair_plan, _scan_pairs
-from .tensor_algebra import _check_caps, _check_whole, _frozen_levels, _max_abs
+from .rough_path import GeometricRoughPath, _grid_times, _pair_plan, _scan_pairs
+from .tensor_algebra import _check_caps, _check_real, _check_whole, _frozen_levels, _max_abs
 
 
 class NonFiniteLevelError(ValueError):
@@ -103,12 +104,6 @@ class ControlledPath:
         for t, row in zip(self.times, self.path_values()):
             writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
         return buf.getvalue()
-
-
-def _check_alpha(alpha: float, N: int) -> None:
-    """The remainder exponents (N - i) alpha need 1/(N+1) < alpha <= 1."""
-    if not (1.0 / (N + 1) < alpha <= 1.0):
-        raise ValueError(f"alpha {alpha} outside (1/{N + 1}, 1]")
 
 
 def _check_pair(Y: ControlledPath, X: GeometricRoughPath) -> None:
@@ -203,7 +198,7 @@ def prefix_seminorms(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> 
     j is the seminorm of ``restrict_path(Y, 0, j)`` on the re-based driver up
     to the roundoff of re-basing.  The entries do not decrease."""
     _check_pair(Y, X)
-    _check_alpha(alpha, Y.N)
+    alpha = _check_real(alpha, "alpha", 1.0 / (Y.N + 1), 1, "(]")  # the exponents (N - i) alpha
     return _prefix_seminorms([Y.levels], X, _remainder_plan(X, Y.dim_u, alpha))[0]
 
 
@@ -232,7 +227,7 @@ def distance(Ya: ControlledPath, Yb: ControlledPath,
     _check_pair(Yb, Xb)
     if Ya.dim_u != Yb.dim_u:
         raise ValueError("controlled paths must share the target dimension")
-    _check_alpha(alpha, Ya.N)
+    alpha = _check_real(alpha, "alpha", 1.0 / (Ya.N + 1), 1, "(]")
     rem_a = _remainder_blocks(Ya.levels, Xa, range(Ya.N))
     rem_b = _remainder_blocks(Yb.levels, Xb, range(Ya.N))
 
@@ -256,7 +251,7 @@ def triple_norm(Y: ControlledPath, X: GeometricRoughPath, alpha: float) -> float
 def level_holder_norm(Y: ControlledPath, i: int, exponent: float) -> float:
     """Grid maximum of |Y^i_t - Y^i_s| / (t-s)^exponent, for 0 < exponent <= 1."""
     _check_whole(i, "level i", 0, Y.N - 1)
-    _check_beta(exponent)
+    exponent = _check_real(exponent, "exponent", 0, 1, "(]")
     lvl = Y.levels[i].reshape(Y.n_points, -1)
     return float(_scan_pairs(_pair_plan(Y.times, lvl.shape[1], [exponent]),
                              lambda rows, cols: [lvl[None, cols] - lvl[rows, None]]).max())
@@ -305,20 +300,23 @@ def _check_summands(Ya: ControlledPath, Yb: ControlledPath) -> None:
         raise ValueError("controlled paths must share grid and target")
 
 
+# Path arithmetic: an overflow is left to the constructor's finiteness check.
 def path_add(Ya: ControlledPath, Yb: ControlledPath) -> ControlledPath:
     _check_summands(Ya, Yb)
-    return Ya.replace_levels([a + b for a, b in zip(Ya.levels, Yb.levels)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Ya.replace_levels([a + b for a, b in zip(Ya.levels, Yb.levels)])
 
 
 def path_sub(Ya: ControlledPath, Yb: ControlledPath) -> ControlledPath:
     _check_summands(Ya, Yb)
-    return Ya.replace_levels([a - b for a, b in zip(Ya.levels, Yb.levels)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Ya.replace_levels([a - b for a, b in zip(Ya.levels, Yb.levels)])
 
 
 def path_scale(Y: ControlledPath, c: float) -> ControlledPath:
-    if not np.isfinite(c):
-        raise ValueError(f"scale factor c {c!r} must be finite")
-    return Y.replace_levels([c * a for a in Y.levels])
+    c = _check_real(c, "scale factor c")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Y.replace_levels([c * a for a in Y.levels])
 
 
 def concatenate(left: ControlledPath, right: ControlledPath, X: GeometricRoughPath,
@@ -328,8 +326,7 @@ def concatenate(left: ControlledPath, right: ControlledPath, X: GeometricRoughPa
     End values of ``left`` must match start values of ``right`` at every
     level within ``tol`` >= 0 (max-abs); the junction row keeps the left values.
     """
-    if not tol >= 0:  # also rejects NaN
-        raise ValueError(f"tol {tol!r} must be a number >= 0")
+    tol = _check_real(tol, "tol", 0, math.inf, "[]")
     if left.d != right.d or left.N != right.N or left.dim_u != right.dim_u:
         raise ValueError("controlled paths are incompatible")
     if left.times[-1] != right.times[0]:

@@ -36,7 +36,6 @@ import numpy as np
 
 from .controlled_path import (
     ControlledPath,
-    _check_alpha,
     _check_pair,
     _fill_leading,
     _remainder_blocks,
@@ -46,6 +45,8 @@ from .tensor_algebra import (
     TensorSeries,
     _add_assignments,
     _basis_sectors,
+    _check_array,
+    _check_real,
     _check_whole,
     _coproduct_sectors,
     _max_abs,
@@ -81,9 +82,7 @@ class LipFunction:
     def eval_levels(self, top: int, ys) -> list:
         """Levels 0..top at a (P, dim_in) batch of points, from one evaluator call."""
         top = _check_whole(top, "derivative level top", 0, self.n_levels)
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        if ys.ndim != 2 or ys.shape[1] != self.dim_in:
-            raise ValueError(f"points have shape {ys.shape}, expected (P, {self.dim_in})")
+        ys = _check_array(np.atleast_2d(ys), "points ys", (None, self.dim_in))
         levels = list(self._evaluator(top, ys))
         got = [np.shape(block) for block in levels]
         expected = [(ys.shape[0], self.dim_out, self.dim_in**j) for j in range(top + 1)]
@@ -98,23 +97,15 @@ class LipFunction:
 
     def eval_at(self, j: int, y) -> np.ndarray:
         """Level-j block at a single point, shape (dim_out, dim_in**j)."""
-        return self.eval(j, np.asarray(y, dtype=float)[None, :])[0]
+        return self.eval(j, _check_array(y, "point y", (self.dim_in,))[None])[0]
 
     def __repr__(self) -> str:
         return (f"LipFunction({self.label}, W=R^{self.dim_in}, U=R^{self.dim_out}, "
                 f"levels=0..{self.n_levels})")
 
 
-def _finite(value, name: str) -> np.ndarray:
-    """``value`` as a float array, rejected unless every entry is finite."""
-    arr = np.asarray(value, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
 def constant(value, dim_in: int, n_levels: int) -> LipFunction:
-    value = _finite(value, "constant value").ravel()
+    value = _check_array(value, "constant value").ravel()
 
     def ev(top, ys):
         p = ys.shape[0]
@@ -125,9 +116,9 @@ def constant(value, dim_in: int, n_levels: int) -> LipFunction:
 
 
 def linear(matrix, offset=None, n_levels: int = 1) -> LipFunction:
-    A = np.atleast_2d(_finite(matrix, "linear matrix"))
+    A = np.atleast_2d(_check_array(matrix, "linear matrix"))
     dim_out, dim_in = A.shape
-    b = np.zeros(dim_out) if offset is None else _finite(offset, "linear offset").ravel()
+    b = np.zeros(dim_out) if offset is None else _check_array(offset, "linear offset").ravel()
     if b.size != dim_out:
         raise ValueError(f"offset has {b.size} entries, the matrix {dim_out} rows")
 
@@ -178,7 +169,7 @@ def polynomial(dim_in: int, dim_out: int, coeffs: dict | list, n_levels: int) ->
         if len(expo) != dim_in or any(m < 0 or not float(m).is_integer() for m in expo):
             raise ValueError(f"bad exponent tuple {expo!r}")
         expo = tuple(int(m) for m in expo)
-        vec = _finite(vec, "monomial value").ravel()
+        vec = _check_array(vec, "monomial value").ravel()
         if vec.size != dim_out:
             raise ValueError("monomial value has wrong output dimension")
         monos.append((np.array(expo), vec))
@@ -214,10 +205,10 @@ def ridge(dim_in: int, dim_out: int, terms, n_levels: int) -> LipFunction:
     field = LipFunction(dim_in, dim_out, n_levels, ev, label="ridge")
     parsed = []
     for term in terms:
-        coef = _finite(term["coef"], "ridge coef").ravel()
-        weight = _finite(term["weight"], "ridge weight").ravel()
+        coef = _check_array(term["coef"], "ridge coef").ravel()
+        weight = _check_array(term["weight"], "ridge weight").ravel()
         kind = term["kind"]
-        phase = float(_finite(term.get("phase", 0.0), "ridge phase"))
+        phase = _check_real(term.get("phase", 0.0), "ridge phase")
         if kind not in RIDGE_KINDS:
             raise ValueError(f"unknown ridge kind {kind!r}")
         if coef.size != dim_out or weight.size != dim_in:
@@ -266,8 +257,8 @@ def taylor_remainder(F: LipFunction, j: int, x, y) -> np.ndarray:
     Returns F^j(y) minus the expansion through the available levels, as a
     (dim_out, dim_in**j) block.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
+    x = _check_array(x, "point x", (F.dim_in,))
+    y = _check_array(y, "point y", (F.dim_in,))
     at_y = F.eval(j, y[None])
     return _taylor_defects(F, j, F.eval_levels(F.n_levels, x[None]), at_y, (y - x)[None])[0]
 
@@ -285,17 +276,20 @@ def lip_norm_check(F: LipFunction, lo, hi, declared: float | None = None,
     """Empirical level norms and remainder ratios on a box; report-only.
 
     The level-j remainder ratio divides by |y - x|^(gamma - j), gamma =
-    n_levels + 1.  Sampling can falsify a ``declared`` bound on the Lip norm,
-    never prove it.  The box [lo, hi] must be finite with lo <= hi, and
+    n_levels + 1.  Sampling can falsify a ``declared`` bound (None, or a
+    number >= 0) on the Lip norm, never prove it.  Each end of the box [lo, hi]
+    is one finite number or one per input coordinate, with lo <= hi, and
     ``sample_count`` an integer >= 1.  Every level at the sampled points x and
     y comes from two evaluator calls, one per point set, and the remainders of
     all samples from one batched expansion per level.
     """
-    lo = np.broadcast_to(_finite(lo, "box lo"), (F.dim_in,))
-    hi = np.broadcast_to(_finite(hi, "box hi"), (F.dim_in,))
+    lo, hi = (np.broadcast_to(_check_array(end, f"box {name}", (F.dim_in,) if np.ndim(end) else ()),
+                              (F.dim_in,)) for end, name in ((lo, "lo"), (hi, "hi")))
     if not (lo <= hi).all():
         raise ValueError(f"box lo {lo.tolist()} exceeds hi {hi.tolist()}")
     sample_count = _check_whole(sample_count, "sample_count", 1)
+    if declared is not None:
+        declared = _check_real(declared, "declared", 0, math.inf, "[)")
     rng = np.random.default_rng(0) if rng is None else rng
     xs = rng.uniform(lo, hi, (sample_count, F.dim_in))
     ys = rng.uniform(lo, hi, (sample_count, F.dim_in))
@@ -477,7 +471,7 @@ def remainder_regularity_probe(F: LipFunction, Y: ControlledPath, X: GeometricRo
     of controlled paths under Lipschitz composition.
     """
     _check_whole(r, "level r", 0, Y.N - 1)
-    _check_alpha(alpha, Y.N)
+    alpha = _check_real(alpha, "alpha", 1.0 / (Y.N + 1), 1, "(]")
     Z = compose(F, Y, X)
     rem = _remainder_blocks(Z.levels, X, [r])
     # The one level's block, read at both exponents.

@@ -30,9 +30,9 @@ from .controlled_path import (
     zero_remainder_path,
 )
 from .lipschitz import LipFunction, _check_compose, _compose_levels, _composed_level, compose
-from .rough_integral import _check_offset, _integral_levels, _integrand_dims, _operator_slot_last
+from .rough_integral import _integral_levels, _integrand_dims, _operator_slot_last
 from .rough_path import GeometricRoughPath, holder_distance, restrict
-from .tensor_algebra import MAX_LEVEL, _check_whole, _max_abs
+from .tensor_algebra import MAX_LEVEL, _check_array, _check_real, _check_whole, _max_abs
 
 
 # Largest ball distance of an accepted local solution: the unit ball, with slack for roundoff.
@@ -49,7 +49,9 @@ class SolveFailure(RuntimeError):
 def check_exponents(N: int, alpha: float, beta: float) -> list:
     """Enforce 1/(N+1) < alpha < beta <= 1/N; warn when alpha is within 1e-9 of an open end."""
     lo = 1.0 / (_check_whole(N, "level N", 1, MAX_LEVEL) + 1)
-    if not (lo < alpha < beta <= 1.0 / N):
+    alpha = _check_real(alpha, "alpha", lo, 1.0 / N)
+    beta = _check_real(beta, "beta", lo, 1.0 / N, "(]")
+    if not alpha < beta:
         raise ValueError(f"exponents must satisfy 1/{N + 1} < alpha < beta <= 1/{N}, "
                          f"got alpha={alpha}, beta={beta}")
     if alpha - lo < 1e-9 or beta - alpha < 1e-9:
@@ -75,12 +77,10 @@ class SolverConfig:
         _check_whole(self.max_picard_iters, "max_picard_iters", 1)
         _check_whole(self.max_patches, "max_patches", 1)
         # A NaN or infinite tau never shrinks to one grid step: the patch loop would not end.
-        if not (0 < self.contraction_tol < math.inf and 0 < self.tau_init < math.inf):
-            raise ValueError("contraction_tol and tau_init must be finite and positive")
-        if not 0 < self.tau_shrink < 1:
-            raise ValueError("tau_shrink must lie in (0, 1)")
-        if not self.explosion_bound > 0:
-            raise ValueError("explosion_bound must be positive")
+        _check_real(self.contraction_tol, "contraction_tol", 0)
+        _check_real(self.tau_init, "tau_init", 0)
+        _check_real(self.tau_shrink, "tau_shrink", 0, 1)
+        _check_real(self.explosion_bound, "explosion_bound", 0, math.inf, "(]")
         return warnings
 
 
@@ -113,10 +113,10 @@ class SolveReport:
 def canonical_initial_path(y0, F: LipFunction, X: GeometricRoughPath) -> ControlledPath:
     """Zero-remainder start path: initial blocks from the field's derivative
     recursion at y0, propagated along the driver's running signature."""
-    y0 = np.asarray(y0, dtype=float).ravel()
+    y0 = _check_array(y0, "y0", (F.dim_in,))
     d, N = X.d, X.N
-    e = y0.size
-    if F.dim_in != e or F.dim_out != e * d:
+    e = F.dim_in
+    if F.dim_out != e * d:
         raise ValueError("field must map U to L(V;U) for this state dimension")
     if F.n_levels < N - 1:
         raise ValueError(f"field has levels 0..{F.n_levels}, need at least 0..{N - 1}")
@@ -142,7 +142,7 @@ def picard_step(Y: ControlledPath, F: LipFunction, X: GeometricRoughPath, y0) ->
     """
     _check_compose(F, Y, X)
     e, _ = _integrand_dims(F.dim_out, X.d)
-    y0 = _check_offset(y0, e, "y0")
+    y0 = _check_array(y0, "y0", (e,))
     # Overflow is caught by the finiteness checks below and of the iterate.
     with np.errstate(over="ignore", invalid="ignore"):
         z_levels = _compose_levels(F, Y.levels)
@@ -237,10 +237,10 @@ def _in_ball_steps(local: LocalSolve) -> int:
 
 
 def grid_index(times, t: float, tol: float = 1e-9) -> int:
-    if not tol >= 0:  # also rejects NaN
-        raise ValueError(f"tol {tol!r} must be a number >= 0")
+    t = _check_real(t, "time t")
+    tol = _check_real(tol, "tol", 0, math.inf, "[]")
     idx = int(np.argmin(np.abs(np.asarray(times) - t)))
-    if not abs(times[idx] - t) <= tol:  # also rejects NaN, whose argmin is 0
+    if not abs(times[idx] - t) <= tol:
         raise ValueError(f"time {t} is not grid-representable (nearest {times[idx]})")
     return idx
 
@@ -277,13 +277,13 @@ def solve(F: LipFunction, X: GeometricRoughPath, y0, horizon: float,
     """
     config.validate(X.N)
     start = time.perf_counter()
-    idx_T = grid_index(X.times, horizon)
+    y_current = _check_array(y0, "y0", (F.dim_in,))
+    idx_T = grid_index(X.times, _check_real(horizon, "horizon"))
     if idx_T <= 0:
         raise ValueError("horizon must exceed the grid start")
     report = SolveReport(patches=[])
     junction_tol = max(1e-9, 1e3 * config.contraction_tol)
 
-    y_current = np.asarray(y0, dtype=float).ravel()
     tau = config.tau_init
     idx0 = 0
     solution: ControlledPath | None = None

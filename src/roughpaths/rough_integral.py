@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled_path import ControlledPath, _check_alpha, _check_pair, _fill_leading, _remainder_blocks
+from .controlled_path import ControlledPath, _check_pair, _fill_leading, _remainder_blocks
 from .rough_path import GeometricRoughPath, _increments
-from .tensor_algebra import MAX_LEVEL, _check_whole
+from .tensor_algebra import MAX_LEVEL, _check_array, _check_real, _check_whole
 
 
 @dataclass(frozen=True)
@@ -140,16 +140,8 @@ def integral_controlled(Z: ControlledPath, X: GeometricRoughPath,
     e, _ = _integrand_dims(Z.dim_u, Z.d)
     _check_pair(Z, X)
     if offset is not None:
-        offset = _check_offset(offset, e, "offset")
+        offset = _check_array(offset, "offset", (e,))
     return ControlledPath(X.times, X.d, X.N, e, _integral_levels(Z.levels, X, offset))
-
-
-def _check_offset(value, e: int, name: str) -> np.ndarray:
-    """A start value in U = R^e: ``value`` flattened, e finite entries."""
-    value = np.asarray(value, dtype=float).ravel()
-    if value.size != e or not np.isfinite(value).all():
-        raise ValueError(f"{name} must hold e = {e} finite values, e the target dimension, got {value.size}")
-    return value
 
 
 def _integral_levels(z_levels, X: GeometricRoughPath, offset) -> list:
@@ -263,8 +255,8 @@ def tail_constant(N: int, alpha: float) -> float:
     :func:`_hurwitz_zeta2`; direct summation cannot reach the needed accuracy
     for exponents close to 1.  Diverges unless (N+1) alpha > 1.
     """
-    _check_alpha(alpha, _check_whole(N, "level N", 1, MAX_LEVEL))
-    p = (N + 1) * alpha
+    lo = 1.0 / (_check_whole(N, "level N", 1, MAX_LEVEL) + 1)
+    p = (N + 1) * _check_real(alpha, "alpha", lo, 1, "(]")
     if not p > 1.0:  # (N+1) alpha can round to 1 at the open end, as at N = 2 and 5
         raise ValueError(f"(N+1)*alpha = {p} must exceed 1 for the tail to converge")
     return float(2.0**p * _hurwitz_zeta2(p))

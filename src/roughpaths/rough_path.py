@@ -31,8 +31,8 @@ import math
 import numpy as np
 
 from .tensor_algebra import TensorSeries, _check_caps, _frozen_levels, _group_inverse_levels
-from .tensor_algebra import _check_whole, _group_like_deviation, _max_abs, _product_level
-from .tensor_algebra import _segment_levels, _truncated_product
+from .tensor_algebra import _check_array, _check_real, _check_whole, _group_like_deviation, _max_abs
+from .tensor_algebra import _product_level, _segment_levels, _truncated_product
 
 # Doubles in one pair block (start rows x end points x entries per pair, all
 # levels of a seminorm together) of a grid-pair scan.  On the README line
@@ -68,15 +68,13 @@ class PiecewiseLinearPath:
 
     def __init__(self, times, points):
         times = _grid_times(times, 2)
-        points = np.ascontiguousarray(points, dtype=float)
+        points = np.ascontiguousarray(_check_array(points, "points"))
         if points.ndim == 1:
             points = points[:, None]
         if points.ndim != 2 or points.shape[1] < 1:
             raise ValueError(f"points must be a (P, d) array with d >= 1, got shape {points.shape}")
         if times.size != points.shape[0]:
             raise ValueError("times and points disagree in length")
-        if not np.isfinite(points).all():
-            raise ValueError("points must be finite")
         points.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
@@ -133,12 +131,6 @@ class PiecewiseLinearPath:
         return PiecewiseLinearPath(new_t, new_p)
 
 
-def _check_beta(beta: float) -> None:
-    """The level exponents i beta need 0 < beta <= 1."""
-    if not (0.0 < beta <= 1.0):
-        raise ValueError(f"beta {beta} outside (0, 1]")
-
-
 class GeometricRoughPath:
     """Grid-sampled group-valued path t -> X_{t0,t} with a declared Holder exponent.
 
@@ -152,12 +144,12 @@ class GeometricRoughPath:
 
     def __init__(self, times, d: int, N: int, beta: float, levels):
         times = _grid_times(times, 1)
-        _check_beta(beta)
+        beta = _check_real(beta, "beta", 0, 1, "(]")  # the level exponents i beta
         levels = _frozen_levels(d, N, levels, (times.size,), N)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "N", N)
-        object.__setattr__(self, "beta", float(beta))
+        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "_inverses", None)
         object.__setattr__(self, "_steps", None)
@@ -361,7 +353,7 @@ def _scan_pairs(plan, block_fn, paths: int = 1) -> np.ndarray:
 def holder_norm(X: GeometricRoughPath, level: int, beta: float) -> float:
     """Grid maximum of |X^level_{s,t}| / (t-s)^(level*beta) over all pairs s < t."""
     _check_whole(level, "level", 1, X.N)
-    _check_beta(beta)
+    beta = _check_real(beta, "beta", 0, 1, "(]")
     return float(_scan_pairs(_pair_plan(X.times, X.d**level, [level * beta]),
                              lambda s, t: [_increments(X, (s, None), (None, t), level)[level]]).max())
 
@@ -372,7 +364,7 @@ def holder_distance(Xa: GeometricRoughPath, Xb: GeometricRoughPath, beta: float)
         raise ValueError("rough paths are incompatible")
     if Xa.n_points != Xb.n_points or not np.array_equal(Xa.times, Xb.times):
         raise ValueError("rough paths must share the grid; resample upstream")
-    _check_beta(beta)
+    beta = _check_real(beta, "beta", 0, 1, "(]")
 
     def block(i):
         return lambda s, t: [_increments(Xa, (s, None), (None, t), i)[i]

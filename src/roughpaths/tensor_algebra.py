@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from functools import lru_cache, reduce
 from types import MappingProxyType
 
@@ -77,6 +78,31 @@ def _check_whole(value, name: str, lo: int, hi: int | None = None, error=ValueEr
         bound = f"must be an integer >= {lo}" if hi is None else f"outside {lo}..{hi}"
         raise error(f"{name} {value!r} {bound}")
     return int(value)
+
+
+def _check_real(value, name: str, lo=-math.inf, hi=math.inf, ends: str = "()") -> float:
+    """``value`` as a float when it is a real number (a bool excluded) from lo to hi,
+    each end closed or open as ``ends`` ("[]", "(]", ...) says, any finite number by
+    default; else a ValueError naming the argument.  NaN fails every comparison."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (ok and (lo <= value if ends[0] == "[" else lo < value)
+            and (value <= hi if ends[1] == "]" else value < hi)):
+        raise ValueError(f"{name} {value!r} outside {ends[0]}{lo:g}, {hi:g}{ends[1]}")
+    return float(value)
+
+
+def _check_array(value, name: str, shape=None) -> np.ndarray:
+    """``value`` as a float array when its entries are finite numbers (no bools)
+    and, given ``shape``, it has that shape, a None entry matching any length;
+    else a ValueError naming the argument."""
+    arr = np.asarray(value)
+    if shape is not None and (arr.ndim != len(shape) or any(
+            dim is not None and dim != got for dim, got in zip(shape, arr.shape))):
+        want = str(tuple("n" if dim is None else dim for dim in shape)).replace("'", "")
+        raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr.astype(float, copy=False)
 
 
 def _check_caps(d, N) -> None:
@@ -151,7 +177,7 @@ class TensorSeries:
         _check_caps(d, N)
         _check_word(word, d, N)
         blocks = [np.zeros(d**i) for i in range(N + 1)]
-        blocks[len(word)][word_index(word, d)] = coeff
+        blocks[len(word)][word_index(word, d)] = _check_real(coeff, "coeff")
         return cls(d, N, blocks)
 
     def level(self, i: int) -> np.ndarray:
@@ -262,7 +288,7 @@ def _segment_levels(v, N: int) -> list:
 
 def exp_segment(v, N: int) -> TensorSeries:
     """Signature of a single linear segment with increment ``v``: level k is v^(x)k / k!."""
-    v = np.asarray(v, dtype=float).ravel()
+    v = _check_array(v, "increment v", (None,))
     _check_caps(v.size, N)
     return TensorSeries(v.size, N, _segment_levels(v, N))
 
@@ -464,8 +490,7 @@ def is_group_like(xi: TensorSeries, tol: float) -> tuple[bool, float]:
     xi^{l_1} box ... box xi^{l_k}, sector by sector.  Returns
     (within tolerance, max coefficient deviation).
     """
-    if not tol >= 0:  # also rejects NaN
-        raise ValueError(f"tol {tol!r} must be a number >= 0")
+    tol = _check_real(tol, "tol", 0, math.inf, "[]")
     if abs(float(xi.levels[0][0]) - 1.0) > 1e-9:
         raise ValueError("is_group_like requires level-0 coefficient 1")
     worst = _group_like_deviation(xi.levels)

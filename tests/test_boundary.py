@@ -1,8 +1,11 @@
 """Library boundary table: one row per bad input a public constructor or
 check must reject with a clear message (the library twin of the CLI's
-config boundary fuzz), and a sweep over the signatures of the public names:
-every parameter annotated ``int`` rejects a bool, a float and an integer out
-of range with a ValueError or IndexError that names it."""
+config boundary fuzz), and two sweeps over the signatures of the public
+names: every parameter annotated ``int`` rejects a bool, a float and an
+integer out of range with a ValueError or IndexError that names it, and
+every parameter annotated ``float`` (or ``float | None``) rejects NaN, both
+infinities unless its range holds them, a bool and a value past each finite
+end of its range with a ValueError that names it."""
 import inspect
 import re
 
@@ -17,14 +20,20 @@ from roughpaths.controlled_path import (
     ControlledPath,
     canonical_lift,
     concatenate,
+    distance,
     level_holder_norm,
+    path_add,
     path_scale,
+    prefix_seminorms,
     remainder_rows,
     restrict_path,
+    seminorm,
+    triple_norm,
     zero_remainder_path,
 )
 from roughpaths.lipschitz import (
     LipFunction,
+    LipReport,
     RemainderProbe,
     constant,
     expansion_identity_check,
@@ -37,9 +46,22 @@ from roughpaths.lipschitz import (
     ridge,
     taylor_remainder,
 )
-from roughpaths.rde_solver import PatchReport, SolverConfig, SolveReport, check_exponents, grid_index, picard_step
+from roughpaths.rde_solver import (
+    ContinuityProbe,
+    PatchReport,
+    SolverConfig,
+    SolveReport,
+    canonical_initial_path,
+    check_exponents,
+    continuity_probe,
+    grid_index,
+    picard_step,
+    solve,
+    solve_local,
+)
 from roughpaths.rough_integral import (
     Partition,
+    RateProbe,
     convergence_rate_probe,
     dyadic_partition,
     integral_controlled,
@@ -49,9 +71,11 @@ from roughpaths.rough_integral import (
 from roughpaths.rough_path import (
     GeometricRoughPath,
     PiecewiseLinearPath,
+    holder_distance,
     holder_norm,
     increment,
     lift_path,
+    path_norm,
     restrict,
 )
 from roughpaths.tensor_algebra import (
@@ -111,6 +135,12 @@ PART = Partition((0, 2, 5, 8))
 # a linear field on R^2: the target dimension e is 2.
 PAIR = zero_remainder_path([np.ones((2, 1)), np.zeros((2, 1)), np.zeros((2, 1))], WALK)
 PLANE = linear(np.eye(2), n_levels=3)
+# The canonical lift of a 9-point line on its N = 3 driver, a scalar field
+# that solves on it, and a solver config inside the exponent window of N = 3.
+STRAIGHT = lift_path(PiecewiseLinearPath(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9)[:, None]), 3)
+STRAIGHT_LIFT = canonical_lift(STRAIGHT)
+SCALAR = linear([[0.5]], n_levels=3)
+CONFIG = SolverConfig(0.29, 1 / 3)
 
 
 def expansion_check(r, k):
@@ -130,7 +160,7 @@ CASES = {
                             "dimension d 2.5 outside"),
     "series-nan-level": (lambda: TensorSeries(2, 2, [1, [nan, 1], [0] * 4]), ValueError,
                          "level 1 block has non-finite"),
-    "exp-segment-nan": (lambda: exp_segment([nan, 1], 3), ValueError, "non-finite"),
+    "exp-segment-nan": (lambda: exp_segment([nan, 1], 3), ValueError, "increment v must be finite"),
     # Grid-sampled types: the caps, the grid and the level blocks.
     "rough-d5": (lambda: rough(d=5), ValueError, "dimension d 5 outside"),
     "rough-N6": (lambda: rough(N=6), ValueError, "level N 6 outside"),
@@ -151,7 +181,8 @@ CASES = {
                        "monomial value must be finite"),
     "ridge-nan-coef": (lambda: ridge_term(coef=[nan]), ValueError, "ridge coef must be finite"),
     "ridge-nan-weight": (lambda: ridge_term(weight=[nan]), ValueError, "ridge weight must be finite"),
-    "ridge-nan-phase": (lambda: ridge_term(phase=nan), ValueError, "ridge phase must be finite"),
+    "ridge-nan-phase": (lambda: ridge_term(phase=nan), ValueError,
+                         r"ridge phase nan outside \(-inf, inf\)"),
     "ridge-levels-float": (lambda: ridge(1, 1, [], 1.5), ValueError, "n_levels 1.5 must be an integer"),
     "lip-levels-float": (lambda: LipFunction(1, 1, 1.5, no_eval), ValueError,
                          "n_levels 1.5 must be an integer >= 0"),
@@ -174,7 +205,7 @@ CASES = {
     "lip-eval-level-above": (lambda: LINE.eval_levels(3, [[0.0]]), ValueError,
                              "derivative level top 3 outside 0..2"),
     "lip-eval-points-width": (lambda: LINE.eval(0, [[0.0, 1.0]]), ValueError,
-                              r"points have shape \(1, 2\), expected \(P, 1\)"),
+                              r"points ys has shape \(1, 2\), expected \(n, 1\)"),
     "lip-evaluator-short": (lambda: LipFunction(1, 1, 2, lambda top, ys: no_eval(0, ys)).eval(2, [[0.0]]),
                             ValueError, "evaluator returned"),
     # The sampling box and count of lip_norm_check.
@@ -244,22 +275,22 @@ CASES = {
     "tail-constant-N-bool": (lambda: tail_constant(True, 0.6), ValueError, "level N True outside 1..5"),
     "tail-constant-N-float": (lambda: tail_constant(2.5, 0.3), ValueError, "level N 2.5 outside 1..5"),
     # The exponent of the tail: the window of the remainder exponents.
-    "tail-constant-alpha-inf": (lambda: tail_constant(3, inf), ValueError, r"alpha inf outside \(1/4, 1\]"),
+    "tail-constant-alpha-inf": (lambda: tail_constant(3, inf), ValueError, r"alpha inf outside \(0.25, 1\]"),
     "tail-constant-alpha-300": (lambda: tail_constant(3, 300.0), ValueError,
-                                r"alpha 300.0 outside \(1/4, 1\]"),
+                                r"alpha 300.0 outside \(0.25, 1\]"),
     # Start values in U = R^e: e finite entries, never broadcast.
     "picard-y0-short": (lambda: picard_step(PAIR, PLANE, WALK, [5.0]), ValueError,
-                        "y0 must hold e = 2 finite values, e the target dimension, got 1"),
+                        r"y0 has shape \(1,\), expected \(2,\)"),
     "picard-y0-long": (lambda: picard_step(PAIR, PLANE, WALK, [1.0, 2.0, 3.0]), ValueError,
-                       "y0 must hold e = 2 finite values, e the target dimension, got 3"),
+                       r"y0 has shape \(3,\), expected \(2,\)"),
     "picard-y0-nan": (lambda: picard_step(PAIR, PLANE, WALK, [nan, 0.0]), ValueError,
-                      "y0 must hold e = 2 finite values"),
+                      "y0 must be finite"),
     "integral-offset-short": (lambda: integral_controlled(PAIR, WALK, [5.0]), ValueError,
-                              "offset must hold e = 2 finite values, e the target dimension, got 1"),
+                              r"offset has shape \(1,\), expected \(2,\)"),
     "integral-offset-long": (lambda: integral_controlled(PAIR, WALK, [1.0, 2.0, 3.0]), ValueError,
-                             "offset must hold e = 2 finite values, e the target dimension, got 3"),
+                             r"offset has shape \(3,\), expected \(2,\)"),
     "integral-offset-inf": (lambda: integral_controlled(PAIR, WALK, [inf, 0.0]), ValueError,
-                            "offset must hold e = 2 finite values"),
+                            "offset must be finite"),
     # Start blocks of the zero-remainder path: block i is a finite (e, d**i) map.
     "zero-remainder-block-shape": (lambda: zero_remainder_path([np.zeros((2, 1)), np.zeros((3, 1)),
                                                                 np.zeros((2, 1))], WALK),
@@ -268,8 +299,8 @@ CASES = {
                                                               np.zeros((2, 1))], WALK),
                                  controlled_path.NonFiniteLevelError, "start block 1 has non-finite entries"),
     # Scale factors.
-    "path-scale-inf": (lambda: path_scale(LIFT, inf), ValueError, "scale factor c inf must be finite"),
-    "path-scale-nan": (lambda: path_scale(LIFT, nan), ValueError, "scale factor c nan must be finite"),
+    "path-scale-inf": (lambda: path_scale(LIFT, inf), ValueError, r"scale factor c inf outside \(-inf, inf\)"),
+    "path-scale-nan": (lambda: path_scale(LIFT, nan), ValueError, r"scale factor c nan outside \(-inf, inf\)"),
     "shuffle-cap-float": (lambda: shuffle_product((1,), (2,), 2.5), ValueError,
                           "level cap n_max 2.5 outside 0..5"),
     "coproduct-arity-float": (lambda: coproduct(SERIES, 2.0), ValueError, "arity k 2.0 outside 1..6"),
@@ -300,9 +331,73 @@ CASES = {
                                 "tol -1.0"),
     "concatenate-nan-tol": (lambda: concatenate_with(nan), ValueError, "tol nan"),
     "concatenate-negative-tol": (lambda: concatenate_with(-1e-10), ValueError, "tol -1e-10"),
-    "grid-index-nan-tol": (lambda: grid_index(WALK.times, 0.5, nan), ValueError, "tol nan must be a number >= 0"),
+    "grid-index-nan-tol": (lambda: grid_index(WALK.times, 0.5, nan), ValueError, r"tol nan outside \[0, inf\]"),
     "grid-index-negative-tol": (lambda: grid_index(WALK.times, 0.5, -1e-9), ValueError,
-                                "tol -1e-09 must be a number >= 0"),
+                                r"tol -1e-09 outside \[0, inf\]"),
+    # Start values y0 have shape (e,) and finite entries wherever they are
+    # read, never raveled: a NaN start is a bad argument, not a failed solve.
+    "solve-y0-2d": (lambda: solve(PLANE, WALK, [[0.1, 0.2]], 1.0, CONFIG), ValueError,
+                    r"y0 has shape \(1, 2\), expected \(2,\)"),
+    "solve-y0-nan": (lambda: solve(PLANE, WALK, [nan, 0.2], 1.0, CONFIG), ValueError, "y0 must be finite"),
+    "solve-local-y0-2d": (lambda: solve_local(PLANE, WALK, [[0.1, 0.2]], CONFIG), ValueError,
+                          r"y0 has shape \(1, 2\), expected \(2,\)"),
+    "solve-local-y0-nan": (lambda: solve_local(PLANE, WALK, [nan, 0.2], CONFIG), ValueError,
+                           "y0 must be finite"),
+    "initial-path-y0-2d": (lambda: canonical_initial_path([[0.1], [0.2]], PLANE, WALK), ValueError,
+                           r"y0 has shape \(2, 1\), expected \(2,\)"),
+    "initial-path-y0-nan": (lambda: canonical_initial_path([nan, 0.2], PLANE, WALK), ValueError,
+                            "y0 must be finite"),
+    "picard-y0-2d": (lambda: picard_step(PAIR, PLANE, WALK, [[1.0, 2.0]]), ValueError,
+                     r"y0 has shape \(1, 2\), expected \(2,\)"),
+    "integral-offset-2d": (lambda: integral_controlled(PAIR, WALK, [[1.0, 2.0]]), ValueError,
+                           r"offset has shape \(1, 2\), expected \(2,\)"),
+    # The increment of a segment is one vector.
+    "exp-segment-2d": (lambda: exp_segment([[0.1, 0.2]], 3), ValueError,
+                       r"increment v has shape \(1, 2\), expected \(n,\)"),
+    # Field points: finite, of shape (P, dim_in) for a batch and (dim_in,) for one point.
+    "lip-eval-points-nan": (lambda: LINE.eval(0, [[nan]]), ValueError, "points ys must be finite"),
+    "lip-eval-levels-points-inf": (lambda: LINE.eval_levels(1, [[inf]]), ValueError,
+                                   "points ys must be finite"),
+    "lip-eval-at-scalar": (lambda: LINE.eval_at(0, 0.5), ValueError, r"point y has shape \(\), expected \(1,\)"),
+    "taylor-x-nan": (lambda: taylor_remainder(LINE, 0, [nan], [0.1]), ValueError, "point x must be finite"),
+    "taylor-y-inf": (lambda: taylor_remainder(LINE, 0, [0.0], [inf]), ValueError, "point y must be finite"),
+    "taylor-x-2d": (lambda: taylor_remainder(LINE, 0, [[0.0]], [0.1]), ValueError,
+                    r"point x has shape \(1, 1\), expected \(1,\)"),
+    "taylor-y-long": (lambda: taylor_remainder(LINE, 0, [0.0], [0.1, 0.2]), ValueError,
+                      r"point y has shape \(2,\), expected \(1,\)"),
+    # Each end of a sampling box is one number or one per input coordinate,
+    # and a declared bound is None or a number >= 0.
+    "lip-check-box-lo-long": (lambda: lip_norm_check(LINE, [0.0, 0.0], 1.0), ValueError,
+                              r"box lo has shape \(2,\), expected \(1,\)"),
+    "lip-check-box-hi-2d": (lambda: lip_norm_check(LINE, 0.0, [[1.0]]), ValueError,
+                            r"box hi has shape \(1, 1\), expected \(1,\)"),
+    "lip-check-declared-nan": (lambda: lip_norm_check(LINE, 0.0, 1.0, nan), ValueError,
+                               r"declared nan outside \[0, inf\)"),
+    "lip-check-declared-negative": (lambda: lip_norm_check(LINE, 0.0, 1.0, -1.0), ValueError,
+                                    r"declared -1.0 outside \[0, inf\)"),
+    "lip-check-declared-inf": (lambda: lip_norm_check(LINE, 0.0, 1.0, inf), ValueError,
+                               r"declared inf outside \[0, inf\)"),
+    "lip-check-declared-minus-inf": (lambda: lip_norm_check(LINE, 0.0, 1.0, -inf), ValueError,
+                                     r"declared -inf outside \[0, inf\)"),
+    # Each check names its own parameter.
+    "level-holder-exponent-nan": (lambda: level_holder_norm(LIFT, 0, nan), ValueError,
+                                  r"exponent nan outside \(0, 1\]"),
+    "solve-horizon-nan": (lambda: solve(SCALAR, STRAIGHT, [1.0], nan, CONFIG), ValueError,
+                          r"horizon nan outside \(-inf, inf\)"),
+    "solve-horizon-inf": (lambda: solve(SCALAR, STRAIGHT, [1.0], inf, CONFIG), ValueError,
+                          r"horizon inf outside \(-inf, inf\)"),
+    "solve-horizon-minus-inf": (lambda: solve(SCALAR, STRAIGHT, [1.0], -inf, CONFIG), ValueError,
+                                r"horizon -inf outside \(-inf, inf\)"),
+    "continuity-horizon-nan": (lambda: continuity_probe(SCALAR, STRAIGHT, STRAIGHT, [1.0], [1.0], nan, CONFIG),
+                               ValueError, r"horizon nan outside \(-inf, inf\)"),
+    "continuity-horizon-inf": (lambda: continuity_probe(SCALAR, STRAIGHT, STRAIGHT, [1.0], [1.0], inf, CONFIG),
+                               ValueError, r"horizon inf outside \(-inf, inf\)"),
+    # Path arithmetic: an overflow fails the finiteness check of the result,
+    # never escaping as a RuntimeWarning.
+    "path-add-overflow": (lambda: path_add(path_scale(STRAIGHT_LIFT, 1e308), path_scale(STRAIGHT_LIFT, 1e308)),
+                          controlled_path.NonFiniteLevelError, "level 0 block has non-finite entries"),
+    "path-scale-overflow": (lambda: path_scale(path_scale(STRAIGHT_LIFT, 1e308), 1e308),
+                            controlled_path.NonFiniteLevelError, "level 0 block has non-finite entries"),
 }
 
 
@@ -372,8 +467,9 @@ SWEEP = [
     (SolverConfig, {"alpha": 0.29, "beta": 1 / 3, "max_picard_iters": 5, "max_patches": 5}, {}),
     (SolverConfig(0.29, 1 / 3).validate, {"N": 3}, {"N": 5}),
 ]
-# Result records: the library fills their counts in and reads none of them.
-RECORDS = {PatchReport, SolveReport, RemainderProbe}
+# Result records: the library fills their fields in and reads none of them.
+RECORDS = {PatchReport, SolveReport, RemainderProbe, LipReport, RateProbe, ContinuityProbe}
+INTEGER, FLOAT = ("int",), ("float", "float | None")
 
 
 def sweep_call(target, args):
@@ -386,13 +482,18 @@ def qualname(obj):
     return f"{obj.__module__}.{obj.__qualname__}"
 
 
+def annotated(target, kinds):
+    return [p.name for p in inspect.signature(target).parameters.values() if p.annotation in kinds]
+
+
 def integer_params(target):
-    return [p.name for p in inspect.signature(target).parameters.values() if p.annotation == "int"]
+    return annotated(target, INTEGER)
 
 
-def public_integer_callables():
-    """Every public function, class and public method of the library modules
-    and of ``roughpaths.__all__`` that has a parameter annotated ``int``."""
+def public_parameters(kinds):
+    """(qualified name, parameter) of every parameter annotated as one of
+    ``kinds`` of the public functions, classes and public methods of the
+    library modules and of ``roughpaths.__all__``."""
     found = set()
     modules = (tensor_algebra, rough_path, controlled_path, lipschitz, rough_integral, rde_solver)
     names = [(m, n) for m in modules for n in vars(m)] + [(roughpaths, n) for n in roughpaths.__all__]
@@ -406,7 +507,7 @@ def public_integer_callables():
         if inspect.isclass(obj):
             candidates += [getattr(obj, attr) for attr in vars(obj)
                            if not attr.startswith("_") and inspect.isroutine(getattr(obj, attr))]
-        found |= {qualname(c) for c in candidates if integer_params(c)}
+        found |= {(qualname(c), name) for c in candidates for name in annotated(c, kinds)}
     return found
 
 
@@ -425,7 +526,7 @@ def assert_rejected(target, args, name, value):
 
 
 def test_sweep_covers_every_integer_parameter():
-    assert {qualname(target) for target, _, _ in SWEEP} == public_integer_callables()
+    assert {qualname(target) for target, _, _ in SWEEP} == {q for q, _ in public_parameters(INTEGER)}
     for target, args, tops in SWEEP:
         assert set(tops) <= set(integer_params(target)) <= set(args), qualname(target)
 
@@ -453,3 +554,80 @@ def test_sweep_rejects_drawn_bad_integers(data):
     name = data.draw(st.sampled_from(integer_params(target)))
     above = [st.integers(min_value=tops[name] + 1)] if name in tops else []
     assert_rejected(target, args, name, data.draw(st.one_of(BAD_INTEGERS, *above)))
+
+
+# The float sweep.  One valid call per public callable with a parameter
+# annotated ``float`` or ``float | None``: (target, valid arguments, {name:
+# (values past a finite end of its range, closed ends)}).  A call replaces one
+# float at a time with NaN, -inf, a bool, each value past an end, and +inf
+# unless +inf is a closed end; each closed end must run.
+ALPHA = ([0.25, 1.5], [1.0])  # (1/(N+1), 1] at N = 3
+BETA = ([0.0, 1.5], [1.0])  # (0, 1]
+TOL = ([-1e-12], [0.0, inf])  # [0, inf]
+ANY = ([], [])  # (-inf, inf)
+JOIN = {"left": restrict_path(LIFT, 0, 4), "right": restrict_path(LIFT, 4, 8), "X": WALK}
+SOLVE = {"F": SCALAR, "X": STRAIGHT, "y0": [1.0], "horizon": 0.25, "config": CONFIG}
+FLOAT_SWEEP = [
+    (TensorSeries.from_word, {"word": (1,), "d": 2, "N": 2}, {"coeff": ANY}),
+    (is_group_like, {"xi": SERIES, "tol": 1e-9}, {"tol": TOL}),
+    (GeometricRoughPath, {"times": [0.0, 1.0], "d": 1, "N": 2, "beta": 0.4, "levels": rough().levels},
+     {"beta": BETA}),
+    (lift_path, {"path": PiecewiseLinearPath([0.0, 1.0], [0.0, 1.0]), "N": 2}, {"beta": ([0.0, 1.5], [1.0, None])}),
+    (holder_norm, {"X": WALK, "level": 1, "beta": 0.3}, {"beta": BETA}),
+    (holder_distance, {"Xa": WALK, "Xb": WALK, "beta": 0.3}, {"beta": BETA}),
+    (path_norm, {"X": WALK, "beta": 0.3}, {"beta": BETA}),
+    (seminorm, {"Y": LIFT, "X": WALK, "alpha": 0.3}, {"alpha": ALPHA}),
+    (prefix_seminorms, {"Y": LIFT, "X": WALK, "alpha": 0.3}, {"alpha": ALPHA}),
+    (distance, {"Ya": LIFT, "Yb": LIFT, "Xa": WALK, "Xb": WALK, "alpha": 0.3}, {"alpha": ALPHA}),
+    (triple_norm, {"Y": LIFT, "X": WALK, "alpha": 0.3}, {"alpha": ALPHA}),
+    (level_holder_norm, {"Y": LIFT, "i": 1, "exponent": 0.3}, {"exponent": BETA}),
+    (path_scale, {"Y": LIFT, "c": 2.0}, {"c": ANY}),
+    (concatenate, JOIN, {"tol": TOL}),
+    (lip_norm_check, {"F": LINE, "lo": 0.0, "hi": 1.0, "sample_count": 4}, {"declared": ([-1e-12], [0.0, None])}),
+    (remainder_regularity_probe, {"F": linear([[1.0]], n_levels=3), "Y": LIFT, "X": WALK, "r": 1,
+                                  "alpha": 0.3}, {"alpha": ALPHA}),
+    (tail_constant, {"N": 3, "alpha": 0.5}, {"alpha": ALPHA}),
+    (check_exponents, {"N": 3, "alpha": 0.29, "beta": 1 / 3},
+     {"alpha": ([0.25, 1 / 3], []), "beta": ([0.25, 0.34], [1 / 3])}),
+    (SolverConfig, {"alpha": 0.29, "beta": 1 / 3},
+     {"alpha": ([0.25, 1 / 3], []), "beta": ([0.25, 0.34], [1 / 3]), "contraction_tol": ([0.0], []),
+      "tau_init": ([0.0], []), "tau_shrink": ([0.0, 1.0], []), "explosion_bound": ([0.0], [inf])}),
+    (grid_index, {"times": WALK.times, "t": 0.5}, {"t": ANY, "tol": TOL}),
+    (solve, SOLVE, {"horizon": ANY}),
+    (continuity_probe, {"F": SCALAR, "Xa": STRAIGHT, "Xb": STRAIGHT, "y0a": [1.0], "y0b": [1.5],
+                        "horizon": 0.25, "config": CONFIG}, {"horizon": ANY}),
+]
+
+
+def float_cases():
+    for target, args, ranges in FLOAT_SWEEP:
+        for name, (past, ends) in ranges.items():
+            for value in [nan, -inf, True, *past] + ([] if inf in ends else [inf]):
+                yield pytest.param(target, args, name, value, id=f"{qualname(target)}-{name}-{value!r}")
+
+
+def test_sweep_covers_every_float_parameter():
+    swept = {(qualname(target), name) for target, _, ranges in FLOAT_SWEEP for name in ranges}
+    assert swept == public_parameters(FLOAT)
+    for target, args, _ in FLOAT_SWEEP:
+        assert set(args) <= set(inspect.signature(target).parameters), qualname(target)
+
+
+@pytest.mark.parametrize("target, args", [(t, a) for t, a, _ in FLOAT_SWEEP],
+                         ids=[qualname(t) for t, _, _ in FLOAT_SWEEP])
+def test_float_sweep_valid_calls_run(target, args):
+    sweep_call(target, args)
+
+
+@pytest.mark.parametrize("target, args, name, value", [
+    pytest.param(target, args, name, value, id=f"{qualname(target)}-{name}-{value!r}")
+    for target, args, ranges in FLOAT_SWEEP for name, (_, ends) in ranges.items() for value in ends])
+def test_float_sweep_closed_ends_run(target, args, name, value):
+    sweep_call(target, {**args, name: value})
+
+
+@pytest.mark.parametrize("target, args, name, value", list(float_cases()))
+def test_sweep_rejects_bad_floats(target, args, name, value):
+    with pytest.raises(ValueError) as info:
+        sweep_call(target, {**args, name: value})
+    assert re.search(rf"\b{name}\b", str(info.value)), (name, value, str(info.value))

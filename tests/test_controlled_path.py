@@ -479,7 +479,7 @@ def test_norms_reject_alpha_outside_range(alpha):
                 lambda: distance(Ya, Yb, X, X, alpha),
                 lambda: remainder_regularity_probe(F, Ya, X, 1, alpha))
     for measure in measures:
-        with pytest.raises(ValueError, match=r"alpha .* outside \(1/4, 1\]"):
+        with pytest.raises(ValueError, match=r"alpha .* outside \(0.25, 1\]"):
             measure()
 
 

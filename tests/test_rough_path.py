@@ -266,7 +266,7 @@ def test_holder_scans_reject_beta_outside_range(beta):
         holder_distance(Xa, Xb, beta)
     with pytest.raises(ValueError, match=r"beta .* outside \(0, 1\]"):
         holder_norm(Xa, 1, beta)
-    with pytest.raises(ValueError, match=r"beta .* outside \(0, 1\]"):
+    with pytest.raises(ValueError, match=r"exponent .* outside \(0, 1\]"):
         level_holder_norm(canonical_lift(Xa), 0, beta)
 
 
