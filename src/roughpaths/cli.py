@@ -297,7 +297,9 @@ def _write_csv(path: Path, header, rows) -> None:
 def cmd_lift(cfg: ScenarioConfig, out: Path) -> int:
     X = cfg.load_driver()
     _write_json(out / "rough_path.json", X.to_json_dict())
-    rows = [(i, i * cfg.beta, rp.holder_norm(X, i, cfg.beta)) for i in range(1, cfg.N + 1)]
+    levels = range(1, cfg.N + 1)
+    norms = rp._holder_maxima(X, None, cfg.beta, levels)
+    rows = [(i, i * cfg.beta, norm) for i, norm in zip(levels, norms)]
     _write_csv(out / "holder_norms.csv", ["level", "exponent", "norm"], rows)
     print(f"lift: wrote rough_path.json and holder_norms.csv to {out}")
     return 0
@@ -381,8 +383,7 @@ def _random_polyline(rng, d: int, segments: int) -> rp.PiecewiseLinearPath:
 def _suite_chen(cfg, rng, opts) -> dict:
     devs = []
     for _ in range(opts.get("paths", 5)):
-        X = rp.lift_path(_random_polyline(rng, cfg.d, opts.get("segments", 8)),
-                         cfg.N, cfg.beta)
+        X = rp.lift_path(_random_polyline(rng, cfg.d, opts.get("segments", 8)), cfg.N)
         scale = max(1.0, X.value(X.n_points - 1).max_abs())
         devs.append(rp.chen_deviation(X) / scale)
     worst = ta._max_abs(devs)
@@ -394,8 +395,7 @@ def _suite_group_like(cfg, rng, opts) -> dict:
     N = max(2, cfg.N)
     devs = []
     for _ in range(opts.get("paths", 3)):
-        X = rp.lift_path(_random_polyline(rng, cfg.d, opts.get("segments", 6)),
-                         N, min(cfg.beta, 1 / N))
+        X = rp.lift_path(_random_polyline(rng, cfg.d, opts.get("segments", 6)), N)
         if corrupt:
             broken = rp._increments(X, slice(0, X.n_points - 1, 2), X.n_points - 1, N)
             broken[2] = np.zeros_like(broken[2])
@@ -441,7 +441,7 @@ def _suite_alg_lemma(cfg, rng, opts) -> dict:
     N, d = max(4, cfg.N), cfg.d
     devs = []
     for _ in range(opts.get("paths", 4)):
-        X = rp.lift_path(_random_polyline(rng, d, 4), N, min(cfg.beta, 1 / N))
+        X = rp.lift_path(_random_polyline(rng, d, 4), N)
         inc = rp.increment(X, 0, X.n_points - 1)
         if corrupt:
             inc = inc.with_level(2, np.zeros(d**2))
@@ -456,7 +456,7 @@ def _suite_alg_lemma(cfg, rng, opts) -> dict:
 def _suite_removal(cfg, rng, opts) -> dict:
     devs = []
     for _ in range(opts.get("instances", 20)):
-        X = rp.lift_path(_random_polyline(rng, cfg.d, 16), cfg.N, cfg.beta)
+        X = rp.lift_path(_random_polyline(rng, cfg.d, 16), cfg.N)
         e = int(rng.integers(1, 3))
         levels = [rng.standard_normal((X.n_points, e * cfg.d, cfg.d**i))
                   for i in range(cfg.N)]

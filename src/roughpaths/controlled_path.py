@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from .rough_path import GeometricRoughPath, _grid_times, _pair_plan, _scan_pairs
-from .tensor_algebra import _check_caps, _check_real, _check_whole, _frozen_levels, _max_abs
+from .tensor_algebra import _check_caps, _check_real, _check_whole, _frozen_levels, _is_numeric, _max_abs
 
 
 class NonFiniteLevelError(ValueError):
@@ -264,12 +264,14 @@ def zero_remainder_path(blocks, X: GeometricRoughPath) -> ControlledPath:
     level propagates along the driver's running signature so that every
     remainder vanishes identically.
     """
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    blocks = [np.asarray(b) for b in blocks]
     if len(blocks) != X.N:
         raise ValueError(f"expected {X.N} start blocks")
     n, d = X.n_points, X.d
     e = blocks[0].shape[0] if blocks[0].ndim else 1
     for i, block in enumerate(blocks):
+        if not _is_numeric(block):
+            raise ValueError(f"start block {i} must hold numbers, got dtype {block.dtype}")
         if block.shape != (e, d**i):
             raise ValueError(f"start block {i} must have shape ({e}, {d**i}), got {block.shape}")
         if not np.isfinite(block).all():

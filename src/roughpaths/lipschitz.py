@@ -278,31 +278,43 @@ def lip_norm_check(F: LipFunction, lo, hi, declared: float | None = None,
     The level-j remainder ratio divides by |y - x|^(gamma - j), gamma =
     n_levels + 1.  Sampling can falsify a ``declared`` bound (None, or a
     number >= 0) on the Lip norm, never prove it.  Each end of the box [lo, hi]
-    is one finite number or one per input coordinate, with lo <= hi, and
-    ``sample_count`` an integer >= 1.  Every level at the sampled points x and
-    y comes from two evaluator calls, one per point set, and the remainders of
-    all samples from one batched expansion per level.
+    is one finite number or one per input coordinate, with lo <= hi and a
+    finite width hi - lo, and ``sample_count`` an integer >= 1; a field or an
+    expansion that overflows on the box is a ValueError.  Every level at the
+    sampled points x and y comes from two evaluator calls, one per point set,
+    and the remainders of all samples from one batched expansion per level.
     """
     lo, hi = (np.broadcast_to(_check_array(end, f"box {name}", (F.dim_in,) if np.ndim(end) else ()),
                               (F.dim_in,)) for end, name in ((lo, "lo"), (hi, "hi")))
     if not (lo <= hi).all():
         raise ValueError(f"box lo {lo.tolist()} exceeds hi {hi.tolist()}")
+    box = f"box lo {lo.tolist()} to hi {hi.tolist()}"
+    with np.errstate(over="ignore"):
+        if not np.isfinite(hi - lo).all():
+            raise ValueError(f"{box} has a width hi - lo that is not finite")
     sample_count = _check_whole(sample_count, "sample_count", 1)
     if declared is not None:
         declared = _check_real(declared, "declared", 0, math.inf, "[)")
     rng = np.random.default_rng(0) if rng is None else rng
-    xs = rng.uniform(lo, hi, (sample_count, F.dim_in))
-    ys = rng.uniform(lo, hi, (sample_count, F.dim_in))
-    at_x, at_y = F.eval_levels(F.n_levels, xs), F.eval_levels(F.n_levels, ys)
-    level_norms = [float(np.max(np.abs(blocks).reshape(sample_count, -1).sum(axis=1)))
-                   for blocks in at_x]
-    gaps = np.abs(ys - xs).sum(axis=1)
-    far = gaps >= 1e-9
-    ratios = []
-    for j in range(F.n_levels + 1):
-        defects = _taylor_defects(F, j, at_x, at_y[j], ys - xs)
-        ratios.append(_max_abs([np.abs(defects).reshape(sample_count, -1).sum(axis=1)[far]
-                                / gaps[far] ** (F.n_levels + 1 - j)]))
+    # An overflow in the samples, the field or its expansion fails the
+    # finiteness check of the norms and ratios below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = rng.uniform(lo, hi, (sample_count, F.dim_in))
+        ys = rng.uniform(lo, hi, (sample_count, F.dim_in))
+        at_x, at_y = F.eval_levels(F.n_levels, xs), F.eval_levels(F.n_levels, ys)
+        level_norms = [float(np.max(np.abs(blocks).reshape(sample_count, -1).sum(axis=1)))
+                       for blocks in at_x]
+        gaps = np.abs(ys - xs).sum(axis=1)
+        far = gaps >= 1e-9
+        ratios = []
+        for j in range(F.n_levels + 1):
+            defects = _taylor_defects(F, j, at_x, at_y[j], ys - xs)
+            ratios.append(_max_abs([np.abs(defects).reshape(sample_count, -1).sum(axis=1)[far]
+                                    / gaps[far] ** (F.n_levels + 1 - j)]))
+    if not np.isfinite(level_norms).all():
+        raise ValueError(f"the field overflowed on the {box}")
+    if not np.isfinite(ratios).all():
+        raise ValueError(f"the field's expansion overflowed on the {box}")
     empirical = _max_abs(level_norms + ratios)
     violated = declared is not None and not empirical <= declared * (1 + 1e-9)
     return LipReport(level_norms, ratios, declared, violated)

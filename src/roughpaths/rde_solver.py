@@ -236,11 +236,11 @@ def _in_ball_steps(local: LocalSolve) -> int:
     return int(np.count_nonzero(ball <= _BALL_RADIUS)) - 1
 
 
-def grid_index(times, t: float, tol: float = 1e-9) -> int:
+def grid_index(times, t: float) -> int:
+    """The index of the grid time within 1e-9 of ``t``, else a ValueError."""
     t = _check_real(t, "time t")
-    tol = _check_real(tol, "tol", 0, math.inf, "[]")
     idx = int(np.argmin(np.abs(np.asarray(times) - t)))
-    if not abs(times[idx] - t) <= tol:
+    if not abs(times[idx] - t) <= 1e-9:
         raise ValueError(f"time {t} is not grid-representable (nearest {times[idx]})")
     return idx
 

@@ -20,7 +20,9 @@ scans on one grid may read.  One rule decides what a plan holds: its tiles
 are kept when their gap powers fit in ``_PLAN_BLOCKS`` pair blocks, 2 MB
 whatever the grid, and rebuilt tile by tile on every pass otherwise.  One
 scan may also serve several paths, each tile's gap powers computed once for
-all of them.  No driver holds a plan.
+all of them.  No driver holds a plan.  The driver's Holder norms and
+distances are one kernel, :func:`_holder_maxima`: one scan gives every level
+asked for, each tile taking each driver's increments once.
 """
 from __future__ import annotations
 
@@ -31,8 +33,8 @@ import math
 import numpy as np
 
 from .tensor_algebra import TensorSeries, _check_caps, _frozen_levels, _group_inverse_levels
-from .tensor_algebra import _check_array, _check_real, _check_whole, _group_like_deviation, _max_abs
-from .tensor_algebra import _product_level, _segment_levels, _truncated_product
+from .tensor_algebra import _check_array, _check_real, _check_whole, _group_like_deviation, _is_numeric
+from .tensor_algebra import _max_abs, _product_level, _segment_levels, _truncated_product
 
 # Doubles in one pair block (start rows x end points x entries per pair, all
 # levels of a seminorm together) of a grid-pair scan.  On the README line
@@ -48,9 +50,13 @@ _PLAN_BLOCKS = 32
 
 
 def _grid_times(times, least: int) -> np.ndarray:
-    """The read-only grid of a grid-sampled object: a 1-D array, finite, strictly
-    increasing, at least ``least`` points.  A NaN fails every comparison, so
-    finite end points and increasing steps make every time finite in one pass."""
+    """The read-only grid of a grid-sampled object: a 1-D array of numbers,
+    finite, strictly increasing, at least ``least`` points.  A NaN fails every
+    comparison, so finite end points and increasing steps make every time
+    finite in one pass."""
+    times = np.asarray(times)
+    if not _is_numeric(times):
+        raise ValueError(f"grid times must hold numbers, got dtype {times.dtype}")
     times = np.array(times, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"grid times must be a 1-D array, got shape {times.shape}")
@@ -350,33 +356,43 @@ def _scan_pairs(plan, block_fn, paths: int = 1) -> np.ndarray:
     return ends
 
 
+def _holder_maxima(Xa: GeometricRoughPath, Xb: GeometricRoughPath | None, beta: float, levels) -> list:
+    """For each level i in ``levels``, the grid maximum over pairs s < t of
+    |Xa^i_{s,t} - Xb^i_{s,t}| / (t-s)^(i beta); with ``Xb`` None its term is
+    dropped.  One scan over one plan: each tile takes the increments of each
+    driver once, up to the top level asked for, and every level's maximum is
+    that of a one-level scan, bit for bit.  The kernel twin of
+    ``oracle.holder_maxima``; the drivers are checked by the caller."""
+    top = max(levels)
+
+    def blocks(rows, cols):
+        inc = _increments(Xa, (rows, None), (None, cols), top)
+        if Xb is None:
+            return [inc[i] for i in levels]
+        other = _increments(Xb, (rows, None), (None, cols), top)
+        return [np.subtract(inc[i], other[i], out=inc[i]) for i in levels]
+
+    plan = _pair_plan(Xa.times, sum(Xa.d**i for i in levels), [i * beta for i in levels])
+    return [float(m) for m in _scan_pairs(plan, blocks).max(axis=1)]
+
+
 def holder_norm(X: GeometricRoughPath, level: int, beta: float) -> float:
     """Grid maximum of |X^level_{s,t}| / (t-s)^(level*beta) over all pairs s < t."""
-    _check_whole(level, "level", 1, X.N)
+    level = _check_whole(level, "level", 1, X.N)
     beta = _check_real(beta, "beta", 0, 1, "(]")
-    return float(_scan_pairs(_pair_plan(X.times, X.d**level, [level * beta]),
-                             lambda s, t: [_increments(X, (s, None), (None, t), level)[level]]).max())
+    return _holder_maxima(X, None, beta, [level])[0]
 
 
 def holder_distance(Xa: GeometricRoughPath, Xb: GeometricRoughPath, beta: float) -> float:
-    """Sum over levels of the Holder seminorm of the levelwise increment difference."""
+    """Sum over levels of the Holder seminorm of the levelwise increment
+    difference; against the lift of a constant path, the sum of the level
+    Holder norms of ``Xa``."""
     if Xa.d != Xb.d or Xa.N != Xb.N:
         raise ValueError("rough paths are incompatible")
     if Xa.n_points != Xb.n_points or not np.array_equal(Xa.times, Xb.times):
         raise ValueError("rough paths must share the grid; resample upstream")
     beta = _check_real(beta, "beta", 0, 1, "(]")
-
-    def block(i):
-        return lambda s, t: [_increments(Xa, (s, None), (None, t), i)[i]
-                             - _increments(Xb, (s, None), (None, t), i)[i]]
-
-    return sum(float(_scan_pairs(_pair_plan(Xa.times, Xa.d**i, [i * beta]), block(i)).max())
-               for i in range(1, Xa.N + 1))
-
-
-def path_norm(X: GeometricRoughPath, beta: float) -> float:
-    """Sum over levels of the level Holder norms (distance to the unit path)."""
-    return sum(holder_norm(X, i, beta) for i in range(1, X.N + 1))
+    return sum(_holder_maxima(Xa, Xb, beta, range(1, Xa.N + 1)))
 
 
 def chen_deviation(X: GeometricRoughPath) -> float:

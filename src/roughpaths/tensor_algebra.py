@@ -91,6 +91,12 @@ def _check_real(value, name: str, lo=-math.inf, hi=math.inf, ends: str = "()") -
     return float(value)
 
 
+def _is_numeric(arr: np.ndarray) -> bool:
+    """Whether an array holds numbers: an integer or float dtype, no bools,
+    strings, objects or complex numbers."""
+    return arr.dtype.kind in "iuf"
+
+
 def _check_array(value, name: str, shape=None) -> np.ndarray:
     """``value`` as a float array when its entries are finite numbers (no bools)
     and, given ``shape``, it has that shape, a None entry matching any length;
@@ -100,7 +106,7 @@ def _check_array(value, name: str, shape=None) -> np.ndarray:
             dim is not None and dim != got for dim, got in zip(shape, arr.shape))):
         want = str(tuple("n" if dim is None else dim for dim in shape)).replace("'", "")
         raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+    if not _is_numeric(arr) or not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr.astype(float, copy=False)
 
@@ -113,14 +119,18 @@ def _check_caps(d, N) -> None:
 
 def _frozen_levels(d, N, levels, lead: tuple, top: int, error=ValueError) -> tuple:
     """The read-only level blocks 0..top of a level container, checked: the caps
-    on (d, N), level i of shape ``lead + (d**i,)``, finite entries (else ``error``).
-    A C-contiguous float64 block is frozen in place, not copied."""
+    on (d, N), numbers (a ValueError), level i of shape ``lead + (d**i,)``,
+    finite entries (else ``error``).  A C-contiguous float64 block is frozen in
+    place, not copied."""
     _check_caps(d, N)
     if len(levels) != top + 1:
         raise ValueError(f"expected {top + 1} level blocks, got {len(levels)}")
     blocks = []
     for i, block in enumerate(levels):
-        arr = np.ascontiguousarray(block, dtype=float)
+        arr = np.asarray(block)
+        if not _is_numeric(arr):
+            raise ValueError(f"level {i} block must hold numbers, got dtype {arr.dtype}")
+        arr = np.ascontiguousarray(arr, dtype=float)
         if arr.shape != lead + (d**i,):
             raise ValueError(f"level {i} block has shape {arr.shape}, expected {lead + (d**i,)}")
         if not np.isfinite(arr).all():
@@ -159,7 +169,7 @@ class TensorSeries:
     __slots__ = ("d", "N", "levels")
 
     def __init__(self, d: int, N: int, levels):
-        blocks = _frozen_levels(d, N, [np.array(b, dtype=float).ravel() for b in levels], (), N)
+        blocks = _frozen_levels(d, N, [np.array(b).ravel() for b in levels], (), N)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "levels", blocks)

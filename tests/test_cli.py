@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import roughpaths
+from roughpaths import rough_path
 from roughpaths.cli import CONFIG, ConfigError, ScenarioConfig, main
 from roughpaths.rough_path import PiecewiseLinearPath
 
@@ -50,6 +51,28 @@ def test_lift_writes_artifacts(tmp_path):
     assert len(lines) == 4
     # Linear path with unit slope: level-1 Holder norm is 1 at (0, 1).
     assert float(lines[1].split(",")[2]) == pytest.approx(1.0)
+
+
+def test_holder_queries_make_one_scan(tmp_path, monkeypatch):
+    # holder_norm, holder_distance and the lift command each read every level
+    # they report from one grid-pair scan over one plan.
+    real_scan, shapes = rough_path._scan_pairs, []
+
+    def counted(plan, block_fn, paths=1):
+        shapes.append(next(iter(plan)))
+        return real_scan(plan, block_fn, paths)
+
+    monkeypatch.setattr(rough_path, "_scan_pairs", counted)
+    write_line_csv(tmp_path / "path.csv")
+    cfg = base_config(tmp_path)
+    X = rough_path.lift_path(PiecewiseLinearPath.from_csv(tmp_path / "path.csv"), 3)
+    Xb = rough_path.lift_path(PiecewiseLinearPath(X.times, np.sin(7.0 * X.times)), 3)
+    for call, levels in ((lambda: rough_path.holder_norm(X, 2, 1 / 3), 1),
+                         (lambda: rough_path.holder_distance(X, Xb, 1 / 3), 3),
+                         (lambda: main(["lift", "--config", str(cfg)]), 3)):
+        shapes.clear()
+        call()
+        assert shapes == [(levels, 65)]
 
 
 def test_lift_constant_path_norms_zero(tmp_path):

@@ -31,6 +31,7 @@ from roughpaths.rough_path import (
     PiecewiseLinearPath,
     _increments,
     group_like_deviation,
+    holder_distance,
     holder_norm,
     lift_path,
     restrict,
@@ -170,8 +171,18 @@ def test_scans_do_not_depend_on_tiling(monkeypatch):
             # One scan of several level lists gives each one's prefix seminorms.
             together = _remainder_plan(Xa, 3 * Ya.dim_u, 0.3)
             assert _prefix_seminorms([Ya.levels, Yc.levels, Ya.levels], Xa, together).tolist() == streamed
+            # Every level of one driver Holder pass is that level's one-level
+            # pass, and a plan rebuilt on every pass gives the same values.
+            levels = range(1, Xa.N + 1)
+            maxima = [rough_path._holder_maxima(Xa, other, 0.3, levels) for other in (None, Xb)]
+            assert maxima == [[rough_path._holder_maxima(Xa, other, 0.3, [i])[0] for i in levels]
+                              for other in (None, Xb)]
+            with monkeypatch.context() as patched:
+                patched.setattr(rough_path, "_PLAN_BLOCKS", 0)
+                assert [rough_path._holder_maxima(Xa, other, 0.3, levels) for other in (None, Xb)] == maxima
             out.append((seminorm(Ya, Xa, 0.3), distance(Ya, Yb, Xa, Xb, 0.3), distance(Ya, Ya, Xa, Xa, 0.3),
-                        [holder_norm(Xa, level, 0.3) for level in range(1, Xa.N + 1)],
+                        [holder_norm(Xa, level, 0.3) for level in levels],
+                        holder_distance(Xa, Xb, 0.3), maxima,
                         group_like_deviation(Xa),
                         # The maximum of every level per end point, and the prefix seminorms.
                         rough_path._scan_pairs(plan, _remainder_blocks(Ya.levels, Xa, range(Ya.N))).tolist(),

@@ -7,6 +7,7 @@ from roughpaths.controlled_path import canonical_lift, level_holder_norm
 from roughpaths.rough_path import (
     GeometricRoughPath,
     PiecewiseLinearPath,
+    _holder_maxima,
     _increments,
     chen_deviation,
     group_like_deviation,
@@ -14,7 +15,6 @@ from roughpaths.rough_path import (
     holder_norm,
     increment,
     lift_path,
-    path_norm,
     restrict,
 )
 from roughpaths.oracle import holder_maxima
@@ -278,9 +278,9 @@ def test_holder_distance_properties():
     Xa, Xb = lift_path(pa, 3), lift_path(pb, 3)
     assert holder_distance(Xa, Xa, 1 / 3) == 0.0
     assert holder_distance(Xa, Xb, 1 / 3) == pytest.approx(holder_distance(Xb, Xa, 1 / 3))
-    # Distance to the unit path recovers the path norm.
+    # Distance to the unit path is the sum of the level norms, bit for bit.
     unit = lift_path(PiecewiseLinearPath(times, np.zeros((7, 2))), Xa.N, Xa.beta)
-    assert holder_distance(Xa, unit, 1 / 3) == pytest.approx(path_norm(Xa, 1 / 3))
+    assert holder_distance(Xa, unit, 1 / 3) == sum(holder_norm(Xa, i, 1 / 3) for i in range(1, Xa.N + 1))
     pc = PiecewiseLinearPath(np.linspace(0, 1, 5), rng.standard_normal((5, 2)))
     with pytest.raises(ValueError):
         holder_distance(Xa, lift_path(pc, 3), 1 / 3)
@@ -332,15 +332,20 @@ def test_pair_scans_match_chained_oracle():
     pb = PiecewiseLinearPath(pa.times, rng.standard_normal(pa.points.shape))
     N, beta = 3, 1 / 3
     Xa, Xb = lift_path(pa, N, beta), lift_path(pb, N, beta)
+    levels = range(1, N + 1)
     for end in range(1, Xa.n_points):
         sub_a, sub_b = restrict(Xa, 0, end), restrict(Xb, 0, end)
         prefix_a, prefix_b = (PiecewiseLinearPath(p.times[:end + 1], p.points[:end + 1])
                               for p in (pa, pb))
+        unit = lift_path(PiecewiseLinearPath(prefix_a.times, np.zeros_like(prefix_a.points)), N)
         norms = holder_maxima(prefix_a, N, beta)
-        for i in range(1, N + 1):
+        assert _holder_maxima(sub_a, None, beta, levels) == pytest.approx(norms, rel=1e-12)
+        for i in levels:
             assert holder_norm(sub_a, i, beta) == pytest.approx(norms[i - 1], rel=1e-12)
-        assert path_norm(sub_a, beta) == pytest.approx(sum(norms), rel=1e-12)
+        # The distance to the constant path is the sum of the level norms, bit for bit.
+        assert holder_distance(sub_a, unit, beta) == sum(holder_norm(sub_a, i, beta) for i in levels)
         dists = holder_maxima(prefix_a, N, beta, other=prefix_b)
+        assert _holder_maxima(sub_a, sub_b, beta, levels) == pytest.approx(dists, rel=1e-12)
         assert holder_distance(sub_a, sub_b, beta) == pytest.approx(sum(dists), rel=1e-12)
 
 
