@@ -25,7 +25,7 @@ functions pass ``Y.levels`` after their checks.  One call of
 gives each list's seminorm of every prefix of the grid.  Nothing here is
 cached: the expansion maps live for one call, and a plan as long as its
 caller holds it (a local solve: one attempt).  A plan keeps its tiles when
-they fit 2 MB (262 KB at P = 129 and N = 3) and rebuilds them on every scan
+they fit 2 MB (318 KB at P = 129 and N = 3) and rebuilds them on every scan
 otherwise.  Over one driver Y -> RY is linear, so the gap between two paths
 on the same driver is the seminorm of their difference; ``distance`` serves
 the gap between paths on two drivers.
@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from .rough_path import GeometricRoughPath, _grid_times, _pair_plan, _scan_pairs
-from .tensor_algebra import _check_caps, _check_real, _check_whole, _frozen_levels, _is_numeric, _max_abs
+from .tensor_algebra import _check_caps, _check_real, _check_whole, _frozen_levels, _max_abs, _non_numeric
 
 
 class NonFiniteLevelError(ValueError):
@@ -264,14 +264,15 @@ def zero_remainder_path(blocks, X: GeometricRoughPath) -> ControlledPath:
     level propagates along the driver's running signature so that every
     remainder vanishes identically.
     """
-    blocks = [np.asarray(b) for b in blocks]
-    if len(blocks) != X.N:
+    given = list(blocks)
+    if len(given) != X.N:
         raise ValueError(f"expected {X.N} start blocks")
+    blocks = [np.asarray(b) for b in given]
     n, d = X.n_points, X.d
     e = blocks[0].shape[0] if blocks[0].ndim else 1
-    for i, block in enumerate(blocks):
-        if not _is_numeric(block):
-            raise ValueError(f"start block {i} must hold numbers, got dtype {block.dtype}")
+    for i, (value, block) in enumerate(zip(given, blocks)):
+        if bad := _non_numeric(value, block):
+            raise ValueError(f"start block {i} must hold numbers, got {bad}")
         if block.shape != (e, d**i):
             raise ValueError(f"start block {i} must have shape ({e}, {d**i}), got {block.shape}")
         if not np.isfinite(block).all():

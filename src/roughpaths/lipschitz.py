@@ -486,8 +486,12 @@ def remainder_regularity_probe(F: LipFunction, Y: ControlledPath, X: GeometricRo
     alpha = _check_real(alpha, "alpha", 1.0 / (Y.N + 1), 1, "(]")
     Z = compose(F, Y, X)
     rem = _remainder_blocks(Z.levels, X, [r])
-    # The one level's block, read at both exponents.
-    ends = _scan_pairs(_pair_plan(Y.times, Z.dim_u * Z.d**r, [0.0, (Y.N - r) * alpha]),
-                       lambda rows, cols: 2 * rem(rows, cols))
+
+    def blocks(rows, cols):
+        # The one level's block, read at both exponents.
+        block, = rem(rows, cols)
+        return [block, block]
+
+    ends = _scan_pairs(_pair_plan(Y.times, Z.dim_u * Z.d**r, [0.0, (Y.N - r) * alpha]), blocks)
     worst_abs, worst_ratio = ends.max(axis=1).tolist()
     return RemainderProbe(level=r, max_remainder=worst_abs, max_ratio=worst_ratio)

@@ -10,15 +10,16 @@ Every increment X_{s,t} = X_{t0,s}^{-1} (x) X_{t0,t} is one truncated
 product against the cached inverse stack, batched along the grid axis
 (:func:`_increments`).  Holder norms, distances and remainder bounds are grid
 maxima over all O(M^2) pairs, taken by one scan (:func:`_scan_pairs`) over
-tiles of start rows and end points: each tile's pair block holds at most a
-fixed number of doubles (``_PAIR_BLOCK``), so the pair values are never
-materialized at once, and a pair's value does not depend on its tile.  The
-scan keeps the maximum per end point, so the maxima of every prefix of the
-grid come from the same pass.  The grid-only work of a scan, its tiles,
-masks and gap powers, is its plan (:func:`_pair_plan`), which any number of
-scans on one grid may read.  One rule decides what a plan holds: its tiles
-are kept when their gap powers fit in ``_PLAN_BLOCKS`` pair blocks, 2 MB
-whatever the grid, and rebuilt tile by tile on every pass otherwise.  One
+tiles of start rows and end points: each tile's pair block holds at most
+256 KB of doubles (``_PAIR_BLOCK``), so the pair values are never
+materialized at once, and a pair's value does not depend on its tile.  Each
+pair's l1 norm is one in-place pass over its block.  The scan keeps the
+maximum per end point, so the maxima of every prefix of the grid come from
+the same pass.  The grid-only work of a scan, its tiles, masks and gap
+powers, is its plan (:func:`_pair_plan`), which any number of scans on one
+grid may read.  One rule decides what a plan holds: its tiles are kept when
+their gap powers fit in ``_PLAN_BLOCKS`` pair blocks, 2 MB whatever the
+grid, and rebuilt tile by tile on every pass otherwise.  One
 scan may also serve several paths, each tile's gap powers computed once for
 all of them.  No driver holds a plan.  The driver's Holder norms and
 distances are one kernel, :func:`_holder_maxima`: one scan gives every level
@@ -33,20 +34,22 @@ import math
 import numpy as np
 
 from .tensor_algebra import TensorSeries, _check_caps, _frozen_levels, _group_inverse_levels
-from .tensor_algebra import _check_array, _check_real, _check_whole, _group_like_deviation, _is_numeric
+from .tensor_algebra import _check_array, _check_real, _check_whole, _group_like_deviation, _non_numeric
 from .tensor_algebra import _max_abs, _product_level, _segment_levels, _truncated_product
 
 # Doubles in one pair block (start rows x end points x entries per pair, all
-# levels of a seminorm together) of a grid-pair scan.  On the README line
-# solve (P=513, 2-core VM, best of 3) 8192 kept the peak memory 0.1 MB below
-# 2048 and ran as fast as 32768 within run-to-run noise (2048 ran 1.7x
-# slower); 32768 added 0.5 MB and the whole grid in one block 13 MB.
-_PAIR_BLOCK = 8192
+# levels of a seminorm together) of a grid-pair scan, 256 KB.  Each tile costs
+# numpy a fixed number of calls, so fewer, larger tiles cost less.  README line
+# lift + solve in process (P = 513, 2-core VM, median of 12 alternating
+# processes of 10 solves): 36.0 ms at 8192, 31.6 ms at 16384 and 32.2 ms at
+# 32768 (39.2 ms at 8192 before the in-place l1 pass); the CLI solve's peak
+# RSS, spawned from a small parent, 31.29, 31.76 and 31.90 MB.
+_PAIR_BLOCK = 32768
 # A plan (_pair_plan) keeps its tiles when its gap powers fit in this many
 # pair blocks, 2 MB, and rebuilds them on every pass otherwise.  The README
 # solve's local drivers (P = 129, N = 3) pass the bound, len(exponents) * P**2
-# = 6.1 blocks, and hold 3.8; its closing scan at P = 513 is rebuilt.
-_PLAN_BLOCKS = 32
+# = 1.5 blocks, and hold 1.2; its closing scan at P = 513 is rebuilt.
+_PLAN_BLOCKS = 8
 
 
 def _grid_times(times, least: int) -> np.ndarray:
@@ -54,10 +57,10 @@ def _grid_times(times, least: int) -> np.ndarray:
     finite, strictly increasing, at least ``least`` points.  A NaN fails every
     comparison, so finite end points and increasing steps make every time
     finite in one pass."""
-    times = np.asarray(times)
-    if not _is_numeric(times):
-        raise ValueError(f"grid times must hold numbers, got dtype {times.dtype}")
-    times = np.array(times, dtype=float)
+    arr = np.asarray(times)
+    if bad := _non_numeric(times, arr):
+        raise ValueError(f"grid times must hold numbers, got {bad}")
+    times = np.array(arr, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"grid times must be a 1-D array, got shape {times.shape}")
     if times.size < least or not (math.isfinite(times[0]) and math.isfinite(times[-1])
@@ -323,18 +326,42 @@ class _Rebuilt:
         return self._tiles()
 
 
+def _l1_in_place(block: np.ndarray) -> np.ndarray:
+    """The l1 norm of each pair of a (R, T, w) block, over its trailing axis,
+    in one pass that overwrites the block with its magnitudes.
+
+    Bit for bit ``np.abs(block).sum(axis=-1)``: below 8 entries numpy's sum
+    adds them one by one from the first, so the columns are added in that
+    order.  A short trailing axis is numpy's slow reduction path: on an
+    (85, 128, w) block at w = 2..7 the sum took 180-245 us, the column adds
+    12-62 us.  One entry is a view of the block.
+    """
+    np.abs(block, out=block)
+    w = block.shape[-1]
+    if w >= 8:
+        return block.sum(axis=-1)
+    if w == 1:
+        return block[..., 0]
+    norm = block[..., 0] + block[..., 1]
+    for j in range(2, w):
+        norm += block[..., j]
+    return norm
+
+
 def _scan_pairs(plan, block_fn, paths: int = 1) -> np.ndarray:
     """Max of l1-norm / gap**exponent over grid pairs s < t, per exponent and per end point.
 
     ``plan`` is a :func:`_pair_plan` of the grid.  ``block_fn(rows, cols)``
     returns one block per exponent, each an (R, T, w) array of pair entries
     for the start rows and end points of one tile; pairs with t <= s are
-    masked out.  So one pass scans every level of a seminorm.  Returns a
-    (len(exponents), P) array: entry [k, t] is the maximum over start rows
-    s < t (0 at t = 0).  Its row maxima are the maxima over all pairs; its
-    running maximum along t is the maximum over the pairs of every prefix
-    [t_0, t_j].  A NaN pair propagates to its end point.  The scan keeps no
-    pairwise array past its tile.
+    masked out.  So one pass scans every level of a seminorm.  The blocks
+    are the scan's to overwrite (:func:`_l1_in_place`), so none may be a view
+    of an input level; one block may be listed twice, as |.| is idempotent.
+    Returns a (len(exponents), P) array: entry [k, t] is the maximum over
+    start rows s < t (0 at t = 0).  Its row maxima are the maxima over all
+    pairs; its running maximum along t is the maximum over the pairs of every
+    prefix [t_0, t_j].  A NaN pair propagates to its end point.  The scan
+    keeps no pairwise array past its tile.
 
     With ``paths`` > 1, one pass scans that many paths over one plan:
     ``block_fn`` returns the blocks of every exponent for path 0, then for
@@ -348,7 +375,7 @@ def _scan_pairs(plan, block_fn, paths: int = 1) -> np.ndarray:
     for rows, cols, drop, powers in plan:
         ratios = np.empty((paths * n_exp,) + powers.shape[1:])
         for k, (ratio, block) in enumerate(zip(ratios, block_fn(rows, cols))):
-            np.divide(np.abs(block).sum(axis=-1), powers[k % n_exp], out=ratio)
+            np.divide(_l1_in_place(block), powers[k % n_exp], out=ratio)
         if drop is not None:
             np.copyto(ratios, -np.inf, where=drop)
         tile = ends[:, cols]

@@ -91,22 +91,39 @@ def _check_real(value, name: str, lo=-math.inf, hi=math.inf, ends: str = "()") -
     return float(value)
 
 
-def _is_numeric(arr: np.ndarray) -> bool:
-    """Whether an array holds numbers: an integer or float dtype, no bools,
-    strings, objects or complex numbers."""
-    return arr.dtype.kind in "iuf"
+def _non_numeric(value, arr: np.ndarray) -> str | None:
+    """What keeps ``value``, read as ``arr = np.asarray(value)``, from holding
+    numbers, or None when it holds them.  Numbers are an integer or float
+    dtype: no bools, strings, objects or complex numbers.  An ndarray is
+    judged by its dtype alone; a nested Python sequence also by its entries,
+    since numpy promotes a bool listed among numbers to a number."""
+    if arr.dtype.kind not in "iuf":
+        return f"dtype {arr.dtype}"
+    if not isinstance(value, np.ndarray) and _lists_bool(value):
+        return "a bool entry"
+    return None
+
+
+def _lists_bool(value) -> bool:
+    """Whether a bool (Python or numpy, or a bool array) sits anywhere in a
+    nested list or tuple."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_lists_bool, value))
+    return isinstance(value, (bool, np.bool_)) or (isinstance(value, np.ndarray) and value.dtype.kind == "b")
 
 
 def _check_array(value, name: str, shape=None) -> np.ndarray:
-    """``value`` as a float array when its entries are finite numbers (no bools)
-    and, given ``shape``, it has that shape, a None entry matching any length;
-    else a ValueError naming the argument."""
+    """``value`` as a float array when its entries are finite numbers (no bools,
+    see :func:`_non_numeric`) and, given ``shape``, it has that shape, a None
+    entry matching any length; else a ValueError naming the argument."""
     arr = np.asarray(value)
     if shape is not None and (arr.ndim != len(shape) or any(
             dim is not None and dim != got for dim, got in zip(shape, arr.shape))):
         want = str(tuple("n" if dim is None else dim for dim in shape)).replace("'", "")
         raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
-    if not _is_numeric(arr) or not np.isfinite(arr).all():
+    if bad := _non_numeric(value, arr):
+        raise ValueError(f"{name} must hold numbers, got {bad}")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr.astype(float, copy=False)
 
@@ -117,20 +134,21 @@ def _check_caps(d, N) -> None:
     _check_whole(N, "level N", 1, MAX_LEVEL)
 
 
-def _frozen_levels(d, N, levels, lead: tuple, top: int, error=ValueError) -> tuple:
+def _frozen_levels(d, N, levels, lead: tuple, top: int, error=ValueError, flat: bool = False) -> tuple:
     """The read-only level blocks 0..top of a level container, checked: the caps
-    on (d, N), numbers (a ValueError), level i of shape ``lead + (d**i,)``,
-    finite entries (else ``error``).  A C-contiguous float64 block is frozen in
-    place, not copied."""
+    on (d, N), numbers (a ValueError, see :func:`_non_numeric`), level i of
+    shape ``lead + (d**i,)``, finite entries (else ``error``).  A C-contiguous
+    float64 block is frozen in place, not copied; with ``flat`` every block is
+    copied and raveled first."""
     _check_caps(d, N)
     if len(levels) != top + 1:
         raise ValueError(f"expected {top + 1} level blocks, got {len(levels)}")
     blocks = []
     for i, block in enumerate(levels):
         arr = np.asarray(block)
-        if not _is_numeric(arr):
-            raise ValueError(f"level {i} block must hold numbers, got dtype {arr.dtype}")
-        arr = np.ascontiguousarray(arr, dtype=float)
+        if bad := _non_numeric(block, arr):
+            raise ValueError(f"level {i} block must hold numbers, got {bad}")
+        arr = np.array(arr, dtype=float).ravel() if flat else np.ascontiguousarray(arr, dtype=float)
         if arr.shape != lead + (d**i,):
             raise ValueError(f"level {i} block has shape {arr.shape}, expected {lead + (d**i,)}")
         if not np.isfinite(arr).all():
@@ -169,7 +187,7 @@ class TensorSeries:
     __slots__ = ("d", "N", "levels")
 
     def __init__(self, d: int, N: int, levels):
-        blocks = _frozen_levels(d, N, [np.array(b).ravel() for b in levels], (), N)
+        blocks = _frozen_levels(d, N, levels, (), N, flat=True)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "levels", blocks)

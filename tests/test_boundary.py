@@ -360,6 +360,15 @@ CASES = {
                                     "start block 0 must hold numbers, got dtype <U1"),
     "zero-remainder-bool-block": (lambda: zero_remainder_path([[[1.0]], [[True]]], rough()), ValueError,
                                   "start block 1 must hold numbers, got dtype bool"),
+    # A bool listed among numbers, which numpy would promote to a number.
+    "path-bool-among-times": (lambda: PiecewiseLinearPath([0, True], [0.0, 1.0]), ValueError,
+                              "grid times must hold numbers, got a bool entry"),
+    "series-bool-among-level": (lambda: TensorSeries(2, 1, [[1.0], [0.5, True]]), ValueError,
+                                "level 1 block must hold numbers, got a bool entry"),
+    "picard-y0-bool-among": (lambda: picard_step(PAIR, PLANE, WALK, [1.0, np.bool_(True)]), ValueError,
+                             "y0 must hold numbers, got a bool entry"),
+    "zero-remainder-bool-among-block": (lambda: zero_remainder_path([[[1.0], [True]], [[0.0], [0.0]]], rough()),
+                                        ValueError, "start block 0 must hold numbers, got a bool entry"),
     # Tolerances.
     "group-like-nan-tol": (lambda: is_group_like(TensorSeries.unit(2, 3), nan), ValueError, "tol nan"),
     "group-like-negative-tol": (lambda: is_group_like(TensorSeries.unit(2, 3), -1.0), ValueError,

@@ -17,7 +17,7 @@ from roughpaths.controlled_path import (
     triple_norm,
     zero_remainder_path,
 )
-from roughpaths import controlled_path, rough_path
+from roughpaths import controlled_path, lipschitz, rough_path
 from roughpaths.controlled_path import (
     NonFiniteLevelError,
     _prefix_seminorms,
@@ -190,7 +190,7 @@ def test_scans_do_not_depend_on_tiling(monkeypatch):
         return out
 
     default = scans()
-    for budget in (1, 10**9):
+    for budget in (1, 8192, 10**9):
         monkeypatch.setattr(rough_path, "_PAIR_BLOCK", budget)
         assert scans() == default
     # The maxima hide last-bit changes away from the maximizing pair, so
@@ -352,6 +352,67 @@ def test_pair_tiles_stay_within_budget():
                 assert (power[~later] == 1.0).all()
                 np.testing.assert_array_equal(power[later], gaps[later]**exp)
         assert len(seen) == len(everything) and set(seen) == everything
+
+
+def test_pair_tiles_at_the_benchmark_scan_shapes():
+    # A tile holds 256 KB of pair entries, and a kept plan's gap powers at
+    # most 2 MB.  The README line's local scans (P = 129, width 3) take 2
+    # tiles, its closing scan of two paths (P = 513, width 6) 27, and a
+    # closing scan of the d = 3, N = 5 walks (P = 17, width 242) 2.
+    assert rough_path._PAIR_BLOCK * 8 == 256 * 1024
+    assert rough_path._PAIR_BLOCK * rough_path._PLAN_BLOCKS * 8 == 2 * 1024 * 1024
+    for P, width, tiles in ((129, 3, 2), (513, 6, 27), (17, 242, 2)):
+        assert len(list(rough_path._pair_tiles(P, width))) == tiles, (P, width)
+
+
+def test_l1_norm_matches_numpy_sum():
+    # The scan's l1 norm of each pair, the columns added one by one below 8
+    # entries, is numpy's trailing-axis sum of the magnitudes bit for bit,
+    # with NaN, inf, -0.0, subnormal and 1e308 entries, C- and F-ordered.
+    rng = np.random.default_rng(50)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.2e-308, 1e308, -1e308])
+    with np.errstate(over="ignore"):
+        for w in range(1, 21):
+            for shape in ((1, 1), (3, 5), (85, 128)):
+                block = rng.standard_normal(shape + (w,)) * 10.0 ** rng.integers(-300, 300, shape + (w,))
+                planted = rng.random(block.shape) < 0.2
+                block[planted] = rng.choice(special, planted.sum())
+                for layout in (block, np.asfortranarray(block)):
+                    want = np.abs(layout).sum(axis=-1)
+                    got = rough_path._l1_in_place(layout.copy(order="K"))
+                    assert np.ascontiguousarray(got).tobytes() == want.tobytes(), (w, shape)
+
+
+def test_scans_leave_their_inputs_alone(monkeypatch):
+    # The scan overwrites its blocks in place.  Every public scan runs on the
+    # paths' read-only levels without error, and no block handed to the scan
+    # shares memory with a level of a path or a driver's cache.
+    rng = np.random.default_rng(51)
+    Xa, Xb = walk_driver(rng, 2, 3, 17), walk_driver(rng, 2, 3, 17)
+    Ya, Yb = random_controlled(rng, Xa, 2), random_controlled(rng, Xb, 2)
+    F = linear(rng.standard_normal((2, 2)), n_levels=3)
+    real_scan, seen = rough_path._scan_pairs, []
+
+    def watched(plan, block_fn, paths=1):
+        def blocks(rows, cols):
+            out = block_fn(rows, cols)
+            seen.extend(out)
+            return out
+
+        return real_scan(plan, blocks, paths)
+
+    for module in (rough_path, controlled_path, lipschitz):
+        monkeypatch.setattr(module, "_scan_pairs", watched)
+    scans = (lambda: seminorm(Ya, Xa, 0.3), lambda: prefix_seminorms(Ya, Xa, 0.3),
+             lambda: distance(Ya, Yb, Xa, Xb, 0.3), lambda: holder_norm(Xa, 2, 0.3),
+             lambda: holder_distance(Xa, Xb, 0.3), lambda: level_holder_norm(Ya, 1, 0.5),
+             lambda: remainder_regularity_probe(F, Ya, Xa, 1, 0.3))
+    inputs = [*Xa.levels, *Xb.levels, *Ya.levels, *Yb.levels, *Xa._inverse_stack(), *Xb._inverse_stack()]
+    assert not any(level.flags.writeable for level in inputs)
+    for scan in scans:
+        seen.clear()
+        scan()
+        assert seen and not any(np.shares_memory(block, level) for block in seen for level in inputs)
 
 
 def test_plan_is_kept_only_within_budget(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from roughpaths.controlled_path import (
     ControlledPath,
+    _remainder_blocks,
     canonical_lift,
     distance,
     path_add,
@@ -36,7 +37,7 @@ from roughpaths.oracle import compose_reference, composed_level_reference, slotw
 from roughpaths.rde_solver import canonical_initial_path
 from roughpaths.rough_integral import _operator_slot_last
 from roughpaths import tensor_algebra
-from roughpaths.rough_path import PiecewiseLinearPath, increment, lift_path
+from roughpaths.rough_path import PiecewiseLinearPath, _pair_plan, _scan_pairs, increment, lift_path
 from roughpaths.tensor_algebra import (
     TensorSeries,
     _basis_sectors,
@@ -491,6 +492,22 @@ def test_remainder_probe_values_on_ridge_walk():
         probe = remainder_regularity_probe(F, Y, X, r, 0.24)
         assert probe.max_remainder == pytest.approx(max_remainder, rel=1e-13, abs=0)
         assert probe.max_ratio == pytest.approx(max_ratio, rel=1e-13, abs=0)
+
+
+def test_remainder_probe_equals_two_one_exponent_scans():
+    # The probe scans its one level's block at two exponents in one pass;
+    # each maximum is that of a one-exponent scan, bit for bit.
+    rng = np.random.default_rng(12)
+    X = random_driver(rng, 2, 3, 16)
+    Y = canonical_lift(X)
+    F = ridge(2, 2, [{"coef": [1.0, 0.5], "kind": "sin", "weight": [1.0, -0.5]}], n_levels=3)
+    Z = compose(F, Y, X)
+    for r in (0, 1, 2):
+        probe = remainder_regularity_probe(F, Y, X, r, 0.3)
+        rem = _remainder_blocks(Z.levels, X, [r])
+        alone = [float(_scan_pairs(_pair_plan(X.times, Z.dim_u * Z.d**r, [exponent]), rem).max())
+                 for exponent in (0.0, (X.N - r) * 0.3)]
+        assert [probe.max_remainder, probe.max_ratio] == alone
 
 
 @pytest.mark.parametrize("driver, N, alpha, beta", [
