@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -25,6 +24,7 @@ from . import rough_path as rp
 from . import tensor_algebra as ta
 from .controlled_path import NonFiniteLevelError
 from .rde_solver import SolveFailure, SolverConfig, check_exponents, grid_index, solve
+from .records import _Record
 
 SCHEMA_VERSION = 1
 ALL_SUITES = ("chen", "group_like", "coproduct", "alg_lemma", "removal", "rates")
@@ -38,8 +38,7 @@ REQUIRED = object()  # the default of a key the config must give
 UNSET = object()     # the default of a key left absent: its reader supplies one
 
 
-@dataclass(frozen=True)
-class Key:
+class Key(_Record, frozen=True):
     """One config key: ``text`` says what a valid value is, ``test`` checks it.
     ``rows`` is the table of an object value, ``item`` the key of each item of
     a list value; ``kinds`` names the field kinds that read a field-spec key."""
@@ -164,8 +163,7 @@ def _walk(rows: dict, raw: dict, prefix: str = "") -> dict:
     return out
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(_Record):
     """A config checked against ``CONFIG``, defaults filled in: one attribute
     per top-level key, with ``field`` held as ``field_spec``."""
     schema_version: int

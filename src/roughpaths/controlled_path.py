@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from .rough_path import GeometricRoughPath, _grid_times, _pair_plan, _scan_pairs
-from .tensor_algebra import _check_caps, _check_real, _check_whole, _frozen_levels, _max_abs, _non_numeric
+from .tensor_algebra import _check_caps, _check_real, _check_whole, _frozen_levels, _max_abs, _numeric_array
 
 
 class NonFiniteLevelError(ValueError):
@@ -264,15 +264,13 @@ def zero_remainder_path(blocks, X: GeometricRoughPath) -> ControlledPath:
     level propagates along the driver's running signature so that every
     remainder vanishes identically.
     """
-    given = list(blocks)
-    if len(given) != X.N:
+    blocks = list(blocks)
+    if len(blocks) != X.N:
         raise ValueError(f"expected {X.N} start blocks")
-    blocks = [np.asarray(b) for b in given]
+    blocks = [_numeric_array(b, f"start block {i}") for i, b in enumerate(blocks)]
     n, d = X.n_points, X.d
     e = blocks[0].shape[0] if blocks[0].ndim else 1
-    for i, (value, block) in enumerate(zip(given, blocks)):
-        if bad := _non_numeric(value, block):
-            raise ValueError(f"start block {i} must hold numbers, got {bad}")
+    for i, block in enumerate(blocks):
         if block.shape != (e, d**i):
             raise ValueError(f"start block {i} must have shape ({e}, {d**i}), got {block.shape}")
         if not np.isfinite(block).all():

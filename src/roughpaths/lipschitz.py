@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -40,6 +39,7 @@ from .controlled_path import (
     _fill_leading,
     _remainder_blocks,
 )
+from .records import _Record
 from .rough_path import GeometricRoughPath, _pair_plan, _scan_pairs
 from .tensor_algebra import (
     TensorSeries,
@@ -263,8 +263,7 @@ def taylor_remainder(F: LipFunction, j: int, x, y) -> np.ndarray:
     return _taylor_defects(F, j, F.eval_levels(F.n_levels, x[None]), at_y, (y - x)[None])[0]
 
 
-@dataclass(frozen=True)
-class LipReport:
+class LipReport(_Record, frozen=True):
     level_norms: list
     remainder_ratios: list
     declared: float | None
@@ -467,8 +466,7 @@ def expansion_identity_check(y_blocks, x_inc: TensorSeries, r: int, k: int) -> f
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-@dataclass(frozen=True)
-class RemainderProbe:
+class RemainderProbe(_Record, frozen=True):
     level: int
     max_remainder: float
     max_ratio: float

@@ -16,18 +16,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .controlled_path import ControlledPath
+from .records import _Record
 from .rough_path import increment
 from .tensor_algebra import _assignment_axes, _set_partition_axes, _truncated_product
 from .tensor_algebra import exp_segment, word_index
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(_Record, frozen=True):
     value: np.ndarray
     method: str
     resolution: int

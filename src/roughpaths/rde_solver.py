@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .controlled_path import (
     zero_remainder_path,
 )
 from .lipschitz import LipFunction, _check_compose, _compose_levels, _composed_level, compose
+from .records import _Record
 from .rough_integral import _integral_levels, _integrand_dims, _operator_slot_last
 from .rough_path import GeometricRoughPath, holder_distance, restrict
 from .tensor_algebra import MAX_LEVEL, _check_array, _check_real, _check_whole, _max_abs
@@ -60,8 +60,7 @@ def check_exponents(N: int, alpha: float, beta: float) -> list:
     return []
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Record, frozen=True):
     alpha: float
     beta: float
     max_picard_iters: int = 60
@@ -84,18 +83,16 @@ class SolverConfig:
         return warnings
 
 
-@dataclass
-class PatchReport:
+class PatchReport(_Record):
     t_start: float
     t_end: float
     tau: float
     iterations: int
     final_residual: float
-    residuals: list = field(default_factory=list)
+    residuals: list
 
 
-@dataclass
-class SolveReport:
+class SolveReport(_Record):
     patches: list
     n_patches: int = 0
     solution_seminorm: float = 0.0
@@ -107,7 +104,8 @@ class SolveReport:
     success: bool = False
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "patches": [{**vars(p), "residuals": list(p.residuals)}
+                                          for p in self.patches]}
 
 
 def canonical_initial_path(y0, F: LipFunction, X: GeometricRoughPath) -> ControlledPath:
@@ -154,8 +152,7 @@ def picard_step(Y: ControlledPath, F: LipFunction, X: GeometricRoughPath, y0) ->
     return ControlledPath(X.times, X.d, X.N, e, levels)
 
 
-@dataclass
-class LocalSolve:
+class LocalSolve(_Record):
     """One local attempt: the last iterate, the start path (the centre of the
     unit ball), the residual of each Picard step, and the outcome:
     ``"converged"``, ``"diverged"`` or ``"stalled"`` past the iteration budget.
@@ -165,7 +162,7 @@ class LocalSolve:
     start: ControlledPath
     residuals: list
     outcome: str
-    _scan: Callable | None = field(default=None, repr=False, compare=False)
+    _scan: Callable | None = None
 
 
 def _difference(Ya: ControlledPath, Yb: ControlledPath) -> list:
@@ -375,8 +372,7 @@ def levels_from_field(Y: ControlledPath, F: LipFunction, X: GeometricRoughPath) 
     return _max_abs(Y.levels[i] - _operator_slot_last(Z.levels[i - 1], Y.d) for i in range(1, Y.N))
 
 
-@dataclass(frozen=True)
-class ContinuityProbe:
+class ContinuityProbe(_Record, frozen=True):
     d_out: float
     d_in: float
     ratio: float

@@ -15,26 +15,25 @@ level) so results are bit-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .controlled_path import ControlledPath, _check_pair, _fill_leading, _remainder_blocks
+from .records import _Record
 from .rough_path import GeometricRoughPath, _increments
 from .tensor_algebra import MAX_LEVEL, _check_array, _check_real, _check_whole
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record, frozen=True):
     """Ordered subset of grid indices (integers >= 0) with fixed endpoints."""
 
     indices: tuple
 
-    def __post_init__(self):
-        idx = tuple(_check_whole(i, "partition index", 0) for i in self.indices)
+    def __init__(self, indices: tuple):
+        idx = tuple(_check_whole(i, "partition index", 0) for i in indices)
         if len(idx) < 2 or any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError("partition indices must be strictly increasing, length >= 2")
-        object.__setattr__(self, "indices", idx)
+        super().__init__(idx)
 
     def mesh(self, times) -> float:
         t = np.asarray(times, dtype=float)[list(self.indices)]
@@ -179,8 +178,7 @@ def removal_identity_check(Z: ControlledPath, X: GeometricRoughPath,
     return float(np.max(np.abs(lhs - rhs)))
 
 
-@dataclass(frozen=True)
-class RateProbe:
+class RateProbe(_Record, frozen=True):
     depths: list
     meshes: list
     values: list

@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .tensor_algebra import TensorSeries, _check_caps, _frozen_levels, _group_inverse_levels
-from .tensor_algebra import _check_array, _check_real, _check_whole, _group_like_deviation, _non_numeric
+from .tensor_algebra import _check_array, _check_real, _check_whole, _group_like_deviation, _numeric_array
 from .tensor_algebra import _max_abs, _product_level, _segment_levels, _truncated_product
 
 # Doubles in one pair block (start rows x end points x entries per pair, all
@@ -57,10 +57,7 @@ def _grid_times(times, least: int) -> np.ndarray:
     finite, strictly increasing, at least ``least`` points.  A NaN fails every
     comparison, so finite end points and increasing steps make every time
     finite in one pass."""
-    arr = np.asarray(times)
-    if bad := _non_numeric(times, arr):
-        raise ValueError(f"grid times must hold numbers, got {bad}")
-    times = np.array(arr, dtype=float)
+    times = np.array(_numeric_array(times, "grid times"), dtype=float)
     if times.ndim != 1:
         raise ValueError(f"grid times must be a 1-D array, got shape {times.shape}")
     if times.size < least or not (math.isfinite(times[0]) and math.isfinite(times[-1])

@@ -91,17 +91,25 @@ def _check_real(value, name: str, lo=-math.inf, hi=math.inf, ends: str = "()") -
     return float(value)
 
 
-def _non_numeric(value, arr: np.ndarray) -> str | None:
-    """What keeps ``value``, read as ``arr = np.asarray(value)``, from holding
-    numbers, or None when it holds them.  Numbers are an integer or float
-    dtype: no bools, strings, objects or complex numbers.  An ndarray is
-    judged by its dtype alone; a nested Python sequence also by its entries,
-    since numpy promotes a bool listed among numbers to a number."""
+def _numeric_array(value, name: str) -> np.ndarray:
+    """``np.asarray(value)`` when it holds numbers, else a ValueError naming the
+    argument.  Numbers are an integer or float dtype: no bools, strings,
+    objects or complex numbers.  An ndarray is judged by its dtype alone; a
+    nested Python sequence also by its entries, since numpy promotes a bool
+    listed among numbers to a number, and by its lengths, which numpy refuses
+    to read as an array when they differ."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as err:
+        raise ValueError(f"{name} must be a rectangular array, got nested sequences "
+                         "of unequal length") from err
     if arr.dtype.kind not in "iuf":
-        return f"dtype {arr.dtype}"
-    if not isinstance(value, np.ndarray) and _lists_bool(value):
-        return "a bool entry"
-    return None
+        bad = f"dtype {arr.dtype}"
+    elif not isinstance(value, np.ndarray) and _lists_bool(value):
+        bad = "a bool entry"
+    else:
+        return arr
+    raise ValueError(f"{name} must hold numbers, got {bad}")
 
 
 def _lists_bool(value) -> bool:
@@ -114,15 +122,13 @@ def _lists_bool(value) -> bool:
 
 def _check_array(value, name: str, shape=None) -> np.ndarray:
     """``value`` as a float array when its entries are finite numbers (no bools,
-    see :func:`_non_numeric`) and, given ``shape``, it has that shape, a None
+    see :func:`_numeric_array`) and, given ``shape``, it has that shape, a None
     entry matching any length; else a ValueError naming the argument."""
-    arr = np.asarray(value)
+    arr = _numeric_array(value, name)
     if shape is not None and (arr.ndim != len(shape) or any(
             dim is not None and dim != got for dim, got in zip(shape, arr.shape))):
         want = str(tuple("n" if dim is None else dim for dim in shape)).replace("'", "")
         raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
-    if bad := _non_numeric(value, arr):
-        raise ValueError(f"{name} must hold numbers, got {bad}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr.astype(float, copy=False)
@@ -136,7 +142,7 @@ def _check_caps(d, N) -> None:
 
 def _frozen_levels(d, N, levels, lead: tuple, top: int, error=ValueError, flat: bool = False) -> tuple:
     """The read-only level blocks 0..top of a level container, checked: the caps
-    on (d, N), numbers (a ValueError, see :func:`_non_numeric`), level i of
+    on (d, N), numbers (a ValueError, see :func:`_numeric_array`), level i of
     shape ``lead + (d**i,)``, finite entries (else ``error``).  A C-contiguous
     float64 block is frozen in place, not copied; with ``flat`` every block is
     copied and raveled first."""
@@ -145,9 +151,7 @@ def _frozen_levels(d, N, levels, lead: tuple, top: int, error=ValueError, flat: 
         raise ValueError(f"expected {top + 1} level blocks, got {len(levels)}")
     blocks = []
     for i, block in enumerate(levels):
-        arr = np.asarray(block)
-        if bad := _non_numeric(block, arr):
-            raise ValueError(f"level {i} block must hold numbers, got {bad}")
+        arr = _numeric_array(block, f"level {i} block")
         arr = np.array(arr, dtype=float).ravel() if flat else np.ascontiguousarray(arr, dtype=float)
         if arr.shape != lead + (d**i,):
             raise ValueError(f"level {i} block has shape {arr.shape}, expected {lead + (d**i,)}")

@@ -369,6 +369,19 @@ CASES = {
                              "y0 must hold numbers, got a bool entry"),
     "zero-remainder-bool-among-block": (lambda: zero_remainder_path([[[1.0], [True]], [[0.0], [0.0]]], rough()),
                                         ValueError, "start block 0 must hold numbers, got a bool entry"),
+    # Nested sequences of unequal length, which numpy refuses to read as an array.
+    "check-array-ragged": (lambda: tensor_algebra._check_array([[1.0], [2.0, 3.0]], "x"), ValueError,
+                           "x must be a rectangular array, got nested sequences of unequal length"),
+    "linear-ragged-matrix": (lambda: linear([[1.0], [1.0, 2.0]]), ValueError,
+                             "linear matrix must be a rectangular array"),
+    "path-ragged-points": (lambda: PiecewiseLinearPath([0, 1], [[0.0], [1.0, 2.0]]), ValueError,
+                           "points must be a rectangular array"),
+    "path-ragged-times": (lambda: PiecewiseLinearPath([[0.0], [1.0, 2.0]], [0.0, 1.0]), ValueError,
+                          "grid times must be a rectangular array"),
+    "series-ragged-level": (lambda: TensorSeries(1, 1, [[1.0], [[0.5], [0.1, 0.2]]]), ValueError,
+                            "level 1 block must be a rectangular array"),
+    "zero-remainder-ragged-block": (lambda: zero_remainder_path([[[1.0], [1.0, 2.0]], [[0.0]]], rough()),
+                                    ValueError, "start block 0 must be a rectangular array"),
     # Tolerances.
     "group-like-nan-tol": (lambda: is_group_like(TensorSeries.unit(2, 3), nan), ValueError, "tol nan"),
     "group-like-negative-tol": (lambda: is_group_like(TensorSeries.unit(2, 3), -1.0), ValueError,

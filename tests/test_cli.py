@@ -164,6 +164,11 @@ def test_solve_patch_budget_exit_code(tmp_path):
     report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
     assert report["failure"] == "patch budget exhausted"
     assert report["partial"] is True and report["n_patches"] == 1
+    assert set(report) == {"patches", "n_patches", "solution_seminorm", "solution_norm",
+                           "global_residual", "junction_mismatch", "ball_exits", "wall_time_s",
+                           "success", "failure", "partial"}
+    assert set(report["patches"][0]) == {"t_start", "t_end", "tau", "iterations",
+                                         "final_residual", "residuals"}
     rows = (tmp_path / "out" / "solution_partial.csv").read_text().splitlines()
     assert float(rows[-1].split(",")[0]) == 0.25
     assert not (tmp_path / "out" / "solution.csv").exists()
@@ -425,6 +430,12 @@ def test_cli_import_leaves_scipy_unloaded():
                          "or m.startswith(('numpy.f2py', 'numpy.testing'))") == "[]"
 
 
+def test_cli_import_leaves_dataclasses_unloaded():
+    # The records build from one base class: no dataclass code runs at start-up.
+    code = "import roughpaths.cli, roughpaths.oracle"
+    assert fresh_modules(code, "m == 'dataclasses'") == "[]"
+
+
 def test_cli_import_leaves_oracle_unloaded():
     # The oracle is test support: only the coproduct suite reads it, so the
     # solve, lift and integrate commands do not compile it at start.
@@ -478,6 +489,16 @@ def test_solve_rejects_bad_solver_settings(tmp_path, capsys, solver):
     assert not (tmp_path / "out" / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("solver, key", [({"foo": 1}, "foo"), ({"alpha": 0.3}, "alpha")])
+def test_solve_bad_solver_key_names_class_and_key(tmp_path, capsys, solver, key):
+    # An unknown solver key, or one the config gives at the top level.
+    write_line_csv(tmp_path / "path.csv", n=32)
+    assert main(["solve", "--config", str(solve_config(tmp_path, solver=solver))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad solver settings: ")
+    assert "SolverConfig" in err and f"'{key}'" in err
+
+
 def test_scenario_config_load_errors(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(ConfigError):
@@ -503,6 +524,9 @@ def solve_config(tmp_path, **extra):
     ("solve", ["field"], {}, "config needs a field spec for this command"),
     ("integrate", [], {"field": {"kind": "linear", "matrix": [[1.0, 2.0]]}},
      "integrand field must map R^d into L(V;U)"),
+    ("solve", [], {"field": {"kind": "linear", "matrix": [[1.0], [1.0, 2.0]]}},
+     "bad field spec: linear matrix must be a rectangular array, "
+     "got nested sequences of unequal length"),
 ])
 def test_command_inputs_rejected(tmp_path, capsys, command, drop, extra, message):
     # Inputs a command needs, or whose dimensions disagree, fail at the boundary.

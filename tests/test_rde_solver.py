@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 
 import numpy as np
@@ -21,6 +20,7 @@ from roughpaths.oracle import ode_rk4
 from roughpaths.rough_integral import integral_controlled
 from roughpaths.rde_solver import (
     ContinuityProbe,
+    LocalSolve,
     SolveFailure,
     SolverConfig,
     _in_ball_steps,
@@ -300,7 +300,7 @@ def test_overflowing_ball_and_closing_differences_are_solve_failures(monkeypatch
     assert local.outcome == "converged" and _in_ball_steps(local) == 8
     flipped = ControlledPath(X.times, 1, 2, 1, [np.zeros((9, 1, 1)), np.full((9, 1, 1), -1.7e308)])
     with pytest.raises(SolveFailure, match=r"ball distance \S+ is not finite"):
-        _in_ball_steps(dataclasses.replace(local, start=flipped))
+        _in_ball_steps(LocalSolve(local.path, flipped, local.residuals, local.outcome, local._scan))
 
     real_step = rde_solver.picard_step
     monkeypatch.setattr(rde_solver, "picard_step",
